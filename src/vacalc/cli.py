@@ -23,7 +23,7 @@ from .cooperad import (
     symmetric_expansion,
     verify_axioms,
 )
-from .errors import VacalcError
+from .errors import SchemaError, VacalcError
 from .localfn import LocalFn, canonicalize, parse
 from .vacore import (
     check_uniform_bound,
@@ -321,8 +321,12 @@ def run(argv):
             return 1
 
     elif args.command == "oracle-dims":
+        if args.max_weight < 0:
+            raise SchemaError("--max-weight must be >= 0")
         kind = args.kind
         if kind == "theta_over_eta":
+            if args.norm <= 0 or args.norm % 2:
+                raise SchemaError("--norm must be a positive even integer")
             kind = ("theta_over_eta", args.norm)
         dims = fockoracle.series_dims(kind, args.max_weight)
         _emit(args, " ".join(map(str, dims)), {"dims": dims})

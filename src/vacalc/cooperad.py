@@ -619,10 +619,6 @@ def insertion_closure_failures(f: LocalFn, k: int, sig: SortSignature, m: int, w
 # Axiom verification
 # ---------------------------------------------------------------------------
 
-def _norm_triples(entries):
-    return _norm_terms(entries)
-
-
 def _double_split_orders(f, posA, a, posB, b, qA, qB):
     """Insert disjoint blocks A then B and B then A; returns the two merged
     triple lists (outer, innerA, innerB, coeff) for inner gradings qA, qB."""
@@ -642,7 +638,7 @@ def _double_split_orders(f, posA, a, posB, b, qA, qB):
         teB = insert_block(h, posB - a + 1, b, g - qA - qB)
         for outer, innerB, c2 in teB.terms:
             out2.append((outer, innerA, innerB, c1 * c2))
-    return _norm_triples(out1), _norm_triples(out2)
+    return _norm_terms(out1), _norm_terms(out2)
 
 
 def _coassoc_orders(f, b, b_sub, p_out, p_mid):
@@ -662,7 +658,7 @@ def _coassoc_orders(f, b, b_sub, p_out, p_mid):
         teB = insert_component(outerBig, n - b, p_out)
         for outerFinal, mid, c2 in teB.terms:
             out2.append((outerFinal, mid, inner2, c1 * c2))
-    return _norm_triples(out1), _norm_triples(out2)
+    return _norm_terms(out1), _norm_terms(out2)
 
 
 def _random_monomial(rng, arity_cap):

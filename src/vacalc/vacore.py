@@ -622,6 +622,80 @@ def check_uniform_bound(pres: Presentation, a: str, b: str) -> int:
 
 
 # ---------------------------------------------------------------------------
+# Exact linear algebra
+# ---------------------------------------------------------------------------
+
+def _rref(rows) -> Dict[int, Dict[int, Fraction]]:
+    """Reduced row echelon form of sparse rows {column: value} over the
+    rationals, as {pivot column: row}.
+
+    Rows are taken one at a time.  Each is reduced by the pivot rows found
+    so far; a nonzero remainder becomes a new pivot row at its smallest
+    column, scaled to 1 there and eliminated from the earlier pivot rows.
+    Every pivot row starts at its pivot and is zero at the other pivots, so
+    the result is the unique reduced echelon form of the row space.
+    """
+    pivots: Dict[int, Dict[int, Fraction]] = {}
+    for row in rows:
+        row = {c: v for c, v in row.items() if v}
+        for p in [c for c in row if c in pivots]:
+            f = row[p]
+            for c, v in pivots[p].items():
+                x = row.get(c, 0) - f * v
+                if x:
+                    row[c] = x
+                else:
+                    del row[c]
+        if not row:
+            continue
+        p = min(row)
+        lead = Fraction(row[p])
+        row = {c: v / lead for c, v in row.items()}
+        for other in pivots.values():
+            f = other.get(p)
+            if f:
+                for c, v in row.items():
+                    x = other.get(c, 0) - f * v
+                    if x:
+                        other[c] = x
+                    else:
+                        del other[c]
+        pivots[p] = row
+    return pivots
+
+
+def _kernel(rows, ncols: int) -> List[Dict[int, Fraction]]:
+    """Kernel basis of the sparse rows, one vector {column: value} per free
+    column in increasing order, with 1 at that column."""
+    pivots = _rref(rows)
+    kernel = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        vec = {free: Fraction(1)}
+        for p, row in pivots.items():
+            if free in row:
+                vec[p] = -row[free]
+        kernel.append(vec)
+    return kernel
+
+
+def _solve(rows, ncols: int):
+    """Solve sparse rows over columns 0..ncols-1 whose right-hand side sits
+    at column ncols.
+
+    Returns the unique solution as a list, None when underdetermined, or the
+    string "inconsistent".
+    """
+    pivots = _rref(rows)
+    if ncols in pivots:
+        return "inconsistent"
+    if len(pivots) < ncols:
+        return None
+    return [pivots[c].get(ncols, Fraction(0)) for c in range(ncols)]
+
+
+# ---------------------------------------------------------------------------
 # Radical slices
 # ---------------------------------------------------------------------------
 
@@ -662,41 +736,6 @@ def _lowering_words(pres: Presentation, drop: int):
     return sorted(out)
 
 
-def _fraction_kernel(rows: List[List[Fraction]], ncols: int) -> List[List[Fraction]]:
-    """Kernel basis of the column space map, by exact Gaussian elimination."""
-    mat = [list(r) for r in rows]
-    pivots: List[int] = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, len(mat)):
-            if mat[i][c] != 0:
-                pr = i
-                break
-        if pr is None:
-            continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        pv = mat[r][c]
-        mat[r] = [x / pv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    free = [c for c in range(ncols) if c not in pivots]
-    kernel = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for ri, pc in enumerate(pivots):
-            vec[pc] = -mat[ri][fc]
-        kernel.append(vec)
-    return kernel
-
-
 def radical_slice(pres: Presentation, weight: int) -> RadicalSlice:
     """Kernel of all lowering words into weight <= 0 on the given weight.
 
@@ -711,16 +750,16 @@ def radical_slice(pres: Presentation, weight: int) -> RadicalSlice:
     basis = spanning_basis(pres, weight)
     rows = []
     for word in _lowering_words(pres, weight):
-        row = []
-        for b in basis:
+        row = {}
+        for j, b in enumerate(basis):
             el = VAElement(pres, {b: Fraction(1)})
             for g, m in reversed(word):
                 el = pres.prepend_mode(g, m, el)
-            row.append(el.vacuum_coefficient())
+            row[j] = el.vacuum_coefficient()
         rows.append(row)
-    kernel = _fraction_kernel(rows, len(basis))
     kernel_elements = [
-        VAElement(pres, {b: c for b, c in zip(basis, vec) if c}) for vec in kernel
+        VAElement(pres, {basis[j]: c for j, c in vec.items()})
+        for vec in _kernel(rows, len(basis))
     ]
     return RadicalSlice(weight, basis, kernel_elements)
 
@@ -757,6 +796,47 @@ def _mono_series_coeff(mono, exps) -> Fraction:
     return coeff
 
 
+def _mono_series_support(mono, radius: int) -> Dict[Tuple[int, ...], int]:
+    """Every nonzero coefficient of the expansion in _mono_series_coeff whose
+    exponents all lie in [-radius, radius], keyed by exponent tuple.
+
+    Walks the owners from the top variable down as _mono_series_coeff does,
+    but enumerates each expansion order s instead of solving for it: the
+    exponent of z_m is its own power (l for z_m^l, k - s for (z_m - z_i)^k)
+    plus the orders s that higher owners sent down to it.  Basis monomials
+    have k < 0, so C(k, s) never vanishes.
+    """
+    r = len(mono)
+    exps = [0] * r
+    inflow = [0] * r
+    out: Dict[Tuple[int, ...], int] = {}
+
+    def walk(m, coeff):
+        if m == 0:
+            out[tuple(exps)] = coeff
+            return
+        fac = mono[m - 1]
+        if fac[0] == "p":
+            exps[m - 1] = fac[1] + inflow[m - 1]
+            if exps[m - 1] <= radius:
+                walk(m - 1, coeff)
+            return
+        i, k = fac[1], fac[2]
+        top = k + inflow[m - 1]  # exponent of z_m at s = 0
+        s_max = top + radius
+        target = mono[i - 1]
+        if target[0] == "p":
+            s_max = min(s_max, radius - target[1] - inflow[i - 1])
+        for s in range(max(0, top - radius), s_max + 1):
+            exps[m - 1] = top - s
+            inflow[i - 1] += s
+            walk(m - 1, coeff * gbinom(k, s) * (-1) ** (s % 2))
+            inflow[i - 1] -= s
+
+    walk(r, 1)
+    return out
+
+
 def npoint_vacuum(pres: Presentation, gen_names: Sequence[str], pole_bound: int) -> LocalFn:
     """The local function whose expansion on |z_r| > ... > |z_1| matches the
     vacuum matrix series of the given generator insertions.
@@ -765,6 +845,14 @@ def npoint_vacuum(pres: Presentation, gen_names: Sequence[str], pole_bound: int)
     exactly computed series coefficients and then re-verified on a larger
     exponent window; NoLocalMatch reports a series that is not local within
     the pole bound.
+
+    The linear system has one sparse row per window tuple (every exponent in
+    [-radius, radius], summing to minus the total weight).  Its entries come
+    from each candidate's nonzero series coefficients on the window
+    (_mono_series_support) and its right-hand side is the series at that
+    tuple.  A tuple where every candidate vanishes is still a row, so the
+    series must vanish there too.  The re-verification evaluates each
+    monomial with the closed form _mono_series_coeff instead.
     """
     if not pres.ope_closed:
         raise SchemaError("correlators need a table-closed presentation")
@@ -815,13 +903,13 @@ def npoint_vacuum(pres: Presentation, gen_names: Sequence[str], pole_bound: int)
     max_radius = radius + 6
     solution = None
     while radius <= max_radius:
-        tuples = window_tuples(radius)
-        rows = []
-        rhs = []
-        for e in tuples:
-            rows.append([_mono_series_coeff(m, e) for m in candidates])
-            rhs.append(series(e))
-        sol = _solve_exact(rows, rhs, len(candidates))
+        row_of = {e: {} for e in window_tuples(radius)}
+        for j, m in enumerate(candidates):
+            for e, c in _mono_series_support(m, radius).items():
+                row_of[e][j] = c
+        for e, row in row_of.items():
+            row[len(candidates)] = series(e)
+        sol = _solve(row_of.values(), len(candidates))
         if sol == "inconsistent":
             raise NoLocalMatch(
                 f"series of {list(gen_names)} has no local match within pole bound {pole_bound}"
@@ -841,39 +929,6 @@ def npoint_vacuum(pres: Presentation, gen_names: Sequence[str], pole_bound: int)
         if got != series(e):
             raise NoLocalMatch(f"verification window mismatch at exponents {e}")
     return result
-
-
-def _solve_exact(rows, rhs, ncols):
-    """Solve rows * x = rhs over the rationals.
-
-    Returns the unique solution, None when underdetermined, or the string
-    "inconsistent".
-    """
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(aug)) if aug[i][c] != 0), None)
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        pv = aug[r][c]
-        aug[r] = [x / pv for x in aug[r]]
-        for i in range(len(aug)):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, len(aug)):
-        if aug[i][ncols] != 0:
-            return "inconsistent"
-    if len(pivots) < ncols:
-        return None
-    sol = [Fraction(0)] * ncols
-    for ri, c in enumerate(pivots):
-        sol[c] = aug[ri][ncols]
-    return sol
 
 
 # ---------------------------------------------------------------------------
@@ -1003,6 +1058,13 @@ def preset_lattice_rank1(norm: int = 2) -> Presentation:
     )
 
 
+def _rational(value, what: str) -> Fraction:
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise SchemaError(f"bad rational {value!r} for {what}") from exc
+
+
 def load_presentation(doc) -> Presentation:
     """Build a presentation from a JSON document or preset description.
 
@@ -1020,7 +1082,7 @@ def load_presentation(doc) -> Presentation:
     if "preset" in doc:
         name = doc["preset"]
         if name == "virasoro":
-            return preset_virasoro(Fraction(doc.get("c", 1)))
+            return preset_virasoro(_rational(doc.get("c", 1), "c"))
         if name == "heisenberg":
             return preset_heisenberg(int(doc.get("rank", 1)), doc.get("form"))
         if name == "lattice_rank1":
@@ -1031,7 +1093,7 @@ def load_presentation(doc) -> Presentation:
     except (KeyError, TypeError) as exc:
         raise SchemaError(f"bad generators section: {exc}") from exc
     name2idx = {name: i for i, (name, _) in enumerate(gens)}
-    central = {k: Fraction(v) for k, v in doc.get("central", {}).items()}
+    central = {k: _rational(v, k) for k, v in doc.get("central", {}).items()}
     relations: Dict[Tuple[int, int, int], Dict[Word, Fraction]] = {}
     for rel in doc.get("relations", []):
         try:
@@ -1044,13 +1106,16 @@ def load_presentation(doc) -> Presentation:
             )
         entry: Dict[Word, Fraction] = {}
         for term in rel.get("result", []):
-            modes = [(name2idx[g], int(m)) for g, m in term.get("word", [])]
-            tail = term.get("tail", "vacuum")
-            if tail == "vacuum":
-                word = _word(modes)
-            else:
-                word = _word(modes + [(name2idx[tail], -1)])
-            entry[word] = entry.get(word, Fraction(0)) + Fraction(term["coeff"])
+            try:
+                modes = [(name2idx[g], int(m)) for g, m in term.get("word", [])]
+                tail = term.get("tail", "vacuum")
+                if tail != "vacuum":
+                    modes.append((name2idx[tail], -1))
+                coeff = _rational(term["coeff"], "a relation coefficient")
+            except (KeyError, TypeError, ValueError) as exc:
+                raise SchemaError(f"bad relation result: {exc}") from exc
+            word = _word(modes)
+            entry[word] = entry.get(word, Fraction(0)) + coeff
         if (a, b, n) in relations:
             raise SchemaError(f"duplicate relation for ({rel['a']},{rel['b']},{n})")
         relations[(a, b, n)] = entry

@@ -2,9 +2,13 @@
 exit codes, and byte determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import vacalc
 from vacalc.cli import main, run
 from vacalc.localfn import LocalFn
 
@@ -116,6 +120,36 @@ def test_domain_error_exit_code(monkeypatch, capsys):
         main()
     assert exc.value.code == 1
     assert "IllegalPole" in capsys.readouterr().err
+
+
+def _vacalc_process(*argv):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(vacalc.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-m", "vacalc", *argv],
+                          capture_output=True, text=True, env=env)
+
+
+@pytest.mark.parametrize("argv", [
+    ("dims", "--preset", "virasoro", "--c", "abc", "--max-weight", "2"),
+    ("dims", "--preset", "virasoro", "--c", "1/0", "--max-weight", "2"),
+    ("oracle-dims", "--kind", "theta_over_eta", "--norm", "3", "--max-weight", "4"),
+    ("oracle-dims", "--kind", "partitions", "--max-weight", "-1"),
+    ("dims", "--file", "PRES", "--max-weight", "2"),
+])
+def test_bad_input_is_a_schema_error(tmp_path, argv):
+    # PRES names a document whose relation result uses an unknown generator
+    doc = {
+        "generators": [{"name": "b", "weight": 1}],
+        "relations": [
+            {"a": "b", "b": "b", "n": 0, "result": [{"coeff": "1", "word": [["q", -2]]}]}
+        ],
+    }
+    path = tmp_path / "pres.json"
+    path.write_text(json.dumps(doc))
+    proc = _vacalc_process(*(str(path) if a == "PRES" else a for a in argv))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: SchemaError: ")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
 
 
 def test_usage_error_exit_code(capsys):

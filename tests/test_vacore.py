@@ -6,9 +6,11 @@ fockoracle, which share no code with the straightening engine.
 
 import random
 from fractions import Fraction
+from itertools import product
 from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vacalc import fockoracle as F
 from vacalc.cooperad import SortSignature, in_connective
@@ -19,9 +21,13 @@ from vacalc.errors import (
     TruncationTooSmall,
     WeightMismatch,
 )
-from vacalc.localfn import LocalFn
+from vacalc.localfn import LocalFn, basis_monomials
 from vacalc.numutil import gbinom
 from vacalc.vacore import (
+    _kernel,
+    _mono_series_coeff,
+    _mono_series_support,
+    _solve,
     check_uniform_bound,
     graded_dims,
     lattice_check,
@@ -315,6 +321,71 @@ def test_npoint_errors(hei):
     with pytest.raises(NoLocalMatch):
         # pole bound too small to host the two-point function
         npoint_vacuum(hei, ["a", "a"], 1)
+
+
+def test_series_support_matches_closed_form():
+    # the sparse rows of the correlator solve against the closed-form lookup,
+    # on windows that cut through the support and, below four points, on
+    # npoint's first window (four points stay at radius 2 to keep the brute
+    # force over the window affordable)
+    for r in range(1, 5):
+        for b in range(0, 5):
+            for g in range(-1, b + 1):
+                for radius in sorted({1, b + abs(g) + 1} if r < 4 else {2}):
+                    window = []
+                    for head in product(range(-radius, radius + 1), repeat=r - 1):
+                        last = -g - sum(head)
+                        if -radius <= last <= radius:
+                            window.append(head + (last,))
+                    for m in basis_monomials(r, g, b):
+                        want = {}
+                        for e in window:
+                            c = _mono_series_coeff(m, e)
+                            if c:
+                                want[e] = c
+                        assert _mono_series_support(m, radius) == want, (m, radius)
+
+
+@st.composite
+def linear_systems(draw):
+    """Small integer systems [A | b], with duplicate rows, zero rows and
+    rows 0 = b_i mixed in."""
+    ncols = draw(st.integers(0, 5))
+    entry = st.sampled_from([0, 0, 0, 1, -1, 2, -3])
+    rows = draw(st.lists(st.lists(entry, min_size=ncols + 1, max_size=ncols + 1),
+                         max_size=7))
+    if rows and draw(st.booleans()):
+        rows.append(list(draw(st.sampled_from(rows))))
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), [0] * ncols + [draw(entry)])
+    return ncols, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(linear_systems())
+def test_elimination_against_independent_rank(system):
+    ncols, rows = system
+    aug = [[Fraction(x) for x in row] for row in rows]
+    mat = [row[:ncols] for row in aug]
+    rank = _rank(mat)
+
+    kernel = _kernel([dict(enumerate(row)) for row in mat], ncols)
+    assert len(kernel) == ncols - rank
+    dense = [[vec.get(c, Fraction(0)) for c in range(ncols)] for vec in kernel]
+    assert _rank(dense) == len(kernel)
+    for vec in dense:
+        for row in mat:
+            assert sum(a * x for a, x in zip(row, vec)) == 0
+
+    sol = _solve([dict(enumerate(row)) for row in aug], ncols)
+    if _rank(aug) > rank:
+        assert sol == "inconsistent"
+    elif rank < ncols:
+        assert sol is None
+    else:
+        assert len(sol) == ncols
+        for row in aug:
+            assert sum(a * x for a, x in zip(row, sol)) == row[ncols]
 
 
 # ---------------------------------------------------------------------------
