@@ -4,7 +4,7 @@ explicit oscillator realizations.
 """
 
 from .errors import VacalcError
-from .localfn import LocalFn, RawExpr, arith, basis_monomials, canonicalize, parse
+from .localfn import LocalFn, RawExpr, basis_monomials, canonicalize, parse
 from .cooperad import (
     SortSignature,
     TensorElement,
@@ -40,7 +40,6 @@ __all__ = [
     "VacalcError",
     "LocalFn",
     "RawExpr",
-    "arith",
     "basis_monomials",
     "canonicalize",
     "parse",

@@ -69,8 +69,12 @@ def _merge_negative_values(argv):
 
 def _pres_from_args(args):
     if getattr(args, "file", None):
-        with open(args.file) as fh:
-            return load_presentation(json.load(fh))
+        try:
+            with open(args.file) as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise SchemaError(f"cannot read presentation file: {exc}") from exc
+        return load_presentation(text)
     preset = getattr(args, "preset", None)
     if preset is None:
         raise VacalcError("need --preset or --file")

@@ -11,9 +11,10 @@ and t_s = z_{s+m} - t for the cluster offsets, every factor rewrites as
 
 and the series are expanded in increasing powers of the cluster offsets.
 For each outer grading p the coefficient is a finite sum of tensor products,
-collected here in TensorElement values.  Insertion at a slot other than the
-last, and the general many-block co-composition, are obtained by conjugating
-with the symmetric-group action.
+collected here in TensorElement values.  Insertion of a block other than
+the last is obtained by conjugating with the symmetric-group action.  The
+general many-block co-composition is iterated insertion, last block first;
+it is well defined because insertions into disjoint blocks commute.
 
 Gradings follow localfn: the grading of an outer/inner factor is minus its
 scaling degree, and outer + inner grading equals the input grading in every
@@ -281,6 +282,11 @@ def cocompose_general(
     merged list of (outer LocalFn of arity k, inner LocalFns of arities
     blocks[b], coeff) whose gradings are exactly the requested multidegree
     (ell_0 for the outer factor, ell_b for block b).
+
+    This is iterated insert_block, last block first: block b (counted
+    from 1) goes in at position 1 + (sizes of blocks 1..b-1) with outer
+    grading g - ell_b - ... - ell_k, where g is the grading of f, so the
+    blocks still to be inserted never shift.
     """
     n = f.arity
     k = len(blocks)
@@ -291,111 +297,17 @@ def cocompose_general(
         raise BadPartition("need one outer degree plus one degree per block")
     if sum(multidegree) != g:
         raise BadPartition(f"multidegree sums to {sum(multidegree)}, grading is {g}")
-    # variable -> (block index 1..k, position inside block 1..blocks[b])
-    where = {}
-    v = 1
-    for b, size in enumerate(blocks, start=1):
-        for s in range(1, size + 1):
-            where[v] = (b, s)
-            v += 1
-
-    target0 = multidegree[0]
-    targets = tuple(multidegree[1:])
-    results = []
-    for mono, coeff in f.terms.items():
-        factors = list(enumerate(mono, start=1))
-
-        def options(v, fac, outer_room):
-            """(delta0, inner_deltas, outer_piece, inner_pieces, coeff)."""
-            b, s = where[v]
-            opts = []
-            if fac[0] == "p":
-                l = fac[1]
-                for a in range(0, l + 1):
-                    opts.append(
-                        (-(l - a), ((b, -a),), ("z", b, l - a), ((b, s, a, "p"),), Fraction(gbinom(l, a)))
-                    )
-                return opts
-            i, kk = fac[1], fac[2]
-            b2, s2 = where[i]
-            if b2 == b:
-                return [(0, ((b, -kk),), None, ((b, s, s2, kk),), Fraction(1))]
-            a = 0
-            while (-kk) + a <= outer_room:
-                for r in range(0, a + 1):
-                    hi, lo = (b, b2) if b > b2 else (b2, b)
-                    sign = Fraction(-1) ** (a - kk) if b < b2 else Fraction(1)
-                    c = Fraction(gbinom(kk, a)) * gbinom(a, r) * Fraction(-1) ** r * sign
-                    opts.append(
-                        (
-                            (-kk) + a,
-                            ((b, -(a - r)), (b2, -r)),
-                            ("d", hi, lo, kk - a),
-                            ((b, s, a - r, "p"), (b2, s2, r, "p")),
-                            c,
-                        )
-                    )
-                a += 1
-            return opts
-
-        mins0 = []
-        for v, fac in factors:
-            if fac[0] == "p":
-                mins0.append(-fac[1])
-            else:
-                mins0.append(-fac[2] if where[fac[1]][0] != where[v][0] else 0)
-
-        def rec(idx, rem0, rems, outer_zp, outer_dp, inner_pure, inner_diff, acc):
-            if idx == len(factors):
-                if rem0 != 0 or any(rems):
-                    return
-                outer = LocalFn(k, _reduce([(acc, list(outer_zp), dict(outer_dp))], k))
-                inners = []
-                for b in range(1, k + 1):
-                    size = blocks[b - 1]
-                    zp = [0] * size
-                    dp: Dict[Tuple[int, int], int] = {}
-                    for (s, a) in inner_pure.get(b, ()):
-                        zp[s - 1] += a
-                    for (s, s2, kk) in inner_diff.get(b, ()):
-                        dp[(s, s2)] = dp.get((s, s2), 0) + kk
-                    inners.append(LocalFn(size, _reduce([(Fraction(1), zp, dp)], size)))
-                results.append((outer, *inners, Fraction(1)))
-                return
-            v, fac = factors[idx]
-            rest0 = sum(mins0[idx + 1 :])
-            for delta0, ideltas, opiece, ipieces, c in options(v, fac, rem0 - rest0):
-                if delta0 > rem0 - rest0 or c == 0:
-                    continue
-                rems2 = list(rems)
-                for b, d in ideltas:
-                    rems2[b - 1] -= d
-                zp2, dp2 = outer_zp, outer_dp
-                if opiece is not None:
-                    if opiece[0] == "z":
-                        if opiece[2]:
-                            zp2 = list(outer_zp)
-                            zp2[opiece[1] - 1] += opiece[2]
-                    else:
-                        _, hi, lo, kk = opiece
-                        if kk:
-                            dp2 = dict(outer_dp)
-                            dp2[(hi, lo)] = dp2.get((hi, lo), 0) + kk
-                ip2, idf2 = inner_pure, inner_diff
-                for piece in ipieces:
-                    if piece[3] == "p":
-                        b, s, a, _ = piece
-                        if a:
-                            ip2 = {bb: list(v2) for bb, v2 in ip2.items()}
-                            ip2.setdefault(b, []).append((s, a))
-                    else:
-                        b, s, s2, kk = piece
-                        idf2 = {bb: list(v2) for bb, v2 in idf2.items()}
-                        idf2.setdefault(b, []).append((s, s2, kk))
-                rec(idx + 1, rem0 - delta0, rems2, zp2, dp2, ip2, idf2, acc * c)
-
-        rec(0, target0, list(targets), [0] * k, {}, {}, {}, coeff)
-    return list(_norm_terms(results))
+    partial = [(f, (), Fraction(1))]
+    pos, p = n + 1, g
+    for size, ell in zip(reversed(blocks), reversed(multidegree[1:])):
+        pos -= size
+        p -= ell
+        partial = [
+            (outer, (inner, *inners), c1 * c2)
+            for h, inners, c1 in partial
+            for outer, inner, c2 in insert_block(h, pos, size, p).terms
+        ]
+    return list(_norm_terms((outer, *inners, c) for outer, inners, c in partial))
 
 
 # ---------------------------------------------------------------------------

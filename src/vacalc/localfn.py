@@ -756,17 +756,6 @@ def canonicalize(expr: RawExpr) -> LocalFn:
     return LocalFn(expr.arity, _reduce(_expand(expr), expr.arity))
 
 
-def arith(op: str, f: LocalFn, g) -> LocalFn:
-    """Ring operations behind one name: op in {"add", "mul", "scale"}."""
-    if op == "add":
-        return f + g
-    if op == "mul":
-        return f * g
-    if op == "scale":
-        return f.scale(g)
-    raise ValueError(f"unknown op {op!r}")
-
-
 def basis_monomials(n: int, grading: int, pole_budget: int) -> List[Monomial]:
     """All basis monomials of the given arity and grading with total pole
     depth at most pole_budget, in canonical order."""

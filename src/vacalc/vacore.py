@@ -1010,7 +1010,10 @@ def preset_heisenberg(rank: int = 1, form=None) -> Presentation:
         raise SchemaError("rank must be >= 1")
     if form is None:
         form = [[Fraction(int(i == j)) for j in range(rank)] for i in range(rank)]
-    form = [[Fraction(x) for x in row] for row in form]
+    try:
+        form = [[_rational(x, "a form entry") for x in row] for row in form]
+    except TypeError as exc:
+        raise SchemaError("form must be rank x rank") from exc
     if len(form) != rank or any(len(row) != rank for row in form):
         raise SchemaError("form must be rank x rank")
     if any(form[i][j] != form[j][i] for i in range(rank) for j in range(rank)):
@@ -1065,6 +1068,19 @@ def _rational(value, what: str) -> Fraction:
         raise SchemaError(f"bad rational {value!r} for {what}") from exc
 
 
+def _integer(value, what: str) -> int:
+    """An int, or a string spelling one; anything else (bools, floats,
+    other strings) is a SchemaError rather than a silent truncation."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise SchemaError(f"bad integer {value!r} for {what}")
+
+
 def load_presentation(doc) -> Presentation:
     """Build a presentation from a JSON document or preset description.
 
@@ -1076,7 +1092,10 @@ def load_presentation(doc) -> Presentation:
     All rationals are strings like "p/q".
     """
     if isinstance(doc, str):
-        doc = json.loads(doc)
+        try:
+            doc = json.loads(doc)
+        except json.JSONDecodeError as exc:
+            raise SchemaError(f"presentation document is not JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise SchemaError("presentation document must be a JSON object")
     if "preset" in doc:
@@ -1084,12 +1103,16 @@ def load_presentation(doc) -> Presentation:
         if name == "virasoro":
             return preset_virasoro(_rational(doc.get("c", 1), "c"))
         if name == "heisenberg":
-            return preset_heisenberg(int(doc.get("rank", 1)), doc.get("form"))
+            rank = _integer(doc.get("rank", 1), "rank")
+            return preset_heisenberg(rank, doc.get("form"))
         if name == "lattice_rank1":
-            return preset_lattice_rank1(int(doc.get("norm", 2)))
+            return preset_lattice_rank1(_integer(doc.get("norm", 2), "norm"))
         raise SchemaError(f"unknown preset {name!r}")
     try:
-        gens = [(g["name"], int(g["weight"])) for g in doc["generators"]]
+        gens = [
+            (g["name"], _integer(g["weight"], "a generator weight"))
+            for g in doc["generators"]
+        ]
     except (KeyError, TypeError) as exc:
         raise SchemaError(f"bad generators section: {exc}") from exc
     name2idx = {name: i for i, (name, _) in enumerate(gens)}
@@ -1097,7 +1120,8 @@ def load_presentation(doc) -> Presentation:
     relations: Dict[Tuple[int, int, int], Dict[Word, Fraction]] = {}
     for rel in doc.get("relations", []):
         try:
-            a, b, n = name2idx[rel["a"]], name2idx[rel["b"]], int(rel["n"])
+            a, b = name2idx[rel["a"]], name2idx[rel["b"]]
+            n = _integer(rel["n"], "a relation n")
         except (KeyError, TypeError) as exc:
             raise SchemaError(f"bad relation header: {exc}") from exc
         if n < 0:
@@ -1107,7 +1131,10 @@ def load_presentation(doc) -> Presentation:
         entry: Dict[Word, Fraction] = {}
         for term in rel.get("result", []):
             try:
-                modes = [(name2idx[g], int(m)) for g, m in term.get("word", [])]
+                modes = [
+                    (name2idx[g], _integer(m, "a word mode"))
+                    for g, m in term.get("word", [])
+                ]
                 tail = term.get("tail", "vacuum")
                 if tail != "vacuum":
                     modes.append((name2idx[tail], -1))
@@ -1123,7 +1150,7 @@ def load_presentation(doc) -> Presentation:
         gens,
         relations,
         central,
-        connectivity=int(doc.get("connectivity", 0)),
+        connectivity=_integer(doc.get("connectivity", 0), "connectivity"),
         label="document",
     )
 

@@ -129,27 +129,48 @@ def _vacalc_process(*argv):
                           capture_output=True, text=True, env=env)
 
 
-@pytest.mark.parametrize("argv", [
-    ("dims", "--preset", "virasoro", "--c", "abc", "--max-weight", "2"),
-    ("dims", "--preset", "virasoro", "--c", "1/0", "--max-weight", "2"),
-    ("oracle-dims", "--kind", "theta_over_eta", "--norm", "3", "--max-weight", "4"),
-    ("oracle-dims", "--kind", "partitions", "--max-weight", "-1"),
-    ("dims", "--file", "PRES", "--max-weight", "2"),
-])
-def test_bad_input_is_a_schema_error(tmp_path, argv):
-    # PRES names a document whose relation result uses an unknown generator
-    doc = {
+# Each case is (argv, document).  PRES in argv names a file holding the
+# document: a dict is written as JSON, a str as it is, and None writes no file.
+_BAD_INPUTS = [
+    (("dims", "--preset", "virasoro", "--c", "abc", "--max-weight", "2"), None),
+    (("dims", "--preset", "virasoro", "--c", "1/0", "--max-weight", "2"), None),
+    (("oracle-dims", "--kind", "theta_over_eta", "--norm", "3", "--max-weight", "4"), None),
+    (("oracle-dims", "--kind", "partitions", "--max-weight", "-1"), None),
+    # a relation result that uses an unknown generator
+    (("dims", "--file", "PRES", "--max-weight", "2"), {
         "generators": [{"name": "b", "weight": 1}],
         "relations": [
             {"a": "b", "b": "b", "n": 0, "result": [{"coeff": "1", "word": [["q", -2]]}]}
         ],
-    }
+    }),
+    # integer fields are not truncated or parsed loosely
+    (("dims", "--file", "PRES", "--max-weight", "3"), {"preset": "heisenberg", "rank": 1.5}),
+    (("dims", "--file", "PRES", "--max-weight", "3"), {"preset": "lattice_rank1", "norm": "two"}),
+    # Heisenberg form entries must be rationals
+    (("dims", "--file", "PRES", "--max-weight", "2"),
+     {"preset": "heisenberg", "rank": 1, "form": [["x"]]}),
+    (("dims", "--file", "PRES", "--max-weight", "2"),
+     {"preset": "heisenberg", "rank": 1, "form": [["1/0"]]}),
+    # a file that is not JSON, and a file that does not exist
+    (("dims", "--file", "PRES", "--max-weight", "2"), "{not json"),
+    (("dims", "--file", "PRES", "--max-weight", "2"), None),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, document", _BAD_INPUTS, ids=[f"argv{i}" for i in range(len(_BAD_INPUTS))]
+)
+def test_bad_input_is_a_schema_error(tmp_path, argv, document):
     path = tmp_path / "pres.json"
-    path.write_text(json.dumps(doc))
+    if isinstance(document, dict):
+        path.write_text(json.dumps(document))
+    elif document is not None:
+        path.write_text(document)
     proc = _vacalc_process(*(str(path) if a == "PRES" else a for a in argv))
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: SchemaError: ")
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_usage_error_exit_code(capsys):

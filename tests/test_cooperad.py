@@ -109,29 +109,47 @@ def test_cocompose_rejects_bad_partitions():
         cocompose_general(f, (1, 1), (1, 0, 0))  # degrees sum to 1, grading is 2
 
 
+def _random_homogeneous(rng, n, monos, multi):
+    """One basis monomial, or a sum of up to three with unequal coefficients."""
+    if not multi:
+        return LocalFn.from_monomial(n, rng.choice(monos))
+    picks = rng.sample(monos, min(3, len(monos)))
+    coeffs = (1, -2, Fraction(1, 3))
+    return sum((LocalFn.from_monomial(n, m, c) for m, c in zip(picks, coeffs)), LocalFn.zero(n))
+
+
 def test_cocompose_matches_iterated_insertion():
+    # cocompose_general inserts the last block first; the reference inserts
+    # the first block first, so agreement is commutativity of insertions
+    # into disjoint blocks
     from vacalc.cooperad import _norm_terms
 
     rng = random.Random(12)
-    for _ in range(12):
+    nonzero = {False: 0, True: 0}
+    for trial in range(12):
         n = rng.randint(2, 4)
         monos = []
         while not monos:
             g = rng.randint(-1, 2)
             monos = basis_monomials(n, g, max(0, g) + 1)
-        f = LocalFn.from_monomial(n, rng.choice(monos))
+        multi = trial % 2 == 1
+        f = _random_homogeneous(rng, n, monos, multi)
         g = f.grading()
         n1 = rng.randint(1, n - 1)
         n2 = n - n1
         for l0 in range(-2, 3):
+            one_block = tuple(cocompose_general(f, (n,), (l0, g - l0)))
+            assert one_block == insert_component(f, 0, l0).terms
             for l1 in range(-2, 3):
                 l2 = g - l0 - l1
                 got = tuple(cocompose_general(f, (n1, n2), (l0, l1, l2)))
                 acc = []
-                for h, inner2, c1 in insert_block(f, n1 + 1, n2, g - l2).terms:
-                    for outer, inner1, c2 in insert_block(h, 1, n1, l0).terms:
+                for h, inner1, c1 in insert_block(f, 1, n1, g - l1).terms:
+                    for outer, inner2, c2 in insert_block(h, 2, n2, l0).terms:
                         acc.append((outer, inner1, inner2, c1 * c2))
                 assert got == _norm_terms(acc)
+                nonzero[multi] += bool(got)
+    assert nonzero[False] and nonzero[True]
 
 
 # ---------------------------------------------------------------------------
@@ -236,27 +254,33 @@ def test_cocompose_three_blocks_matches_iterated_insertion():
     from vacalc.cooperad import _norm_terms
 
     rng = random.Random(21)
-    for _ in range(6):
+    nonzero = {False: 0, True: 0}
+    for trial in range(6):
         n = rng.randint(3, 4)
         monos = []
         while not monos:
             g = rng.randint(0, 2)
             monos = basis_monomials(n, g, g + 1)
-        f = LocalFn.from_monomial(n, rng.choice(monos))
+        multi = trial % 2 == 1
+        f = _random_homogeneous(rng, n, monos, multi)
         g = f.grading()
         sizes = [1, 1, n - 2] if n == 3 or rng.random() < 0.5 else [1, 2, 1]
         n1, n2, n3 = sizes
         for l0 in range(-1, 3):
+            one_block = tuple(cocompose_general(f, (n,), (l0, g - l0)))
+            assert one_block == insert_component(f, 0, l0).terms
             for l1 in range(-1, 2):
                 for l2 in range(-1, 2):
                     l3 = g - l0 - l1 - l2
                     got = tuple(cocompose_general(f, (n1, n2, n3), (l0, l1, l2, l3)))
                     acc = []
-                    for h, in3, c1 in insert_block(f, n1 + n2 + 1, n3, g - l3).terms:
-                        for h2, in2, c2 in insert_block(h, n1 + 1, n2, g - l3 - l2).terms:
-                            for outer, in1, c3 in insert_block(h2, 1, n1, l0).terms:
+                    for h, in1, c1 in insert_block(f, 1, n1, g - l1).terms:
+                        for h2, in2, c2 in insert_block(h, 2, n2, g - l1 - l2).terms:
+                            for outer, in3, c3 in insert_block(h2, 3, n3, l0).terms:
                                 acc.append((outer, in1, in2, in3, c1 * c2 * c3))
                     assert got == _norm_terms(acc), (f, sizes, (l0, l1, l2, l3))
+                    nonzero[multi] += bool(got)
+    assert nonzero[False] and nonzero[True]
 
 
 def test_insert_component_full_split():

@@ -21,7 +21,6 @@ from vacalc.errors import (
 )
 from vacalc.localfn import (
     LocalFn,
-    arith,
     basis_monomials,
     canonicalize,
     eval_raw,
@@ -111,29 +110,29 @@ def test_canonicalize_idempotent_on_output():
 
 
 # ---------------------------------------------------------------------------
-# arith
+# ring arithmetic
 # ---------------------------------------------------------------------------
 
 def test_arith_additive_inverse():
     f = lf("z1*(z2-z1)^-2 + 3", 2)
-    assert arith("add", f, arith("scale", f, -1)).is_zero()
+    assert (f + f.scale(-1)).is_zero()
 
 
 def test_arith_same_base_power():
     g = lf("(z2-z1)^-1", 2)
-    assert arith("mul", g, g) == lf("(z2-z1)^-2", 2)
+    assert g * g == lf("(z2-z1)^-2", 2)
 
 
 def test_arith_mul_recanonicalizes():
     g = lf("(z2-z1)^-1", 2)
-    prod = arith("mul", g, lf("z2", 2))
+    prod = g * lf("z2", 2)
     assert prod == lf("1 + z1*(z2-z1)^-1", 2)
     assert prod.evaluate([1, 3]) == Fraction(3, 2)
 
 
 def test_arith_arity_mismatch():
     with pytest.raises(ArityMismatch):
-        arith("add", lf("z1", 1), lf("z1", 2))
+        lf("z1", 1) + lf("z1", 2)
 
 
 # ---------------------------------------------------------------------------

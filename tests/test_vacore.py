@@ -116,6 +116,26 @@ def test_schema_rejections():
                            "relations": [{"a": "x", "b": "x", "n": -1, "result": []}]})
     with pytest.raises(SchemaError):
         preset_heisenberg(2, [[1, 0], [1, 1]])  # not symmetric
+    one_gen = {"generators": [{"name": "x", "weight": 1}]}
+    bad_docs = [
+        "{not json",
+        {"preset": "heisenberg", "rank": 1.5},
+        {"preset": "heisenberg", "rank": True},
+        {"preset": "heisenberg", "rank": 1, "form": [["x"]]},
+        {"preset": "heisenberg", "rank": 1, "form": 1},
+        {"preset": "lattice_rank1", "norm": "two"},
+        {"generators": [{"name": "x", "weight": "1.0"}]},
+        {**one_gen, "connectivity": 0.5},
+        {**one_gen, "relations": [{"a": "x", "b": "x", "n": "one", "result": []}]},
+        {**one_gen, "relations": [
+            {"a": "x", "b": "x", "n": 0, "result": [{"coeff": "1", "word": [["x", -1.5]]}]}
+        ]},
+    ]
+    for doc in bad_docs:
+        with pytest.raises(SchemaError):
+            load_presentation(doc)
+    # integer strings are integers
+    assert load_presentation({"preset": "heisenberg", "rank": "2"}).label == "heisenberg(rank=2)"
 
 
 # ---------------------------------------------------------------------------
