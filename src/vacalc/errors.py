@@ -70,6 +70,11 @@ class NonTerminating(VacalcError):
     """Rewriting exceeded the configured step bound."""
 
 
+class ResourceLimit(VacalcError):
+    """A computation outgrew a configured size bound; unlike NonTerminating,
+    it may well finish with a larger bound."""
+
+
 class NoLocalMatch(VacalcError):
     """Mode series does not come from a local function within the pole bound."""
 

@@ -47,6 +47,7 @@ from .errors import (
     NotHomogeneous,
     ParseError,
 )
+from .numutil import add_into
 
 Factor = Tuple
 Monomial = Tuple[Factor, ...]
@@ -246,13 +247,7 @@ def _check_distinct(points):
 def _gterm_mul(a, b, n):
     ca, za, da = a
     cb, zb, db = b
-    dp = dict(da)
-    for pair, k in db.items():
-        s = dp.get(pair, 0) + k
-        if s:
-            dp[pair] = s
-        else:
-            del dp[pair]
+    dp = add_into(dict(da), db)
     return (ca * cb, [x + y for x, y in zip(za, zb)], dp)
 
 
@@ -518,14 +513,7 @@ class LocalFn:
 
     def __add__(self, other: "LocalFn") -> "LocalFn":
         self._require_same_arity(other)
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            s = terms.get(m, Fraction(0)) + c
-            if s:
-                terms[m] = s
-            else:
-                del terms[m]
-        return LocalFn(self.arity, terms)
+        return LocalFn(self.arity, add_into(dict(self.terms), other.terms))
 
     def __neg__(self):
         return LocalFn(self.arity, {m: -c for m, c in self.terms.items()})

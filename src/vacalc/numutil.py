@@ -28,3 +28,26 @@ def falling(m: int, j: int) -> int:
 
 def inv_factorial(j: int) -> Fraction:
     return Fraction(1, factorial(j))
+
+
+def add_into(acc: dict, terms: dict, c=1) -> dict:
+    """acc += c * terms for sparse {key: number} dicts, in place; returns acc.
+
+    A key whose sum reaches zero is deleted, so acc never stores a zero.
+    A no-op when c == 0.
+    """
+    if not c:
+        return acc
+    scaled = c != 1
+    get = acc.get
+    for k, v in terms.items():
+        if scaled:
+            v = c * v
+        old = get(k)
+        if old is not None:
+            v = old + v
+        if v:
+            acc[k] = v
+        elif old is not None:
+            del acc[k]
+    return acc

@@ -16,6 +16,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Tuple
 
+from .numutil import add_into
+
 Exponent = Tuple[int, ...]
 Poly = Dict[Exponent, Fraction]
 
@@ -35,29 +37,14 @@ def const(width: int, c) -> Poly:
 
 def linear(width: int, coeffs: dict[int, Fraction | int], c=0) -> Poly:
     """Build sum(coeffs[i] * x_i) + c."""
-    out = const(width, c)
-    for i, a in coeffs.items():
-        a = Fraction(a)
-        if a == 0:
-            continue
-        e = [0] * width
-        e[i] = 1
-        key = tuple(e)
-        out[key] = out.get(key, Fraction(0)) + a
-        if out[key] == 0:
-            del out[key]
-    return out
+    units = {
+        tuple(int(j == i) for j in range(width)): Fraction(a) for i, a in coeffs.items()
+    }
+    return add_into(const(width, c), units)
 
 
 def add(p: Poly, q: Poly) -> Poly:
-    out = dict(p)
-    for e, c in q.items():
-        s = out.get(e, Fraction(0)) + c
-        if s:
-            out[e] = s
-        else:
-            out.pop(e, None)
-    return out
+    return add_into(dict(p), q)
 
 
 def mul(p: Poly, q: Poly) -> Poly:
@@ -65,13 +52,7 @@ def mul(p: Poly, q: Poly) -> Poly:
         return {}
     out: Poly = {}
     for e1, c1 in p.items():
-        for e2, c2 in q.items():
-            e = tuple(a + b for a, b in zip(e1, e2))
-            s = out.get(e, Fraction(0)) + c1 * c2
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
+        add_into(out, {tuple(a + b for a, b in zip(e1, e2)): c2 for e2, c2 in q.items()}, c1)
     return out
 
 

@@ -36,13 +36,14 @@ from .errors import (
     BadPartition,
     NoLocalMatch,
     NonTerminating,
+    ResourceLimit,
     SchemaError,
     TruncationTooSmall,
     UnboundedOPE,
     WeightMismatch,
 )
 from .localfn import LocalFn, basis_monomials
-from .numutil import falling, gbinom
+from .numutil import add_into, falling, gbinom
 
 Word = Tuple[Tuple[Tuple[int, int], ...], Optional[int]]  # (modes, tail)
 
@@ -69,14 +70,7 @@ class VAElement:
 
     def __add__(self, other: "VAElement") -> "VAElement":
         assert self.pres is other.pres
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            s = out.get(w, Fraction(0)) + c
-            if s:
-                out[w] = s
-            else:
-                del out[w]
-        return VAElement(self.pres, out)
+        return VAElement(self.pres, add_into(dict(self.terms), other.terms))
 
     def __neg__(self):
         return VAElement(self.pres, {w: -c for w, c in self.terms.items()})
@@ -335,17 +329,8 @@ class Presentation:
             else:
                 rest: Word = (modes[1:], tail)
                 acc: Dict[Word, Fraction] = {}
-
-                def bump(d, w, c):
-                    s = d.get(w, Fraction(0)) + c
-                    if s:
-                        d[w] = s
-                    else:
-                        del d[w]
-
                 for w2, c2 in self._prepend(g, n, rest).items():
-                    for w3, c3 in self._prepend(h, m, w2).items():
-                        bump(acc, w3, c2 * c3)
+                    add_into(acc, self._prepend(h, m, w2), c2)
                 for j in range(0, self._kbound[(g, h)] + 1):
                     entry = self.ope.get((g, h, j))
                     if not entry:
@@ -355,25 +340,21 @@ class Presentation:
                         continue
                     parts, id_coeff = self._entry_mode(entry, n + m - j)
                     if id_coeff:
-                        bump(acc, rest, cnj * id_coeff)
+                        add_into(acc, {rest: id_coeff}, cnj)
                     for g2, n2, cc in parts:
-                        for w3, c3 in self._prepend(g2, n2, rest).items():
-                            bump(acc, w3, cnj * cc * c3)
+                        add_into(acc, self._prepend(g2, n2, rest), cnj * cc)
                 out = acc
         self._prepend_cache[key] = out
         if len(self._prepend_cache) > self.step_bound:
-            raise NonTerminating("rewrite cache exceeded the step bound")
+            raise ResourceLimit(
+                f"rewrite cache grew past the step bound of {self.step_bound} entries"
+            )
         return out
 
     def prepend_mode(self, g: int, n: int, el: VAElement) -> VAElement:
         out: Dict[Word, Fraction] = {}
         for word, c in el.terms.items():
-            for w2, c2 in self._prepend(g, n, word).items():
-                s = out.get(w2, Fraction(0)) + c * c2
-                if s:
-                    out[w2] = s
-                else:
-                    del out[w2]
+            add_into(out, self._prepend(g, n, word), c)
         return VAElement(self, out)
 
     def _nf_word_suffix(self, word: Word) -> Dict[Word, Fraction]:
@@ -384,12 +365,7 @@ class Presentation:
         for g, n in reversed(modes):
             nxt: Dict[Word, Fraction] = {}
             for w, c in el.items():
-                for w2, c2 in self._prepend(g, n, w).items():
-                    s = nxt.get(w2, Fraction(0)) + c * c2
-                    if s:
-                        nxt[w2] = s
-                    else:
-                        del nxt[w2]
+                add_into(nxt, self._prepend(g, n, w), c)
             el = nxt
         return el
 
@@ -457,12 +433,7 @@ class Presentation:
         nf = self._nf_word_suffix if strategy == "suffix" else self._nf_word_bubble
         out: Dict[Word, Fraction] = {}
         for word, c in el.terms.items():
-            for w2, c2 in nf(word).items():
-                s = out.get(w2, Fraction(0)) + c * c2
-                if s:
-                    out[w2] = s
-                else:
-                    del out[w2]
+            add_into(out, nf(word), c)
         return VAElement(self, out)
 
     def word_element(self, modes, tail=None) -> VAElement:
@@ -481,24 +452,14 @@ class Presentation:
         """
         modes, tail = uword
         out: Dict[Word, Fraction] = {}
-
-        def bump(w, c):
-            s = out.get(w, Fraction(0)) + c
-            if s:
-                out[w] = s
-            else:
-                del out[w]
-
         if not modes:
             if K == -1:
-                bump(xword, xcoeff)
+                out[xword] = xcoeff
             return out
         g, m = modes[0]
         rest: Word = (modes[1:], tail)
         if not modes[1:] and m == -1:
-            for w2, c2 in self._prepend(g, K, xword).items():
-                bump(w2, xcoeff * c2)
-            return out
+            return add_into(out, self._prepend(g, K, xword), xcoeff)
         wt_v = self.word_weight(rest)
         wt_x = self.word_weight(xword)
         k = self.connectivity
@@ -515,13 +476,12 @@ class Presentation:
             if i <= bound1:
                 inner = self._word_mode(rest, K + i, xword, xcoeff)
                 for w2, c2 in inner.items():
-                    for w3, c3 in self._prepend(g, m - i, w2).items():
-                        bump(w3, c * c2 * c3)
+                    add_into(out, self._prepend(g, m - i, w2), c * c2)
             if i <= bound2:
                 gi = self._prepend(g, i, xword)
                 for w2, c2 in gi.items():
-                    for w3, c3 in self._word_mode(rest, m + K - i, w2, Fraction(1)).items():
-                        bump(w3, -sign_m * c * xcoeff * c2 * c3)
+                    add_into(out, self._word_mode(rest, m + K - i, w2, Fraction(1)),
+                             -sign_m * c * xcoeff * c2)
         return out
 
     def apply_mode(self, a: VAElement, n: int, x: VAElement) -> VAElement:
@@ -531,12 +491,7 @@ class Presentation:
         out: Dict[Word, Fraction] = {}
         for uw, cu in a.terms.items():
             for xw, cx in x.terms.items():
-                for w, c in self._word_mode(uw, n, xw, Fraction(1)).items():
-                    s = out.get(w, Fraction(0)) + cu * cx * c
-                    if s:
-                        out[w] = s
-                    else:
-                        del out[w]
+                add_into(out, self._word_mode(uw, n, xw, Fraction(1)), cu * cx)
         return VAElement(self, out)
 
     def derivative(self, x: VAElement) -> VAElement:
@@ -1081,6 +1036,14 @@ def _integer(value, what: str) -> int:
     raise SchemaError(f"bad integer {value!r} for {what}")
 
 
+def _json_typed(value, kind: type, what: str):
+    """value itself if it is a JSON object (kind dict) or array (kind list)."""
+    if not isinstance(value, kind):
+        json_name = "object" if kind is dict else "array"
+        raise SchemaError(f"{what} must be a JSON {json_name}, not {type(value).__name__}")
+    return value
+
+
 def load_presentation(doc) -> Presentation:
     """Build a presentation from a JSON document or preset description.
 
@@ -1115,10 +1078,16 @@ def load_presentation(doc) -> Presentation:
         ]
     except (KeyError, TypeError) as exc:
         raise SchemaError(f"bad generators section: {exc}") from exc
+    for name, _ in gens:
+        if not isinstance(name, str):
+            raise SchemaError(f"generator name {name!r} is not a string")
     name2idx = {name: i for i, (name, _) in enumerate(gens)}
-    central = {k: _rational(v, k) for k, v in doc.get("central", {}).items()}
+    central = {
+        k: _rational(v, k)
+        for k, v in _json_typed(doc.get("central", {}), dict, "central").items()
+    }
     relations: Dict[Tuple[int, int, int], Dict[Word, Fraction]] = {}
-    for rel in doc.get("relations", []):
+    for rel in _json_typed(doc.get("relations", []), list, "relations"):
         try:
             a, b = name2idx[rel["a"]], name2idx[rel["b"]]
             n = _integer(rel["n"], "a relation n")
@@ -1129,7 +1098,8 @@ def load_presentation(doc) -> Presentation:
                 "only singular products (n >= 0) can appear as relations"
             )
         entry: Dict[Word, Fraction] = {}
-        for term in rel.get("result", []):
+        for term in _json_typed(rel.get("result", []), list, "a relation result"):
+            _json_typed(term, dict, "a relation result term")
             try:
                 modes = [
                     (name2idx[g], _integer(m, "a word mode"))

@@ -154,6 +154,16 @@ _BAD_INPUTS = [
     # a file that is not JSON, and a file that does not exist
     (("dims", "--file", "PRES", "--max-weight", "2"), "{not json"),
     (("dims", "--file", "PRES", "--max-weight", "2"), None),
+    # sections of the wrong JSON type
+    (("dims", "--file", "PRES", "--max-weight", "2"),
+     {"generators": [{"name": "b", "weight": 1}], "central": [1]}),
+    (("dims", "--file", "PRES", "--max-weight", "2"),
+     {"generators": [{"name": "b", "weight": 1}], "relations": 5}),
+    (("dims", "--file", "PRES", "--max-weight", "2"),
+     {"generators": [{"name": "b", "weight": 1}],
+      "relations": [{"a": "b", "b": "b", "n": 0, "result": [1]}]}),
+    (("dims", "--file", "PRES", "--max-weight", "2"),
+     {"generators": [{"name": ["x"], "weight": 1}]}),
 ]
 
 

@@ -17,6 +17,7 @@ from vacalc.cooperad import SortSignature, in_connective
 from vacalc.errors import (
     BadPartition,
     NoLocalMatch,
+    ResourceLimit,
     SchemaError,
     TruncationTooSmall,
     WeightMismatch,
@@ -24,6 +25,7 @@ from vacalc.errors import (
 from vacalc.localfn import LocalFn, basis_monomials
 from vacalc.numutil import gbinom
 from vacalc.vacore import (
+    Presentation,
     _kernel,
     _mono_series_coeff,
     _mono_series_support,
@@ -130,6 +132,12 @@ def test_schema_rejections():
         {**one_gen, "relations": [
             {"a": "x", "b": "x", "n": 0, "result": [{"coeff": "1", "word": [["x", -1.5]]}]}
         ]},
+        # sections of the wrong JSON type
+        {**one_gen, "central": [1]},
+        {**one_gen, "relations": 5},
+        {**one_gen, "relations": [{"a": "x", "b": "x", "n": 0, "result": [1]}]},
+        {**one_gen, "relations": [{"a": "x", "b": "x", "n": 0, "result": {"coeff": "1"}}]},
+        {"generators": [{"name": ["x"], "weight": 1}]},
     ]
     for doc in bad_docs:
         with pytest.raises(SchemaError):
@@ -536,3 +544,12 @@ def test_step_bound_raises_non_terminating():
     deep = tiny.element({(tuple([(0, -6 + i) for i in range(6)]), None): Fraction(1)})
     with pytest.raises(NonTerminating):
         tiny.normal_form(deep, "bubble")
+
+
+def test_rewrite_cache_bound_raises_resource_limit(vir):
+    word = {(tuple((0, -6 + i) for i in range(6)), None): Fraction(1)}
+    small = Presentation(vir.gens, vir.ope, vir.central, step_bound=5)
+    with pytest.raises(ResourceLimit, match="step bound of 5 entries"):
+        small.normal_form(small.element(word))
+    # under the default bound the same word straightens: too big, not endless
+    assert not vir.normal_form(vir.element(word)).is_zero()
