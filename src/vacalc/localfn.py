@@ -386,15 +386,6 @@ def mono_pole_total(mono: Monomial) -> int:
     return sum(-f[2] for f in mono if f[0] == "d")
 
 
-def mono_pole_pair(mono: Monomial, i: int, j: int) -> int:
-    """Pole depth of the single monomial along z_i = z_j."""
-    a, b = min(i, j), max(i, j)
-    for m, f in enumerate(mono, start=1):
-        if f[0] == "d" and m == b and f[1] == a:
-            return -f[2]
-    return 0
-
-
 def mono_level_in_subset(mono: Monomial, subset) -> int:
     """Total pole depth among the chosen variables (exact for monomials)."""
     s = set(subset)

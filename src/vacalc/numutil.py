@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import comb, factorial
+from math import comb
 
 
 def gbinom(m: int, j: int) -> int:
@@ -24,10 +23,6 @@ def falling(m: int, j: int) -> int:
     for s in range(j):
         out *= m - s
     return out
-
-
-def inv_factorial(j: int) -> Fraction:
-    return Fraction(1, factorial(j))
 
 
 def add_into(acc: dict, terms: dict, c=1) -> dict:

@@ -442,7 +442,7 @@ class Presentation:
 
     # -- composite modes and the bracket calculus ---------------------------
 
-    def _word_mode(self, uword: Word, K: int, xword: Word, xcoeff: Fraction) -> Dict[Word, Fraction]:
+    def _word_mode(self, uword: Word, K: int, xword: Word) -> Dict[Word, Fraction]:
         """u(K) applied to one normal word, for u a normal word.
 
         Words of length one are generator modes; longer words reduce with
@@ -451,15 +451,13 @@ class Presentation:
                                            - (-1)^m v(m+K-i) (g(i) x) ].
         """
         modes, tail = uword
-        out: Dict[Word, Fraction] = {}
         if not modes:
-            if K == -1:
-                out[xword] = xcoeff
-            return out
+            return {xword: Fraction(1)} if K == -1 else {}
         g, m = modes[0]
         rest: Word = (modes[1:], tail)
         if not modes[1:] and m == -1:
-            return add_into(out, self._prepend(g, K, xword), xcoeff)
+            return self._prepend(g, K, xword)
+        out: Dict[Word, Fraction] = {}
         wt_v = self.word_weight(rest)
         wt_x = self.word_weight(xword)
         k = self.connectivity
@@ -474,14 +472,13 @@ class Presentation:
             if c == 0:
                 continue
             if i <= bound1:
-                inner = self._word_mode(rest, K + i, xword, xcoeff)
+                inner = self._word_mode(rest, K + i, xword)
                 for w2, c2 in inner.items():
                     add_into(out, self._prepend(g, m - i, w2), c * c2)
             if i <= bound2:
                 gi = self._prepend(g, i, xword)
                 for w2, c2 in gi.items():
-                    add_into(out, self._word_mode(rest, m + K - i, w2, Fraction(1)),
-                             -sign_m * c * xcoeff * c2)
+                    add_into(out, self._word_mode(rest, m + K - i, w2), -sign_m * c * c2)
         return out
 
     def apply_mode(self, a: VAElement, n: int, x: VAElement) -> VAElement:
@@ -491,7 +488,7 @@ class Presentation:
         out: Dict[Word, Fraction] = {}
         for uw, cu in a.terms.items():
             for xw, cx in x.terms.items():
-                add_into(out, self._word_mode(uw, n, xw, Fraction(1)), cu * cx)
+                add_into(out, self._word_mode(uw, n, xw), cu * cx)
         return VAElement(self, out)
 
     def derivative(self, x: VAElement) -> VAElement:
@@ -664,57 +661,48 @@ class RadicalSlice:
         self.dimension = len(kernel)
 
 
-def _lowering_words(pres: Presentation, drop: int):
-    """Mode words with every mode g(m), m >= wt(g), lowering by exactly
-    ``drop``, in weakly decreasing mode order."""
-    out = []
-    ngen = len(pres.gens)
-    top = drop + max(pres.weights) + 1
-
-    def rec(remaining, prev, acc):
-        if remaining == 0:
-            out.append(tuple(acc))
-            return
-        for m in range(min(prev[0], top), 0, -1):
-            for g in range(ngen - 1, -1, -1):
-                if (m, g) > prev:
-                    continue
-                if m < pres.wt(g):
-                    continue
-                step = m + 1 - pres.wt(g)
-                if 0 < step <= remaining:
-                    acc.append((g, m))
-                    rec(remaining - step, (m, g), acc)
-                    acc.pop()
-
-    rec(drop, (top, ngen - 1), [])
-    return sorted(out)
-
-
 def radical_slice(pres: Presentation, weight: int) -> RadicalSlice:
-    """Kernel of all lowering words into weight <= 0 on the given weight.
+    """Radical of the vacuum module at one weight: the states x with Wx = 0
+    for every product W of lowering modes g(m), m >= wt(g), that lowers x to
+    weight 0 (where only the vacuum lives).
 
-    Weights below the connectivity bound vanish identically, so only the
-    landings at weight exactly 0 give nontrivial linear conditions; with all
-    generator weights >= 1 that target space is spanned by the vacuum.
+    Computed weight by weight from single lowering modes: Rad_0 = 0, and x
+    of weight u lies in Rad_u exactly when g(m)x lies in Rad_(u-d) for every
+    generator g and drop d = m + 1 - wt(g) in 1..u.  This equals the kernel
+    of all lowering words because two lowering modes commute into single
+    lowering modes (an identity term would need a drop of zero), so every
+    product of them straightens to sorted words.  Each Rad_u is kept in
+    reduced echelon form; reducing g(m)b by it leaves one linear condition
+    per non-pivot column.
     """
     pres.require_closed("the radical slice")
     if pres.connectivity != 0:
         raise SchemaError("radical slices are defined for connectivity 0")
     _require_positive_weights(pres, "the radical slice")
-    basis = spanning_basis(pres, weight)
-    rows = []
-    for word in _lowering_words(pres, weight):
-        row = {}
-        for j, b in enumerate(basis):
-            el = VAElement(pres, {b: Fraction(1)})
-            for g, m in reversed(word):
-                el = pres.prepend_mode(g, m, el)
-            row[j] = el.vacuum_coefficient()
-        rows.append(row)
+    basis, kernel = [], []  # nothing lives at negative weight
+    columns: List[Dict[Word, int]] = []  # per weight: word -> column
+    rads: List[Dict[int, Dict[int, Fraction]]] = []  # per weight: echelon rows
+    for u in range(weight + 1):
+        basis = spanning_basis(pres, u)
+        states = [VAElement(pres, {b: Fraction(1)}) for b in basis]
+        rows = [] if u else [{0: Fraction(1)}]  # Rad_0 = 0
+        for d in range(1, u + 1):
+            cols, rad = columns[u - d], rads[u - d]
+            for g in range(len(pres.gens)):
+                m = pres.wt(g) + d - 1
+                conditions = {c: {} for c in range(len(cols)) if c not in rad}
+                for j, x in enumerate(states):
+                    image = {cols[w]: c for w, c in pres.prepend_mode(g, m, x).terms.items()}
+                    for p in [c for c in image if c in rad]:
+                        add_into(image, rad[p], -image[p])
+                    for c, v in image.items():
+                        conditions[c][j] = v
+                rows.extend(conditions.values())
+        kernel = _kernel(rows, len(basis))
+        columns.append({b: j for j, b in enumerate(basis)})
+        rads.append(_rref(kernel))
     kernel_elements = [
-        VAElement(pres, {basis[j]: c for j, c in vec.items()})
-        for vec in _kernel(rows, len(basis))
+        VAElement(pres, {basis[j]: c for j, c in vec.items()}) for vec in kernel
     ]
     return RadicalSlice(weight, basis, kernel_elements)
 

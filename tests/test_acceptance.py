@@ -290,3 +290,56 @@ def test_criterion_10_lattice():
     report(10, "rank-1 lattice: graded dims and presentation relations",
            ok, time.time() - t0, 60,
            f"{len(rep['checks'])} relation checks, dims {F.lattice_graded_dims(3)}")
+
+
+def _partition_counts(w_max, min_part=1, rank=1):
+    """Coefficients of prod_{n >= min_part} (1 - q^n)^-rank up to q^w_max."""
+    counts = [1] + [0] * w_max
+    for n in range(min_part, w_max + 1):
+        for _ in range(rank):
+            for w in range(n, w_max + 1):
+                counts[w] += counts[w - n]
+    return counts
+
+
+def _minimal_vacuum_character(p, pp, w_max):
+    """Rocha-Caridi vacuum character of the (p, p') minimal model:
+    sum_k (q^A(k) - q^B(k)) / prod_n (1 - q^n) with
+    4 p p' A(k) = (2 p p' k + p' - p)^2 - (p' - p)^2 and
+    4 p p' B(k) = (2 p p' k + p' + p)^2 - (p' - p)^2."""
+    numerator = [0] * (w_max + 1)
+    for k in range(-w_max - 1, w_max + 2):
+        for sign, r in ((1, pp - p), (-1, pp + p)):
+            exp, rem = divmod((2 * p * pp * k + r) ** 2 - (pp - p) ** 2, 4 * p * pp)
+            assert rem == 0
+            if exp <= w_max:
+                numerator[exp] += sign
+    parts = _partition_counts(w_max)
+    return [sum(numerator[i] * parts[w - i] for i in range(w + 1)) for w in range(w_max + 1)]
+
+
+def test_criterion_11_radical_closed_forms():
+    """Radical dimension = spanning count - simple vacuum character: the
+    Rocha-Caridi character at four minimal-model central charges, and the
+    full partition count (radical 0) at c = 1 and for Heisenberg ranks 1-3."""
+    t0 = time.time()
+    cases = []
+    for p, pp in ((2, 5), (3, 4), (2, 7), (4, 5)):
+        c = 1 - Fraction(6 * (pp - p) ** 2, p * pp)
+        cases.append((f"c={c}", preset_virasoro(c), _minimal_vacuum_character(p, pp, 14)))
+    cases.append(("c=1", preset_virasoro(1), _partition_counts(14, min_part=2)))
+    for rank in (1, 2, 3):
+        cases.append((f"heisenberg rank {rank}", preset_heisenberg(rank),
+                      _partition_counts(6, rank=rank)))
+    bad = []
+    dims = {}
+    for name, pres, simple in cases:
+        slices = [radical_slice(pres, w) for w in range(len(simple))]
+        dims[name] = [rs.dimension for rs in slices]
+        want = [len(rs.basis) - q for rs, q in zip(slices, simple)]
+        if dims[name] != want:
+            bad.append(f"{name}: {dims[name]} != {want}")
+    lee_yang = dims["c=-22/5"][4:]
+    ok = not bad and lee_yang == [1, 1, 2, 2, 4, 5, 8, 10, 15, 18, 26]
+    report(11, "radical dims = spanning count - simple vacuum character (w <= 14)",
+           ok, time.time() - t0, 60, "; ".join(bad[:2]) or f"Lee-Yang w=4..14: {lee_yang}")

@@ -6,7 +6,7 @@ fockoracle, which share no code with the straightening engine.
 
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
 from math import factorial
 
 import pytest
@@ -312,6 +312,70 @@ def test_radical_lee_yang_null_vector():
 
 def test_radical_heisenberg_weight_one(hei):
     assert radical_slice(hei, 1).dimension == 0
+
+
+_LJ_DOC = {
+    "generators": [{"name": "L", "weight": 2}, {"name": "J", "weight": 1}],
+    "central": {"c": "-22/5"},
+    "relations": [
+        {"a": "L", "b": "L", "n": 0, "result": [{"coeff": "1", "word": [["L", -2]]}]},
+        {"a": "L", "b": "L", "n": 1, "result": [{"coeff": "2", "word": [["L", -1]]}]},
+        {"a": "L", "b": "L", "n": 3, "result": [{"coeff": "-11/5", "word": []}]},
+        {"a": "L", "b": "J", "n": 0, "result": [{"coeff": "1", "word": [["J", -2]]}]},
+        {"a": "L", "b": "J", "n": 1, "result": [{"coeff": "1", "word": [["J", -1]]}]},
+    ],
+}
+
+
+def _lowering_words(pres, drop):
+    """Every multiset of lowering modes g(m), m >= wt(g), whose drops
+    m + 1 - wt(g) add up to ``drop``, as a sorted mode list.  One order per
+    multiset suffices: reordering adds products of fewer lowering modes with
+    the same total drop, which are listed too."""
+    modes = [
+        (g, pres.wt(g) + d - 1) for g in range(len(pres.gens)) for d in range(1, drop + 1)
+    ]
+    out = []
+    for length in range(1, drop + 1):
+        for word in combinations_with_replacement(modes, length):
+            if sum(m + 1 - pres.wt(g) for g, m in word) == drop:
+                out.append(list(word))
+    return out
+
+
+@pytest.mark.parametrize("doc, w_max, dims", [
+    ({"preset": "virasoro", "c": "-22/5"}, 8, [0, 0, 0, 0, 1, 1, 2, 2, 4]),
+    ({"preset": "virasoro", "c": "1/2"}, 8, [0, 0, 0, 0, 0, 0, 1, 1, 2]),
+    ({"preset": "heisenberg", "rank": 2, "form": [[1, 1], [1, 1]]}, 5, [0, 1, 3, 7, 15, 29]),
+    (_LJ_DOC, 6, [0, 1, 2, 4, 9, 15, 27]),
+], ids=["lee-yang", "ising", "degenerate-heisenberg", "virasoro-plus-current"])
+def test_radical_matches_lowering_word_definition(doc, w_max, dims):
+    # the radical is defined as the common kernel of every product of
+    # lowering modes followed by the vacuum coefficient; the products are
+    # straightened here with the independent bubble strategy
+    pres = load_presentation(doc)
+    got = []
+    for w in range(w_max + 1):
+        rs = radical_slice(pres, w)
+        words = _lowering_words(pres, w) if w else [[]]
+
+        def vacuum_coefficients(el):
+            out = []
+            for word in words:
+                row = Fraction(0)
+                for (modes, tail), c in el.terms.items():
+                    image = pres.element({(tuple(word) + modes, tail): c})
+                    row += pres.normal_form(image, "bubble").vacuum_coefficient()
+                out.append(row)
+            return out
+
+        columns = [vacuum_coefficients(pres.element({b: Fraction(1)})) for b in rs.basis]
+        matrix = [list(row) for row in zip(*columns)]
+        assert rs.dimension == len(rs.basis) - _rank(matrix)
+        for vec in rs.kernel:
+            assert not any(vacuum_coefficients(vec))
+        got.append(rs.dimension)
+    assert got == dims
 
 
 # ---------------------------------------------------------------------------
