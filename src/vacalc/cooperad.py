@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import product as _iproduct
+from itertools import combinations, product as _iproduct
 from typing import Dict, List, Sequence, Tuple
 
 from .errors import BadPartition, BadSplit, BadSubset
@@ -33,8 +33,11 @@ from .localfn import (
     LocalFn,
     Monomial,
     basis_monomials,
+    mono_grading,
     mono_level_in_subset,
+    mono_pole_total,
     mono_sort_key,
+    _collision_level,
     _reduce,
 )
 from .numutil import gbinom
@@ -458,20 +461,24 @@ def in_connective(f: LocalFn, k: int, sig: SortSignature) -> bool:
     every nonempty variable subset is bounded by -k + (sum of its sorts)."""
     if f.is_zero():
         return True
-    if not f.is_homogeneous():
+    gradings = {mono_grading(mono) for mono in f.terms}
+    if len(gradings) > 1:
         return False
     m = f.arity
     if len(sig.sorts) != m:
         raise BadSubset("need one sort per variable")
-    if f.grading() != sum(sig.sorts) - sig.out_sort:
+    if gradings != {sum(sig.sorts) - sig.out_sort}:
         return False
-    for mask in range(1, 1 << m):
-        subset = [i + 1 for i in range(m) if mask >> i & 1]
-        bound = -k + sum(sig.sorts[i - 1] for i in subset)
-        if bound < 0:
-            return False
-        if f.collision_level(subset) > bound:
-            return False
+    # a single variable has level 0, and no level exceeds the deepest
+    # monomial's total pole depth
+    deepest = max(mono_pole_total(mono) for mono in f.terms)
+    for size in range(1, m + 1):
+        for subset in combinations(range(1, m + 1), size):
+            bound = -k + sum(sig.sorts[i - 1] for i in subset)
+            if bound < 0:
+                return False
+            if size > 1 and bound < deepest and _collision_level(f, list(subset), bound) > bound:
+                return False
     return True
 
 

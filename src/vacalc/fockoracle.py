@@ -58,10 +58,6 @@ def v_scale(a: FockVec, c) -> FockVec:
     return {s: v * c for s, v in a.items()}
 
 
-def v_eq(a: FockVec, b: FockVec) -> bool:
-    return v_add(a, v_scale(b, -1)) == {}
-
-
 def state_weight(state: State, norm: int = 1) -> Fraction:
     parts, label = state
     return Fraction(sum(parts)) + Fraction(norm * label * label, 2)

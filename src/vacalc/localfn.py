@@ -47,7 +47,7 @@ from .errors import (
     NotHomogeneous,
     ParseError,
 )
-from .numutil import add_into
+from .numutil import add_into, gbinom
 
 Factor = Tuple
 Monomial = Tuple[Factor, ...]
@@ -390,9 +390,10 @@ def mono_level_in_subset(mono: Monomial, subset) -> int:
     """Total pole depth among the chosen variables (exact for monomials)."""
     s = set(subset)
     total = 0
-    for m, f in enumerate(mono, start=1):
-        if f[0] == "d" and m in s and f[1] in s:
-            total += -f[2]
+    for m in s:
+        f = mono[m - 1]
+        if f[0] == "d" and f[1] in s:
+            total -= f[2]
     return total
 
 
@@ -609,11 +610,7 @@ class LocalFn:
         s = sorted(set(subset))
         if not s or s[0] < 1 or s[-1] > self.arity:
             raise BadSubset(f"subset must be nonempty within 1..{self.arity}: {subset}")
-        if not self.terms:
-            return 0
-        if len(self.terms) == 1:
-            return mono_level_in_subset(next(iter(self.terms)), s)
-        return _collision_level_exact(self, s)
+        return _collision_level(self, s, 0)
 
     # -- serialization -----------------------------------------------------------
 
@@ -673,12 +670,98 @@ def _mono_to_gterm(mono: Monomial, coeff: Fraction, n: int):
     return (coeff, zp, dp)
 
 
+def _collision_level(f: LocalFn, subset: List[int], floor: int) -> int:
+    """max(floor, collision level of f on the sorted subset S), read off the
+    eps-expansion of f at z_i = t + eps*u_i (i in S) without clearing any
+    denominator.
+
+    The expansion lives over the variables (t, z_rest, u_S), numbered 1..n+1
+    in that order; with w a variable outside S, each factor of a monomial
+    expands as
+
+        z_i^l,         i in S      ->  sum_s C(l,s) (eps u_i)^s t^(l-s)
+        (z_m - z_i)^k, both in S   ->  eps^k (u_m - u_i)^k
+        (w - z_i)^k,   i in S      ->  sum_s C(k,s) (-eps u_i)^s (w - t)^(k-s)
+        (z_m - w)^k,   m in S      ->  (-1)^k times the line above, i = m
+
+    so a monomial of depth p inside S (mono_level_in_subset) starts at
+    eps^-p, and its eps^-j coefficient collects the series terms of total
+    order p - j.  The coefficients are scanned from the deepest monomial's
+    eps^-p down to eps^-(floor+1); _reduce is the exact zero test of each,
+    and the first nonzero one is the level.  Putting t first makes _reduce
+    rewrite the outside variables before t, which keeps it fast.
+    """
+    depth = {mono: mono_level_in_subset(mono, subset) for mono in f.terms}
+    top = max(depth.values(), default=0)
+    if top <= floor:
+        return floor
+    if list(depth.values()).count(top) == 1:
+        return top  # a lone deepest monomial cannot cancel
+    n = f.arity
+    in_s = set(subset)
+    outside = [v for v in range(1, n + 1) if v not in in_s]
+    new = {v: r for r, v in enumerate(outside + subset, start=2)}
+    # per monomial: depth, coeff, fixed pure powers, fixed poles, and the
+    # series factors (u index, pole base or None for a power of t, exponent, sign of u)
+    expansions = []
+    for mono, coeff in f.terms.items():
+        if depth[mono] <= floor:
+            continue
+        zp = [0] * (n + 1)
+        dp: Dict[Tuple[int, int], int] = {}
+        series = []
+        for m, fac in enumerate(mono, start=1):
+            if fac[0] == "p":
+                if m not in in_s:
+                    zp[new[m] - 1] = fac[1]
+                elif fac[1]:
+                    series.append((new[m], None, fac[1], 1))
+                continue
+            i, k = fac[1], fac[2]
+            if (m in in_s) == (i in in_s):
+                dp[(new[m], new[i])] = k
+            elif i in in_s:
+                series.append((new[i], new[m], k, -1))
+            else:
+                coeff *= (-1) ** (k % 2)
+                series.append((new[m], new[i], k, -1))
+        expansions.append((depth[mono], coeff, zp, dp, series))
+
+    def terms_of_order(order, coeff, mult, zp, dp, series, out):
+        if not series:
+            if order == 0:
+                out.append((coeff * mult, zp, dp))
+            return
+        (u, base, e, sign), rest = series[0], series[1:]
+        cap = min(order, e) if base is None else order
+        for s in range(order if not rest else 0, cap + 1):
+            z1 = list(zp)
+            z1[u - 1] += s
+            if base is None:
+                z1[0] += e - s
+                d1 = dp
+            else:
+                d1 = dict(dp)
+                d1[(base, 1)] = d1.get((base, 1), 0) + e - s
+            terms_of_order(order - s, coeff, mult * gbinom(e, s) * sign ** s, z1, d1, rest, out)
+
+    for j in range(top, floor, -1):
+        gterms: List[tuple] = []
+        for p, coeff, zp, dp, series in expansions:
+            if p >= j:
+                terms_of_order(p - j, coeff, 1, zp, dp, series, gterms)
+        if _reduce(gterms, n + 1):
+            return j
+    return floor
+
+
 def _collision_level_exact(f: LocalFn, subset: List[int]) -> int:
     """Clear all poles, substitute z_i -> t + eps*u_i on the subset, and read
     the level off the eps-valuation of the numerator polynomial.
 
     Cancellations between different monomials are detected exactly because
-    the numerator is a genuine polynomial.
+    the numerator is a genuine polynomial.  Much slower than _collision_level;
+    kept only as the independent route the tests compare it against.
     """
     n = f.arity
     in_s = set(subset)

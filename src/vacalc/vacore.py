@@ -784,10 +784,14 @@ def npoint_vacuum(pres: Presentation, gen_names: Sequence[str], pole_bound: int)
     """The local function whose expansion on |z_r| > ... > |z_1| matches the
     vacuum matrix series of the given generator insertions.
 
-    An ansatz over the connectivity-bounded basis monomials is solved against
-    exactly computed series coefficients and then re-verified on a larger
-    exponent window; NoLocalMatch reports a series that is not local within
-    the pole bound.
+    An ansatz over every basis monomial within the pole bound is solved
+    against exactly computed series coefficients, re-verified on a larger
+    exponent window, and certified to lie in the connective piece
+    (in_connective).  The candidates are not filtered one by one, because
+    the connective piece is not spanned by its monomials: the canonical form
+    of c/((z1-z2)(z1-z3)(z2-z3))^2 passes although two of its four monomials
+    fail.  NoLocalMatch reports a series that is not local within the pole
+    bound, or whose local match is not connective.
 
     The linear system has one sparse row per window tuple (every exponent in
     [-radius, radius], summing to minus the total weight).  Its entries come
@@ -806,11 +810,7 @@ def npoint_vacuum(pres: Presentation, gen_names: Sequence[str], pole_bound: int)
     sorts = tuple(pres.wt(g) for g in gidx)
     g_total = sum(sorts)
     sig = SortSignature(0, sorts)
-    candidates = [
-        m
-        for m in basis_monomials(r, g_total, pole_bound)
-        if in_connective(LocalFn.from_monomial(r, m), pres.connectivity, sig)
-    ]
+    candidates = basis_monomials(r, g_total, pole_bound)
 
     series_cache: Dict[tuple, Fraction] = {}
 
@@ -871,6 +871,11 @@ def npoint_vacuum(pres: Presentation, gen_names: Sequence[str], pole_bound: int)
         )
         if got != series(e):
             raise NoLocalMatch(f"verification window mismatch at exponents {e}")
+    if not in_connective(result, pres.connectivity, sig):
+        raise NoLocalMatch(
+            f"local match of {list(gen_names)} is outside the connectivity-"
+            f"{pres.connectivity} piece"
+        )
     return result
 
 

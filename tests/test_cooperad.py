@@ -218,6 +218,31 @@ def test_in_connective_examples():
     assert in_connective(wick, 0, SortSignature(0, (1, 1, 1, 1)))
 
 
+def test_in_connective_floor_exit_matches_levels():
+    # in_connective stops scanning each subset at its bound; it must agree
+    # with comparing the full collision level against that bound
+    rng = random.Random(31)
+    outcomes = set()
+    for _ in range(40):
+        n = rng.randint(3, 4)
+        i, j, k = sorted(rng.sample(range(1, n + 1), 3))
+        a, b, c = rng.randint(1, 2), rng.randint(1, 2), rng.randint(0, 2)
+        f = lf(f"(z{k}-z{i})^-{a}*(z{k}-z{j})^-{b}*(z{j}-z{i})^-{c}", n)
+        g = f.grading()
+        f = f + LocalFn.from_monomial(n, rng.choice(basis_monomials(n, g, g + 2)))
+        sorts = [rng.randint(0, 3) for _ in range(n)]
+        sig = SortSignature(sum(sorts) - g, sorts)
+        for conn in range(-2, 2):
+            want = all(
+                f.collision_level(s) <= -conn + sum(sorts[v - 1] for v in s)
+                for s in ([v + 1 for v in range(n) if mask >> v & 1]
+                          for mask in range(1, 1 << n))
+            )
+            assert in_connective(f, conn, sig) == want
+            outcomes.add(want)
+    assert outcomes == {True, False}
+
+
 def test_connective_closure_under_insertion():
     wick = lf(
         "(z2-z1)^-2*(z4-z3)^-2 + (z3-z1)^-2*(z4-z2)^-2 + (z4-z1)^-2*(z3-z2)^-2", 4

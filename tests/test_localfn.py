@@ -9,7 +9,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from vacalc.errors import (
     ArityMismatch,
@@ -21,10 +21,13 @@ from vacalc.errors import (
 )
 from vacalc.localfn import (
     LocalFn,
+    _collision_level,
+    _collision_level_exact,
     basis_monomials,
     canonicalize,
     eval_raw,
     mono_grading,
+    mono_level_in_subset,
     parse,
 )
 
@@ -362,3 +365,69 @@ def test_serialization_round_trip():
     for _ in range(10):
         f = _random_localfn(rng, 3)
         assert LocalFn.from_json(f.to_json()) == f
+
+
+# ---------------------------------------------------------------------------
+# collision levels: the eps-expansion against cleared numerators
+# ---------------------------------------------------------------------------
+
+THREE_POINT = "(z2-z1)^-2*(z3-z1)^-2*(z3-z2)^-2"
+FIVE_VAR = "(z2-z1)^-2*(z3-z2)^-2*(z4-z3)^-2*(z5-z4)^-2*(z5-z1)^-1"
+
+
+def all_subsets(n):
+    return [[i + 1 for i in range(n) if mask >> i & 1] for mask in range(1, 1 << n)]
+
+
+def test_collision_level_fixtures():
+    f = lf(THREE_POINT, 3)
+    # four monomials, some of depth 5 on {1,2}; they cancel down to level 2
+    assert len(f.terms) == 4
+    assert max(mono_level_in_subset(m, [1, 2]) for m in f.terms) == 5
+    assert f.collision_level([1, 2]) == 2
+    assert f.collision_level([1, 2, 3]) == 6
+    assert lf(FIVE_VAR, 5).collision_level([1, 2]) == 2
+    # the cluster {2,3,4} does not hold z1, the base of z3's and z4's poles;
+    # the (z2-z1) numerator cancels the pole of the first four monomials
+    f = lf(
+        "2*(z2-z1)*(z3-z1)^-3*((z4-z1)^-1 - (z4-z3)^-1) + 2*(z3-z1)^-2*(z4-z3)^-1", 4
+    )
+    assert len(f.terms) == 5
+    assert f.collision_level([2, 3, 4]) == 0
+    assert f.collision_level([1, 3, 4]) == 4
+    assert f.collision_level([1, 2, 3, 4]) == 3
+
+
+@st.composite
+def cancelling_sums(draw):
+    """Random sums of basis monomials and of canonical forms of triangles
+    (z_k-z_i)^-a (z_k-z_j)^-b (z_j-z_i)^-c, whose monomials are deeper on
+    {i, j} than the sum, as in the three-point form."""
+    rng = random.Random(draw(st.integers(min_value=0, max_value=10**6)))
+    n = draw(st.integers(2, 4))
+    if n == 2 or rng.random() < 0.3:
+        f = _random_localfn(rng, n)
+    else:
+        f = LocalFn.zero(n)
+    for _ in range(rng.randint(1, 2) if n > 2 else 0):
+        i, j, k = sorted(rng.sample(range(1, n + 1), 3))
+        a, b, c = rng.randint(1, 2), rng.randint(1, 2), rng.randint(0, 2)
+        text = f"(z{k}-z{i})^-{a}*(z{k}-z{j})^-{b}*(z{j}-z{i})^-{c}"
+        if rng.random() < 0.5:
+            text += f"*z{rng.randint(1, n)}"
+        g = lf(text, n)
+        if rng.random() < 0.5:
+            g = g.permute(rng.sample(range(1, n + 1), n))
+        f = f + g.scale(rng.choice([-2, -1, 1, 2]))
+    return f
+
+
+@settings(max_examples=100, deadline=None)
+@given(cancelling_sums())
+@example(lf(THREE_POINT, 3))
+def test_hypothesis_collision_level_matches_cleared_numerators(f):
+    for s in all_subsets(f.arity):
+        level = _collision_level_exact(f, s)
+        assert f.collision_level(s) == level
+        for floor in range(level + 2):
+            assert _collision_level(f, s, floor) == max(level, floor)

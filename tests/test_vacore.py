@@ -402,6 +402,31 @@ def test_npoint_outputs_pass_connectivity(hei, vir):
         assert in_connective(f, 0, SortSignature(0, sorts))
 
 
+@pytest.mark.parametrize("c", [Fraction(1), Fraction(1, 2), Fraction(-22, 5)])
+def test_npoint_virasoro_three_point(c):
+    # <T T T> = c / ((z1-z2)(z1-z3)(z2-z3))^2.  Two of the four monomials of
+    # its canonical form fail in_connective on their own; the sum passes.
+    pres = preset_virasoro(c)
+    got = npoint_vacuum(pres, ["L", "L", "L"], 6)
+    assert got == lf("(z2-z1)^-2*(z3-z1)^-2*(z3-z2)^-2", 3).scale(c)
+    sig = SortSignature(0, (2, 2, 2))
+    assert in_connective(got, pres.connectivity, sig)
+    assert not all(
+        in_connective(LocalFn.from_monomial(3, m), pres.connectivity, sig) for m in got.terms
+    )
+
+
+def test_npoint_virasoro_three_point_series_against_oracle(vir1):
+    # coefficient of z1 z2^-3 z3^-4 on |z3| > |z2| > |z1|, i.e. the vacuum
+    # component of L(3) L(2) L(-2) 1 in field modes, from the free-boson
+    # realization at c = 1
+    got = npoint_vacuum(vir1, ["L", "L", "L"], 6)
+    exps = (1, -3, -4)
+    value = sum(c * _mono_series_coeff(m, exps) for m, c in got.terms.items())
+    oracle = F.virasoro_word([-e - 1 for e in reversed(exps)]).get(F.VACUUM, 0)
+    assert value == oracle == 2
+
+
 def test_npoint_scaled_form():
     scaled = preset_heisenberg(1, [[Fraction(3)]])
     assert npoint_vacuum(scaled, ["a", "a"], 2) == lf("(z2-z1)^-2", 2).scale(3)
