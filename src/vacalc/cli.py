@@ -24,8 +24,9 @@ from .cooperad import (
     verify_axioms,
 )
 from .errors import SchemaError, VacalcError
-from .localfn import LocalFn, canonicalize, parse
+from .localfn import canonicalize, parse
 from .vacore import (
+    _integer,
     check_uniform_bound,
     graded_dims,
     lattice_check,
@@ -95,8 +96,8 @@ def _emit(args, human, obj):
         print(human)
 
 
-def _int_list(text):
-    return [int(x) for x in text.split(",") if x.strip() != ""]
+def _int_list(text, what):
+    return [_integer(x, what) for x in text.split(",") if x.strip() != ""]
 
 
 def _add_pres_flags(sub, with_c=True):
@@ -233,15 +234,14 @@ def run(argv):
             return 1
 
     elif args.command == "filtration":
-        subset = _int_list(args.subset)
+        subset = _int_list(args.subset, "--subset")
         if args.basis:
             for flag in ("level", "grading", "pole_budget"):
                 if getattr(args, flag) is None:
                     ap.error(f"--basis needs --{flag.replace('_', '-')}")
-            monos = filtration_basis(
+            fns = filtration_basis(
                 args.arity, subset, args.level, args.grading, args.pole_budget
             )
-            fns = [LocalFn.from_monomial(args.arity, m) for m in monos]
             _emit(args, "\n".join(f.format() for f in fns) or "(empty)",
                   [f.to_obj() for f in fns])
         else:
@@ -252,7 +252,7 @@ def run(argv):
             _emit(args, f"level {lvl}", {"level": lvl})
 
     elif args.command == "connective":
-        sorts = _int_list(args.sorts)
+        sorts = _int_list(args.sorts, "--sorts")
         if len(sorts) != args.arity + 1:
             ap.error("--sorts needs the output sort plus one sort per variable")
         f = canonicalize(parse(args.expr, args.arity))

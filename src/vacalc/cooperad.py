@@ -34,13 +34,14 @@ from .localfn import (
     Monomial,
     basis_monomials,
     mono_grading,
-    mono_level_in_subset,
     mono_pole_total,
     mono_sort_key,
     _collision_level,
+    _eps_coefficient,
+    _eps_expansions,
     _reduce,
 )
-from .numutil import gbinom
+from .numutil import _kernel, _rref, gbinom
 
 
 # ---------------------------------------------------------------------------
@@ -431,19 +432,24 @@ def filtration_level(f: LocalFn, subset) -> int:
     return f.collision_level(subset)
 
 
-def filtration_basis(n, subset, N, grading, pole_budget):
-    """Basis monomials of the level-N filtration piece with the given
-    grading and total pole budget."""
+def filtration_basis(n, subset, N, grading, pole_budget) -> List[LocalFn]:
+    """Reduced-echelon basis, in order of pivot column, of the level-<=N piece
+    on the subset spanned by basis_monomials(n, grading, pole_budget): the
+    kernel of the eps^-j coefficients, j > N, of localfn._eps_expansions.
+    Its elements may be sums of monomials whose deeper poles cancel."""
     s = sorted(set(subset))
     if not s or s[0] < 1 or s[-1] > n:
         raise BadSubset(f"subset must be nonempty within 1..{n}: {subset}")
     if N < 0:
         return []
-    return [
-        m
-        for m in basis_monomials(n, grading, pole_budget)
-        if mono_level_in_subset(m, s) <= N
-    ]
+    cands = basis_monomials(n, grading, pole_budget)
+    rows: Dict[tuple, Dict[int, Fraction]] = {}
+    for col, expansion in enumerate(_eps_expansions([(m, 1) for m in cands], n, s)):
+        for j in range(N + 1, expansion[0] + 1):
+            for mono, v in _reduce(_eps_coefficient([expansion], j), n + 1).items():
+                rows.setdefault((j, mono), {})[col] = v
+    pivots = _rref(_kernel(rows.values(), len(cands)))
+    return [LocalFn(n, {cands[c]: v for c, v in pivots[p].items()}) for p in sorted(pivots)]
 
 
 class SortSignature:
@@ -601,6 +607,8 @@ def verify_axioms(arity_cap: int = 4, samples: int = 20, truncation: int = 4, se
     """
     if truncation < 1:
         raise BadSubset("truncation order must be >= 1")
+    if arity_cap < 2:
+        raise BadSubset("arity cap must be >= 2")
     rng = random.Random(seed)
     checks = []
 
@@ -642,10 +650,7 @@ def verify_axioms(arity_cap: int = 4, samples: int = 20, truncation: int = 4, se
                     ok = lhs_out == rhs_out
                     record("equivariance-outer", f, {"m": m, "perm": tau_head}, p, ok, str(lhs_out), str(rhs_out))
         elif kind == "commutativity":
-            while True:
-                n, f = _random_monomial(rng, arity_cap)
-                if n >= 2:
-                    break
+            n, f = _random_monomial(rng, arity_cap)
             a = rng.randint(1, n - 1)
             b = rng.randint(1, n - a)
             posA = rng.randint(1, n - a - b + 1)
@@ -664,10 +669,7 @@ def verify_axioms(arity_cap: int = 4, samples: int = 20, truncation: int = 4, se
                         str(two),
                     )
         else:
-            while True:
-                n, f = _random_monomial(rng, arity_cap)
-                if n >= 2:
-                    break
+            n, f = _random_monomial(rng, arity_cap)
             b = rng.randint(2, n)
             b_sub = rng.randint(1, b - 1)
             for p_out in range(-truncation, truncation + 1):

@@ -670,10 +670,9 @@ def _mono_to_gterm(mono: Monomial, coeff: Fraction, n: int):
     return (coeff, zp, dp)
 
 
-def _collision_level(f: LocalFn, subset: List[int], floor: int) -> int:
-    """max(floor, collision level of f on the sorted subset S), read off the
-    eps-expansion of f at z_i = t + eps*u_i (i in S) without clearing any
-    denominator.
+def _eps_expansions(terms, n: int, subset: List[int]) -> List[tuple]:
+    """Expansion data of each (monomial, coeff) of terms at z_i = t + eps*u_i
+    (i in the sorted subset S), without clearing any denominator.
 
     The expansion lives over the variables (t, z_rest, u_S), numbered 1..n+1
     in that order; with w a variable outside S, each factor of a monomial
@@ -685,28 +684,17 @@ def _collision_level(f: LocalFn, subset: List[int], floor: int) -> int:
         (z_m - w)^k,   m in S      ->  (-1)^k times the line above, i = m
 
     so a monomial of depth p inside S (mono_level_in_subset) starts at
-    eps^-p, and its eps^-j coefficient collects the series terms of total
-    order p - j.  The coefficients are scanned from the deepest monomial's
-    eps^-p down to eps^-(floor+1); _reduce is the exact zero test of each,
-    and the first nonzero one is the level.  Putting t first makes _reduce
+    eps^-p, and its eps^-j coefficient (_eps_coefficient) is its series
+    terms of total order p - j.  Returns, per monomial, (p, coeff, fixed
+    pure powers, fixed poles, series factors (u index, pole base or None
+    for a power of t, exponent, sign of u)).  Putting t first makes _reduce
     rewrite the outside variables before t, which keeps it fast.
     """
-    depth = {mono: mono_level_in_subset(mono, subset) for mono in f.terms}
-    top = max(depth.values(), default=0)
-    if top <= floor:
-        return floor
-    if list(depth.values()).count(top) == 1:
-        return top  # a lone deepest monomial cannot cancel
-    n = f.arity
     in_s = set(subset)
     outside = [v for v in range(1, n + 1) if v not in in_s]
     new = {v: r for r, v in enumerate(outside + subset, start=2)}
-    # per monomial: depth, coeff, fixed pure powers, fixed poles, and the
-    # series factors (u index, pole base or None for a power of t, exponent, sign of u)
     expansions = []
-    for mono, coeff in f.terms.items():
-        if depth[mono] <= floor:
-            continue
+    for mono, coeff in terms:
         zp = [0] * (n + 1)
         dp: Dict[Tuple[int, int], int] = {}
         series = []
@@ -725,32 +713,53 @@ def _collision_level(f: LocalFn, subset: List[int], floor: int) -> int:
             else:
                 coeff *= (-1) ** (k % 2)
                 series.append((new[m], new[i], k, -1))
-        expansions.append((depth[mono], coeff, zp, dp, series))
+        expansions.append((mono_level_in_subset(mono, subset), coeff, zp, dp, series))
+    return expansions
 
-    def terms_of_order(order, coeff, mult, zp, dp, series, out):
-        if not series:
-            if order == 0:
-                out.append((coeff * mult, zp, dp))
-            return
-        (u, base, e, sign), rest = series[0], series[1:]
-        cap = min(order, e) if base is None else order
-        for s in range(order if not rest else 0, cap + 1):
-            z1 = list(zp)
-            z1[u - 1] += s
-            if base is None:
-                z1[0] += e - s
-                d1 = dp
-            else:
-                d1 = dict(dp)
-                d1[(base, 1)] = d1.get((base, 1), 0) + e - s
-            terms_of_order(order - s, coeff, mult * gbinom(e, s) * sign ** s, z1, d1, rest, out)
 
+def _eps_terms(order, coeff, mult, zp, dp, series, out):
+    """Append to out the GTerms of the series terms of total order `order`."""
+    if not series:
+        if order == 0:
+            out.append((coeff * mult, zp, dp))
+        return
+    (u, base, e, sign), rest = series[0], series[1:]
+    cap = min(order, e) if base is None else order
+    for s in range(order if not rest else 0, cap + 1):
+        z1 = list(zp)
+        z1[u - 1] += s
+        if base is None:
+            z1[0] += e - s
+            d1 = dp
+        else:
+            d1 = dict(dp)
+            d1[(base, 1)] = d1.get((base, 1), 0) + e - s
+        _eps_terms(order - s, coeff, mult * gbinom(e, s) * sign ** s, z1, d1, rest, out)
+
+
+def _eps_coefficient(expansions, j: int) -> List[tuple]:
+    """GTerms of the eps^-j coefficient of the summed _eps_expansions."""
+    out: List[tuple] = []
+    for p, coeff, zp, dp, series in expansions:
+        if p >= j:
+            _eps_terms(p - j, coeff, 1, zp, dp, series, out)
+    return out
+
+
+def _collision_level(f: LocalFn, subset: List[int], floor: int) -> int:
+    """max(floor, collision level of f on the sorted subset S): the largest
+    j > floor whose eps^-j coefficient (_eps_expansions) _reduce, the exact
+    zero test, leaves nonzero, scanning j down from the deepest monomial."""
+    depth = {mono: mono_level_in_subset(mono, subset) for mono in f.terms}
+    top = max(depth.values(), default=0)
+    if top <= floor:
+        return floor
+    if list(depth.values()).count(top) == 1:
+        return top  # a lone deepest monomial cannot cancel
+    expansions = _eps_expansions(
+        [(mono, c) for mono, c in f.terms.items() if depth[mono] > floor], f.arity, subset)
     for j in range(top, floor, -1):
-        gterms: List[tuple] = []
-        for p, coeff, zp, dp, series in expansions:
-            if p >= j:
-                terms_of_order(p - j, coeff, 1, zp, dp, series, gterms)
-        if _reduce(gterms, n + 1):
+        if _reduce(_eps_coefficient(expansions, j), f.arity + 1):
             return j
     return floor
 

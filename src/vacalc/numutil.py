@@ -1,8 +1,10 @@
-"""Small exact combinatorial helpers used across modules."""
+"""Small exact helpers used across modules, sparse elimination included."""
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import comb
+from typing import Dict, List
 
 
 def gbinom(m: int, j: int) -> int:
@@ -46,3 +48,66 @@ def add_into(acc: dict, terms: dict, c=1) -> dict:
         elif old is not None:
             del acc[k]
     return acc
+
+
+def _reduce_by(row: dict, pivots: dict) -> dict:
+    """Clear, in place, row's entries at the pivots of reduced echelon rows."""
+    for p in [c for c in row if c in pivots]:
+        add_into(row, pivots[p], -row[p])
+    return row
+
+
+def _rref(rows) -> Dict[int, Dict[int, Fraction]]:
+    """Reduced row echelon form of sparse rows {column: value} over the
+    rationals, as {pivot column: row}.
+
+    Rows are taken one at a time.  Each is reduced by the pivot rows found
+    so far; a nonzero remainder becomes a new pivot row at its smallest
+    column, scaled to 1 there and eliminated from the earlier pivot rows.
+    Every pivot row starts at its pivot and is zero at the other pivots, so
+    the result is the unique reduced echelon form of the row space.
+    """
+    pivots: Dict[int, Dict[int, Fraction]] = {}
+    for row in rows:
+        row = _reduce_by({c: v for c, v in row.items() if v}, pivots)
+        if not row:
+            continue
+        p = min(row)
+        lead = Fraction(row[p])
+        row = {c: v / lead for c, v in row.items()}
+        for other in pivots.values():
+            if p in other:
+                add_into(other, row, -other[p])
+        pivots[p] = row
+    return pivots
+
+
+def _kernel(rows, ncols: int) -> List[Dict[int, Fraction]]:
+    """Kernel basis of the sparse rows, one vector {column: value} per free
+    column in increasing order, with 1 at that column."""
+    pivots = _rref(rows)
+    kernel = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        vec = {free: Fraction(1)}
+        for p, row in pivots.items():
+            if free in row:
+                vec[p] = -row[free]
+        kernel.append(vec)
+    return kernel
+
+
+def _solve(rows, ncols: int):
+    """Solve sparse rows over columns 0..ncols-1 whose right-hand side sits
+    at column ncols.
+
+    Returns the unique solution as a list, None when underdetermined, or the
+    string "inconsistent".
+    """
+    pivots = _rref(rows)
+    if ncols in pivots:
+        return "inconsistent"
+    if len(pivots) < ncols:
+        return None
+    return [pivots[c].get(ncols, Fraction(0)) for c in range(ncols)]

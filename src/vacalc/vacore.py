@@ -43,7 +43,7 @@ from .errors import (
     WeightMismatch,
 )
 from .localfn import LocalFn, basis_monomials
-from .numutil import add_into, falling, gbinom
+from .numutil import _kernel, _reduce_by, _rref, _solve, add_into, falling, gbinom
 
 Word = Tuple[Tuple[Tuple[int, int], ...], Optional[int]]  # (modes, tail)
 
@@ -574,80 +574,6 @@ def check_uniform_bound(pres: Presentation, a: str, b: str) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Exact linear algebra
-# ---------------------------------------------------------------------------
-
-def _rref(rows) -> Dict[int, Dict[int, Fraction]]:
-    """Reduced row echelon form of sparse rows {column: value} over the
-    rationals, as {pivot column: row}.
-
-    Rows are taken one at a time.  Each is reduced by the pivot rows found
-    so far; a nonzero remainder becomes a new pivot row at its smallest
-    column, scaled to 1 there and eliminated from the earlier pivot rows.
-    Every pivot row starts at its pivot and is zero at the other pivots, so
-    the result is the unique reduced echelon form of the row space.
-    """
-    pivots: Dict[int, Dict[int, Fraction]] = {}
-    for row in rows:
-        row = {c: v for c, v in row.items() if v}
-        for p in [c for c in row if c in pivots]:
-            f = row[p]
-            for c, v in pivots[p].items():
-                x = row.get(c, 0) - f * v
-                if x:
-                    row[c] = x
-                else:
-                    del row[c]
-        if not row:
-            continue
-        p = min(row)
-        lead = Fraction(row[p])
-        row = {c: v / lead for c, v in row.items()}
-        for other in pivots.values():
-            f = other.get(p)
-            if f:
-                for c, v in row.items():
-                    x = other.get(c, 0) - f * v
-                    if x:
-                        other[c] = x
-                    else:
-                        del other[c]
-        pivots[p] = row
-    return pivots
-
-
-def _kernel(rows, ncols: int) -> List[Dict[int, Fraction]]:
-    """Kernel basis of the sparse rows, one vector {column: value} per free
-    column in increasing order, with 1 at that column."""
-    pivots = _rref(rows)
-    kernel = []
-    for free in range(ncols):
-        if free in pivots:
-            continue
-        vec = {free: Fraction(1)}
-        for p, row in pivots.items():
-            if free in row:
-                vec[p] = -row[free]
-        kernel.append(vec)
-    return kernel
-
-
-def _solve(rows, ncols: int):
-    """Solve sparse rows over columns 0..ncols-1 whose right-hand side sits
-    at column ncols.
-
-    Returns the unique solution as a list, None when underdetermined, or the
-    string "inconsistent".
-    """
-    pivots = _rref(rows)
-    if ncols in pivots:
-        return "inconsistent"
-    if len(pivots) < ncols:
-        return None
-    return [pivots[c].get(ncols, Fraction(0)) for c in range(ncols)]
-
-
-# ---------------------------------------------------------------------------
 # Radical slices
 # ---------------------------------------------------------------------------
 
@@ -693,9 +619,7 @@ def radical_slice(pres: Presentation, weight: int) -> RadicalSlice:
                 conditions = {c: {} for c in range(len(cols)) if c not in rad}
                 for j, x in enumerate(states):
                     image = {cols[w]: c for w, c in pres.prepend_mode(g, m, x).terms.items()}
-                    for p in [c for c in image if c in rad]:
-                        add_into(image, rad[p], -image[p])
-                    for c, v in image.items():
+                    for c, v in _reduce_by(image, rad).items():
                         conditions[c][j] = v
                 rows.extend(conditions.values())
         kernel = _kernel(rows, len(basis))

@@ -164,6 +164,9 @@ _BAD_INPUTS = [
       "relations": [{"a": "b", "b": "b", "n": 0, "result": [1]}]}),
     (("dims", "--file", "PRES", "--max-weight", "2"),
      {"generators": [{"name": ["x"], "weight": 1}]}),
+    # comma-separated integer lists
+    (("filtration", "--arity", "2", "--subset", "1,a", "(z2-z1)^-1"), None),
+    (("connective", "--arity", "2", "--sorts", "0,x,1", "(z2-z1)^-1"), None),
 ]
 
 

@@ -2,9 +2,12 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from vacalc import polyq
 from vacalc.cooperad import (
     SortSignature,
     TensorElement,
@@ -20,8 +23,10 @@ from vacalc.cooperad import (
     symmetric_expansion,
     verify_axioms,
 )
-from vacalc.errors import BadPartition, BadSplit, NotHomogeneous
-from vacalc.localfn import LocalFn, basis_monomials, canonicalize, parse
+from vacalc.errors import BadPartition, BadSplit, BadSubset, NotHomogeneous
+from vacalc.localfn import LocalFn, _collision_level_exact, basis_monomials, canonicalize, parse
+
+from test_vacore import _rank
 
 
 def lf(text, arity):
@@ -199,12 +204,91 @@ def test_filtration_level_monotone_under_enlargement():
 
 def test_filtration_basis_examples():
     assert filtration_basis(2, [1, 2], 0, 1, 1) == []
-    got = filtration_basis(2, [1, 2], 1, 1, 1)
-    assert [LocalFn.from_monomial(2, m) for m in got] == [lf("(z2-z1)^-1", 2)]
-    got = filtration_basis(2, [2], 0, 1, 1)
-    assert [LocalFn.from_monomial(2, m) for m in got] == [lf("(z2-z1)^-1", 2)]
-    for m in filtration_basis(3, [1, 3], 1, 2, 3):
-        assert filtration_level(LocalFn.from_monomial(3, m), [1, 3]) <= 1
+    assert filtration_basis(2, [1, 2], 1, 1, 1) == [lf("(z2-z1)^-1", 2)]
+    assert filtration_basis(2, [2], 0, 1, 1) == [lf("(z2-z1)^-1", 2)]
+    for f in filtration_basis(3, [1, 3], 1, 2, 3):
+        assert filtration_level(f, [1, 3]) <= 1
+
+
+def _coordinates(fns, cands):
+    return [[f.terms.get(m, Fraction(0)) for m in cands] for f in fns]
+
+
+def test_filtration_basis_spans_cancelling_three_point_form():
+    # level 2 on {1,2}, although each of its four monomials is deeper there
+    f = lf("(z1-z2)^-2*(z1-z3)^-2*(z2-z3)^-2", 3)
+    assert len(f.terms) == 4 and filtration_level(f, [1, 2]) == 2
+    basis = filtration_basis(3, [1, 2], 2, 6, 6)
+    cands = basis_monomials(3, 6, 6)
+    assert len(basis) == 9
+    assert _rank(_coordinates(basis, cands)) == 9
+    assert _rank(_coordinates(basis + [f], cands)) == 9
+
+
+def _cleared_piece_dim(n, subset, N, cands):
+    """Dimension of the level-<=N piece spanned by cands, by the route of
+    _collision_level_exact: clear every pole into one polynomial numerator
+    per candidate, substitute z_i = t + eps*u_i on the subset, and drop the
+    rank of the eps^k coefficients, k < d_in - N, where d_in is the cleared
+    pole depth inside the subset."""
+    in_s = set(subset)
+    dmax = {}
+    for mono in cands:
+        for m, fac in enumerate(mono, start=1):
+            if fac[0] == "d":
+                dmax[(m, fac[1])] = max(dmax.get((m, fac[1]), 0), -fac[2])
+    d_in = sum(d for (hi, lo), d in dmax.items() if hi in in_s and lo in in_s)
+    width = n + 2 + len(subset)  # z_1..z_n, t, eps, u_i for i in subset
+    t_ix, e_ix = n, n + 1
+
+    def rep(v):
+        if v not in in_s:
+            return polyq.linear(width, {v - 1: 1})
+        eps_u = [0] * width
+        eps_u[e_ix] = eps_u[n + 2 + subset.index(v)] = 1
+        return polyq.add(polyq.linear(width, {t_ix: 1}), {tuple(eps_u): Fraction(1)})
+
+    rows = []
+    for mono in cands:
+        num = polyq.const(width, 1)
+        for m, fac in enumerate(mono, start=1):
+            if fac[0] == "p":
+                num = polyq.mul(num, polyq.power(rep(m), fac[1], width))
+        for (hi, lo), d in dmax.items():
+            fac = mono[hi - 1]
+            rem = d + fac[2] if fac[:2] == ("d", lo) else d
+            diff = polyq.add(rep(hi), polyq.scale(rep(lo), -1))
+            num = polyq.mul(num, polyq.power(diff, rem, width))
+        rows.append({e: c for e, c in num.items() if e[e_ix] < d_in - N})
+    keys = sorted({e for row in rows for e in row})
+    return len(cands) - _rank([[row.get(e, Fraction(0)) for e in keys] for row in rows])
+
+
+@st.composite
+def filtration_pieces(draw):
+    n = draw(st.integers(2, 3))
+    subset = list(draw(st.sampled_from(
+        [s for k in range(2, n + 1) for s in combinations(range(1, n + 1), k)])))
+    grading = draw(st.integers(-1, 4))
+    pole_budget = draw(st.integers(max(0, grading), grading + 2))
+    return n, subset, draw(st.integers(0, 3)), grading, pole_budget
+
+
+@settings(max_examples=100, deadline=None)
+@given(filtration_pieces())
+def test_hypothesis_filtration_basis_is_the_cleared_kernel(piece):
+    n, subset, N, grading, pole_budget = piece
+    basis = filtration_basis(n, subset, N, grading, pole_budget)
+    for f in basis:
+        assert _collision_level_exact(f, subset) <= N
+    cands = basis_monomials(n, grading, pole_budget)
+    # reduced echelon: increasing pivots, 1 at its own pivot, 0 at the others
+    index = {m: c for c, m in enumerate(cands)}
+    pivots = [min(index[m] for m in f.terms) for f in basis]
+    assert pivots == sorted(set(pivots))
+    for f, p in zip(basis, pivots):
+        assert [g.terms.get(cands[p], 0) for g in basis] == [int(g is f) for g in basis]
+    assert len(basis) == _cleared_piece_dim(n, subset, N, cands)
 
 
 def test_in_connective_examples():
@@ -263,6 +347,11 @@ def test_verify_axioms_clean_report():
     for c in rep["checks"]:
         assert c["status"] == "ok"
         assert {"kind", "input", "slots", "component", "status"} <= set(c)
+
+
+def test_verify_axioms_needs_two_variables():
+    with pytest.raises(BadSubset):
+        verify_axioms(arity_cap=1)
 
 
 def test_verify_axioms_unit_is_trivial():

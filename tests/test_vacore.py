@@ -23,13 +23,11 @@ from vacalc.errors import (
     WeightMismatch,
 )
 from vacalc.localfn import LocalFn, basis_monomials
-from vacalc.numutil import gbinom
+from vacalc.numutil import _kernel, _solve, gbinom
 from vacalc.vacore import (
     Presentation,
-    _kernel,
     _mono_series_coeff,
     _mono_series_support,
-    _solve,
     check_uniform_bound,
     graded_dims,
     lattice_check,
