@@ -8,6 +8,7 @@ byte-identical output.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -100,6 +101,12 @@ def _int_list(text, what):
     return [_integer(x, what) for x in text.split(",") if x.strip() != ""]
 
 
+def _nonnegative(value, flag):
+    if value < 0:
+        raise SchemaError(f"{flag} must be >= 0")
+    return value
+
+
 def _add_pres_flags(sub, with_c=True):
     sub.add_argument("--preset", choices=["heisenberg", "virasoro", "lattice_rank1"])
     sub.add_argument("--file")
@@ -109,7 +116,10 @@ def _add_pres_flags(sub, with_c=True):
     sub.add_argument("--norm", type=int)
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process and shared by every run;
+    parsing does not change it."""
     ap = argparse.ArgumentParser(
         prog="vacalc",
         description="Exact workbench for local-function co-operations and "
@@ -208,6 +218,8 @@ def run(argv):
         _emit(args, str(te), te.to_obj())
 
     elif args.command == "kernels":
+        _nonnegative(args.m_max, "--m-max")
+        _nonnegative(args.n_max, "--n-max")
         kt = kernel_table(args.kind, args.m_max, args.n_max)
         if args.kind == "symmetric":
             one = symmetric_expansion("u", args.m_max, args.n_max)
@@ -271,7 +283,7 @@ def run(argv):
 
     elif args.command == "dims":
         pres = _pres_from_args(args)
-        dims = graded_dims(pres, args.max_weight)
+        dims = graded_dims(pres, _nonnegative(args.max_weight, "--max-weight"))
         _emit(args, " ".join(map(str, dims)), {"dims": dims})
 
     elif args.command == "ope":
@@ -293,7 +305,7 @@ def run(argv):
 
     elif args.command == "radical":
         pres = _pres_from_args(args)
-        rs = radical_slice(pres, args.weight)
+        rs = radical_slice(pres, _nonnegative(args.weight, "--weight"))
         human = [f"dimension {rs.dimension}"]
         human += [f"kernel: {el}" for el in rs.kernel]
         obj = {
@@ -325,8 +337,7 @@ def run(argv):
             return 1
 
     elif args.command == "oracle-dims":
-        if args.max_weight < 0:
-            raise SchemaError("--max-weight must be >= 0")
+        _nonnegative(args.max_weight, "--max-weight")
         kind = args.kind
         if kind == "theta_over_eta":
             if args.norm <= 0 or args.norm % 2:

@@ -28,7 +28,7 @@ from fractions import Fraction
 from itertools import combinations, product as _iproduct
 from typing import Dict, List, Sequence, Tuple
 
-from .errors import BadPartition, BadSplit, BadSubset
+from .errors import BadPartition, BadSplit, BadSubset, SchemaError
 from .localfn import (
     LocalFn,
     Monomial,
@@ -606,9 +606,11 @@ def verify_axioms(arity_cap: int = 4, samples: int = 20, truncation: int = 4, se
     input, slots, component, and status, with both sides kept on failure.
     """
     if truncation < 1:
-        raise BadSubset("truncation order must be >= 1")
+        raise SchemaError("truncation order must be >= 1")
     if arity_cap < 2:
-        raise BadSubset("arity cap must be >= 2")
+        raise SchemaError("arity cap must be >= 2")
+    if samples < 0:
+        raise SchemaError("sample count must be >= 0")
     rng = random.Random(seed)
     checks = []
 

@@ -23,7 +23,8 @@ class BadIndex(VacalcError):
 
 
 class ArityMismatch(VacalcError):
-    """Binary operation on functions of different arities."""
+    """Binary operation on operands from different spaces: local functions
+    of different arities, or states of different presentations."""
 
 
 class BadPermutation(VacalcError):
@@ -51,7 +52,7 @@ class BadSubset(VacalcError):
 
 
 class SchemaError(VacalcError):
-    """Presentation document violates the documented JSON schema."""
+    """Input that violates the documented schema or range."""
 
 
 class WeightMismatch(VacalcError):

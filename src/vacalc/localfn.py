@@ -47,7 +47,7 @@ from .errors import (
     NotHomogeneous,
     ParseError,
 )
-from .numutil import add_into, gbinom
+from .numutil import SparseSum, add_into, gbinom
 
 Factor = Tuple
 Monomial = Tuple[Factor, ...]
@@ -422,17 +422,20 @@ def _mono_str(mono: Monomial, prefix: str) -> str:
 # LocalFn
 # ---------------------------------------------------------------------------
 
-class LocalFn:
-    """A local function in canonical form: arity plus basis-monomial terms.
+class LocalFn(SparseSum):
+    """A local function in canonical form: arity plus basis-monomial terms."""
 
-    Instances are immutable by convention; all operations return new values.
-    """
-
-    __slots__ = ("arity", "terms")
+    __slots__ = ("arity",)
+    _space_name = "arity"
+    _sort_key = staticmethod(mono_sort_key)
 
     def __init__(self, arity: int, terms: Dict[Monomial, Fraction]):
         self.arity = arity
         self.terms = {m: c for m, c in terms.items() if c != 0}
+
+    @property
+    def _space(self):
+        return self.arity
 
     # -- constructors ------------------------------------------------------
 
@@ -459,22 +462,7 @@ class LocalFn:
     def from_text(cls, text: str, arity: int) -> "LocalFn":
         return canonicalize(parse(text, arity))
 
-    # -- basic structure ----------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def key(self):
-        return (self.arity, tuple(sorted(self.terms.items(), key=lambda t: mono_sort_key(t[0]))))
-
-    def __eq__(self, other):
-        return isinstance(other, LocalFn) and self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda t: mono_sort_key(t[0]))
+    # -- printing -------------------------------------------------------------
 
     def __repr__(self):
         return f"LocalFn({self.format()!r})"
@@ -499,35 +487,10 @@ class LocalFn:
 
     # -- arithmetic ----------------------------------------------------------
 
-    def _require_same_arity(self, other: "LocalFn"):
-        if self.arity != other.arity:
-            raise ArityMismatch(f"arity {self.arity} vs {other.arity}")
-
-    def __add__(self, other: "LocalFn") -> "LocalFn":
-        self._require_same_arity(other)
-        return LocalFn(self.arity, add_into(dict(self.terms), other.terms))
-
-    def __neg__(self):
-        return LocalFn(self.arity, {m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c) -> "LocalFn":
-        c = Fraction(c)
-        if c == 0:
-            return LocalFn.zero(self.arity)
-        return LocalFn(self.arity, {m: v * c for m, v in self.terms.items()})
-
-    def __rmul__(self, c):
-        if isinstance(c, (int, Fraction)):
-            return self.scale(c)
-        return NotImplemented
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        self._require_same_arity(other)
+        self._require_same_space(other)
         gterms = []
         for m1, c1 in self.terms.items():
             g1 = _mono_to_gterm(m1, c1, self.arity)

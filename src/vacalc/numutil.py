@@ -1,10 +1,12 @@
-"""Small exact helpers used across modules, sparse elimination included."""
+"""Small exact helpers used across modules: sparse sums and sparse elimination."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
 from typing import Dict, List
+
+from .errors import ArityMismatch
 
 
 def gbinom(m: int, j: int) -> int:
@@ -48,6 +50,63 @@ def add_into(acc: dict, terms: dict, c=1) -> dict:
         elif old is not None:
             del acc[k]
     return acc
+
+
+class SparseSum:
+    """Exact linear combination {key: coefficient} in one space, with no zero
+    coefficients stored.
+
+    A subclass is built as Cls(space, terms), with a constructor that drops
+    zero coefficients; it exposes the space as the property _space, names it
+    in _space_name for errors, and orders its keys for printing with the
+    static _sort_key.  Instances are immutable by convention; all operations
+    return new values.
+    """
+
+    __slots__ = ("terms",)
+
+    def _like(self, terms: dict):
+        return type(self)(self._space, terms)
+
+    def _require_same_space(self, other):
+        if self._space != other._space:
+            raise ArityMismatch(f"{self._space_name} {self._space} vs {other._space}")
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __add__(self, other):
+        self._require_same_space(other)
+        return self._like(add_into(dict(self.terms), other.terms))
+
+    def __neg__(self):
+        return self._like({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, c):
+        c = Fraction(c)
+        return self._like({k: v * c for k, v in self.terms.items()})
+
+    def __rmul__(self, c):
+        if isinstance(c, (int, Fraction)):
+            return self.scale(c)
+        return NotImplemented
+
+    def __eq__(self, other):
+        return (
+            type(other) is type(self)
+            and self._space == other._space
+            and self.terms == other.terms
+        )
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+    def sorted_terms(self):
+        key = self._sort_key
+        return sorted(self.terms.items(), key=lambda t: key(t[0]))
 
 
 def _reduce_by(row: dict, pivots: dict) -> dict:

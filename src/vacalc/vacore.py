@@ -43,64 +43,29 @@ from .errors import (
     WeightMismatch,
 )
 from .localfn import LocalFn, basis_monomials
-from .numutil import _kernel, _reduce_by, _rref, _solve, add_into, falling, gbinom
+from .numutil import SparseSum, _kernel, _reduce_by, _rref, _solve, add_into, falling, gbinom
 
-Word = Tuple[Tuple[Tuple[int, int], ...], Optional[int]]  # (modes, tail)
+Word = Tuple[Tuple[int, int], ...]  # (generator, mode) pairs, applied to 1
 
-VACUUM_WORD: Word = ((), None)
+VACUUM_WORD: Word = ()
 
 _MAX_SINGULAR = 64
 
 
-def _word(modes, tail=None) -> Word:
-    return (tuple(modes), tail)
-
-
-class VAElement:
+class VAElement(SparseSum):
     """Rational combination of mode words, bound to one presentation."""
 
-    __slots__ = ("pres", "terms")
+    __slots__ = ("pres",)
+    _space_name = "presentation"
+    _sort_key = staticmethod(lambda word: word)
 
     def __init__(self, pres: "Presentation", terms: Dict[Word, Fraction]):
         self.pres = pres
         self.terms = {w: Fraction(c) for w, c in terms.items() if c != 0}
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "VAElement") -> "VAElement":
-        assert self.pres is other.pres
-        return VAElement(self.pres, add_into(dict(self.terms), other.terms))
-
-    def __neg__(self):
-        return VAElement(self.pres, {w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c) -> "VAElement":
-        c = Fraction(c)
-        if c == 0:
-            return VAElement(self.pres, {})
-        return VAElement(self.pres, {w: v * c for w, v in self.terms.items()})
-
-    def __rmul__(self, c):
-        if isinstance(c, (int, Fraction)):
-            return self.scale(c)
-        return NotImplemented
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, VAElement)
-            and self.pres is other.pres
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash(tuple(sorted(self.terms.items())))
-
-    def sorted_terms(self):
-        return sorted(self.terms.items())
+    @property
+    def _space(self):
+        return self.pres
 
     def weight(self):
         """Weight of a homogeneous element; None for 0."""
@@ -128,12 +93,12 @@ class VAElement:
 
     def to_obj(self):
         out = []
-        for (modes, tail), c in self.sorted_terms():
+        for word, c in self.sorted_terms():
             out.append(
                 {
                     "coeff": str(c),
-                    "word": [[self.pres.gen_name(g), n] for g, n in modes],
-                    "tail": "vacuum" if tail is None else self.pres.gen_name(tail),
+                    "word": [[self.pres.gen_name(g), n] for g, n in word],
+                    "tail": "vacuum",
                 }
             )
         return out
@@ -187,6 +152,9 @@ class Presentation:
 
     # -- bookkeeping -------------------------------------------------------
 
+    def __str__(self):
+        return self.label
+
     def require_closed(self, what: str):
         if not self.ope_closed:
             raise SchemaError(
@@ -206,16 +174,13 @@ class Presentation:
         return self.weights[idx]
 
     def word_weight(self, word: Word) -> int:
-        modes, tail = word
-        w = 0 if tail is None else self.wt(tail)
-        for g, n in modes:
+        w = 0
+        for g, n in word:
             w += self.wt(g) - n - 1
         return w
 
     def word_str(self, word: Word) -> str:
-        modes, tail = word
-        body = "".join(f"{self.gen_name(g)}({n})" for g, n in modes)
-        return body + ("1" if tail is None else self.gen_name(tail))
+        return "".join(f"{self.gen_name(g)}({n})" for g, n in word) + "1"
 
     def element(self, terms: Dict[Word, Fraction]) -> VAElement:
         return VAElement(self, terms)
@@ -228,7 +193,7 @@ class Presentation:
 
     def gen_element(self, name: str) -> VAElement:
         g = self.gen_index(name)
-        return VAElement(self, {_word([(g, -1)]): Fraction(1)})
+        return VAElement(self, {((g, -1),): Fraction(1)})
 
     def _validate_table(self):
         for (a, b, n), entry in self.ope.items():
@@ -237,15 +202,15 @@ class Presentation:
             if n > _MAX_SINGULAR:
                 raise UnboundedOPE(f"singular product at n={n} beyond bound {_MAX_SINGULAR}")
             want = self.wt(a) + self.wt(b) - n - 1
-            for (modes, tail), _ in entry.items():
-                if tail is not None or len(modes) > 1:
+            for word in entry:
+                if len(word) > 1:
                     raise SchemaError(
                         "table entries must be combinations of derivatives of "
                         "generators and the vacuum"
                     )
-                if modes and modes[0][1] > -1:
+                if word and word[0][1] > -1:
                     raise SchemaError("table entry words must use negative modes")
-                got = self.word_weight((modes, tail))
+                got = self.word_weight(word)
                 if got != want:
                     raise WeightMismatch(
                         f"[{self.gen_name(a)},{self.gen_name(b)}]_{n} has a word of "
@@ -269,17 +234,17 @@ class Presentation:
                         if not src:
                             continue
                         sign = Fraction((-1) ** (m + 1) * (-1) ** j, factorial(j))
-                        for (modes, tail), c in src.items():
-                            if not modes:
+                        for word, c in src.items():
+                            if not word:
                                 if j == 0:
                                     w2 = VACUUM_WORD
                                 else:
                                     continue  # T kills the vacuum
                             else:
-                                g, mode = modes[0]
+                                g, mode = word[0]
                                 s = -1 - mode
                                 c = c * Fraction(factorial(s + j), factorial(s))
-                                w2 = _word([(g, mode - j)])
+                                w2 = ((g, mode - j),)
                             entry[w2] = entry.get(w2, Fraction(0)) + sign * c
                     entry = {w: c for w, c in entry.items() if c}
                     if entry:
@@ -297,12 +262,12 @@ class Presentation:
         identity coefficient (from vacuum words, delta at N == -1)."""
         id_coeff = Fraction(0)
         parts = []
-        for (modes, tail), c in entry.items():
-            if not modes:
+        for word, c in entry.items():
+            if not word:
                 if N == -1:
                     id_coeff += c
                 continue
-            g, mode = modes[0]
+            g, mode = word[0]
             s = -1 - mode  # the word is (1/s!) T^s g
             coeff = c * Fraction((-1) ** s * falling(N, s), factorial(s))
             if coeff:
@@ -315,19 +280,18 @@ class Presentation:
         cached = self._prepend_cache.get(key)
         if cached is not None:
             return cached
-        modes, tail = word
         out: Dict[Word, Fraction] = {}
         if self.wt(g) - n - 1 + self.word_weight(word) < self.connectivity:
             pass
-        elif not modes:
+        elif not word:
             if n <= -1:
-                out[_word([(g, n)])] = Fraction(1)
+                out[((g, n),)] = Fraction(1)
         else:
-            h, m = modes[0]
+            h, m = word[0]
             if n <= -1 and (n > m or (n == m and g >= h)):
-                out = {(((g, n),) + modes, tail): Fraction(1)}
+                out = {((g, n),) + word: Fraction(1)}
             else:
-                rest: Word = (modes[1:], tail)
+                rest = word[1:]
                 acc: Dict[Word, Fraction] = {}
                 for w2, c2 in self._prepend(g, n, rest).items():
                     add_into(acc, self._prepend(h, m, w2), c2)
@@ -358,11 +322,8 @@ class Presentation:
         return VAElement(self, out)
 
     def _nf_word_suffix(self, word: Word) -> Dict[Word, Fraction]:
-        modes, tail = word
         el: Dict[Word, Fraction] = {VACUUM_WORD: Fraction(1)}
-        if tail is not None:
-            el = {_word([(tail, -1)]): Fraction(1)}
-        for g, n in reversed(modes):
+        for g, n in reversed(word):
             nxt: Dict[Word, Fraction] = {}
             for w, c in el.items():
                 add_into(nxt, self._prepend(g, n, w), c)
@@ -373,17 +334,14 @@ class Presentation:
         """Worklist variant swapping the leftmost offender; used to check
         that the normal form does not depend on the rewriting strategy."""
         out: Dict[Word, Fraction] = {}
-        modes, tail = word
-        if tail is not None:
-            modes = modes + ((tail, -1),)
-        stack = [(Fraction(1), list(modes))]
+        stack = [(Fraction(1), list(word))]
         steps = 0
         while stack:
             steps += 1
             if steps > self.step_bound:
                 raise NonTerminating(f"exceeded {self.step_bound} rewrite steps")
             coeff, ms = stack.pop()
-            if self.word_weight((tuple(ms), None)) < self.connectivity:
+            if self.word_weight(ms) < self.connectivity:
                 continue
             if ms and ms[-1][1] >= 0:
                 continue  # annihilates the vacuum
@@ -402,7 +360,7 @@ class Presentation:
                         idx = i
                         break
             if idx is None:
-                w = _word(ms)
+                w = tuple(ms)
                 s = out.get(w, Fraction(0)) + coeff
                 if s:
                     out[w] = s
@@ -436,9 +394,9 @@ class Presentation:
             add_into(out, nf(word), c)
         return VAElement(self, out)
 
-    def word_element(self, modes, tail=None) -> VAElement:
+    def word_element(self, modes) -> VAElement:
         """Normal form of an explicit mode word."""
-        return self.normal_form(VAElement(self, {_word(modes, tail): Fraction(1)}))
+        return self.normal_form(VAElement(self, {tuple(modes): Fraction(1)}))
 
     # -- composite modes and the bracket calculus ---------------------------
 
@@ -450,12 +408,11 @@ class Presentation:
         (g(m)v)(K) = sum_i (-1)^i C(m,i) [ g(m-i) (v(K+i) x)
                                            - (-1)^m v(m+K-i) (g(i) x) ].
         """
-        modes, tail = uword
-        if not modes:
+        if not uword:
             return {xword: Fraction(1)} if K == -1 else {}
-        g, m = modes[0]
-        rest: Word = (modes[1:], tail)
-        if not modes[1:] and m == -1:
+        g, m = uword[0]
+        rest = uword[1:]
+        if not rest and m == -1:
             return self._prepend(g, K, xword)
         out: Dict[Word, Fraction] = {}
         wt_v = self.word_weight(rest)
@@ -495,10 +452,10 @@ class Presentation:
         """Translation operator: [T, g(n)] = -n g(n-1), T 1 = 0."""
         x = self.normal_form(x)
         out = self.zero()
-        for (modes, tail), c in x.terms.items():
-            for i, (g, n) in enumerate(modes):
-                shifted = modes[:i] + ((g, n - 1),) + modes[i + 1 :]
-                out = out + self.word_element(shifted, tail).scale(c * (-n))
+        for word, c in x.terms.items():
+            for i, (g, n) in enumerate(word):
+                shifted = word[:i] + ((g, n - 1),) + word[i + 1 :]
+                out = out + self.word_element(shifted).scale(c * (-n))
         return out
 
     def bracket(self, a: VAElement, b: VAElement, n: int) -> VAElement:
@@ -529,7 +486,7 @@ def spanning_basis(pres: Presentation, weight: int) -> List[Word]:
 
     def rec_bounded(remaining, prev, acc):
         if remaining == 0:
-            out.append(_word(list(acc)))
+            out.append(tuple(acc))
             return
         n_top = prev[0]
         for n in range(n_top, lowest - 1, -1):
@@ -904,8 +861,8 @@ def preset_virasoro(c) -> Presentation:
     """One generator of weight 2 with the stress-tensor singular products."""
     c = Fraction(c)
     rel = {
-        (0, 0, 0): {_word([(0, -2)]): Fraction(1)},
-        (0, 0, 1): {_word([(0, -1)]): Fraction(2)},
+        (0, 0, 0): {((0, -2),): Fraction(1)},
+        (0, 0, 1): {((0, -1),): Fraction(2)},
         (0, 0, 3): {VACUUM_WORD: c / 2},
     }
     return Presentation(
@@ -1028,7 +985,7 @@ def load_presentation(doc) -> Presentation:
                 coeff = _rational(term["coeff"], "a relation coefficient")
             except (KeyError, TypeError, ValueError) as exc:
                 raise SchemaError(f"bad relation result: {exc}") from exc
-            word = _word(modes)
+            word = tuple(modes)
             entry[word] = entry.get(word, Fraction(0)) + coeff
         if (a, b, n) in relations:
             raise SchemaError(f"duplicate relation for ({rel['a']},{rel['b']},{n})")

@@ -126,7 +126,7 @@ def test_criterion_05_graded_dimensions():
 
 def _heisenberg_realize(el):
     out = {}
-    for (modes, _), c in el.terms.items():
+    for modes, c in el.terms.items():
         state = (tuple(sorted((-n for _, n in modes), reverse=True)), 0)
         out[state] = out.get(state, Fraction(0)) + c
     return {k: v for k, v in out.items() if v}
@@ -134,7 +134,7 @@ def _heisenberg_realize(el):
 
 def _virasoro_realize(el):
     out = {}
-    for (modes, _), c in el.terms.items():
+    for modes, c in el.terms.items():
         for s, cc in F.virasoro_word([n for _, n in modes]).items():
             out[s] = out.get(s, Fraction(0)) + c * cc
     return {k: v for k, v in out.items() if v}

@@ -167,6 +167,12 @@ _BAD_INPUTS = [
     # comma-separated integer lists
     (("filtration", "--arity", "2", "--subset", "1,a", "(z2-z1)^-1"), None),
     (("connective", "--arity", "2", "--sorts", "0,x,1", "(z2-z1)^-1"), None),
+    # negative sizes
+    (("dims", "--preset", "virasoro", "--c", "1/2", "--max-weight", "-1"), None),
+    (("radical", "--preset", "virasoro", "--c", "1/2", "--weight", "-1"), None),
+    (("verify-cooperad", "--samples", "-1"), None),
+    (("kernels", "--kind", "symmetric", "--m-max", "-1", "--n-max", "2"), None),
+    (("kernels", "--kind", "symmetric", "--m-max", "2", "--n-max", "-1"), None),
 ]
 
 
@@ -190,6 +196,8 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["canon"])  # missing required pieces
     assert exc.value.code == 2
+    # the parser is shared across runs; a usage error leaves it working
+    assert invoke(capsys, "canon", "--arity", "2", "(z1-z2)^-1") == (0, "-1 * (z2-z1)^-1\n")
 
 
 def test_byte_determinism(capsys):

@@ -23,7 +23,7 @@ from vacalc.cooperad import (
     symmetric_expansion,
     verify_axioms,
 )
-from vacalc.errors import BadPartition, BadSplit, BadSubset, NotHomogeneous
+from vacalc.errors import BadPartition, BadSplit, NotHomogeneous, SchemaError
 from vacalc.localfn import LocalFn, _collision_level_exact, basis_monomials, canonicalize, parse
 
 from test_vacore import _rank
@@ -350,7 +350,7 @@ def test_verify_axioms_clean_report():
 
 
 def test_verify_axioms_needs_two_variables():
-    with pytest.raises(BadSubset):
+    with pytest.raises(SchemaError):
         verify_axioms(arity_cap=1)
 
 

@@ -173,7 +173,7 @@ def test_normal_form_matches_oracle_on_example(vir1):
     # L(-3)L(-1)1 reduced and un-reduced must realize identically
     def realize(el):
         out = {}
-        for (modes, tail), c in el.terms.items():
+        for modes, c in el.terms.items():
             v = F.virasoro_word([n for _, n in modes])
             for s, cc in v.items():
                 out[s] = out.get(s, Fraction(0)) + c * cc
@@ -201,7 +201,7 @@ def test_confluence_suffix_vs_bubble(hei, vir1):
         for _ in range(100):
             k = rng.randint(0, 4)
             modes = [(0, rng.randint(-5, 5)) for _ in range(k)]
-            el = P.element({(tuple(modes), None): Fraction(1)})
+            el = P.element({tuple(modes): Fraction(1)})
             assert P.normal_form(el, "suffix") == P.normal_form(el, "bubble")
 
 
@@ -239,7 +239,7 @@ def test_heisenberg_words_are_independent_in_realization(hei):
         words = spanning_basis(hei, w)
         states = {
             tuple(sorted((-n for _, n in modes), reverse=True))
-            for modes, _ in words
+            for modes in words
         }
         assert len(states) == len(words)
 
@@ -248,7 +248,7 @@ def test_virasoro_words_independent_at_c_one(vir1):
     # rank of the realization matrix equals the spanning count per weight
     for w in range(0, 7):
         words = spanning_basis(vir1, w)
-        vecs = [F.virasoro_word([n for _, n in modes]) for modes, _ in words]
+        vecs = [F.virasoro_word([n for _, n in modes]) for modes in words]
         keys = sorted({s for v in vecs for s in v})
         rows = [[v.get(k, Fraction(0)) for k in keys] for v in vecs]
         rank = _rank(rows)
@@ -361,8 +361,8 @@ def test_radical_matches_lowering_word_definition(doc, w_max, dims):
             out = []
             for word in words:
                 row = Fraction(0)
-                for (modes, tail), c in el.terms.items():
-                    image = pres.element({(tuple(word) + modes, tail): c})
+                for modes, c in el.terms.items():
+                    image = pres.element({tuple(word) + modes: c})
                     row += pres.normal_form(image, "bubble").vacuum_coefficient()
                 out.append(row)
             return out
@@ -621,20 +621,20 @@ def test_step_bound_raises_non_terminating():
     tiny = Presentation(
         [("L", 2)],
         {
-            (0, 0, 0): {(((0, -2),), None): Fraction(1)},
-            (0, 0, 1): {(((0, -1),), None): Fraction(2)},
+            (0, 0, 0): {((0, -2),): Fraction(1)},
+            (0, 0, 1): {((0, -1),): Fraction(2)},
             (0, 0, 3): {VACUUM_WORD: Fraction(1, 2)},
         },
         {"c": Fraction(1)},
         step_bound=5,
     )
-    deep = tiny.element({(tuple([(0, -6 + i) for i in range(6)]), None): Fraction(1)})
+    deep = tiny.element({tuple([(0, -6 + i) for i in range(6)]): Fraction(1)})
     with pytest.raises(NonTerminating):
         tiny.normal_form(deep, "bubble")
 
 
 def test_rewrite_cache_bound_raises_resource_limit(vir):
-    word = {(tuple((0, -6 + i) for i in range(6)), None): Fraction(1)}
+    word = {tuple((0, -6 + i) for i in range(6)): Fraction(1)}
     small = Presentation(vir.gens, vir.ope, vir.central, step_bound=5)
     with pytest.raises(ResourceLimit, match="step bound of 5 entries"):
         small.normal_form(small.element(word))
