@@ -2,14 +2,15 @@
 
 One subcommand per operation; output is human-readable text by default and
 JSON with --json.  Exit codes: 0 on success, 1 on a domain error (bad pole,
-weight mismatch, ...), 2 on usage errors.  Rationals are always printed as
-p/q, and term orders are the canonical ones, so identical invocations give
-byte-identical output.
+weight mismatch, ...) or a closed stdout, 2 on usage errors.  Rationals are
+always printed as p/q, and term orders are the canonical ones, so identical
+invocations give byte-identical output.
 """
 
 import argparse
 import functools
 import json
+import os
 import sys
 
 from . import fockoracle
@@ -351,10 +352,17 @@ def run(argv):
 
 def main():
     try:
-        sys.exit(run(sys.argv[1:]))
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
     except VacalcError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        sys.exit(1)
+        code = 1
+    except BrokenPipeError:
+        # the reader closed stdout; point it at devnull so the interpreter's
+        # own flush at exit cannot fail again (the recipe in the signal docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

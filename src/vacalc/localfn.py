@@ -46,6 +46,7 @@ from .errors import (
     IllegalPole,
     NotHomogeneous,
     ParseError,
+    SchemaError,
 )
 from .numutil import SparseSum, add_into, gbinom
 
@@ -794,7 +795,7 @@ def basis_monomials(n: int, grading: int, pole_budget: int) -> List[Monomial]:
     """All basis monomials of the given arity and grading with total pole
     depth at most pole_budget, in canonical order."""
     if pole_budget < 0:
-        raise BadSubset("pole budget must be >= 0")
+        raise SchemaError("pole budget must be >= 0")
     if pole_budget < grading:
         return []
     pure_cap = pole_budget - grading

@@ -122,11 +122,11 @@ def test_domain_error_exit_code(monkeypatch, capsys):
     assert "IllegalPole" in capsys.readouterr().err
 
 
-def _vacalc_process(*argv):
+def _vacalc_process(*argv, stdout=subprocess.PIPE):
     src = os.path.dirname(os.path.dirname(os.path.abspath(vacalc.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
-    return subprocess.run([sys.executable, "-m", "vacalc", *argv],
-                          capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, "-m", "vacalc", *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, env=env)
 
 
 # Each case is (argv, document).  PRES in argv names a file holding the
@@ -173,6 +173,10 @@ _BAD_INPUTS = [
     (("verify-cooperad", "--samples", "-1"), None),
     (("kernels", "--kind", "symmetric", "--m-max", "-1", "--n-max", "2"), None),
     (("kernels", "--kind", "symmetric", "--m-max", "2", "--n-max", "-1"), None),
+    # negative pole budgets
+    (("npoint", "--preset", "heisenberg", "--gens", "a,a", "--pole-bound", "-1"), None),
+    (("filtration", "--basis", "--arity", "2", "--subset", "1,2", "--level", "1",
+      "--grading", "2", "--pole-budget", "-1"), None),
 ]
 
 
@@ -190,6 +194,23 @@ def test_bad_input_is_a_schema_error(tmp_path, argv, document):
     assert proc.stderr.startswith("error: SchemaError: ")
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ("canon", "--arity", "2", "(z2-z1)^-1*z2"),
+    ("verify-cooperad", "--arity-max", "4", "--samples", "6", "--order", "3",
+     "--seed", "1", "--json"),
+], ids=["canon", "verify-cooperad"])
+def test_closed_stdout_exits_1_without_traceback(argv):
+    # the short output fails at the final flush, the long one inside print
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _vacalc_process(*argv, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
 
 
 def test_usage_error_exit_code(capsys):

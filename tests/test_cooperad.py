@@ -1,5 +1,7 @@
 """Tests for insertions, co-compositions, kernels, and the filtration."""
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -7,7 +9,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vacalc import polyq
+from vacalc import cooperad, polyq
 from vacalc.cooperad import (
     SortSignature,
     TensorElement,
@@ -182,6 +184,16 @@ def test_kernel_double_expansions_agree_up_to_eight():
         assert r1[key] == r2[key] == want
 
 
+@pytest.mark.parametrize("call", [
+    lambda: kernel_table("cubic", 2, 2),
+    lambda: symmetric_expansion("w", 2, 2),
+    lambda: associative_expansion(3, 2, 2),
+], ids=["kernel_table", "symmetric_expansion", "associative_expansion"])
+def test_kernel_bad_selector_is_a_schema_error(call):
+    with pytest.raises(SchemaError):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # filtration and connectivity
 # ---------------------------------------------------------------------------
@@ -347,6 +359,30 @@ def test_verify_axioms_clean_report():
     for c in rep["checks"]:
         assert c["status"] == "ok"
         assert {"kind", "input", "slots", "component", "status"} <= set(c)
+
+
+def test_verify_axioms_report_is_pinned():
+    # sharing expansions within a sample must not change a byte of the report
+    rep = verify_axioms(arity_cap=4, samples=15, truncation=3, seed=2)
+    digest = hashlib.sha256(json.dumps(rep, sort_keys=True).encode()).hexdigest()
+    assert digest == "45631bbb5d11330b8259acd5a5e02ec10db674655b11f9b542e646e711fa68ad"
+
+
+def test_verify_axioms_catches_a_broken_binomial(monkeypatch):
+    # one wrong binomial coefficient breaks commutativity; shared expansions
+    # must not make either route compare a result with itself
+    good = cooperad.gbinom
+
+    def bad(k, s):
+        return good(k, s) + 1 if s == 2 and k < 0 else good(k, s)
+
+    monkeypatch.setattr(cooperad, "gbinom", bad)
+    rep = verify_axioms(arity_cap=4, samples=15, truncation=3, seed=2)
+    failed = [c for c in rep["checks"] if c["status"] == "fail"]
+    assert rep["failures"] == len(failed) == 7
+    for c in failed:
+        assert c["kind"] == "commutativity"
+        assert "lhs" in c and "rhs" in c and c["lhs"] != c["rhs"]
 
 
 def test_verify_axioms_needs_two_variables():
