@@ -77,7 +77,18 @@ class ResourceLimit(VacalcError):
 
 
 class NoLocalMatch(VacalcError):
-    """Mode series does not come from a local function within the pole bound."""
+    """Mode series does not come from a local function within the pole bound.
+
+    radius is the exponent window radius of the failing step and candidates
+    the number of basis monomials in the ansatz; exponents is the first
+    window tuple where a solved match disagrees with the series, or None.
+    """
+
+    def __init__(self, message, *, radius=None, candidates=None, exponents=None):
+        super().__init__(message)
+        self.radius = radius
+        self.candidates = candidates
+        self.exponents = exponents
 
 
 class TruncationTooSmall(VacalcError):

@@ -661,6 +661,69 @@ def _mono_series_support(mono, radius: int) -> Dict[Tuple[int, ...], int]:
     return out
 
 
+def _window_tuples(r: int, radius: int, total: int) -> List[Tuple[int, ...]]:
+    """Every exponent tuple of length r >= 1 with entries in [-radius, radius]
+    summing to total, in lexicographic order.
+
+    The last exponent is total minus the others, so only the first r - 1 are
+    enumerated, each within the range the remaining entries can still reach.
+    """
+    out: List[Tuple[int, ...]] = []
+    acc: List[int] = []
+
+    def rec(i, left):
+        if i == r - 1:
+            if -radius <= left <= radius:
+                out.append(tuple(acc) + (left,))
+            return
+        reach = radius * (r - 1 - i)
+        for e in range(max(-radius, left - reach), min(radius, left + reach) + 1):
+            acc.append(e)
+            rec(i + 1, left - e)
+            acc.pop()
+
+    rec(0, total)
+    return out
+
+
+def _vacuum_series(pres: Presentation, gidx: Sequence[int], window) -> List[Fraction]:
+    """Vacuum coefficient of g_r(-e_r-1) ... g_1(-e_1-1) 1 at each exponent
+    tuple e of the window, where g_i = gidx[i-1]: the coefficient of
+    prod z_i^(e_i) in the vacuum matrix series of the insertions.
+
+    One normal form per depth is kept along the path of the last tuple
+    computed: states[k] is the state after its first k insertions act on the
+    vacuum.  The next tuple keeps the states of its common prefix with that
+    path and straightens only the rest, so a lexicographically sorted window
+    is walked as a tree of shared prefixes (any order gives the same
+    values).  The last insertion contributes only its vacuum coefficient.
+    """
+    r = len(gidx)
+    states: List[Dict[Word, Fraction]] = [{VACUUM_WORD: Fraction(1)}]
+    path: Tuple[int, ...] = ()
+    out = []
+    for e in window:
+        k = 0
+        while k < len(path) and path[k] == e[k]:
+            k += 1
+        del states[k + 1 :]
+        for i in range(k, r - 1):
+            nxt: Dict[Word, Fraction] = {}
+            g, n = gidx[i], -e[i] - 1
+            for word, c in states[i].items():
+                add_into(nxt, pres._prepend(g, n, word), c)
+            states.append(nxt)
+        path = e[: r - 1]
+        g, n = gidx[r - 1], -e[r - 1] - 1
+        value = Fraction(0)
+        for word, c in states[r - 1].items():
+            v = pres._prepend(g, n, word).get(VACUUM_WORD)
+            if v:
+                value += c * v
+        out.append(value)
+    return out
+
+
 def npoint_vacuum(pres: Presentation, gen_names: Sequence[str], pole_bound: int) -> LocalFn:
     """The local function whose expansion on |z_r| > ... > |z_1| matches the
     vacuum matrix series of the given generator insertions.
@@ -672,15 +735,19 @@ def npoint_vacuum(pres: Presentation, gen_names: Sequence[str], pole_bound: int)
     the connective piece is not spanned by its monomials: the canonical form
     of c/((z1-z2)(z1-z3)(z2-z3))^2 passes although two of its four monomials
     fail.  NoLocalMatch reports a series that is not local within the pole
-    bound, or whose local match is not connective.
+    bound, or whose local match is not connective; it carries the window
+    radius and the candidate count, and a verification mismatch also its
+    exponent tuple.
 
     The linear system has one sparse row per window tuple (every exponent in
     [-radius, radius], summing to minus the total weight).  Its entries come
     from each candidate's nonzero series coefficients on the window
     (_mono_series_support) and its right-hand side is the series at that
-    tuple.  A tuple where every candidate vanishes is still a row, so the
-    series must vanish there too.  The re-verification evaluates each
-    monomial with the closed form _mono_series_coeff instead.
+    tuple (_vacuum_series, which walks the window's shared insertion
+    prefixes; each series value is computed once per call).  A tuple where
+    every candidate vanishes is still a row, so the series must vanish there
+    too.  The re-verification evaluates each monomial with the closed form
+    _mono_series_coeff instead.
     """
     if not pres.ope_closed:
         raise SchemaError("correlators need a table-closed presentation")
@@ -695,67 +762,60 @@ def npoint_vacuum(pres: Presentation, gen_names: Sequence[str], pole_bound: int)
 
     series_cache: Dict[tuple, Fraction] = {}
 
-    def series(exps) -> Fraction:
-        key = tuple(exps)
-        if key not in series_cache:
-            modes = [(gidx[i], -exps[i] - 1) for i in range(r)][::-1]
-            el = pres.word_element(modes)
-            series_cache[key] = el.vacuum_coefficient()
-        return series_cache[key]
-
-    def window_tuples(radius):
-        out = []
-
-        def rec(i, acc, total):
-            if i == r:
-                if total == -g_total:
-                    out.append(tuple(acc))
-                return
-            for e in range(-radius, radius + 1):
-                rest_min = -radius * (r - i - 1)
-                rest_max = radius * (r - i - 1)
-                t = total + e
-                if t + rest_min <= -g_total <= t + rest_max:
-                    acc.append(e)
-                    rec(i + 1, acc, t)
-                    acc.pop()
-
-        rec(0, [], 0)
-        return out
+    def fill_series(window):
+        new = [e for e in window if e not in series_cache]
+        series_cache.update(zip(new, _vacuum_series(pres, gidx, new)))
 
     radius = pole_bound + abs(g_total) + 1
     max_radius = radius + 6
     solution = None
     while radius <= max_radius:
-        row_of = {e: {} for e in window_tuples(radius)}
+        window = _window_tuples(r, radius, -g_total)
+        fill_series(window)
+        row_of = {e: {} for e in window}
         for j, m in enumerate(candidates):
             for e, c in _mono_series_support(m, radius).items():
                 row_of[e][j] = c
         for e, row in row_of.items():
-            row[len(candidates)] = series(e)
+            row[len(candidates)] = series_cache[e]
         sol = _solve(row_of.values(), len(candidates))
         if sol == "inconsistent":
             raise NoLocalMatch(
-                f"series of {list(gen_names)} has no local match within pole bound {pole_bound}"
+                f"series of {list(gen_names)} has no local match within pole bound {pole_bound}",
+                radius=radius,
+                candidates=len(candidates),
             )
         if sol is not None:
             solution = sol
             break
         radius += 2
     if solution is None:
-        raise NoLocalMatch("ansatz underdetermined; increase the pole bound window")
+        raise NoLocalMatch(
+            "ansatz underdetermined; increase the pole bound window",
+            radius=max_radius,
+            candidates=len(candidates),
+        )
     result = LocalFn(r, {m: c for m, c in zip(candidates, solution) if c})
-    for e in window_tuples(radius + 2):
+    window = _window_tuples(r, radius + 2, -g_total)
+    fill_series(window)
+    for e in window:
         got = sum(
             (c * _mono_series_coeff(m, e) for m, c in result.terms.items()),
             Fraction(0),
         )
-        if got != series(e):
-            raise NoLocalMatch(f"verification window mismatch at exponents {e}")
+        if got != series_cache[e]:
+            raise NoLocalMatch(
+                f"verification window mismatch at exponents {e}",
+                radius=radius + 2,
+                candidates=len(candidates),
+                exponents=e,
+            )
     if not in_connective(result, pres.connectivity, sig):
         raise NoLocalMatch(
             f"local match of {list(gen_names)} is outside the connectivity-"
-            f"{pres.connectivity} piece"
+            f"{pres.connectivity} piece",
+            radius=radius,
+            candidates=len(candidates),
         )
     return result
 

@@ -24,10 +24,14 @@ from vacalc.errors import (
 )
 from vacalc.localfn import LocalFn, basis_monomials
 from vacalc.numutil import _kernel, _solve, gbinom
+from vacalc import vacore
 from vacalc.vacore import (
     Presentation,
+    VAElement,
     _mono_series_coeff,
     _mono_series_support,
+    _vacuum_series,
+    _window_tuples,
     check_uniform_bound,
     graded_dims,
     lattice_check,
@@ -430,12 +434,91 @@ def test_npoint_scaled_form():
     assert npoint_vacuum(scaled, ["a", "a"], 2) == lf("(z2-z1)^-2", 2).scale(3)
 
 
+@pytest.mark.parametrize(
+    "rank, gens, want",
+    [
+        (3, "a1,a2,a1,a2", "(z3-z1)^-2*(z4-z2)^-2"),
+        (2, "a1,a1,a2,a2", "(z2-z1)^-2*(z4-z3)^-2"),
+        (3, "a2,a1,a3,a1", None),
+        (3, "a1,a2,a3", None),
+        (1, "a,a,a", None),
+    ],
+)
+def test_npoint_multi_generator_heisenberg(rank, gens, want):
+    # Wick pairings of orthonormal currents: only equal generators contract
+    gens = gens.split(",")
+    got = npoint_vacuum(preset_heisenberg(rank), gens, len(gens))
+    assert got == (lf(want, len(gens)) if want else LocalFn(len(gens), {}))
+
+
 def test_npoint_errors(hei):
     with pytest.raises(BadPartition):
         npoint_vacuum(hei, ["a"] * 5, 4)
-    with pytest.raises(NoLocalMatch):
-        # pole bound too small to host the two-point function
+    with pytest.raises(NoLocalMatch) as err:
+        # pole bound too small to host the two-point function: no candidate
+        # at all, and the first window (radius 1 + 2 + 1) is inconsistent
         npoint_vacuum(hei, ["a", "a"], 1)
+    assert (err.value.radius, err.value.candidates, err.value.exponents) == (4, 0, None)
+
+
+def test_npoint_verification_mismatch_reports_exponents(hei, monkeypatch):
+    # a closed form that reads 0 everywhere disagrees with the series of
+    # a(-e2-1) a(-e1-1) 1, which is e1 + 1 for e1 >= 0; the first such tuple
+    # of the radius-7 verification window is (0, -2)
+    monkeypatch.setattr(vacore, "_mono_series_coeff", lambda mono, exps: Fraction(0))
+    with pytest.raises(NoLocalMatch) as err:
+        npoint_vacuum(hei, ["a", "a"], 2)
+    assert err.value.exponents == (0, -2)
+    assert err.value.radius == 7
+    assert err.value.candidates == len(basis_monomials(2, 2, 2))
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_window_tuples_match_brute_force(r):
+    for radius in (0, 1, 2, 3):
+        for total in range(-r * radius - 2, r * radius + 3):
+            want = [
+                e for e in product(range(-radius, radius + 1), repeat=r) if sum(e) == total
+            ]
+            assert _window_tuples(r, radius, total) == want, (radius, total)
+            if abs(total) > r * radius:
+                assert want == []
+
+
+def _bubble_series(pres, gidx, e):
+    word = tuple((gidx[i], -e[i] - 1) for i in reversed(range(len(gidx))))
+    return pres.normal_form(VAElement(pres, {word: Fraction(1)}), "bubble").vacuum_coefficient()
+
+
+@pytest.mark.parametrize(
+    "pres, gens, radius",
+    [
+        (preset_heisenberg(2), ["a1", "a2", "a1", "a2"], 3),
+        (preset_heisenberg(2), ["a1", "a1", "a2", "a2"], 3),
+        (preset_heisenberg(2), ["a2", "a1", "a1", "a2"], 3),
+        (preset_virasoro(Fraction(-22, 5)), ["L", "L", "L"], 4),
+    ],
+)
+def test_vacuum_series_matches_bubble_rewriting(pres, gens, radius):
+    # every tuple of one window, walked as shared prefixes, against the
+    # worklist strategy applied to each word on its own
+    gidx = [pres.gen_index(g) for g in gens]
+    total = -sum(pres.wt(g) for g in gidx)
+    window = _window_tuples(len(gens), radius, total)
+    got = _vacuum_series(pres, gidx, window)
+    assert len(got) == len(window) and any(got)
+    for e, value in zip(window, got):
+        assert value == _bubble_series(pres, gidx, e), e
+
+
+def test_vacuum_series_matches_oracle_at_c_one(vir1):
+    # four-point coefficients against the free-boson realization; the order
+    # is not lexicographic, so the third tuple shares its first two
+    # insertions with the first but not with the second
+    window = [(0, 0, -3, -5), (1, -2, -2, -5), (0, 0, -2, -6), (2, -1, -4, -5), (-1, 1, -2, -6)]
+    got = _vacuum_series(vir1, [0] * 4, window)
+    want = [F.virasoro_word([-x - 1 for x in reversed(e)]).get(F.VACUUM, 0) for e in window]
+    assert got == want and any(want)
 
 
 def test_series_support_matches_closed_form():
