@@ -61,7 +61,6 @@ def _norm_terms(terms):
     arities = None
     for entry in terms:
         *factors, coeff = entry
-        coeff = Fraction(coeff)
         if coeff == 0 or any(f.is_zero() for f in factors):
             continue
         arities = tuple(f.arity for f in factors)
@@ -166,7 +165,7 @@ def _factor_options(fac, v, m, outer_budget):
     if kind == "p":
         l = fac[1]
         for s in range(0, l + 1):
-            options.append((-(l - s), ("z", l - s), ("p", s), Fraction(gbinom(l, s))))
+            options.append((-(l - s), ("z", l - s), ("p", s), gbinom(l, s)))
     else:
         i, k = fac[1], fac[2]
         if i <= m:
@@ -174,11 +173,11 @@ def _factor_options(fac, v, m, outer_budget):
             s = 0
             while -k + s <= outer_budget:
                 options.append(
-                    ((-k) + s, ("d", i, k - s), ("p", s), Fraction(gbinom(k, s)))
+                    ((-k) + s, ("d", i, k - s), ("p", s), gbinom(k, s))
                 )
                 s += 1
         else:
-            options.append((0, None, ("d", i - m, k), Fraction(1)))
+            options.append((0, None, ("d", i - m, k), 1))
     return options
 
 

@@ -136,18 +136,14 @@ class Presentation:
         self.ope_closed = ope_closed
         self.step_bound = step_bound
         self.label = label
-        self.ope: Dict[Tuple[int, int, int], Dict[Word, Fraction]] = {}
-        for (a, b, n), entry in relations.items():
+        # (a, b) -> n -> [a, b]_n, each row ascending in n, zero entries omitted
+        self.ope: Dict[Tuple[int, int], Dict[int, Dict[Word, Fraction]]] = {}
+        for (a, b, n), entry in sorted(relations.items()):
             entry = {w: Fraction(c) for w, c in entry.items() if c != 0}
             if entry:
-                self.ope[(a, b, n)] = entry
+                self.ope.setdefault((a, b), {})[n] = entry
         self._validate_table()
         self._complete_by_skew()
-        self._kbound: Dict[Tuple[int, int], int] = {}
-        for a in range(len(self.gens)):
-            for b in range(len(self.gens)):
-                ns = [n for (x, y, n) in self.ope if (x, y) == (a, b)]
-                self._kbound[(a, b)] = max(ns) if ns else -1
         self._prepend_cache: Dict[tuple, Dict[Word, Fraction]] = {}
 
     # -- bookkeeping -------------------------------------------------------
@@ -196,64 +192,70 @@ class Presentation:
         return VAElement(self, {((g, -1),): Fraction(1)})
 
     def _validate_table(self):
-        for (a, b, n), entry in self.ope.items():
-            if n < 0:
-                raise SchemaError("table entries are singular products only (n >= 0)")
-            if n > _MAX_SINGULAR:
-                raise UnboundedOPE(f"singular product at n={n} beyond bound {_MAX_SINGULAR}")
-            want = self.wt(a) + self.wt(b) - n - 1
-            for word in entry:
-                if len(word) > 1:
-                    raise SchemaError(
-                        "table entries must be combinations of derivatives of "
-                        "generators and the vacuum"
-                    )
-                if word and word[0][1] > -1:
-                    raise SchemaError("table entry words must use negative modes")
-                got = self.word_weight(word)
-                if got != want:
-                    raise WeightMismatch(
-                        f"[{self.gen_name(a)},{self.gen_name(b)}]_{n} has a word of "
-                        f"weight {got}, expected {want}"
-                    )
+        for (a, b), row in self.ope.items():
+            for n, entry in row.items():
+                if n < 0:
+                    raise SchemaError("table entries are singular products only (n >= 0)")
+                if n > _MAX_SINGULAR:
+                    raise UnboundedOPE(f"singular product at n={n} beyond bound {_MAX_SINGULAR}")
+                want = self.wt(a) + self.wt(b) - n - 1
+                for word in entry:
+                    if len(word) > 1:
+                        raise SchemaError(
+                            "table entries must be combinations of derivatives of "
+                            "generators and the vacuum"
+                        )
+                    if word and word[0][1] > -1:
+                        raise SchemaError("table entry words must use negative modes")
+                    got = self.word_weight(word)
+                    if got != want:
+                        raise WeightMismatch(
+                            f"[{self.gen_name(a)},{self.gen_name(b)}]_{n} has a word of "
+                            f"weight {got}, expected {want}"
+                        )
 
     def _complete_by_skew(self):
-        """Fill products for pairs (b, a) with b > a from the (a, b) table:
+        """Give every declared pair (a, b) its reverse row by skew symmetry,
 
-            [b, a]_m = (-1)^(m+1) sum_j ((-1)^j / j!) T^j [a, b]_(m+j)
+            [b, a]_m = (-1)^(m+1) sum_j ((-1)^j / j!) T^j [a, b]_(m+j),
+
+        filling (b, a) when it was not declared and otherwise (a == b
+        included) requiring the declared row to equal the computed one.
         """
-        for a in range(len(self.gens)):
-            for b in range(a + 1, len(self.gens)):
-                top = max(
-                    [n for (x, y, n) in self.ope if (x, y) == (a, b)], default=-1
+        declared = dict(self.ope)
+        for (a, b), row in declared.items():
+            top = max(row, default=-1)
+            skew: Dict[int, Dict[Word, Fraction]] = {}
+            for m in range(0, top + 1):
+                entry: Dict[Word, Fraction] = {}
+                for j in range(0, top - m + 1):
+                    src = row.get(m + j)
+                    if not src:
+                        continue
+                    sign = Fraction((-1) ** (m + 1) * (-1) ** j, factorial(j))
+                    for word, c in src.items():
+                        if not word:
+                            if j:
+                                continue  # T kills the vacuum
+                            w2 = VACUUM_WORD
+                        else:
+                            g, mode = word[0]
+                            s = -1 - mode
+                            c = c * Fraction(factorial(s + j), factorial(s))
+                            w2 = ((g, mode - j),)
+                        entry[w2] = entry.get(w2, Fraction(0)) + sign * c
+                entry = {w: c for w, c in entry.items() if c}
+                if entry:
+                    skew[m] = entry
+            have = declared.get((b, a))
+            if have is None:
+                self.ope[(b, a)] = skew
+            elif have != skew:
+                m = min(n for n in {*have, *skew} if have.get(n) != skew.get(n))
+                raise SchemaError(
+                    f"declared [{self.gen_name(b)},{self.gen_name(a)}]_{m} "
+                    "conflicts with skew symmetry"
                 )
-                for m in range(0, top + 1):
-                    entry: Dict[Word, Fraction] = {}
-                    for j in range(0, top - m + 1):
-                        src = self.ope.get((a, b, m + j))
-                        if not src:
-                            continue
-                        sign = Fraction((-1) ** (m + 1) * (-1) ** j, factorial(j))
-                        for word, c in src.items():
-                            if not word:
-                                if j == 0:
-                                    w2 = VACUUM_WORD
-                                else:
-                                    continue  # T kills the vacuum
-                            else:
-                                g, mode = word[0]
-                                s = -1 - mode
-                                c = c * Fraction(factorial(s + j), factorial(s))
-                                w2 = ((g, mode - j),)
-                            entry[w2] = entry.get(w2, Fraction(0)) + sign * c
-                    entry = {w: c for w, c in entry.items() if c}
-                    if entry:
-                        if (b, a, m) in self.ope and self.ope[(b, a, m)] != entry:
-                            raise SchemaError(
-                                f"declared [{self.gen_name(b)},{self.gen_name(a)}]_{m} "
-                                "conflicts with skew symmetry"
-                            )
-                        self.ope[(b, a, m)] = entry
 
     # -- straightening -----------------------------------------------------
 
@@ -295,10 +297,7 @@ class Presentation:
                 acc: Dict[Word, Fraction] = {}
                 for w2, c2 in self._prepend(g, n, rest).items():
                     add_into(acc, self._prepend(h, m, w2), c2)
-                for j in range(0, self._kbound[(g, h)] + 1):
-                    entry = self.ope.get((g, h, j))
-                    if not entry:
-                        continue
+                for j, entry in self.ope.get((g, h), {}).items():
                     cnj = gbinom(n, j)
                     if cnj == 0:
                         continue
@@ -370,10 +369,7 @@ class Presentation:
             (a, m), (b, k) = ms[idx], ms[idx + 1]
             swapped = ms[:idx] + [(b, k), (a, m)] + ms[idx + 2 :]
             stack.append((coeff, swapped))
-            for j in range(0, self._kbound[(a, b)] + 1):
-                entry = self.ope.get((a, b, j))
-                if not entry:
-                    continue
+            for j, entry in self.ope.get((a, b), {}).items():
                 cnj = gbinom(m, j)
                 if cnj == 0:
                     continue
@@ -388,6 +384,8 @@ class Presentation:
 
     def normal_form(self, el: VAElement, strategy: str = "suffix") -> VAElement:
         self.require_closed("normal_form")
+        if strategy not in ("suffix", "bubble"):
+            raise SchemaError(f"unknown rewriting strategy {strategy!r}")
         nf = self._nf_word_suffix if strategy == "suffix" else self._nf_word_bubble
         out: Dict[Word, Fraction] = {}
         for word, c in el.terms.items():
@@ -451,12 +449,12 @@ class Presentation:
     def derivative(self, x: VAElement) -> VAElement:
         """Translation operator: [T, g(n)] = -n g(n-1), T 1 = 0."""
         x = self.normal_form(x)
-        out = self.zero()
+        out: Dict[Word, Fraction] = {}
         for word, c in x.terms.items():
             for i, (g, n) in enumerate(word):
                 shifted = word[:i] + ((g, n - 1),) + word[i + 1 :]
-                out = out + self.word_element(shifted).scale(c * (-n))
-        return out
+                add_into(out, self._nf_word_suffix(shifted), c * (-n))
+        return VAElement(self, out)
 
     def bracket(self, a: VAElement, b: VAElement, n: int) -> VAElement:
         return self.apply_mode(a, n, b)
@@ -516,18 +514,13 @@ def ope_singular(pres: Presentation, a: str, b: str):
     """All nonzero singular products of two generators, as (n, element)."""
     pres.require_closed("singular products")
     ai, bi = pres.gen_index(a), pres.gen_index(b)
-    out = []
-    for n in range(0, pres._kbound[(ai, bi)] + 1):
-        entry = pres.ope.get((ai, bi, n))
-        if entry:
-            out.append((n, VAElement(pres, entry)))
-    return out
+    return [(n, VAElement(pres, entry)) for n, entry in pres.ope.get((ai, bi), {}).items()]
 
 
 def check_uniform_bound(pres: Presentation, a: str, b: str) -> int:
     """Largest n with a(n)b nonzero; -1 when the product is regular."""
     pres.require_closed("the uniformity bound")
-    return pres._kbound[(pres.gen_index(a), pres.gen_index(b))]
+    return max(pres.ope.get((pres.gen_index(a), pres.gen_index(b)), {}), default=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -177,6 +177,14 @@ _BAD_INPUTS = [
     (("npoint", "--preset", "heisenberg", "--gens", "a,a", "--pole-bound", "-1"), None),
     (("filtration", "--basis", "--arity", "2", "--subset", "1,2", "--level", "1",
       "--grading", "2", "--pole-budget", "-1"), None),
+    # a diagonal row that breaks skew symmetry with itself
+    (("dims", "--file", "PRES", "--max-weight", "2"), {
+        "generators": [{"name": "a", "weight": 1}],
+        "relations": [
+            {"a": "a", "b": "a", "n": 0, "result": [{"coeff": "1", "word": [["a", -1]]}]},
+            {"a": "a", "b": "a", "n": 1, "result": [{"coeff": "1", "word": []}]},
+        ],
+    }),
 ]
 
 

@@ -26,6 +26,7 @@ from vacalc.localfn import LocalFn, basis_monomials
 from vacalc.numutil import _kernel, _solve, gbinom
 from vacalc import vacore
 from vacalc.vacore import (
+    VACUUM_WORD,
     Presentation,
     VAElement,
     _mono_series_coeff,
@@ -112,6 +113,80 @@ def test_document_round_trip_matches_preset(vir):
         assert str(pres.bracket(L, L, n)) == str(vir.bracket(ref, ref, n))
 
 
+def _rel(a, b, n, *terms):
+    """One document relation [a,b]_n = sum of coeff * word, word a mode list."""
+    return {"a": a, "b": b, "n": n, "result": [{"coeff": c, "word": w} for c, w in terms]}
+
+
+def _doc(names, relations):
+    return {"generators": [{"name": g, "weight": 1} for g in names], "relations": relations}
+
+
+def _simple_dims(pres, w_max):
+    return [len(spanning_basis(pres, w)) - radical_slice(pres, w).dimension
+            for w in range(w_max + 1)]
+
+
+def test_reversed_declaration_matches_forward():
+    # [a,b]_1 = 1 declared either way round is one table
+    forward = load_presentation(_doc("ab", [_rel("a", "b", 1, ("1", []))]))
+    reverse = load_presentation(_doc("ab", [_rel("b", "a", 1, ("1", []))]))
+    assert forward.ope == reverse.ope
+    for pres in (forward, reverse):
+        assert [(n, str(el)) for n, el in ope_singular(pres, "a", "b")] == [(1, "1")]
+        assert [(n, str(el)) for n, el in ope_singular(pres, "b", "a")] == [(1, "1")]
+        assert [radical_slice(pres, w).dimension for w in range(4)] == [0, 0, 0, 0]
+        assert str(npoint_vacuum(pres, ["b", "a"], 4)) == "(z2-z1)^-2"
+    for gens in (["a", "b"], ["b", "a"], ["a", "b", "a", "b"]):
+        assert npoint_vacuum(reverse, gens, 4) == npoint_vacuum(forward, gens, 4)
+
+
+# affine sl2 at level 1 in the basis e, f, h, declared with each pair in
+# generator order and with each off-diagonal pair reversed
+_SL2_FORWARD = [
+    _rel("e", "f", 0, ("1", [["h", -1]])),
+    _rel("e", "f", 1, ("1", [])),
+    _rel("e", "h", 0, ("-2", [["e", -1]])),
+    _rel("f", "h", 0, ("2", [["f", -1]])),
+    _rel("h", "h", 1, ("2", [])),
+]
+_SL2_REVERSED = [
+    _rel("f", "e", 0, ("-1", [["h", -1]])),
+    _rel("f", "e", 1, ("1", [])),
+    _rel("h", "e", 0, ("2", [["e", -1]])),
+    _rel("h", "f", 0, ("-2", [["f", -1]])),
+    _rel("h", "h", 1, ("2", [])),
+]
+
+
+def test_reversed_affine_sl2_matches_forward():
+    forward = load_presentation(_doc("efh", _SL2_FORWARD))
+    reverse = load_presentation(_doc("efh", _SL2_REVERSED))
+    assert forward.ope == reverse.ope
+    assert len(forward.ope) == 7  # every ordered pair except (e,e) and (f,f)
+    # L_1(sl2) is the A1 lattice algebra (Frenkel-Kac)
+    lattice = F.series_dims(("theta_over_eta", 2), 4)
+    assert lattice == [1, 3, 4, 7, 13]
+    assert _simple_dims(forward, 4) == lattice
+    assert _simple_dims(reverse, 4) == lattice
+
+
+def test_both_directions_declared():
+    both = load_presentation(_doc("efh", _SL2_FORWARD + _SL2_REVERSED[:4]))
+    assert both.ope == load_presentation(_doc("efh", _SL2_FORWARD)).ope
+    wrong = _SL2_FORWARD + [_rel("f", "e", 0, ("1", [["h", -1]]))]
+    with pytest.raises(SchemaError, match=r"\[f,e\]_0 conflicts with skew symmetry"):
+        load_presentation(_doc("efh", wrong))
+    # a declared reverse row must be complete, not just agree where declared
+    partial = [_rel("a", "b", 1, ("1", [])), _rel("b", "a", 0, ("1", [["a", -1]]))]
+    with pytest.raises(SchemaError, match=r"\[b,a\]_0 conflicts"):
+        load_presentation(_doc("ab", partial))
+    # a diagonal row is its own reverse: [a,a]_0 = -[a,a]_0 + T [a,a]_1
+    diagonal = [_rel("a", "a", 0, ("1", [["a", -1]])), _rel("a", "a", 1, ("1", []))]
+    with pytest.raises(SchemaError, match=r"\[a,a\]_0 conflicts"):
+        load_presentation(_doc("a", diagonal))
+
+
 def test_schema_rejections():
     with pytest.raises(SchemaError):
         load_presentation({"preset": "nope"})
@@ -152,11 +227,14 @@ def test_schema_rejections():
 # derivative and brackets
 # ---------------------------------------------------------------------------
 
-def test_derivative_examples(hei):
+def test_derivative_examples(hei, vir1):
     assert hei.derivative(hei.vacuum()).is_zero()
     a = hei.gen_element("a")
     assert str(hei.derivative(a)) == "a(-2)1"
     assert str(hei.derivative(hei.word_element([(0, -2)]))) == "2 * a(-3)1"
+    # T x = x(-2)1 on a sum of words whose shifts straighten into shared words
+    x = vir1.word_element([(0, -2), (0, -2)]) + vir1.word_element([(0, -4)]).scale(3)
+    assert vir1.derivative(x) == vir1.apply_mode(x, -2, vir1.vacuum())
 
 
 def test_bracket_table_values(vir):
@@ -207,6 +285,11 @@ def test_confluence_suffix_vs_bubble(hei, vir1):
             modes = [(0, rng.randint(-5, 5)) for _ in range(k)]
             el = P.element({tuple(modes): Fraction(1)})
             assert P.normal_form(el, "suffix") == P.normal_form(el, "bubble")
+
+
+def test_unknown_strategy_is_a_schema_error(hei):
+    with pytest.raises(SchemaError, match="unknown rewriting strategy 'bubbel'"):
+        hei.normal_form(hei.gen_element("a"), "bubbel")
 
 
 # ---------------------------------------------------------------------------
@@ -718,7 +801,16 @@ def test_step_bound_raises_non_terminating():
 
 def test_rewrite_cache_bound_raises_resource_limit(vir):
     word = {tuple((0, -6 + i) for i in range(6)): Fraction(1)}
-    small = Presentation(vir.gens, vir.ope, vir.central, step_bound=5)
+    small = Presentation(
+        [("L", 2)],
+        {
+            (0, 0, 0): {((0, -2),): Fraction(1)},
+            (0, 0, 1): {((0, -1),): Fraction(2)},
+            (0, 0, 3): {VACUUM_WORD: vir.central["c"] / 2},
+        },
+        vir.central,
+        step_bound=5,
+    )
     with pytest.raises(ResourceLimit, match="step bound of 5 entries"):
         small.normal_form(small.element(word))
     # under the default bound the same word straightens: too big, not endless
