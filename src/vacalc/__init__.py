@@ -26,6 +26,7 @@ from .vacore import (
     lattice_check,
     load_presentation,
     npoint_vacuum,
+    npoint_ward,
     ope_singular,
     parse_element,
     preset_heisenberg,
@@ -33,6 +34,7 @@ from .vacore import (
     preset_virasoro,
     radical_slice,
     spanning_basis,
+    ward_correlator,
 )
 from . import fockoracle
 
@@ -61,6 +63,7 @@ __all__ = [
     "lattice_check",
     "load_presentation",
     "npoint_vacuum",
+    "npoint_ward",
     "ope_singular",
     "parse_element",
     "preset_heisenberg",
@@ -68,6 +71,7 @@ __all__ = [
     "preset_virasoro",
     "radical_slice",
     "spanning_basis",
+    "ward_correlator",
     "fockoracle",
 ]
 

@@ -33,7 +33,7 @@ from .vacore import (
     graded_dims,
     lattice_check,
     load_presentation,
-    npoint_vacuum,
+    npoint_ward,
     ope_singular,
     parse_element,
     radical_slice,
@@ -205,9 +205,13 @@ def build_parser():
     return ap
 
 
+def _parse(argv):
+    return build_parser().parse_args(_merge_negative_values(list(argv)))
+
+
 def run(argv):
     ap = build_parser()
-    args = ap.parse_args(_merge_negative_values(list(argv)))
+    args = _parse(argv)
 
     if args.command == "canon":
         f = canonicalize(parse(args.expr, args.arity))
@@ -323,7 +327,7 @@ def run(argv):
         bound = args.pole_bound
         if bound is None:
             bound = sum(pres.wt(pres.gen_index(g)) for g in gens)
-        f = npoint_vacuum(pres, gens, bound)
+        f = npoint_ward(pres, gens, bound)
         _emit(args, f.format(), f.to_obj())
 
     elif args.command == "lattice-check":
@@ -356,6 +360,10 @@ def main():
         sys.stdout.flush()
     except VacalcError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        # run parsed these arguments before anything could raise
+        if _parse(sys.argv[1:]).json:
+            obj = {"error": type(exc).__name__, "message": str(exc), **exc.payload()}
+            print(json.dumps(obj, sort_keys=True), file=sys.stderr)
         code = 1
     except BrokenPipeError:
         # the reader closed stdout; point it at devnull so the interpreter's

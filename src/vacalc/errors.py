@@ -9,6 +9,10 @@ of the CLI itself are argparse's business and exit with code 2.
 class VacalcError(Exception):
     """Base class for all domain errors raised by this package."""
 
+    def payload(self) -> dict:
+        """Diagnostic attributes as JSON values (vacalc --json prints them)."""
+        return {}
+
 
 class ParseError(VacalcError):
     """Malformed expression text (tokenizer or grammar failure)."""
@@ -80,8 +84,9 @@ class NoLocalMatch(VacalcError):
     """Mode series does not come from a local function within the pole bound.
 
     radius is the exponent window radius of the failing step and candidates
-    the number of basis monomials in the ansatz; exponents is the first
-    window tuple where a solved match disagrees with the series, or None.
+    the number of basis monomials within the pole bound (the ansatz);
+    exponents is the first window tuple where the match disagrees with the
+    series, or None.
     """
 
     def __init__(self, message, *, radius=None, candidates=None, exponents=None):
@@ -89,6 +94,10 @@ class NoLocalMatch(VacalcError):
         self.radius = radius
         self.candidates = candidates
         self.exponents = exponents
+
+    def payload(self) -> dict:
+        exponents = None if self.exponents is None else list(self.exponents)
+        return {"radius": self.radius, "candidates": self.candidates, "exponents": exponents}
 
 
 class TruncationTooSmall(VacalcError):

@@ -42,7 +42,7 @@ from .errors import (
     UnboundedOPE,
     WeightMismatch,
 )
-from .localfn import LocalFn, basis_monomials
+from .localfn import LocalFn, basis_monomials, mono_grading, mono_pole_total
 from .numutil import SparseSum, _kernel, _reduce_by, _rref, _solve, add_into, falling, gbinom
 
 Word = Tuple[Tuple[int, int], ...]  # (generator, mode) pairs, applied to 1
@@ -138,12 +138,23 @@ class Presentation:
         self.label = label
         # (a, b) -> n -> [a, b]_n, each row ascending in n, zero entries omitted
         self.ope: Dict[Tuple[int, int], Dict[int, Dict[Word, Fraction]]] = {}
+        zeros = []
         for (a, b, n), entry in sorted(relations.items()):
             entry = {w: Fraction(c) for w, c in entry.items() if c != 0}
             if entry:
                 self.ope.setdefault((a, b), {})[n] = entry
+            else:
+                zeros.append((a, b, n))
         self._validate_table()
         self._complete_by_skew()
+        # an explicit zero is checked at its own n only, so a redundant zero
+        # beside a complete reverse row stays legal
+        for a, b, n in zeros:
+            if n in self.ope.get((a, b), {}):
+                raise SchemaError(
+                    f"declared [{self.gen_name(a)},{self.gen_name(b)}]_{n} = 0 "
+                    "conflicts with skew symmetry"
+                )
         self._prepend_cache: Dict[tuple, Dict[Word, Fraction]] = {}
 
     # -- bookkeeping -------------------------------------------------------
@@ -717,6 +728,17 @@ def _vacuum_series(pres: Presentation, gidx: Sequence[int], window) -> List[Frac
     return out
 
 
+def _insertions(pres: Presentation, gen_names: Sequence[str]):
+    """Generator indices and weights of 1 to 4 insertions into a
+    table-closed presentation."""
+    if not pres.ope_closed:
+        raise SchemaError("correlators need a table-closed presentation")
+    if not 1 <= len(gen_names) <= 4:
+        raise BadPartition("between 1 and 4 insertions supported")
+    gidx = [pres.gen_index(name) for name in gen_names]
+    return gidx, tuple(pres.wt(g) for g in gidx)
+
+
 def npoint_vacuum(pres: Presentation, gen_names: Sequence[str], pole_bound: int) -> LocalFn:
     """The local function whose expansion on |z_r| > ... > |z_1| matches the
     vacuum matrix series of the given generator insertions.
@@ -742,13 +764,8 @@ def npoint_vacuum(pres: Presentation, gen_names: Sequence[str], pole_bound: int)
     too.  The re-verification evaluates each monomial with the closed form
     _mono_series_coeff instead.
     """
-    if not pres.ope_closed:
-        raise SchemaError("correlators need a table-closed presentation")
-    r = len(gen_names)
-    if not 1 <= r <= 4:
-        raise BadPartition("between 1 and 4 insertions supported")
-    gidx = [pres.gen_index(name) for name in gen_names]
-    sorts = tuple(pres.wt(g) for g in gidx)
+    gidx, sorts = _insertions(pres, gen_names)
+    r = len(gidx)
     g_total = sum(sorts)
     sig = SortSignature(0, sorts)
     candidates = basis_monomials(r, g_total, pole_bound)
@@ -809,6 +826,117 @@ def npoint_vacuum(pres: Presentation, gen_names: Sequence[str], pole_bound: int)
             f"{pres.connectivity} piece",
             radius=radius,
             candidates=len(candidates),
+        )
+    return result
+
+
+# ---------------------------------------------------------------------------
+# Vacuum correlation functions by the genus-zero Ward recursion
+# ---------------------------------------------------------------------------
+
+def _ward_kernel(r: int, i: int, p: int, mode: int, m: int) -> LocalFn:
+    """C(mode, m) (z_i - z_p)^(mode - m) for 0-based points p < i and
+    mode < 0: the residue at x = z_i of (x - z_p)^mode (x - z_i)^(-m-1)."""
+    mono = tuple(("d", p + 1, mode - m) if v == i else ("p", 0) for v in range(r))
+    return LocalFn(r, {mono: Fraction(gbinom(mode, m))})
+
+
+def ward_correlator(pres: Presentation, gen_names: Sequence[str]) -> LocalFn:
+    """The vacuum correlator of the given generator insertions as a local
+    function, by the genus-zero Ward recursion (Zhu 1996, J. AMS 9).
+
+    A state puts a normal word v_i at each point z_i.  At the first point p
+    whose word is a(-k-1)w, the residue theorem applied to the Borcherds
+    identity gives
+
+        <... Y(a(-k-1)w, z_p) ...> = -sum_{i != p} sum_{m >= 0} C(-k-1, m)
+            (z_i - z_p)^(-k-1-m) <... Y(w, z_p) ... Y(a(m)v_i, z_i) ...>,
+
+    with no residue at infinity because every generator has weight >= 1.
+    Each step lowers the total weight by m + 1, and the state with the vacuum
+    at every point is 1.  States are memoized on their tuple of words within
+    one call.  Any number of insertions is accepted; the result is exact and
+    canonical, and npoint_ward certifies it against the series.
+    """
+    if not pres.ope_closed:
+        raise SchemaError("correlators need a table-closed presentation")
+    _require_positive_weights(pres, "the Ward recursion")
+    r = len(gen_names)
+    memo: Dict[Tuple[Word, ...], LocalFn] = {}
+
+    def corr(words: Tuple[Word, ...]) -> LocalFn:
+        got = memo.get(words)
+        if got is not None:
+            return got
+        p = next((i for i, v in enumerate(words) if v), None)
+        if p is None:
+            out = LocalFn.one(r)
+        else:
+            (a, mode), rest = words[p][0], words[p][1:]
+            out = LocalFn.zero(r)
+            state = list(words)
+            state[p] = rest
+            # the points before p hold the vacuum, and a(m)1 = 0 for m >= 0
+            for i in range(p + 1, r):
+                v = words[i]
+                # a(m)v vanishes once m >= wt(a) + wt(v)
+                for m in range(pres.wt(a) + pres.word_weight(v)):
+                    inner = {}
+                    for w2, c in pres._prepend(a, m, v).items():
+                        state[i] = w2
+                        add_into(inner, corr(tuple(state)).terms, c)
+                    state[i] = v
+                    if inner:
+                        out = out - _ward_kernel(r, i, p, mode, m) * LocalFn(r, inner)
+        memo[words] = out
+        return out
+
+    return corr(tuple(((pres.gen_index(name), -1),) for name in gen_names))
+
+
+def npoint_ward(pres: Presentation, gen_names: Sequence[str], pole_bound: int) -> LocalFn:
+    """npoint_vacuum's local function computed by ward_correlator, with a
+    certificate that needs no solve.
+
+    The result must lie in the ansatz space of npoint_vacuum (basis
+    monomials of the total weight with pole total at most the pole bound),
+    its expansion (_mono_series_support) must equal the vacuum series
+    (_vacuum_series) at every tuple of the window of radius R0 + 2, where
+    R0 = pole_bound + |total weight| + 1 is the first radius of the ansatz,
+    and it must pass in_connective.  NoLocalMatch reports a failed check
+    with the same payload as npoint_vacuum: the window radius, the number of
+    basis monomials within the pole bound and, for a series mismatch, the
+    exponent tuple.
+    """
+    gidx, sorts = _insertions(pres, gen_names)
+    if pole_bound < 0:
+        raise SchemaError("pole budget must be >= 0")
+    r = len(gidx)
+    g_total = sum(sorts)
+    radius = pole_bound + abs(g_total) + 1
+
+    def failure(message, radius, exponents=None):
+        candidates = len(basis_monomials(r, g_total, pole_bound))
+        return NoLocalMatch(message, radius=radius, candidates=candidates, exponents=exponents)
+
+    result = ward_correlator(pres, gen_names)
+    if any(mono_grading(m) != g_total or mono_pole_total(m) > pole_bound for m in result.terms):
+        raise failure(
+            f"series of {list(gen_names)} has no local match within pole bound {pole_bound}",
+            radius,
+        )
+    expansion: Dict[Tuple[int, ...], Fraction] = {}
+    for m, c in result.terms.items():
+        add_into(expansion, _mono_series_support(m, radius + 2), c)
+    window = _window_tuples(r, radius + 2, -g_total)
+    for e, value in zip(window, _vacuum_series(pres, gidx, window)):
+        if expansion.get(e, 0) != value:
+            raise failure(f"verification window mismatch at exponents {e}", radius + 2, e)
+    if not in_connective(result, pres.connectivity, SortSignature(0, sorts)):
+        raise failure(
+            f"local match of {list(gen_names)} is outside the connectivity-"
+            f"{pres.connectivity} piece",
+            radius,
         )
     return result
 

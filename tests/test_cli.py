@@ -1,6 +1,7 @@
 """Command-line interface tests: exact text output, JSON round trips,
 exit codes, and byte determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -185,6 +186,14 @@ _BAD_INPUTS = [
             {"a": "a", "b": "a", "n": 1, "result": [{"coeff": "1", "word": []}]},
         ],
     }),
+    # an explicit zero that skew symmetry contradicts
+    (("ope", "--file", "PRES", "--a", "a", "--b", "b"), {
+        "generators": [{"name": "a", "weight": 1}, {"name": "b", "weight": 1}],
+        "relations": [
+            {"a": "a", "b": "b", "n": 1, "result": []},
+            {"a": "b", "b": "a", "n": 1, "result": [{"coeff": "1", "word": []}]},
+        ],
+    }),
 ]
 
 
@@ -202,6 +211,36 @@ def test_bad_input_is_a_schema_error(tmp_path, argv, document):
     assert proc.stderr.startswith("error: SchemaError: ")
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+def test_json_error_carries_payload():
+    # stderr gets the usual line plus one JSON object; stdout stays empty
+    argv = ("npoint", "--preset", "heisenberg", "--gens", "a,a", "--pole-bound", "1")
+    plain = _vacalc_process(*argv)
+    proc = _vacalc_process(*argv, "--json")
+    assert proc.returncode == plain.returncode == 1
+    assert proc.stdout == plain.stdout == ""
+    line, obj = proc.stderr.splitlines()
+    assert line == plain.stderr.strip()
+    assert json.loads(obj) == {
+        "error": "NoLocalMatch",
+        "message": "series of ['a', 'a'] has no local match within pole bound 1",
+        "radius": 4,
+        "candidates": 0,
+        "exponents": None,
+    }
+    # an error without attributes carries its name and message only
+    proc = _vacalc_process("canon", "--arity", "1", "--json", "z1^-1")
+    assert set(json.loads(proc.stderr.splitlines()[1])) == {"error", "message"}
+
+
+def test_npoint_virasoro_four_point_output_is_pinned():
+    proc = _vacalc_process("npoint", "--preset", "virasoro", "--c", "1", "--gens", "L,L,L,L",
+                           "--json")
+    assert proc.returncode == 0
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (
+        "dc4892ce656f2f557fecac77215512c4cd3c2c312a08f5925c80de4be4e9c50d"
+    )
 
 
 @pytest.mark.parametrize("argv", [

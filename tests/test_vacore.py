@@ -38,6 +38,7 @@ from vacalc.vacore import (
     lattice_check,
     load_presentation,
     npoint_vacuum,
+    npoint_ward,
     ope_singular,
     parse_element,
     preset_heisenberg,
@@ -45,6 +46,7 @@ from vacalc.vacore import (
     preset_virasoro,
     radical_slice,
     spanning_basis,
+    ward_correlator,
 )
 
 
@@ -185,6 +187,19 @@ def test_both_directions_declared():
     diagonal = [_rel("a", "a", 0, ("1", [["a", -1]])), _rel("a", "a", 1, ("1", []))]
     with pytest.raises(SchemaError, match=r"\[a,a\]_0 conflicts"):
         load_presentation(_doc("a", diagonal))
+
+
+def test_explicit_zero_relations():
+    # an explicit zero is checked against skew symmetry at its own n only
+    conflict = [_rel("a", "b", 1), _rel("b", "a", 1, ("1", []))]
+    with pytest.raises(SchemaError, match=r"\[a,b\]_1 = 0 conflicts"):
+        load_presentation(_doc("ab", conflict))
+    # [a,b]_0 = 0 agrees with [b,a]_1 = 1, since T kills the vacuum
+    agree = load_presentation(_doc("ab", [_rel("a", "b", 0), _rel("b", "a", 1, ("1", []))]))
+    assert agree.ope == load_presentation(_doc("ab", [_rel("b", "a", 1, ("1", []))])).ope
+    # a redundant zero next to a forward sl2 table loads, and changes nothing
+    redundant = load_presentation(_doc("efh", _SL2_FORWARD + [_rel("f", "e", 2)]))
+    assert redundant.ope == load_presentation(_doc("efh", _SL2_FORWARD)).ope
 
 
 def test_schema_rejections():
@@ -554,6 +569,139 @@ def test_npoint_verification_mismatch_reports_exponents(hei, monkeypatch):
     assert err.value.exponents == (0, -2)
     assert err.value.radius == 7
     assert err.value.candidates == len(basis_monomials(2, 2, 2))
+
+
+# ---------------------------------------------------------------------------
+# correlators by the Ward recursion, against independent routes
+# ---------------------------------------------------------------------------
+
+def _pairings(points):
+    """Every perfect matching of the points, as lists of pairs."""
+    if not points:
+        return [[]]
+    first, rest = points[0], points[1:]
+    return [
+        [(first, q)] + tail
+        for j, q in enumerate(rest)
+        for tail in _pairings(rest[:j] + rest[j + 1:])
+    ]
+
+
+def _pairing_sum(n, power, points=None):
+    """Sum over perfect matchings of the points (default 1..n) of
+    prod (z_j - z_i)^-power, as a LocalFn of arity n built from text."""
+    texts = ["*".join(f"(z{j}-z{i})^-{power}" for i, j in pairs)
+             for pairs in _pairings(points or list(range(1, n + 1)))]
+    return sum((lf(t, n) for t in texts), LocalFn(n, {}))
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_ward_matches_ansatz_heisenberg(rank):
+    pres = preset_heisenberg(rank)
+    for arity in (2, 3, 4):
+        for gens in product(pres.names, repeat=arity):
+            assert ward_correlator(pres, gens) == npoint_vacuum(pres, gens, arity), gens
+
+
+@pytest.mark.parametrize("c", [Fraction(1), Fraction(1, 2), Fraction(-22, 5)])
+def test_ward_matches_ansatz_virasoro(c):
+    pres = preset_virasoro(c)
+    arities = (2, 3, 4) if c == 1 else (2, 3)
+    for r in arities:
+        assert ward_correlator(pres, ["L"] * r) == npoint_vacuum(pres, ["L"] * r, 2 * r)
+
+
+def test_ward_heisenberg_six_and_eight_points_are_wick_sums(hei):
+    assert len(_pairings(list(range(6)))) == 15
+    assert len(_pairings(list(range(8)))) == 105
+    for n in (6, 8):
+        assert ward_correlator(hei, ["a"] * n) == _pairing_sum(n, 2)
+    # the rank-2 currents a1, a2 are orthogonal, so only equal ones pair up
+    mixed = ward_correlator(preset_heisenberg(2), ["a1", "a2", "a1", "a1", "a2", "a1"])
+    assert mixed == _pairing_sum(6, 2, [1, 3, 4, 6]) * _pairing_sum(6, 2, [2, 5])
+
+
+def test_ward_virasoro_five_point_series_against_oracle(vir1):
+    # every coefficient of the radius-4 window on |z5| > ... > |z1| against
+    # the vacuum component of the word in the free-boson realization
+    got = ward_correlator(vir1, ["L"] * 5)
+    nonzero = 0
+    for e in _window_tuples(5, 4, -10):
+        value = sum(c * _mono_series_coeff(m, e) for m, c in got.terms.items())
+        oracle = F.virasoro_word([-x - 1 for x in reversed(e)]).get(F.VACUUM, 0)
+        assert value == oracle, e
+        nonzero += oracle != 0
+    assert nonzero > 0
+
+
+def test_ward_virasoro_four_point_by_powers_of_c():
+    # <TTTT> = c^2 (1/2)^2 sum over pairings of (z_ij z_kl)^-4 + c (connected);
+    # read the powers of c off three central charges
+    f1, f2, f3 = (ward_correlator(preset_virasoro(c), ["L"] * 4) for c in (1, 2, 3))
+    constant = f1.scale(3) - f2.scale(3) + f3
+    square = (f1 - f2.scale(2) + f3).scale(Fraction(1, 2))
+    assert constant == LocalFn(4, {})
+    assert square == _pairing_sum(4, 4).scale(Fraction(1, 4))
+    # the linear part is the sum over the three 4-cycles of (z_ij z_jk z_kl z_li)^-2
+    cycles = sum(
+        (lf(t, 4) for t in (
+            "(z2-z1)^-2*(z3-z2)^-2*(z4-z3)^-2*(z4-z1)^-2",
+            "(z2-z1)^-2*(z4-z2)^-2*(z4-z3)^-2*(z3-z1)^-2",
+            "(z3-z1)^-2*(z3-z2)^-2*(z4-z2)^-2*(z4-z1)^-2",
+        )),
+        LocalFn(4, {}),
+    )
+    assert f1 - square == cycles
+
+
+@pytest.mark.parametrize(
+    "mutant",
+    [
+        lambda kernel: lambda r, i, p, mode, m: -kernel(r, i, p, mode, m),
+        lambda kernel: lambda r, i, p, mode, m: kernel(r, i, p, mode, m).scale(
+            Fraction(gbinom(-mode, m), gbinom(mode, m))
+        ),
+    ],
+    ids=["sign", "binomial"],
+)
+def test_npoint_ward_certificate_rejects_mutants(mutant, monkeypatch):
+    # a wrong sign or C(k+1, m) for C(-k-1, m) keeps the monomials, so the
+    # pole bound passes and the series window catches the mismatch
+    monkeypatch.setattr(vacore, "_ward_kernel", mutant(vacore._ward_kernel))
+    # the window radius is R0 + 2 with R0 = pole bound + total weight + 1
+    # (a sign error cancels on a path with an even number of steps, so the
+    # four-point function, whose paths take two or three, is the Virasoro case)
+    for pres, gens, bound, radius in ((preset_heisenberg(), ["a", "a"], 2, 7),
+                                      (preset_virasoro(Fraction(1, 2)), ["L"] * 4, 8, 19)):
+        with pytest.raises(NoLocalMatch) as err:
+            npoint_ward(pres, gens, bound)
+        assert err.value.exponents is not None
+        assert err.value.radius == radius
+
+
+def test_ward_needs_positive_weights():
+    # a weight-0 generator could leave a residue at infinity
+    pres = load_presentation({"generators": [{"name": "x", "weight": 0}]})
+    with pytest.raises(SchemaError, match="weights >= 1"):
+        ward_correlator(pres, ["x", "x"])
+
+
+def test_npoint_ward_errors_match_ansatz(hei):
+    for route in (npoint_vacuum, npoint_ward):
+        with pytest.raises(BadPartition):
+            route(hei, ["a"] * 5, 4)
+        with pytest.raises(SchemaError):
+            route(hei, ["a", "a"], -1)
+        with pytest.raises(SchemaError):
+            route(preset_lattice_rank1(2), ["ep", "em"], 2)
+    for gens, bound in ((["a", "a"], 1), (["a"] * 4, 3)):
+        errors = []
+        for route in (npoint_vacuum, npoint_ward):
+            with pytest.raises(NoLocalMatch) as err:
+                route(hei, gens, bound)
+            errors.append((str(err.value), err.value.radius, err.value.candidates,
+                           err.value.exponents))
+        assert errors[0] == errors[1]
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
