@@ -48,15 +48,11 @@ from .numutil import _kernel, _rref, gbinom
 # Tensor containers
 # ---------------------------------------------------------------------------
 
-def _norm_terms(terms):
-    """Reduce an iterable of (f_0, ..., f_r, coeff) to a canonical tuple.
-
-    Bilinearity makes groupings like A (x) B + A (x) C versus A (x) (B + C)
-    the same element, so the sum is first expanded down to tuples of basis
-    monomials and then regrouped deterministically: every factor but the
-    last becomes a single monic monomial, the last factor collects the sum,
-    and its leading coefficient is split off into the stored coefficient.
-    """
+def _expand_terms(terms):
+    """Expand an iterable of (f_0, ..., f_r, coeff) into tuples of basis
+    monomials: returns ({(m_0, ..., m_r): coeff}, arities of the factors),
+    with no zero coefficient stored (arities is None when nothing is left
+    to expand)."""
     expanded: Dict[tuple, Fraction] = {}
     arities = None
     for entry in terms:
@@ -64,7 +60,7 @@ def _norm_terms(terms):
         if coeff == 0 or any(f.is_zero() for f in factors):
             continue
         arities = tuple(f.arity for f in factors)
-        for combo in _iproduct(*(list(f.terms.items()) for f in factors)):
+        for combo in _iproduct(*(f.terms.items() for f in factors)):
             key = tuple(m for m, _ in combo)
             val = coeff
             for _, c in combo:
@@ -74,6 +70,14 @@ def _norm_terms(terms):
                 expanded[key] = s
             else:
                 del expanded[key]
+    return expanded, arities
+
+
+def _regroup(expanded, arities):
+    """Canonical tuple of the expanded sum {(m_0, ..., m_r): coeff}: every
+    factor but the last becomes a single monic monomial, the last factor
+    collects the sum, and its leading coefficient is split off into the
+    stored coefficient."""
     if not expanded:
         return ()
     groups: Dict[tuple, Dict[Monomial, Fraction]] = {}
@@ -81,11 +85,21 @@ def _norm_terms(terms):
         groups.setdefault(key[:-1], {})[key[-1]] = v
     out = []
     for prefix in sorted(groups, key=lambda p: tuple(mono_sort_key(m) for m in p)):
-        last = LocalFn(arities[-1], groups[prefix])
-        lead, prim = last.primitive()
+        lead, prim = LocalFn(arities[-1], groups[prefix]).primitive()
         fs = [LocalFn.from_monomial(arities[i], prefix[i]) for i in range(len(prefix))]
         out.append((*fs, prim, lead))
     return tuple(out)
+
+
+def _norm_terms(terms):
+    """Reduce an iterable of (f_0, ..., f_r, coeff) to a canonical tuple.
+
+    Bilinearity makes groupings like A (x) B + A (x) C versus A (x) (B + C)
+    the same element, so the sum is first expanded down to tuples of basis
+    monomials (_expand_terms) and then regrouped deterministically
+    (_regroup).
+    """
+    return _regroup(*_expand_terms(terms))
 
 
 class TensorElement:
@@ -97,6 +111,16 @@ class TensorElement:
         self.outer_arity = outer_arity
         self.inner_arity = inner_arity
         self.terms = _norm_terms(terms)
+
+    @classmethod
+    def _from_expanded(cls, outer_arity: int, inner_arity: int, expanded) -> "TensorElement":
+        """The element with the expanded terms {(outer monomial, inner
+        monomial): coeff}, regrouped as the constructor's terms are."""
+        te = cls.__new__(cls)
+        te.outer_arity = outer_arity
+        te.inner_arity = inner_arity
+        te.terms = _regroup(expanded, (outer_arity, inner_arity))
+        return te
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -185,11 +209,17 @@ def insert_component(f: LocalFn, m: int, p: int) -> TensorElement:
     """Outer-grading-p component of the co-operation splitting the last
     n-m variables of f off into a cluster at the new slot m+1."""
     n = f.arity
+    if n == 0:
+        raise BadSplit("a function of no variables has no variable to split")
     if not 0 <= m < n:
         raise BadSplit(f"split position {m} outside 0..{n - 1}")
     f.grading()  # raises NotHomogeneous when mixed
     oa, ia = m + 1, n - m
-    pairs = []
+    # (outer monomial, inner monomial) -> coefficient, fed to _regroup
+    expanded: Dict[tuple, Fraction] = {}
+    # canonical reduction of each monic outer leaf, shared by the leaves and
+    # input monomials of this call that reach it; never kept past the call
+    reduced: Dict[tuple, Dict[Monomial, int]] = {}
     for mono, coeff in f.terms.items():
         fixed_zp = [0] * oa
         fixed_dp: Dict[Tuple[int, int], int] = {}
@@ -215,19 +245,33 @@ def insert_component(f: LocalFn, m: int, p: int) -> TensorElement:
                 mins.append(-fac[2])
             else:
                 mins.append(0)
+        # tails[idx]: least outer grading the factors from idx on contribute
+        tails = [0] * (len(mins) + 1)
+        for idx in range(len(mins) - 1, -1, -1):
+            tails[idx] = tails[idx + 1] + mins[idx]
+        # each factor's options up to the most it can ever contribute
+        opts = [
+            _factor_options(fac, v, m, budget - tails[0] + mins[idx])
+            for idx, (v, fac) in enumerate(var_opts)
+        ]
+        # integer coefficients of this monomial's terms, before its own coeff
+        acc: Dict[tuple, int] = {}
 
         def rec(idx, remaining, zp, dp, inner, coeff_acc):
-            if idx == len(var_opts):
+            if idx == len(opts):
                 if remaining != 0:
                     return
-                outer = LocalFn(oa, _reduce([(coeff_acc, list(zp), dict(dp))], oa))
-                inner_mono = tuple(inner)
-                pairs.append((outer, LocalFn.from_monomial(ia, inner_mono), Fraction(1)))
+                key = (tuple(zp), tuple(sorted(dp.items())))
+                red = reduced.get(key)
+                if red is None:
+                    red = reduced[key] = _reduce([(1, zp, dp)], oa)
+                for mo, c in red.items():
+                    pair = (mo, inner)
+                    acc[pair] = acc.get(pair, 0) + coeff_acc * c
                 return
-            v, fac = var_opts[idx]
-            rest_min = sum(mins[idx + 1 :])
-            for delta, piece, inner_fac, c in _factor_options(fac, v, m, remaining - rest_min):
-                if delta > remaining - rest_min:
+            cap = remaining - tails[idx + 1]
+            for delta, piece, inner_fac, c in opts[idx]:
+                if delta > cap:
                     continue
                 zp2, dp2 = zp, dp
                 if piece is not None:
@@ -240,10 +284,20 @@ def insert_component(f: LocalFn, m: int, p: int) -> TensorElement:
                         if k:
                             dp2 = dict(dp)
                             dp2[(oa, i)] = dp2.get((oa, i), 0) + k
-                rec(idx + 1, remaining - delta, zp2, dp2, inner + [inner_fac], coeff_acc * c)
+                rec(idx + 1, remaining - delta, zp2, dp2, inner + (inner_fac,), coeff_acc * c)
 
-        rec(0, budget, fixed_zp, fixed_dp, [], coeff)
-    return TensorElement(oa, ia, pairs)
+        rec(0, budget, fixed_zp, fixed_dp, (), 1)
+        # always multiply by coeff (no add_into shortcut at coeff == 1): the
+        # stored coefficients stay Fractions, whose repr failure reports show
+        for pair, c in acc.items():
+            if c:
+                old = expanded.get(pair)
+                s = coeff * c if old is None else old + coeff * c
+                if s:
+                    expanded[pair] = s
+                else:
+                    del expanded[pair]
+    return TensorElement._from_expanded(oa, ia, expanded)
 
 
 def insert_block(f: LocalFn, pos: int, size: int, p: int) -> TensorElement:
@@ -253,6 +307,9 @@ def insert_block(f: LocalFn, pos: int, size: int, p: int) -> TensorElement:
     if size < 1 or pos < 1 or pos + size - 1 > n:
         raise BadSplit(f"block [{pos}, {pos + size}) outside 1..{n}")
     m = n - size
+    oa = m + 1
+    if pos == oa:
+        return insert_component(f, m, p)  # the block is already last
     block = list(range(pos, pos + size))
     nonblock = [v for v in range(1, n + 1) if v not in block]
     sigma = [0] * n
@@ -261,9 +318,6 @@ def insert_block(f: LocalFn, pos: int, size: int, p: int) -> TensorElement:
     for offset, v in enumerate(block, start=1):
         sigma[v - 1] = m + offset
     te = insert_component(f.permute(sigma), m, p)
-    oa = m + 1
-    if pos == oa:
-        return te
     rho = [0] * oa
     for j in range(1, oa):
         rho[j - 1] = j if j < pos else j + 1
@@ -554,8 +608,9 @@ def _expanded(memo, insert, *args):
 
 
 def _double_split_orders(memo, f, posA, a, posB, b, qA, qB):
-    """Insert disjoint blocks A then B and B then A; returns the two merged
-    triple lists (outer, innerA, innerB, coeff) for inner gradings qA, qB."""
+    """Insert disjoint blocks A then B and B then A; returns the two sums of
+    (outer, innerA, innerB, coeff) for inner gradings qA, qB, each expanded
+    by _expand_terms (the sums are equal when their expansions are)."""
     assert posA + a <= posB
     g = f.grading()
     # B first: positions unchanged for A
@@ -572,12 +627,13 @@ def _double_split_orders(memo, f, posA, a, posB, b, qA, qB):
         teB = _expanded(memo, insert_block, h, posB - a + 1, b, g - qA - qB)
         for outer, innerB, c2 in teB.terms:
             out2.append((outer, innerA, innerB, c1 * c2))
-    return _norm_terms(out1), _norm_terms(out2)
+    return _expand_terms(out1), _expand_terms(out2)
 
 
 def _coassoc_orders(memo, f, b, b_sub, p_out, p_mid):
     """Split the last b variables, then the last b_sub of the cluster,
-    against doing the two splits in the other order."""
+    against doing the two splits in the other order; returns both sums of
+    (outer, mid, inner, coeff) expanded as _double_split_orders does."""
     n = f.arity
     out1 = []
     te1 = _expanded(memo, insert_component, f, n - b, p_out)
@@ -591,7 +647,12 @@ def _coassoc_orders(memo, f, b, b_sub, p_out, p_mid):
         teB = _expanded(memo, insert_component, outerBig, n - b, p_out)
         for outerFinal, mid, c2 in teB.terms:
             out2.append((outerFinal, mid, inner2, c1 * c2))
-    return _norm_terms(out1), _norm_terms(out2)
+    return _expand_terms(out1), _expand_terms(out2)
+
+
+def _shown(expansion):
+    """Report text of an (expanded, arities) pair: its canonical tuple."""
+    return str(_regroup(*expansion))
 
 
 def _random_monomial(rng, arity_cap):
@@ -622,25 +683,27 @@ def verify_axioms(arity_cap: int = 4, samples: int = 20, truncation: int = 4, se
     rng = random.Random(seed)
     checks = []
 
-    def record(kind, fn, slots, component, ok, lhs, rhs):
+    def record(kind, text, slots, component, ok, lhs, rhs, show=str):
         entry = {
             "kind": kind,
-            "input": str(fn),
+            "input": text,
             "slots": slots,
             "component": component,
             "status": "ok" if ok else "fail",
         }
         if not ok:
-            entry["lhs"] = lhs
-            entry["rhs"] = rhs
+            # both sides are formatted only for the report of a failure
+            entry["lhs"] = show(lhs)
+            entry["rhs"] = show(rhs)
         checks.append(entry)
 
     for _ in range(samples):
         # insertions repeat across a sample's grading grid: expand each once
         memo = {}
         kind = rng.choice(["equivariance", "commutativity", "coassociativity"])
+        n, f = _random_monomial(rng, arity_cap)
+        text = str(f)
         if kind == "equivariance":
-            n, f = _random_monomial(rng, arity_cap)
             m = rng.randint(0, n - 1)
             block = n - m
             omega = list(range(1, block + 1))
@@ -649,20 +712,20 @@ def verify_axioms(arity_cap: int = 4, samples: int = 20, truncation: int = 4, se
             tau_head = list(range(1, m + 1))
             rng.shuffle(tau_head)
             tau = tau_head + list(range(m + 1, n + 1))
+            f_sigma, f_tau = f.permute(sigma), f.permute(tau)
+            rho = tau_head + [m + 1]
             for p in range(-truncation, truncation + 1):
                 base = insert_component(f, m, p)
-                lhs_in = insert_component(f.permute(sigma), m, p)
+                lhs_in = insert_component(f_sigma, m, p)
                 rhs_in = base.map_factors(inner_map=lambda h: h.permute(omega))
-                ok = lhs_in == rhs_in
-                record("equivariance-inner", f, {"m": m, "perm": omega}, p, ok, str(lhs_in), str(rhs_in))
+                record("equivariance-inner", text, {"m": m, "perm": omega}, p, lhs_in == rhs_in,
+                       lhs_in, rhs_in)
                 if m >= 2:
-                    lhs_out = insert_component(f.permute(tau), m, p)
-                    rho = tau_head + [m + 1]
+                    lhs_out = insert_component(f_tau, m, p)
                     rhs_out = base.map_factors(outer_map=lambda h: h.permute(rho))
-                    ok = lhs_out == rhs_out
-                    record("equivariance-outer", f, {"m": m, "perm": tau_head}, p, ok, str(lhs_out), str(rhs_out))
+                    record("equivariance-outer", text, {"m": m, "perm": tau_head}, p,
+                           lhs_out == rhs_out, lhs_out, rhs_out)
         elif kind == "commutativity":
-            n, f = _random_monomial(rng, arity_cap)
             a = rng.randint(1, n - 1)
             b = rng.randint(1, n - a)
             posA = rng.randint(1, n - a - b + 1)
@@ -670,32 +733,15 @@ def verify_axioms(arity_cap: int = 4, samples: int = 20, truncation: int = 4, se
             for qA in range(-truncation, truncation + 1):
                 for qB in range(-truncation, truncation + 1):
                     one, two = _double_split_orders(memo, f, posA, a, posB, b, qA, qB)
-                    ok = one == two
-                    record(
-                        "commutativity",
-                        f,
-                        {"A": [posA, a], "B": [posB, b]},
-                        [qA, qB],
-                        ok,
-                        str(one),
-                        str(two),
-                    )
+                    record("commutativity", text, {"A": [posA, a], "B": [posB, b]}, [qA, qB],
+                           one[0] == two[0], one, two, _shown)
         else:
-            n, f = _random_monomial(rng, arity_cap)
             b = rng.randint(2, n)
             b_sub = rng.randint(1, b - 1)
             for p_out in range(-truncation, truncation + 1):
                 for p_mid in range(-truncation, truncation + 1):
                     one, two = _coassoc_orders(memo, f, b, b_sub, p_out, p_mid)
-                    ok = one == two
-                    record(
-                        "coassociativity",
-                        f,
-                        {"block": b, "sub": b_sub},
-                        [p_out, p_mid],
-                        ok,
-                        str(one),
-                        str(two),
-                    )
+                    record("coassociativity", text, {"block": b, "sub": b_sub}, [p_out, p_mid],
+                           one[0] == two[0], one, two, _shown)
     failures = sum(1 for c in checks if c["status"] == "fail")
     return {"checks": checks, "failures": failures}

@@ -72,12 +72,34 @@ class UnboundedOPE(VacalcError):
 
 
 class NonTerminating(VacalcError):
-    """Rewriting exceeded the configured step bound."""
+    """Rewriting exceeded the configured step bound.
+
+    bound is the step bound and word the printed word being rewritten.
+    """
+
+    def __init__(self, message, *, bound=None, word=None):
+        super().__init__(message)
+        self.bound = bound
+        self.word = word
+
+    def payload(self) -> dict:
+        return {"bound": self.bound, "word": self.word}
 
 
 class ResourceLimit(VacalcError):
     """A computation outgrew a configured size bound; unlike NonTerminating,
-    it may well finish with a larger bound."""
+    it may well finish with a larger bound.
+
+    bound is the size bound and cache_entries the size that passed it.
+    """
+
+    def __init__(self, message, *, bound=None, cache_entries=None):
+        super().__init__(message)
+        self.bound = bound
+        self.cache_entries = cache_entries
+
+    def payload(self) -> dict:
+        return {"bound": self.bound, "cache_entries": self.cache_entries}
 
 
 class NoLocalMatch(VacalcError):

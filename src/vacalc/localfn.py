@@ -309,30 +309,38 @@ def _expand(expr: RawExpr) -> List[tuple]:
 
 
 def _reduce(gterms: Iterable[tuple], n: int) -> Dict[Monomial, Fraction]:
-    """Rewrite GTerms with R1/R2 until each variable carries one factor."""
+    """Rewrite GTerms with R1/R2 until each variable carries one factor.
+
+    The moves only add and negate coefficients, so GTerms with integer
+    coefficients reduce to integer coefficients."""
     out: Dict[Monomial, Fraction] = {}
     stack = [(c, list(z), dict(d)) for (c, z, d) in gterms]
     while stack:
         coeff, zp, dp = stack.pop()
         if coeff == 0:
             continue
+        owners: Dict[int, List[int]] = {}
+        for hi, lo in dp:
+            owners.setdefault(hi, []).append(lo)
         v = 0
-        vbases: List[int] = []
-        for m in range(n, 0, -1):
-            bases = sorted(lo for (hi, lo) in dp if hi == m)
-            if bases and (zp[m - 1] > 0 or len(bases) >= 2):
-                v, vbases = m, bases
+        for m in sorted(owners, reverse=True):
+            vbases = owners[m]
+            if zp[m - 1] > 0 or len(vbases) >= 2:
+                v = m
+                vbases.sort()
                 break
         if v == 0:
+            # every variable now owns at most one base
             factors = []
             for m in range(1, n + 1):
-                bases = [lo for (hi, lo) in dp if hi == m]
+                bases = owners.get(m)
                 if bases:
                     factors.append(("d", bases[0], dp[(m, bases[0])]))
                 else:
                     factors.append(("p", zp[m - 1]))
             mono = tuple(factors)
-            s = out.get(mono, Fraction(0)) + coeff
+            old = out.get(mono)
+            s = coeff if old is None else old + coeff
             if s:
                 out[mono] = s
             else:
@@ -503,7 +511,9 @@ class LocalFn(SparseSum):
         """Split off the leading coefficient: self == c * f with f monic."""
         if not self.terms:
             return Fraction(0), self
-        lead = self.sorted_terms()[0][1]
+        lead = self.terms[min(self.terms, key=mono_sort_key)]
+        if lead == 1:
+            return lead, self
         return lead, self.scale(Fraction(1) / lead)
 
     # -- queries ---------------------------------------------------------------
@@ -555,10 +565,10 @@ class LocalFn(SparseSum):
 
     def grading(self) -> int:
         """Grading of a homogeneous function (zero counts as any grading)."""
-        comps = self.grade_components()
-        if len(comps) > 1:
-            raise NotHomogeneous(f"gradings {sorted(comps)}")
-        return next(iter(comps), 0)
+        gradings = {mono_grading(mono) for mono in self.terms}
+        if len(gradings) > 1:
+            raise NotHomogeneous(f"gradings {sorted(gradings)}")
+        return next(iter(gradings), 0)
 
     def is_homogeneous(self) -> bool:
         return len(self.grade_components()) <= 1

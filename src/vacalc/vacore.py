@@ -321,7 +321,9 @@ class Presentation:
         self._prepend_cache[key] = out
         if len(self._prepend_cache) > self.step_bound:
             raise ResourceLimit(
-                f"rewrite cache grew past the step bound of {self.step_bound} entries"
+                f"rewrite cache grew past the step bound of {self.step_bound} entries",
+                bound=self.step_bound,
+                cache_entries=len(self._prepend_cache),
             )
         return out
 
@@ -349,7 +351,11 @@ class Presentation:
         while stack:
             steps += 1
             if steps > self.step_bound:
-                raise NonTerminating(f"exceeded {self.step_bound} rewrite steps")
+                raise NonTerminating(
+                    f"exceeded {self.step_bound} rewrite steps",
+                    bound=self.step_bound,
+                    word=self.word_str(word),
+                )
             coeff, ms = stack.pop()
             if self.word_weight(ms) < self.connectivity:
                 continue

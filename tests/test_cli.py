@@ -213,6 +213,14 @@ def test_bad_input_is_a_schema_error(tmp_path, argv, document):
     assert proc.stdout == ""
 
 
+def test_insert_without_variables_is_a_bad_split():
+    # an arity-0 function has no variable to split off, whatever m is
+    proc = _vacalc_process("insert", "--arity", "0", "--m", "0", "--p", "0", "1")
+    assert proc.returncode == 1
+    assert proc.stderr == "error: BadSplit: a function of no variables has no variable to split\n"
+    assert proc.stdout == ""
+
+
 def test_json_error_carries_payload():
     # stderr gets the usual line plus one JSON object; stdout stays empty
     argv = ("npoint", "--preset", "heisenberg", "--gens", "a,a", "--pole-bound", "1")

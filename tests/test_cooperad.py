@@ -439,3 +439,47 @@ def test_insert_component_full_split():
     assert comp == te(1, 1, (lf("z1", 1), lf("1", 1), 1))
     comp = insert_component(f, 0, 0)
     assert comp == te(1, 1, (lf("1", 1), lf("z1", 1), 1))
+
+
+def _insert_component_grid():
+    """Every split m and outer grading -4..4 of every basis monomial of
+    arity 2-3 (pole budget 3) and arity 4 (pole budget 2) at gradings
+    -2..3, then of two sums whose expansions cancel term by term."""
+    inputs = [
+        LocalFn.from_monomial(n, mono)
+        for n, budget in ((2, 3), (3, 3), (4, 2))
+        for g in range(-2, 4)
+        for mono in basis_monomials(n, g, budget)
+    ]
+    inputs += [lf("z1-z2", 2), lf("z1^2*(z1-z2)*(z3-z1)^-2", 3)]
+    for f in inputs:
+        for m in range(f.arity):
+            for p in range(-4, 5):
+                yield insert_component(f, m, p)
+
+
+def test_insert_component_grid_is_pinned():
+    # the expansion engine must not change a byte of any component
+    h = hashlib.sha256()
+    count = 0
+    for comp in _insert_component_grid():
+        h.update(json.dumps(comp.to_obj(), sort_keys=True).encode())
+        count += 1
+    assert count == 23697
+    assert h.hexdigest() == "73ba57ea654ee5725e63be94c14ce0798bc5d2fdb8c02a811e39b5daaa4a93f1"
+    # the two sums cancel: z1 - z2 has no outer-grading -1 part at m = 0
+    assert insert_component(lf("z1-z2", 2), 0, -1).is_zero()
+
+
+def test_insert_component_keeps_nothing_between_calls(monkeypatch):
+    # reductions are shared within one call only: a changed binomial must
+    # show in the next call with the same arguments
+    f = lf("z1*(z3-z1)^-2*(z3-z2)^-1", 3)
+    before = insert_component(f, 1, 3)
+    good = cooperad.gbinom
+
+    def bad(k, s):
+        return good(k, s) + 1 if s == 2 and k < 0 else good(k, s)
+
+    monkeypatch.setattr(cooperad, "gbinom", bad)
+    assert insert_component(f, 1, 3) != before

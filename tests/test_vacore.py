@@ -943,8 +943,9 @@ def test_step_bound_raises_non_terminating():
         step_bound=5,
     )
     deep = tiny.element({tuple([(0, -6 + i) for i in range(6)]): Fraction(1)})
-    with pytest.raises(NonTerminating):
+    with pytest.raises(NonTerminating) as exc:
         tiny.normal_form(deep, "bubble")
+    assert exc.value.payload() == {"bound": 5, "word": "L(-6)L(-5)L(-4)L(-3)L(-2)L(-1)1"}
 
 
 def test_rewrite_cache_bound_raises_resource_limit(vir):
@@ -959,7 +960,8 @@ def test_rewrite_cache_bound_raises_resource_limit(vir):
         vir.central,
         step_bound=5,
     )
-    with pytest.raises(ResourceLimit, match="step bound of 5 entries"):
+    with pytest.raises(ResourceLimit, match="step bound of 5 entries") as exc:
         small.normal_form(small.element(word))
+    assert exc.value.payload() == {"bound": 5, "cache_entries": 6}
     # under the default bound the same word straightens: too big, not endless
     assert not vir.normal_form(vir.element(word)).is_zero()
