@@ -98,8 +98,16 @@ def _emit(args, human, obj):
         print(human)
 
 
-def _int_list(text, what):
-    return [_integer(x, what) for x in text.split(",") if x.strip() != ""]
+def _items(text, flag):
+    """The comma-separated items of a flag's value; an empty item is an error."""
+    items = [x.strip() for x in text.split(",")]
+    if "" in items:
+        raise SchemaError(f"empty item in {flag} list {text!r}")
+    return items
+
+
+def _int_list(text, flag):
+    return [_integer(x, flag) for x in _items(text, flag)]
 
 
 def _nonnegative(value, flag):
@@ -323,7 +331,7 @@ def run(argv):
 
     elif args.command == "npoint":
         pres = _pres_from_args(args)
-        gens = [g.strip() for g in args.gens.split(",") if g.strip()]
+        gens = _items(args.gens, "--gens")
         bound = args.pole_bound
         if bound is None:
             bound = sum(pres.wt(pres.gen_index(g)) for g in gens)

@@ -696,41 +696,49 @@ def _window_tuples(r: int, radius: int, total: int) -> List[Tuple[int, ...]]:
     return out
 
 
-def _vacuum_series(pres: Presentation, gidx: Sequence[int], window) -> List[Fraction]:
-    """Vacuum coefficient of g_r(-e_r-1) ... g_1(-e_1-1) 1 at each exponent
-    tuple e of the window, where g_i = gidx[i-1]: the coefficient of
-    prod z_i^(e_i) in the vacuum matrix series of the insertions.
+def _vacuum_series_support(
+    pres: Presentation, gidx: Sequence[int], radius: int, total: int
+) -> Dict[Tuple[int, ...], Fraction]:
+    """Every nonzero vacuum coefficient of g_r(-e_r-1) ... g_1(-e_1-1) 1 on
+    the window of _window_tuples(r, radius, total), keyed by exponent tuple,
+    where g_i = gidx[i-1]: the coefficient of prod z_i^(e_i) in the vacuum
+    matrix series of the insertions.
 
-    One normal form per depth is kept along the path of the last tuple
-    computed: states[k] is the state after its first k insertions act on the
-    vacuum.  The next tuple keeps the states of its common prefix with that
-    path and straightens only the rest, so a lexicographically sorted window
-    is walked as a tree of shared prefixes (any order gives the same
-    values).  The last insertion contributes only its vacuum coefficient.
+    Walks the window's prefixes depth first over the ranges _window_tuples
+    enumerates, with the last exponent fixed by the total.  The state after
+    the first k insertions is straightened once for every tuple that shares
+    those k exponents, and a prefix whose state is empty is dropped with its
+    whole subtree: every tuple under it has the value 0.  The last insertion
+    contributes only its vacuum coefficient.
     """
     r = len(gidx)
-    states: List[Dict[Word, Fraction]] = [{VACUUM_WORD: Fraction(1)}]
-    path: Tuple[int, ...] = ()
-    out = []
-    for e in window:
-        k = 0
-        while k < len(path) and path[k] == e[k]:
-            k += 1
-        del states[k + 1 :]
-        for i in range(k, r - 1):
+    acc: List[int] = []
+    out: Dict[Tuple[int, ...], Fraction] = {}
+
+    def walk(i, state, left):
+        if i == r - 1:
+            if -radius <= left <= radius:
+                g, n = gidx[i], -left - 1
+                value = Fraction(0)
+                for word, c in state.items():
+                    v = pres._prepend(g, n, word).get(VACUUM_WORD)
+                    if v:
+                        value += c * v
+                if value:
+                    out[tuple(acc) + (left,)] = value
+            return
+        g = gidx[i]
+        reach = radius * (r - 1 - i)
+        for e in range(max(-radius, left - reach), min(radius, left + reach) + 1):
             nxt: Dict[Word, Fraction] = {}
-            g, n = gidx[i], -e[i] - 1
-            for word, c in states[i].items():
-                add_into(nxt, pres._prepend(g, n, word), c)
-            states.append(nxt)
-        path = e[: r - 1]
-        g, n = gidx[r - 1], -e[r - 1] - 1
-        value = Fraction(0)
-        for word, c in states[r - 1].items():
-            v = pres._prepend(g, n, word).get(VACUUM_WORD)
-            if v:
-                value += c * v
-        out.append(value)
+            for word, c in state.items():
+                add_into(nxt, pres._prepend(g, -e - 1, word), c)
+            if nxt:
+                acc.append(e)
+                walk(i + 1, nxt, left - e)
+                acc.pop()
+
+    walk(0, {VACUUM_WORD: Fraction(1)}, total)
     return out
 
 
@@ -764,36 +772,27 @@ def npoint_vacuum(pres: Presentation, gen_names: Sequence[str], pole_bound: int)
     [-radius, radius], summing to minus the total weight).  Its entries come
     from each candidate's nonzero series coefficients on the window
     (_mono_series_support) and its right-hand side is the series at that
-    tuple (_vacuum_series, which walks the window's shared insertion
-    prefixes; each series value is computed once per call).  A tuple where
+    tuple (_vacuum_series_support, 0 where it has no key).  A tuple where
     every candidate vanishes is still a row, so the series must vanish there
     too.  The re-verification evaluates each monomial with the closed form
-    _mono_series_coeff instead.
+    _mono_series_coeff instead, at every tuple of its window.
     """
     gidx, sorts = _insertions(pres, gen_names)
     r = len(gidx)
     g_total = sum(sorts)
     sig = SortSignature(0, sorts)
     candidates = basis_monomials(r, g_total, pole_bound)
-
-    series_cache: Dict[tuple, Fraction] = {}
-
-    def fill_series(window):
-        new = [e for e in window if e not in series_cache]
-        series_cache.update(zip(new, _vacuum_series(pres, gidx, new)))
-
     radius = pole_bound + abs(g_total) + 1
     max_radius = radius + 6
     solution = None
     while radius <= max_radius:
-        window = _window_tuples(r, radius, -g_total)
-        fill_series(window)
-        row_of = {e: {} for e in window}
+        series = _vacuum_series_support(pres, gidx, radius, -g_total)
+        row_of = {e: {} for e in _window_tuples(r, radius, -g_total)}
         for j, m in enumerate(candidates):
             for e, c in _mono_series_support(m, radius).items():
                 row_of[e][j] = c
         for e, row in row_of.items():
-            row[len(candidates)] = series_cache[e]
+            row[len(candidates)] = series.get(e, 0)
         sol = _solve(row_of.values(), len(candidates))
         if sol == "inconsistent":
             raise NoLocalMatch(
@@ -812,14 +811,13 @@ def npoint_vacuum(pres: Presentation, gen_names: Sequence[str], pole_bound: int)
             candidates=len(candidates),
         )
     result = LocalFn(r, {m: c for m, c in zip(candidates, solution) if c})
-    window = _window_tuples(r, radius + 2, -g_total)
-    fill_series(window)
-    for e in window:
+    series = _vacuum_series_support(pres, gidx, radius + 2, -g_total)
+    for e in _window_tuples(r, radius + 2, -g_total):
         got = sum(
             (c * _mono_series_coeff(m, e) for m, c in result.terms.items()),
             Fraction(0),
         )
-        if got != series_cache[e]:
+        if got != series.get(e, 0):
             raise NoLocalMatch(
                 f"verification window mismatch at exponents {e}",
                 radius=radius + 2,
@@ -907,12 +905,16 @@ def npoint_ward(pres: Presentation, gen_names: Sequence[str], pole_bound: int) -
     The result must lie in the ansatz space of npoint_vacuum (basis
     monomials of the total weight with pole total at most the pole bound),
     its expansion (_mono_series_support) must equal the vacuum series
-    (_vacuum_series) at every tuple of the window of radius R0 + 2, where
-    R0 = pole_bound + |total weight| + 1 is the first radius of the ansatz,
-    and it must pass in_connective.  NoLocalMatch reports a failed check
-    with the same payload as npoint_vacuum: the window radius, the number of
-    basis monomials within the pole bound and, for a series mismatch, the
-    exponent tuple.
+    (_vacuum_series_support) at every tuple of the window of radius R0 + 2,
+    where R0 = pole_bound + |total weight| + 1 is the first radius of the
+    ansatz, and it must pass in_connective.  Both sides are compared as
+    sparse sums with no zero values: every key of the expansion lies in the
+    window, because each exponent is within R0 + 2 and every monomial has
+    the total weight, so equal sums agree at every tuple of the window.
+    NoLocalMatch reports a failed check with the same payload as
+    npoint_vacuum: the window radius, the number of basis monomials within
+    the pole bound and, for a series mismatch, the first mismatching tuple
+    in lexicographic order.
     """
     gidx, sorts = _insertions(pres, gen_names)
     if pole_bound < 0:
@@ -934,10 +936,10 @@ def npoint_ward(pres: Presentation, gen_names: Sequence[str], pole_bound: int) -
     expansion: Dict[Tuple[int, ...], Fraction] = {}
     for m, c in result.terms.items():
         add_into(expansion, _mono_series_support(m, radius + 2), c)
-    window = _window_tuples(r, radius + 2, -g_total)
-    for e, value in zip(window, _vacuum_series(pres, gidx, window)):
-        if expansion.get(e, 0) != value:
-            raise failure(f"verification window mismatch at exponents {e}", radius + 2, e)
+    series = _vacuum_series_support(pres, gidx, radius + 2, -g_total)
+    if expansion != series:
+        e = min(k for k in expansion.keys() | series.keys() if expansion.get(k) != series.get(k))
+        raise failure(f"verification window mismatch at exponents {e}", radius + 2, e)
     if not in_connective(result, pres.connectivity, SortSignature(0, sorts)):
         raise failure(
             f"local match of {list(gen_names)} is outside the connectivity-"

@@ -194,6 +194,11 @@ _BAD_INPUTS = [
             {"a": "b", "b": "a", "n": 1, "result": [{"coeff": "1", "word": []}]},
         ],
     }),
+    # empty items in comma-separated lists
+    (("npoint", "--preset", "heisenberg", "--gens", "a,,a"), None),
+    (("npoint", "--preset", "heisenberg", "--gens", "a,a,"), None),
+    (("filtration", "--arity", "2", "--subset", "1,,2", "(z2-z1)^-1"), None),
+    (("connective", "--arity", "2", "--sorts", "0,,1", "(z2-z1)^-1"), None),
 ]
 
 
@@ -210,6 +215,19 @@ def test_bad_input_is_a_schema_error(tmp_path, argv, document):
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: SchemaError: ")
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("flag, value, argv", [
+    ("--gens", "a,,a", ("npoint", "--preset", "heisenberg")),
+    ("--subset", "1,,2", ("filtration", "--arity", "2", "(z2-z1)^-1")),
+    ("--sorts", "0,,1", ("connective", "--arity", "2", "(z2-z1)^-1")),
+])
+def test_empty_list_item_names_the_flag(flag, value, argv):
+    # an empty item is not skipped: "a,,a" is not the two-point function
+    proc = _vacalc_process(*argv, flag, value)
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: SchemaError: empty item in {flag} list {value!r}\n"
     assert proc.stdout == ""
 
 

@@ -31,7 +31,7 @@ from vacalc.vacore import (
     VAElement,
     _mono_series_coeff,
     _mono_series_support,
-    _vacuum_series,
+    _vacuum_series_support,
     _window_tuples,
     check_uniform_bound,
     graded_dims,
@@ -704,6 +704,38 @@ def test_npoint_ward_errors_match_ansatz(hei):
         assert errors[0] == errors[1]
 
 
+@pytest.mark.parametrize("direction", ["extra", "missing"])
+def test_npoint_ward_certificate_catches_sparse_mismatches(direction, monkeypatch):
+    # <a1 a2 a1 a2> = (z3-z1)^-2 (z4-z2)^-2 at rank 2; the window radius is
+    # R0 + 2 = 11 with R0 = pole bound 4 + total weight 4 + 1
+    pres = preset_heisenberg(2)
+    gens = ["a1", "a2", "a1", "a2"]
+    true = lf("(z3-z1)^-2*(z4-z2)^-2", 4)
+    # (z2-z1)^-2 (z4-z3)^-2 expands with z2^(-2-s), so every one of its
+    # tuples starts a1(-e1-1) a2(n) 1 with n = -e2-1 >= 1: the state after
+    # two insertions is empty and the walk drops that subtree; the zero
+    # function misses every nonzero tuple of the series
+    extra = lf("(z2-z1)^-2*(z4-z3)^-2", 4)
+    mutant = true + extra if direction == "extra" else LocalFn(4, {})
+    monkeypatch.setattr(vacore, "ward_correlator", lambda pres, gen_names: mutant)
+    with pytest.raises(NoLocalMatch) as err:
+        npoint_ward(pres, gens, 4)
+    e = next(
+        e for e in _window_tuples(4, 11, -4)
+        if sum(c * _mono_series_coeff(m, e) for m, c in (mutant - true).terms.items())
+    )
+    assert err.value.exponents == e
+    assert err.value.radius == 11
+    assert err.value.candidates == len(basis_monomials(4, 4, 4))
+    gidx = [pres.gen_index(g) for g in gens]
+    if direction == "extra":
+        state = pres._prepend(gidx[0], -e[0] - 1, VACUUM_WORD)
+        assert state and all(not pres._prepend(gidx[1], -e[1] - 1, w) for w in state)
+        assert _bubble_series(pres, gidx, e) == 0
+    else:
+        assert _bubble_series(pres, gidx, e) != 0
+
+
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
 def test_window_tuples_match_brute_force(r):
     for radius in (0, 1, 2, 3):
@@ -731,23 +763,25 @@ def _bubble_series(pres, gidx, e):
     ],
 )
 def test_vacuum_series_matches_bubble_rewriting(pres, gens, radius):
-    # every tuple of one window, walked as shared prefixes, against the
-    # worklist strategy applied to each word on its own
+    # every tuple of one window, zeros included, against the worklist
+    # strategy applied to each word on its own; the walk keeps only nonzero
+    # values, and only at tuples of the window
     gidx = [pres.gen_index(g) for g in gens]
     total = -sum(pres.wt(g) for g in gidx)
     window = _window_tuples(len(gens), radius, total)
-    got = _vacuum_series(pres, gidx, window)
-    assert len(got) == len(window) and any(got)
-    for e, value in zip(window, got):
-        assert value == _bubble_series(pres, gidx, e), e
+    series = _vacuum_series_support(pres, gidx, radius, total)
+    assert set(series) <= set(window)
+    assert all(series.values()) and series
+    for e in window:
+        assert series.get(e, 0) == _bubble_series(pres, gidx, e), e
 
 
 def test_vacuum_series_matches_oracle_at_c_one(vir1):
-    # four-point coefficients against the free-boson realization; the order
-    # is not lexicographic, so the third tuple shares its first two
-    # insertions with the first but not with the second
+    # four-point coefficients against the free-boson realization, read off
+    # one walk of the radius-6 window that holds all five tuples
     window = [(0, 0, -3, -5), (1, -2, -2, -5), (0, 0, -2, -6), (2, -1, -4, -5), (-1, 1, -2, -6)]
-    got = _vacuum_series(vir1, [0] * 4, window)
+    series = _vacuum_series_support(vir1, [0] * 4, 6, -8)
+    got = [series.get(e, 0) for e in window]
     want = [F.virasoro_word([-x - 1 for x in reversed(e)]).get(F.VACUUM, 0) for e in window]
     assert got == want and any(want)
 
