@@ -33,6 +33,7 @@ from .vacore import (
     preset_lattice_rank1,
     preset_virasoro,
     radical_slice,
+    radical_slices,
     spanning_basis,
     ward_correlator,
 )
@@ -70,6 +71,7 @@ __all__ = [
     "preset_lattice_rank1",
     "preset_virasoro",
     "radical_slice",
+    "radical_slices",
     "spanning_basis",
     "ward_correlator",
     "fockoracle",

@@ -156,6 +156,7 @@ class Presentation:
                     "conflicts with skew symmetry"
                 )
         self._prepend_cache: Dict[tuple, Dict[Word, Fraction]] = {}
+        self._table_mode_cache: Dict[tuple, tuple] = {}
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -287,6 +288,14 @@ class Presentation:
                 parts.append((g, N - s, coeff))
         return parts, id_coeff
 
+    def _table_mode(self, a: int, b: int, j: int, N: int):
+        """_entry_mode of the table entry [a, b]_j at mode N, memoized."""
+        key = (a, b, j, N)
+        got = self._table_mode_cache.get(key)
+        if got is None:
+            got = self._table_mode_cache[key] = self._entry_mode(self.ope[(a, b)][j], N)
+        return got
+
     def _prepend(self, g: int, n: int, word: Word) -> Dict[Word, Fraction]:
         """Normal form of g(n) applied to a normal word."""
         key = (g, n, word)
@@ -308,11 +317,11 @@ class Presentation:
                 acc: Dict[Word, Fraction] = {}
                 for w2, c2 in self._prepend(g, n, rest).items():
                     add_into(acc, self._prepend(h, m, w2), c2)
-                for j, entry in self.ope.get((g, h), {}).items():
+                for j in self.ope.get((g, h), {}):
                     cnj = gbinom(n, j)
                     if cnj == 0:
                         continue
-                    parts, id_coeff = self._entry_mode(entry, n + m - j)
+                    parts, id_coeff = self._table_mode(g, h, j, n + m - j)
                     if id_coeff:
                         add_into(acc, {rest: id_coeff}, cnj)
                     for g2, n2, cc in parts:
@@ -554,48 +563,107 @@ class RadicalSlice:
         self.dimension = len(kernel)
 
 
-def radical_slice(pres: Presentation, weight: int) -> RadicalSlice:
-    """Radical of the vacuum module at one weight: the states x with Wx = 0
-    for every product W of lowering modes g(m), m >= wt(g), that lowers x to
-    weight 0 (where only the vacuum lives).
+def _lowering_generators(pres: Presentation, top: int) -> List[Tuple[int, int]]:
+    """The (generator, drop) pairs g, d <= top whose lowering modes
+    g(wt(g) + d - 1) generate every lowering mode up to drop top, sorted by
+    drop and then by generator.
 
-    Computed weight by weight from single lowering modes: Rad_0 = 0, and x
-    of weight u lies in Rad_u exactly when g(m)x lies in Rad_(u-d) for every
-    generator g and drop d = m + 1 - wt(g) in 1..u.  This equals the kernel
-    of all lowering words because two lowering modes commute into single
-    lowering modes (an identity term would need a drop of zero), so every
-    product of them straightens to sorted words.  Each Rad_u is kept in
-    reduced echelon form; reducing g(m)b by it leaves one linear condition
-    per non-pivot column.
+    Table entries are combinations of derivatives of generators and the
+    vacuum, so the lowering modes g(m), m >= wt(g), span a Lie algebra L+
+    graded by the drop d = m + 1 - wt(g), with brackets
+
+        [a(p), b(q)] = sum_j C(p, j) ([a, b]_j)(p + q - j),
+
+    each table mode expanded by _entry_mode.  No identity term occurs: it
+    would need p + q - j = -1, that is j > p.  A set S of modes generates L+
+    exactly when it spans L+ modulo [L+, L+] in every drop, and then
+    [L+, L+] is spanned by the brackets [s, x] with s in S.  So drop by drop,
+    D_d is the span of [s, x] for every kept s of drop d1 < d and every
+    generator mode x of drop d - d1, and generator g is kept when its mode
+    is not in D_d plus the modes of the generators before g, that is, when
+    no vector of D_d has g as its last nonzero column.  The columns are
+    numbered in reverse, so those are the columns that are not pivots of
+    D_d's reduced echelon form (the pivots are the leading columns of its
+    vectors).  Both facts about S assume the Jacobi identity, as
+    radical_slices does; without it, brackets with kept modes alone span at
+    most the full D_d, so no fewer modes are kept.  Virasoro keeps L(2) and
+    L(3), that is L_1 and L_2; affine sl2 keeps its drop-1 modes and a
+    Heisenberg algebra every mode.
+    """
+    ngen = len(pres.gens)
+    out: List[Tuple[int, int]] = []
+    for d in range(1, top + 1):
+        rows = []
+        for a, d1 in out:
+            p = pres.wt(a) + d1 - 1
+            for b in range(ngen):
+                q = pres.wt(b) + d - d1 - 1
+                bracket: Dict[int, Fraction] = {}
+                for j in pres.ope.get((a, b), {}):
+                    cpj = gbinom(p, j)
+                    if cpj:
+                        parts, _ = pres._table_mode(a, b, j, p + q - j)
+                        for g, _, c in parts:
+                            add_into(bracket, {ngen - 1 - g: c}, cpj)
+                rows.append(bracket)
+        pivots = _rref(rows)
+        out.extend((g, d) for g in range(ngen) if ngen - 1 - g not in pivots)
+    return out
+
+
+def radical_slices(pres: Presentation, w_max: int) -> List[RadicalSlice]:
+    """Radical of the vacuum module at every weight 0..w_max: the states x
+    with Wx = 0 for every product W of lowering modes g(m), m >= wt(g), that
+    lowers x to weight 0 (where only the vacuum lives).
+
+    Computed weight by weight from the generating lowering modes of
+    _lowering_generators: Rad_0 = 0, and x of weight u lies in Rad_u exactly
+    when s x lies in Rad_(u-d) for every generating mode s of drop d <= u.
+    This is the kernel of all lowering words.  Rad_(<u) is closed under
+    every lowering mode, so if s1 x and s2 x lie in it, so do s1 s2 x,
+    s2 s1 x and [s1, s2] x; hence every lowering mode g(m) sends x into Rad,
+    and W = W' g(m) leaves Wx = W'(g(m)x) no vacuum component.  The argument
+    takes the bracket of two lowering modes to act as the table says, which
+    holds when the table satisfies the Jacobi identity; load_presentation
+    does not check that.  Each Rad_u below the top is kept in reduced
+    echelon form; reducing s b by it, for a spanning word b, leaves one
+    linear condition per non-pivot column.
     """
     pres.require_closed("the radical slice")
     if pres.connectivity != 0:
         raise SchemaError("radical slices are defined for connectivity 0")
     _require_positive_weights(pres, "the radical slice")
-    basis, kernel = [], []  # nothing lives at negative weight
+    imposed = _lowering_generators(pres, w_max)
     columns: List[Dict[Word, int]] = []  # per weight: word -> column
     rads: List[Dict[int, Dict[int, Fraction]]] = []  # per weight: echelon rows
-    for u in range(weight + 1):
+    out: List[RadicalSlice] = []
+    for u in range(w_max + 1):
         basis = spanning_basis(pres, u)
-        states = [VAElement(pres, {b: Fraction(1)}) for b in basis]
         rows = [] if u else [{0: Fraction(1)}]  # Rad_0 = 0
-        for d in range(1, u + 1):
+        for g, d in imposed:
+            if d > u:
+                break
             cols, rad = columns[u - d], rads[u - d]
-            for g in range(len(pres.gens)):
-                m = pres.wt(g) + d - 1
-                conditions = {c: {} for c in range(len(cols)) if c not in rad}
-                for j, x in enumerate(states):
-                    image = {cols[w]: c for w, c in pres.prepend_mode(g, m, x).terms.items()}
-                    for c, v in _reduce_by(image, rad).items():
-                        conditions[c][j] = v
-                rows.extend(conditions.values())
+            m = pres.wt(g) + d - 1
+            conditions = {c: {} for c in range(len(cols)) if c not in rad}
+            for j, b in enumerate(basis):
+                image = {cols[w]: c for w, c in pres._prepend(g, m, b).items()}
+                for c, v in _reduce_by(image, rad).items():
+                    conditions[c][j] = v
+            rows.extend(conditions.values())
         kernel = _kernel(rows, len(basis))
-        columns.append({b: j for j, b in enumerate(basis)})
-        rads.append(_rref(kernel))
-    kernel_elements = [
-        VAElement(pres, {basis[j]: c for j, c in vec.items()}) for vec in kernel
-    ]
-    return RadicalSlice(weight, basis, kernel_elements)
+        if u < w_max:
+            columns.append({b: j for j, b in enumerate(basis)})
+            rads.append(_rref(kernel))
+        elements = [VAElement(pres, {basis[j]: c for j, c in vec.items()}) for vec in kernel]
+        out.append(RadicalSlice(u, basis, elements))
+    return out
+
+
+def radical_slice(pres: Presentation, weight: int) -> RadicalSlice:
+    """The weight-`weight` slice of radical_slices (empty below weight 0)."""
+    slices = radical_slices(pres, weight)
+    return slices[-1] if slices else RadicalSlice(weight, [], [])
 
 
 # ---------------------------------------------------------------------------

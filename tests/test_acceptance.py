@@ -30,6 +30,7 @@ from vacalc.vacore import (
     preset_lattice_rank1,
     preset_virasoro,
     radical_slice,
+    radical_slices,
     spanning_basis,
 )
 
@@ -334,7 +335,7 @@ def test_criterion_11_radical_closed_forms():
     bad = []
     dims = {}
     for name, pres, simple in cases:
-        slices = [radical_slice(pres, w) for w in range(len(simple))]
+        slices = radical_slices(pres, len(simple) - 1)
         dims[name] = [rs.dimension for rs in slices]
         want = [len(rs.basis) - q for rs, q in zip(slices, simple)]
         if dims[name] != want:

@@ -29,6 +29,7 @@ from vacalc.vacore import (
     VACUUM_WORD,
     Presentation,
     VAElement,
+    _lowering_generators,
     _mono_series_coeff,
     _mono_series_support,
     _vacuum_series_support,
@@ -45,6 +46,7 @@ from vacalc.vacore import (
     preset_lattice_rank1,
     preset_virasoro,
     radical_slice,
+    radical_slices,
     spanning_basis,
     ward_correlator,
 )
@@ -125,8 +127,8 @@ def _doc(names, relations):
 
 
 def _simple_dims(pres, w_max):
-    return [len(spanning_basis(pres, w)) - radical_slice(pres, w).dimension
-            for w in range(w_max + 1)]
+    return [len(spanning_basis(pres, rs.weight)) - rs.dimension
+            for rs in radical_slices(pres, w_max)]
 
 
 def test_reversed_declaration_matches_forward():
@@ -448,15 +450,19 @@ def _lowering_words(pres, drop):
     ({"preset": "virasoro", "c": "1/2"}, 8, [0, 0, 0, 0, 0, 0, 1, 1, 2]),
     ({"preset": "heisenberg", "rank": 2, "form": [[1, 1], [1, 1]]}, 5, [0, 1, 3, 7, 15, 29]),
     (_LJ_DOC, 6, [0, 1, 2, 4, 9, 15, 27]),
-], ids=["lee-yang", "ising", "degenerate-heisenberg", "virasoro-plus-current"])
+    # spanning 1, 3, 9, 22, 51 minus the Frenkel-Kac dims 1, 3, 4, 7, 13
+    (_doc("efh", _SL2_FORWARD), 4, [0, 0, 5, 15, 38]),
+], ids=["lee-yang", "ising", "degenerate-heisenberg", "virasoro-plus-current",
+        "affine-sl2-level-1"])
 def test_radical_matches_lowering_word_definition(doc, w_max, dims):
     # the radical is defined as the common kernel of every product of
     # lowering modes followed by the vacuum coefficient; the products are
     # straightened here with the independent bubble strategy
     pres = load_presentation(doc)
+    slices = radical_slices(pres, w_max)
+    assert [rs.weight for rs in slices] == list(range(w_max + 1))
     got = []
-    for w in range(w_max + 1):
-        rs = radical_slice(pres, w)
+    for w, rs in enumerate(slices):
         words = _lowering_words(pres, w) if w else [[]]
 
         def vacuum_coefficients(el):
@@ -476,6 +482,66 @@ def test_radical_matches_lowering_word_definition(doc, w_max, dims):
             assert not any(vacuum_coefficients(vec))
         got.append(rs.dimension)
     assert got == dims
+
+
+@pytest.mark.parametrize("c", ["1", "1/2", "-22/5", "-68/7", "0"])
+def test_lowering_generators_virasoro(c):
+    # [L_1, L_n] = (1 - n) L_(n+1), so L_1 and L_2 generate; L_2 is not a
+    # bracket, since [L_1, L_1] = 0
+    vir = preset_virasoro(Fraction(c))
+    assert _lowering_generators(vir, 12) == [(0, 1), (0, 2)]
+    assert _lowering_generators(vir, 1) == [(0, 1)]
+    assert _lowering_generators(vir, 0) == []
+
+
+@pytest.mark.parametrize("pres", [
+    preset_heisenberg(1), preset_heisenberg(2), preset_heisenberg(3),
+    preset_heisenberg(2, [[1, 1], [1, 1]]),
+], ids=["rank-1", "rank-2", "rank-3", "degenerate"])
+def test_lowering_generators_heisenberg(pres):
+    # every bracket of two lowering modes is central and would need a drop
+    # of zero, so no mode is a bracket and every one is imposed
+    rank = len(pres.gens)
+    assert _lowering_generators(pres, 6) == [(g, d) for d in range(1, 7) for g in range(rank)]
+
+
+def test_lowering_generators_affine_sl2():
+    # [x(1), y(d-1)] = [x,y](d), and [e,f], [h,e], [h,f] span sl2 again
+    sl2 = load_presentation(_doc("efh", _SL2_FORWARD))
+    assert _lowering_generators(sl2, 8) == [(0, 1), (1, 1), (2, 1)]
+
+
+def test_lowering_generators_virasoro_plus_current():
+    # with L_n = L(n+1) and J_n = J(n) the table gives [L_m, J_n] = -n J_(m+n)
+    # and [J_m, J_n] = 0.  Drop 1: L_1, J_1.  Drop 2: the brackets are
+    # [L_1, L_1] = 0, [L_1, J_1] = -J_2, [J_1, L_1] = J_2 and [J_1, J_1] = 0,
+    # so L_2 is kept and J_2 is not.  Drop d >= 3: [L_1, L_(d-1)] =
+    # (2 - d) L_d and [L_1, J_(d-1)] = (1 - d) J_d, so nothing is kept.
+    lj = load_presentation(_LJ_DOC)
+    assert _lowering_generators(lj, 8) == [(0, 1), (1, 1), (0, 2)]
+
+
+def test_radical_slice_is_the_top_of_radical_slices():
+    ly = preset_virasoro(Fraction(-22, 5))
+    top = radical_slice(ly, 8)
+    last = radical_slices(ly, 8)[-1]
+    assert (top.weight, top.basis, top.kernel) == (last.weight, last.basis, last.kernel)
+    assert radical_slices(ly, -1) == []
+    assert radical_slice(ly, -1).dimension == 0
+
+
+def test_under_generating_set_changes_checked_dims(monkeypatch):
+    # dropping L_2 leaves L_1 alone, which also annihilates the generator
+    # L = L(-1)1 at weight 2, so the radical dims pinned above and by
+    # criterion 11 must move
+    real = _lowering_generators
+    monkeypatch.setattr(
+        vacore, "_lowering_generators",
+        lambda pres, top: [gd for gd in real(pres, top) if gd != (0, 2)],
+    )
+    ly = preset_virasoro(Fraction(-22, 5))
+    assert [rs.dimension for rs in radical_slices(ly, 4)] != [0, 0, 0, 0, 1]
+    assert radical_slice(ly, 4).dimension != 1
 
 
 # ---------------------------------------------------------------------------
