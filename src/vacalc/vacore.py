@@ -625,7 +625,11 @@ def radical_slices(pres: Presentation, w_max: int) -> List[RadicalSlice]:
     and W = W' g(m) leaves Wx = W'(g(m)x) no vacuum component.  The argument
     takes the bracket of two lowering modes to act as the table says, which
     holds when the table satisfies the Jacobi identity; load_presentation
-    does not check that.  Each Rad_u below the top is kept in reduced
+    does not check that.  Imposing every lowering mode g(m) instead gives
+    the kernel of all lowering words, each applied by straightening, for
+    any table.  The generating modes are a subset of those conditions, so
+    on a table that fails the Jacobi identity the result can be a larger
+    radical, with no warning.  Each Rad_u below the top is kept in reduced
     echelon form; reducing s b by it, for a spanning word b, leaves one
     linear condition per non-pivot column.
     """
@@ -639,6 +643,7 @@ def radical_slices(pres: Presentation, w_max: int) -> List[RadicalSlice]:
     out: List[RadicalSlice] = []
     for u in range(w_max + 1):
         basis = spanning_basis(pres, u)
+        states = [VAElement(pres, {b: Fraction(1)}) for b in basis]
         rows = [] if u else [{0: Fraction(1)}]  # Rad_0 = 0
         for g, d in imposed:
             if d > u:
@@ -646,8 +651,8 @@ def radical_slices(pres: Presentation, w_max: int) -> List[RadicalSlice]:
             cols, rad = columns[u - d], rads[u - d]
             m = pres.wt(g) + d - 1
             conditions = {c: {} for c in range(len(cols)) if c not in rad}
-            for j, b in enumerate(basis):
-                image = {cols[w]: c for w, c in pres._prepend(g, m, b).items()}
+            for j, x in enumerate(states):
+                image = {cols[w]: c for w, c in pres.prepend_mode(g, m, x).terms.items()}
                 for c, v in _reduce_by(image, rad).items():
                     conditions[c][j] = v
             rows.extend(conditions.values())
