@@ -14,6 +14,7 @@ from .cooperad import (
     in_connective,
     insert_block,
     insert_component,
+    insert_components,
     kernel_table,
     verify_axioms,
 )
@@ -54,6 +55,7 @@ __all__ = [
     "in_connective",
     "insert_block",
     "insert_component",
+    "insert_components",
     "kernel_table",
     "verify_axioms",
     "Presentation",

@@ -11,10 +11,14 @@ and t_s = z_{s+m} - t for the cluster offsets, every factor rewrites as
 
 and the series are expanded in increasing powers of the cluster offsets.
 For each outer grading p the coefficient is a finite sum of tensor products,
-collected here in TensorElement values.  Insertion of a block other than
-the last is obtained by conjugating with the symmetric-group action.  The
-general many-block co-composition is iterated insertion, last block first;
-it is well defined because insertions into disjoint blocks commute.
+collected here in TensorElement values.  One engine expands a single basis
+monomial into integer (outer monomial, inner monomial) coefficients for a
+whole window of outer gradings in one enumeration; a block other than the
+last goes in by permuting that monomial's variables so the block comes
+last, and permuting each outer monomial back.  The public insertions are
+sums of the engine's output over the input's terms.  The general
+many-block co-composition is iterated insertion, last block first; it is
+well defined because insertions into disjoint blocks commute.
 
 Gradings follow localfn: the grading of an outer/inner factor is minus its
 scaling degree, and outer + inner grading equals the input grading in every
@@ -39,6 +43,7 @@ from .localfn import (
     _collision_level,
     _eps_coefficient,
     _eps_expansions,
+    _permute_gterm,
     _reduce,
 )
 from .numutil import _kernel, _rref, gbinom
@@ -48,41 +53,15 @@ from .numutil import _kernel, _rref, gbinom
 # Tensor containers
 # ---------------------------------------------------------------------------
 
-def _expand_terms(terms):
-    """Expand an iterable of (f_0, ..., f_r, coeff) into tuples of basis
-    monomials: returns ({(m_0, ..., m_r): coeff}, arities of the factors),
-    with no zero coefficient stored (arities is None when nothing is left
-    to expand)."""
-    expanded: Dict[tuple, Fraction] = {}
-    arities = None
-    for entry in terms:
-        *factors, coeff = entry
-        if coeff == 0 or any(f.is_zero() for f in factors):
-            continue
-        arities = tuple(f.arity for f in factors)
-        for combo in _iproduct(*(f.terms.items() for f in factors)):
-            key = tuple(m for m, _ in combo)
-            val = coeff
-            for _, c in combo:
-                val *= c
-            s = expanded.get(key, Fraction(0)) + val
-            if s:
-                expanded[key] = s
-            else:
-                del expanded[key]
-    return expanded, arities
-
-
 def _regroup(expanded, arities):
     """Canonical tuple of the expanded sum {(m_0, ..., m_r): coeff}: every
     factor but the last becomes a single monic monomial, the last factor
     collects the sum, and its leading coefficient is split off into the
-    stored coefficient."""
-    if not expanded:
-        return ()
+    stored coefficient.  Zero coefficients are skipped."""
     groups: Dict[tuple, Dict[Monomial, Fraction]] = {}
     for key, v in expanded.items():
-        groups.setdefault(key[:-1], {})[key[-1]] = v
+        if v:
+            groups.setdefault(key[:-1], {})[key[-1]] = v
     out = []
     for prefix in sorted(groups, key=lambda p: tuple(mono_sort_key(m) for m in p)):
         lead, prim = LocalFn(arities[-1], groups[prefix]).primitive()
@@ -96,10 +75,21 @@ def _norm_terms(terms):
 
     Bilinearity makes groupings like A (x) B + A (x) C versus A (x) (B + C)
     the same element, so the sum is first expanded down to tuples of basis
-    monomials (_expand_terms) and then regrouped deterministically
-    (_regroup).
+    monomials and then regrouped deterministically (_regroup).
     """
-    return _regroup(*_expand_terms(terms))
+    expanded: Dict[tuple, Fraction] = {}
+    arities = None
+    for *factors, coeff in terms:
+        if coeff == 0 or any(f.is_zero() for f in factors):
+            continue
+        arities = tuple(f.arity for f in factors)
+        for combo in _iproduct(*(f.terms.items() for f in factors)):
+            key = tuple(m for m, _ in combo)
+            val = coeff
+            for _, c in combo:
+                val *= c
+            expanded[key] = expanded.get(key, Fraction(0)) + val
+    return _regroup(expanded, arities)
 
 
 class TensorElement:
@@ -205,99 +195,148 @@ def _factor_options(fac, v, m, outer_budget):
     return options
 
 
+def _mono_components(mono: Monomial, m: int, p_lo: int, p_hi: int, reduced):
+    """Outer gradings p_lo..p_hi of the split at m of one basis monomial with
+    coefficient 1, from one enumeration: {p: {(outer monomial, inner
+    monomial): int}}, with every p of the window present and zero sums
+    possible.  reduced maps each monic outer leaf to its canonical form;
+    the caller decides how long it lives.  The enumeration costs as much
+    as its highest grading, so callers ask for exactly the window they use."""
+    oa = m + 1
+    fixed_zp = [0] * oa
+    fixed_dp: Dict[Tuple[int, int], int] = {}
+    fixed_grading = 0
+    var_opts = []
+    for v, fac in enumerate(mono, start=1):
+        if v <= m:
+            if fac[0] == "p":
+                fixed_zp[v - 1] = fac[1]
+                fixed_grading -= fac[1]
+            else:
+                fixed_dp[(v, fac[1])] = fac[2]
+                fixed_grading -= fac[2]
+        else:
+            var_opts.append((v, fac))
+    budget = p_hi - fixed_grading
+    # minimum outer contribution per factor: pures reach -l, cross diffs |k|
+    mins = []
+    for v, fac in var_opts:
+        if fac[0] == "p":
+            mins.append(-fac[1])
+        elif fac[1] <= m:
+            mins.append(-fac[2])
+        else:
+            mins.append(0)
+    # tails[idx]: least outer grading the factors from idx on contribute
+    tails = [0] * (len(mins) + 1)
+    for idx in range(len(mins) - 1, -1, -1):
+        tails[idx] = tails[idx + 1] + mins[idx]
+    # each factor's options up to the most it can ever contribute
+    opts = [
+        _factor_options(fac, v, m, budget - tails[0] + mins[idx])
+        for idx, (v, fac) in enumerate(var_opts)
+    ]
+    out: Dict[int, Dict[tuple, int]] = {p: {} for p in range(p_lo, p_hi + 1)}
+
+    def rec(idx, remaining, zp, dp, inner, coeff_acc):
+        if idx == len(opts):
+            if remaining > p_hi - p_lo:
+                return
+            key = (tuple(zp), tuple(sorted(dp.items())))
+            red = reduced.get(key)
+            if red is None:
+                red = reduced[key] = _reduce([(1, zp, dp)], oa)
+            acc = out[p_hi - remaining]
+            for mo, c in red.items():
+                pair = (mo, inner)
+                acc[pair] = acc.get(pair, 0) + coeff_acc * c
+            return
+        cap = remaining - tails[idx + 1]
+        for delta, piece, inner_fac, c in opts[idx]:
+            if delta > cap:
+                continue
+            zp2, dp2 = zp, dp
+            if piece is not None:
+                if piece[0] == "z":
+                    if piece[1]:
+                        zp2 = list(zp)
+                        zp2[oa - 1] += piece[1]
+                else:
+                    _, i, k = piece
+                    if k:
+                        dp2 = dict(dp)
+                        dp2[(oa, i)] = dp2.get((oa, i), 0) + k
+            rec(idx + 1, remaining - delta, zp2, dp2, inner + (inner_fac,), coeff_acc * c)
+
+    rec(0, budget, fixed_zp, fixed_dp, (), 1)
+    return out
+
+
+def _permuted(cache, mono: Monomial, sigma: tuple) -> Dict[Monomial, int]:
+    """Canonical form of mono(z_sigma(1), ..., z_sigma(n)), reduced once per
+    (mono, sigma) held in cache."""
+    got = cache.get((mono, sigma))
+    if got is None:
+        got = cache[mono, sigma] = _reduce([_permute_gterm(mono, sigma)], len(mono))
+    return got
+
+
+def _block_components(mono: Monomial, pos: int, size: int, p_lo: int, p_hi: int,
+                      reduced, permuted):
+    """_mono_components of the insertion clustering the block [pos, pos+size)
+    of mono's variables, with the new outer variable placed back at
+    position pos.  Any other block is moved last by permuting mono, and
+    each outer monomial is permuted back; permuted caches both."""
+    n = len(mono)
+    m = n - size
+    if pos == m + 1:
+        return _mono_components(mono, m, p_lo, p_hi, reduced)
+    sigma = tuple(v if v < pos else v - size if v >= pos + size else m + 1 + v - pos
+                  for v in range(1, n + 1))
+    rho = tuple(j if j < pos else j + 1 for j in range(1, m + 1)) + (pos,)
+    out: Dict[int, Dict[tuple, int]] = {p: {} for p in range(p_lo, p_hi + 1)}
+    for moved, s in _permuted(permuted, mono, sigma).items():
+        for p, comp in _mono_components(moved, m, p_lo, p_hi, reduced).items():
+            acc = out[p]
+            for (outer, inner), c in comp.items():
+                for back, s2 in _permuted(permuted, outer, rho).items():
+                    pair = (back, inner)
+                    acc[pair] = acc.get(pair, 0) + s * c * s2
+    return out
+
+
+def _insert(f: LocalFn, pos: int, size: int, p_lo: int, p_hi: int) -> Dict[int, TensorElement]:
+    """{p: TensorElement} for p_lo..p_hi of the insertion clustering the block
+    [pos, pos+size) of f: each term's coefficient times _block_components,
+    with reductions and permutes shared within this call only."""
+    f.grading()  # raises NotHomogeneous when mixed
+    reduced, permuted = {}, {}
+    expanded: Dict[int, Dict[tuple, Fraction]] = {p: {} for p in range(p_lo, p_hi + 1)}
+    for mono, coeff in f.terms.items():
+        for p, comp in _block_components(mono, pos, size, p_lo, p_hi, reduced, permuted).items():
+            acc = expanded[p]
+            # always multiply by coeff: the stored coefficients stay Fractions
+            for pair, c in comp.items():
+                acc[pair] = acc.get(pair, 0) + coeff * c
+    oa = f.arity - size + 1
+    return {p: TensorElement._from_expanded(oa, size, e) for p, e in expanded.items()}
+
+
 def insert_component(f: LocalFn, m: int, p: int) -> TensorElement:
     """Outer-grading-p component of the co-operation splitting the last
     n-m variables of f off into a cluster at the new slot m+1."""
+    return insert_components(f, m, p, p)[p]
+
+
+def insert_components(f: LocalFn, m: int, p_lo: int, p_hi: int) -> Dict[int, TensorElement]:
+    """{p: insert_component(f, m, p)} for p_lo <= p <= p_hi, from one
+    enumeration of each term of f."""
     n = f.arity
     if n == 0:
         raise BadSplit("a function of no variables has no variable to split")
     if not 0 <= m < n:
         raise BadSplit(f"split position {m} outside 0..{n - 1}")
-    f.grading()  # raises NotHomogeneous when mixed
-    oa, ia = m + 1, n - m
-    # (outer monomial, inner monomial) -> coefficient, fed to _regroup
-    expanded: Dict[tuple, Fraction] = {}
-    # canonical reduction of each monic outer leaf, shared by the leaves and
-    # input monomials of this call that reach it; never kept past the call
-    reduced: Dict[tuple, Dict[Monomial, int]] = {}
-    for mono, coeff in f.terms.items():
-        fixed_zp = [0] * oa
-        fixed_dp: Dict[Tuple[int, int], int] = {}
-        fixed_grading = 0
-        var_opts = []
-        for v, fac in enumerate(mono, start=1):
-            if v <= m:
-                if fac[0] == "p":
-                    fixed_zp[v - 1] = fac[1]
-                    fixed_grading -= fac[1]
-                else:
-                    fixed_dp[(v, fac[1])] = fac[2]
-                    fixed_grading -= fac[2]
-            else:
-                var_opts.append((v, fac))
-        budget = p - fixed_grading
-        # minimum outer contribution per factor: pures reach -l, cross diffs |k|
-        mins = []
-        for v, fac in var_opts:
-            if fac[0] == "p":
-                mins.append(-fac[1])
-            elif fac[1] <= m:
-                mins.append(-fac[2])
-            else:
-                mins.append(0)
-        # tails[idx]: least outer grading the factors from idx on contribute
-        tails = [0] * (len(mins) + 1)
-        for idx in range(len(mins) - 1, -1, -1):
-            tails[idx] = tails[idx + 1] + mins[idx]
-        # each factor's options up to the most it can ever contribute
-        opts = [
-            _factor_options(fac, v, m, budget - tails[0] + mins[idx])
-            for idx, (v, fac) in enumerate(var_opts)
-        ]
-        # integer coefficients of this monomial's terms, before its own coeff
-        acc: Dict[tuple, int] = {}
-
-        def rec(idx, remaining, zp, dp, inner, coeff_acc):
-            if idx == len(opts):
-                if remaining != 0:
-                    return
-                key = (tuple(zp), tuple(sorted(dp.items())))
-                red = reduced.get(key)
-                if red is None:
-                    red = reduced[key] = _reduce([(1, zp, dp)], oa)
-                for mo, c in red.items():
-                    pair = (mo, inner)
-                    acc[pair] = acc.get(pair, 0) + coeff_acc * c
-                return
-            cap = remaining - tails[idx + 1]
-            for delta, piece, inner_fac, c in opts[idx]:
-                if delta > cap:
-                    continue
-                zp2, dp2 = zp, dp
-                if piece is not None:
-                    if piece[0] == "z":
-                        if piece[1]:
-                            zp2 = list(zp)
-                            zp2[oa - 1] += piece[1]
-                    else:
-                        _, i, k = piece
-                        if k:
-                            dp2 = dict(dp)
-                            dp2[(oa, i)] = dp2.get((oa, i), 0) + k
-                rec(idx + 1, remaining - delta, zp2, dp2, inner + (inner_fac,), coeff_acc * c)
-
-        rec(0, budget, fixed_zp, fixed_dp, (), 1)
-        # always multiply by coeff (no add_into shortcut at coeff == 1): the
-        # stored coefficients stay Fractions, whose repr failure reports show
-        for pair, c in acc.items():
-            if c:
-                old = expanded.get(pair)
-                s = coeff * c if old is None else old + coeff * c
-                if s:
-                    expanded[pair] = s
-                else:
-                    del expanded[pair]
-    return TensorElement._from_expanded(oa, ia, expanded)
+    return _insert(f, m + 1, n - m, p_lo, p_hi)
 
 
 def insert_block(f: LocalFn, pos: int, size: int, p: int) -> TensorElement:
@@ -306,23 +345,7 @@ def insert_block(f: LocalFn, pos: int, size: int, p: int) -> TensorElement:
     n = f.arity
     if size < 1 or pos < 1 or pos + size - 1 > n:
         raise BadSplit(f"block [{pos}, {pos + size}) outside 1..{n}")
-    m = n - size
-    oa = m + 1
-    if pos == oa:
-        return insert_component(f, m, p)  # the block is already last
-    block = list(range(pos, pos + size))
-    nonblock = [v for v in range(1, n + 1) if v not in block]
-    sigma = [0] * n
-    for newpos, v in enumerate(nonblock, start=1):
-        sigma[v - 1] = newpos
-    for offset, v in enumerate(block, start=1):
-        sigma[v - 1] = m + offset
-    te = insert_component(f.permute(sigma), m, p)
-    rho = [0] * oa
-    for j in range(1, oa):
-        rho[j - 1] = j if j < pos else j + 1
-    rho[oa - 1] = pos
-    return te.map_factors(outer_map=lambda g: g.permute(rho))
+    return _insert(f, pos, size, p, p)[p]
 
 
 # ---------------------------------------------------------------------------
@@ -567,8 +590,7 @@ def insertion_closure_failures(f: LocalFn, k: int, sig: SortSignature, m: int, w
     equivalent to membership in the subspace tensor product.
     """
     fails = []
-    for p in range(-window, window + 1):
-        te = insert_component(f, m, p)
+    for p, te in insert_components(f, m, -window, window).items():
         j, outer_sig, inner_sig = induced_signatures(sig, k, m, p)
         if j < k:
             if not te.is_zero():
@@ -597,62 +619,59 @@ def insertion_closure_failures(f: LocalFn, k: int, sig: SortSignature, m: int, w
 # Axiom verification
 # ---------------------------------------------------------------------------
 
-def _expanded(memo, insert, *args):
-    """insert(*args) for insert_component or insert_block, computed once per
-    memo; the result is shared, so callers must not mutate it."""
-    key = (insert, *args)
-    te = memo.get(key)
-    if te is None:
-        te = memo[key] = insert(*args)
-    return te
-
-
-def _double_split_orders(memo, f, posA, a, posB, b, qA, qB):
-    """Insert disjoint blocks A then B and B then A; returns the two sums of
-    (outer, innerA, innerB, coeff) for inner gradings qA, qB, each expanded
-    by _expand_terms (the sums are equal when their expansions are)."""
+def _double_split_orders(comps, mono, T, posA, a, posB, b, qA, qB):
+    """Insert disjoint blocks A then B and B then A into the basis monomial
+    mono; returns the two expanded sums {(outer, innerA, innerB): int} for
+    inner gradings qA, qB (the check passes when they agree).  comps(mono,
+    pos, size, p_lo, p_hi) gives _block_components; every insertion asks
+    for the outer gradings of inner grading -T..T."""
     assert posA + a <= posB
-    g = f.grading()
+    g = mono_grading(mono)
+    gA, gB = g - qA, g - qB
+    one: Dict[tuple, int] = {}
+    two: Dict[tuple, int] = {}
     # B first: positions unchanged for A
-    out1 = []
-    teB = _expanded(memo, insert_block, f, posB, b, g - qB)
-    for h, innerB, c1 in teB.terms:
-        teA = _expanded(memo, insert_block, h, posA, a, g - qB - qA)
-        for outer, innerA, c2 in teA.terms:
-            out1.append((outer, innerA, innerB, c1 * c2))
+    for (h, innerB), c1 in comps(mono, posB, b, g - T, g + T)[gB].items():
+        for (outer, innerA), c2 in comps(h, posA, a, gB - T, gB + T)[gB - qA].items():
+            key = (outer, innerA, innerB)
+            one[key] = one.get(key, 0) + c1 * c2
     # A first: B shifts left by a-1
-    out2 = []
-    teA = _expanded(memo, insert_block, f, posA, a, g - qA)
-    for h, innerA, c1 in teA.terms:
-        teB = _expanded(memo, insert_block, h, posB - a + 1, b, g - qA - qB)
-        for outer, innerB, c2 in teB.terms:
-            out2.append((outer, innerA, innerB, c1 * c2))
-    return _expand_terms(out1), _expand_terms(out2)
+    for (h, innerA), c1 in comps(mono, posA, a, g - T, g + T)[gA].items():
+        for (outer, innerB), c2 in comps(h, posB - a + 1, b, gA - T, gA + T)[gA - qB].items():
+            key = (outer, innerA, innerB)
+            two[key] = two.get(key, 0) + c1 * c2
+    return one, two
 
 
-def _coassoc_orders(memo, f, b, b_sub, p_out, p_mid):
+def _coassoc_orders(comps, mono, T, b, b_sub, p_out, p_mid):
     """Split the last b variables, then the last b_sub of the cluster,
-    against doing the two splits in the other order; returns both sums of
-    (outer, mid, inner, coeff) expanded as _double_split_orders does."""
-    n = f.arity
-    out1 = []
-    te1 = _expanded(memo, insert_component, f, n - b, p_out)
-    for outer1, inner1, c1 in te1.terms:
-        te2 = _expanded(memo, insert_component, inner1, b - b_sub, p_mid)
-        for mid, inner2, c2 in te2.terms:
-            out1.append((outer1, mid, inner2, c1 * c2))
-    out2 = []
-    teA = _expanded(memo, insert_component, f, n - b_sub, p_out + p_mid)
-    for outerBig, inner2, c1 in teA.terms:
-        teB = _expanded(memo, insert_component, outerBig, n - b, p_out)
-        for outerFinal, mid, c2 in teB.terms:
-            out2.append((outerFinal, mid, inner2, c1 * c2))
-    return _expand_terms(out1), _expand_terms(out2)
+    against doing the two splits in the other order; returns both expanded
+    sums {(outer, mid, inner): int} as _double_split_orders does.  The
+    b_sub-first split takes its outer grading p_out + p_mid from -2T..2T."""
+    n = len(mono)
+    one: Dict[tuple, int] = {}
+    two: Dict[tuple, int] = {}
+    for (outer, inner1), c1 in comps(mono, n - b + 1, b, -T, T)[p_out].items():
+        for (mid, inner), c2 in comps(inner1, b - b_sub + 1, b_sub, -T, T)[p_mid].items():
+            key = (outer, mid, inner)
+            one[key] = one.get(key, 0) + c1 * c2
+    big_comps = comps(mono, n - b_sub + 1, b_sub, -2 * T, 2 * T)[p_out + p_mid]
+    for (big, inner), c1 in big_comps.items():
+        for (outer, mid), c2 in comps(big, n - b + 1, b - b_sub + 1, -T, T)[p_out].items():
+            key = (outer, mid, inner)
+            two[key] = two.get(key, 0) + c1 * c2
+    return one, two
 
 
-def _shown(expansion):
-    """Report text of an (expanded, arities) pair: its canonical tuple."""
-    return str(_regroup(*expansion))
+def _same_sum(one, two) -> bool:
+    """Whether two expanded sums agree once their zero entries are dropped."""
+    return one == two or {k: c for k, c in one.items() if c} == {k: c for k, c in two.items() if c}
+
+
+def _show_expanded(arities):
+    """Report text of an expanded sum with factors of the given arities: its
+    canonical tuple, with Fraction coefficients as every tensor stores."""
+    return lambda e: str(_regroup({k: Fraction(c) for k, c in e.items()}, arities))
 
 
 def _random_monomial(rng, arity_cap):
@@ -698,11 +717,23 @@ def verify_axioms(arity_cap: int = 4, samples: int = 20, truncation: int = 4, se
         checks.append(entry)
 
     for _ in range(samples):
-        # insertions repeat across a sample's grading grid: expand each once
-        memo = {}
+        # block components repeat across a sample's grading grid: expand each
+        # (monomial, block, window) once, and drop them all with the sample
+        memo: Dict[tuple, dict] = {}
+        reduced, permuted = {}, {}
+
+        def comps(mono, pos, size, p_lo, p_hi):
+            key = (mono, pos, size, p_lo, p_hi)
+            got = memo.get(key)
+            if got is None:
+                got = memo[key] = _block_components(mono, pos, size, p_lo, p_hi, reduced, permuted)
+            return got
+
         kind = rng.choice(["equivariance", "commutativity", "coassociativity"])
         n, f = _random_monomial(rng, arity_cap)
+        (mono,) = f.terms
         text = str(f)
+        T = truncation
         if kind == "equivariance":
             m = rng.randint(0, n - 1)
             block = n - m
@@ -712,36 +743,37 @@ def verify_axioms(arity_cap: int = 4, samples: int = 20, truncation: int = 4, se
             tau_head = list(range(1, m + 1))
             rng.shuffle(tau_head)
             tau = tau_head + list(range(m + 1, n + 1))
-            f_sigma, f_tau = f.permute(sigma), f.permute(tau)
             rho = tau_head + [m + 1]
-            for p in range(-truncation, truncation + 1):
-                base = insert_component(f, m, p)
-                lhs_in = insert_component(f_sigma, m, p)
-                rhs_in = base.map_factors(inner_map=lambda h: h.permute(omega))
-                record("equivariance-inner", text, {"m": m, "perm": omega}, p, lhs_in == rhs_in,
-                       lhs_in, rhs_in)
+            base = insert_components(f, m, -T, T)
+            lhs_in = insert_components(f.permute(sigma), m, -T, T)
+            lhs_out = insert_components(f.permute(tau), m, -T, T) if m >= 2 else None
+            for p in range(-T, T + 1):
+                rhs_in = base[p].map_factors(inner_map=lambda h: h.permute(omega))
+                record("equivariance-inner", text, {"m": m, "perm": omega}, p,
+                       lhs_in[p] == rhs_in, lhs_in[p], rhs_in)
                 if m >= 2:
-                    lhs_out = insert_component(f_tau, m, p)
-                    rhs_out = base.map_factors(outer_map=lambda h: h.permute(rho))
+                    rhs_out = base[p].map_factors(outer_map=lambda h: h.permute(rho))
                     record("equivariance-outer", text, {"m": m, "perm": tau_head}, p,
-                           lhs_out == rhs_out, lhs_out, rhs_out)
+                           lhs_out[p] == rhs_out, lhs_out[p], rhs_out)
         elif kind == "commutativity":
             a = rng.randint(1, n - 1)
             b = rng.randint(1, n - a)
             posA = rng.randint(1, n - a - b + 1)
             posB = rng.randint(posA + a, n - b + 1)
-            for qA in range(-truncation, truncation + 1):
-                for qB in range(-truncation, truncation + 1):
-                    one, two = _double_split_orders(memo, f, posA, a, posB, b, qA, qB)
+            show = _show_expanded((n - a - b + 2, a, b))
+            for qA in range(-T, T + 1):
+                for qB in range(-T, T + 1):
+                    one, two = _double_split_orders(comps, mono, T, posA, a, posB, b, qA, qB)
                     record("commutativity", text, {"A": [posA, a], "B": [posB, b]}, [qA, qB],
-                           one[0] == two[0], one, two, _shown)
+                           _same_sum(one, two), one, two, show)
         else:
             b = rng.randint(2, n)
             b_sub = rng.randint(1, b - 1)
-            for p_out in range(-truncation, truncation + 1):
-                for p_mid in range(-truncation, truncation + 1):
-                    one, two = _coassoc_orders(memo, f, b, b_sub, p_out, p_mid)
+            show = _show_expanded((n - b + 1, b - b_sub + 1, b_sub))
+            for p_out in range(-T, T + 1):
+                for p_mid in range(-T, T + 1):
+                    one, two = _coassoc_orders(comps, mono, T, b, b_sub, p_out, p_mid)
                     record("coassociativity", text, {"block": b, "sub": b_sub}, [p_out, p_mid],
-                           one[0] == two[0], one, two, _shown)
+                           _same_sum(one, two), one, two, show)
     failures = sum(1 for c in checks if c["status"] == "fail")
     return {"checks": checks, "failures": failures}

@@ -540,21 +540,7 @@ class LocalFn(SparseSum):
         sigma = list(sigma)
         if sorted(sigma) != list(range(1, n + 1)):
             raise BadPermutation(f"not a permutation of 1..{n}: {sigma}")
-        gterms = []
-        for mono, coeff in self.terms.items():
-            c = coeff
-            zp = [0] * n
-            dp: Dict[Tuple[int, int], int] = {}
-            for m, f in enumerate(mono, start=1):
-                if f[0] == "p":
-                    zp[sigma[m - 1] - 1] += f[1]
-                else:
-                    a, b = sigma[m - 1], sigma[f[1] - 1]
-                    hi, lo = (a, b) if a > b else (b, a)
-                    if a < b:
-                        c *= Fraction(-1) ** (-f[2])
-                    dp[(hi, lo)] = dp.get((hi, lo), 0) + f[2]
-            gterms.append((c, zp, dp))
+        gterms = [_permute_gterm(mono, sigma, coeff) for mono, coeff in self.terms.items()]
         return LocalFn(n, _reduce(gterms, n))
 
     def grade_components(self) -> Dict[int, "LocalFn"]:
@@ -642,6 +628,26 @@ def _mono_to_gterm(mono: Monomial, coeff: Fraction, n: int):
         else:
             dp[(m, f[1])] = f[2]
     return (coeff, zp, dp)
+
+
+def _permute_gterm(mono: Monomial, sigma, coeff=1):
+    """GTerm of coeff * mono(z_sigma(1), ..., z_sigma(n)) for a permutation
+    sigma of 1..n; each diff factor whose order flips contributes the int
+    sign (-1)^k."""
+    zp = [0] * len(mono)
+    dp: Dict[Tuple[int, int], int] = {}
+    sign = 1
+    for m, f in enumerate(mono, start=1):
+        if f[0] == "p":
+            zp[sigma[m - 1] - 1] += f[1]
+        else:
+            hi, lo = sigma[m - 1], sigma[f[1] - 1]
+            if hi < lo:
+                hi, lo = lo, hi
+                if f[2] % 2:
+                    sign = -sign
+            dp[(hi, lo)] = dp.get((hi, lo), 0) + f[2]
+    return (coeff * sign, zp, dp)
 
 
 def _eps_expansions(terms, n: int, subset: List[int]) -> List[tuple]:

@@ -20,6 +20,7 @@ from vacalc.cooperad import (
     in_connective,
     insert_block,
     insert_component,
+    insert_components,
     insertion_closure_failures,
     kernel_table,
     symmetric_expansion,
@@ -368,21 +369,41 @@ def test_verify_axioms_report_is_pinned():
     assert digest == "45631bbb5d11330b8259acd5a5e02ec10db674655b11f9b542e646e711fa68ad"
 
 
-def test_verify_axioms_catches_a_broken_binomial(monkeypatch):
-    # one wrong binomial coefficient breaks commutativity; shared expansions
-    # must not make either route compare a result with itself
+def _break_binomial(monkeypatch):
+    """Make C(k, 2) one too large for negative k inside the expansion engine."""
     good = cooperad.gbinom
 
     def bad(k, s):
         return good(k, s) + 1 if s == 2 and k < 0 else good(k, s)
 
     monkeypatch.setattr(cooperad, "gbinom", bad)
+
+
+def test_verify_axioms_catches_a_broken_binomial(monkeypatch):
+    # one wrong binomial coefficient breaks commutativity; shared expansions
+    # must not make either route compare a result with itself
+    _break_binomial(monkeypatch)
     rep = verify_axioms(arity_cap=4, samples=15, truncation=3, seed=2)
     failed = [c for c in rep["checks"] if c["status"] == "fail"]
     assert rep["failures"] == len(failed) == 7
     for c in failed:
         assert c["kind"] == "commutativity"
         assert "lhs" in c and "rhs" in c and c["lhs"] != c["rhs"]
+
+
+@pytest.mark.parametrize("seed, failures, digest", [
+    pytest.param(0, 23, "24fd263c7e1a59af4b31739e259c8f3083bb949a73b6cdf3641281582b284b60", id="seed0"),
+    pytest.param(1, 7, "54638ea0344daf018aa7e5305d7ae556ce96d5d3a1cd2a818ef6a0bff08c3e89", id="seed1"),
+    pytest.param(2, 7, "433d95d9a98618393831ba2f0f9472ae7d1cf599619ed306e1d18fe2b2e82601", id="seed2"),
+    pytest.param(3, 15, "25b06a05446ffa3f3f4bc3e13aee904df4f0f0821f6d9a522e91c590eed57241", id="seed3"),
+])
+def test_verify_axioms_failing_report_is_pinned(monkeypatch, seed, failures, digest):
+    # a broken binomial must fail the same checks, and the report must show
+    # both sides of each failure in the same text, byte for byte
+    _break_binomial(monkeypatch)
+    rep = verify_axioms(arity_cap=4, samples=15, truncation=3, seed=seed)
+    assert rep["failures"] == failures
+    assert hashlib.sha256(json.dumps(rep, sort_keys=True).encode()).hexdigest() == digest
 
 
 def test_verify_axioms_needs_two_variables():
@@ -441,32 +462,42 @@ def test_insert_component_full_split():
     assert comp == te(1, 1, (lf("1", 1), lf("z1", 1), 1))
 
 
-def _insert_component_grid():
-    """Every split m and outer grading -4..4 of every basis monomial of
-    arity 2-3 (pole budget 3) and arity 4 (pole budget 2) at gradings
-    -2..3, then of two sums whose expansions cancel term by term."""
+def _grid_inputs():
+    """Every basis monomial of arity 2-3 (pole budget 3) and arity 4 (pole
+    budget 2) at gradings -2..3, then two sums whose expansions cancel term
+    by term."""
     inputs = [
         LocalFn.from_monomial(n, mono)
         for n, budget in ((2, 3), (3, 3), (4, 2))
         for g in range(-2, 4)
         for mono in basis_monomials(n, g, budget)
     ]
-    inputs += [lf("z1-z2", 2), lf("z1^2*(z1-z2)*(z3-z1)^-2", 3)]
-    for f in inputs:
+    return inputs + [lf("z1-z2", 2), lf("z1^2*(z1-z2)*(z3-z1)^-2", 3)]
+
+
+def _insert_component_grid():
+    """Every split m and outer grading -4..4 of every grid input."""
+    for f in _grid_inputs():
         for m in range(f.arity):
             for p in range(-4, 5):
                 yield insert_component(f, m, p)
 
 
-def test_insert_component_grid_is_pinned():
-    # the expansion engine must not change a byte of any component
+def _grid_digest(components):
     h = hashlib.sha256()
     count = 0
-    for comp in _insert_component_grid():
+    for comp in components:
         h.update(json.dumps(comp.to_obj(), sort_keys=True).encode())
         count += 1
-    assert count == 23697
-    assert h.hexdigest() == "73ba57ea654ee5725e63be94c14ce0798bc5d2fdb8c02a811e39b5daaa4a93f1"
+    return count, h.hexdigest()
+
+
+GRID_DIGEST = (23697, "73ba57ea654ee5725e63be94c14ce0798bc5d2fdb8c02a811e39b5daaa4a93f1")
+
+
+def test_insert_component_grid_is_pinned():
+    # the expansion engine must not change a byte of any component
+    assert _grid_digest(_insert_component_grid()) == GRID_DIGEST
     # the two sums cancel: z1 - z2 has no outer-grading -1 part at m = 0
     assert insert_component(lf("z1-z2", 2), 0, -1).is_zero()
 
@@ -476,10 +507,72 @@ def test_insert_component_keeps_nothing_between_calls(monkeypatch):
     # show in the next call with the same arguments
     f = lf("z1*(z3-z1)^-2*(z3-z2)^-1", 3)
     before = insert_component(f, 1, 3)
-    good = cooperad.gbinom
-
-    def bad(k, s):
-        return good(k, s) + 1 if s == 2 and k < 0 else good(k, s)
-
-    monkeypatch.setattr(cooperad, "gbinom", bad)
+    _break_binomial(monkeypatch)
     assert insert_component(f, 1, 3) != before
+
+
+def test_insert_components_reproduce_the_pinned_grid():
+    # one enumeration per window gives the single-grading grid byte for byte
+    comps = (
+        comp
+        for f in _grid_inputs()
+        for m in range(f.arity)
+        for comp in insert_components(f, m, -4, 4).values()
+    )
+    assert _grid_digest(comps) == GRID_DIGEST
+
+
+def test_insert_components_match_insert_component():
+    # every window, narrow or wide, holds exactly the single-grading
+    # components, empty ones included, also for sums of several monomials
+    rng = random.Random(16)
+    inputs = [lf("z1-z2", 2), lf("(z2-z1)^-2*(z4-z3)^-2 + (z3-z1)^-2*(z4-z2)^-2", 4)]
+    for n, g in ((2, 1), (3, 0), (3, 2), (4, 1)):
+        monos = basis_monomials(n, g, max(0, g) + 1)
+        inputs += [_random_homogeneous(rng, n, monos, multi) for multi in (False, True)]
+    seen = {False: 0, True: 0}
+    for f in inputs:
+        for m in range(f.arity):
+            for lo, hi in ((-4, 4), (-1, 2), (3, 3)):
+                comps = insert_components(f, m, lo, hi)
+                assert sorted(comps) == list(range(lo, hi + 1))
+                for p, comp in comps.items():
+                    assert comp == insert_component(f, m, p), (f, m, lo, hi, p)
+                    seen[comp.is_zero()] += 1
+    assert seen[False] and seen[True]
+    assert insert_components(f, 0, 1, 0) == {}
+
+
+def _insert_block_by_conjugation(f, pos, size, p):
+    """Reference block insertion: move the block last with LocalFn.permute,
+    insert it there, and permute every outer factor back."""
+    n = f.arity
+    m = n - size
+    block = list(range(pos, pos + size))
+    sigma = [0] * n
+    for newpos, v in enumerate([v for v in range(1, n + 1) if v not in block], start=1):
+        sigma[v - 1] = newpos
+    for offset, v in enumerate(block, start=1):
+        sigma[v - 1] = m + offset
+    rho = [j if j < pos else j + 1 for j in range(1, m + 1)] + [pos]
+    comp = insert_component(f.permute(sigma), m, p)
+    return comp.map_factors(outer_map=lambda g: g.permute(rho))
+
+
+def test_insert_block_matches_conjugation():
+    rng = random.Random(17)
+    nonzero = 0
+    for n in (2, 3, 4):
+        for g in (-1, 0, 1, 2):
+            monos = basis_monomials(n, g, max(0, g) + 1)
+            for multi in (False, True):
+                f = _random_homogeneous(rng, n, monos, multi)
+                for size in range(1, n + 1):
+                    for pos in range(1, n - size + 2):
+                        for p in range(-2, 4):
+                            got = insert_block(f, pos, size, p)
+                            want = _insert_block_by_conjugation(f, pos, size, p)
+                            assert got == want, (f, pos, size, p)
+                            assert json.dumps(got.to_obj()) == json.dumps(want.to_obj())
+                            nonzero += not got.is_zero()
+    assert nonzero
