@@ -681,7 +681,9 @@ def _mono_series_coeff(mono, exps) -> Fraction:
     sum_s C(k, s) (-1)^s z_i^s z_m^(k-s).
 
     Processing owners from the top variable down determines every expansion
-    order s uniquely, so this is a closed-form lookup.
+    order s uniquely, so this is a closed-form lookup.  The library reads
+    expansions only through _mono_series_support; this lookup is the
+    closed-form reference the tests check that walk against.
     """
     r = len(mono)
     need = list(exps)
@@ -744,45 +746,20 @@ def _mono_series_support(mono, radius: int) -> Dict[Tuple[int, ...], int]:
     return out
 
 
-def _window_tuples(r: int, radius: int, total: int) -> List[Tuple[int, ...]]:
-    """Every exponent tuple of length r >= 1 with entries in [-radius, radius]
-    summing to total, in lexicographic order.
-
-    The last exponent is total minus the others, so only the first r - 1 are
-    enumerated, each within the range the remaining entries can still reach.
-    """
-    out: List[Tuple[int, ...]] = []
-    acc: List[int] = []
-
-    def rec(i, left):
-        if i == r - 1:
-            if -radius <= left <= radius:
-                out.append(tuple(acc) + (left,))
-            return
-        reach = radius * (r - 1 - i)
-        for e in range(max(-radius, left - reach), min(radius, left + reach) + 1):
-            acc.append(e)
-            rec(i + 1, left - e)
-            acc.pop()
-
-    rec(0, total)
-    return out
-
-
 def _vacuum_series_support(
     pres: Presentation, gidx: Sequence[int], radius: int, total: int
 ) -> Dict[Tuple[int, ...], Fraction]:
     """Every nonzero vacuum coefficient of g_r(-e_r-1) ... g_1(-e_1-1) 1 on
-    the window of _window_tuples(r, radius, total), keyed by exponent tuple,
-    where g_i = gidx[i-1]: the coefficient of prod z_i^(e_i) in the vacuum
-    matrix series of the insertions.
+    the window (every exponent in [-radius, radius], summing to total),
+    keyed by exponent tuple, where g_i = gidx[i-1]: the coefficient of
+    prod z_i^(e_i) in the vacuum matrix series of the insertions.
 
-    Walks the window's prefixes depth first over the ranges _window_tuples
-    enumerates, with the last exponent fixed by the total.  The state after
-    the first k insertions is straightened once for every tuple that shares
-    those k exponents, and a prefix whose state is empty is dropped with its
-    whole subtree: every tuple under it has the value 0.  The last insertion
-    contributes only its vacuum coefficient.
+    Walks the window's prefixes depth first, each exponent within the range
+    the remaining ones can still reach, with the last exponent fixed by the
+    total.  The state after the first k insertions is straightened once for
+    every tuple that shares those k exponents, and a prefix whose state is
+    empty is dropped with its whole subtree: every tuple under it has the
+    value 0.  The last insertion contributes only its vacuum coefficient.
     """
     r = len(gidx)
     acc: List[int] = []
@@ -815,15 +792,71 @@ def _vacuum_series_support(
     return out
 
 
-def _insertions(pres: Presentation, gen_names: Sequence[str]):
+def _insertions(pres: Presentation, gen_names: Sequence[str], pole_bound: int):
     """Generator indices and weights of 1 to 4 insertions into a
-    table-closed presentation."""
-    if not pres.ope_closed:
-        raise SchemaError("correlators need a table-closed presentation")
+    table-closed presentation, under a pole bound >= 0."""
+    pres.require_closed("a correlator")
     if not 1 <= len(gen_names) <= 4:
         raise BadPartition("between 1 and 4 insertions supported")
     gidx = [pres.gen_index(name) for name in gen_names]
+    if pole_bound < 0:
+        raise SchemaError("pole budget must be >= 0")
     return gidx, tuple(pres.wt(g) for g in gidx)
+
+
+def _certify(
+    pres: Presentation,
+    gen_names: Sequence[str],
+    gidx: Sequence[int],
+    sorts: Tuple[int, ...],
+    result: LocalFn,
+    pole_bound: int,
+    radius: int,
+) -> LocalFn:
+    """Return result once it is certified as the vacuum correlator of the
+    insertions; both correlator routes end here.
+
+    Every monomial must lie in the ansatz space (basis monomials of the
+    total weight with pole total at most the pole bound), the expansion
+    (_mono_series_support) must equal the vacuum series
+    (_vacuum_series_support) at every tuple of the window of radius
+    radius + 2, and result must pass in_connective.  Both sides are compared
+    as sparse sums with no zero values: every key of the expansion lies in
+    the window, because each exponent is within radius + 2 and every
+    monomial has the total weight, so equal sums agree at every tuple of
+    the window.
+
+    A failed check is a NoLocalMatch carrying the window radius (radius + 2
+    for a series mismatch, radius otherwise), the number of basis monomials
+    within the pole bound and, for a series mismatch, the first mismatching
+    tuple in lexicographic order.
+    """
+    r = len(gidx)
+    g_total = sum(sorts)
+
+    def failure(message, radius, exponents=None):
+        candidates = len(basis_monomials(r, g_total, pole_bound))
+        return NoLocalMatch(message, radius=radius, candidates=candidates, exponents=exponents)
+
+    if any(mono_grading(m) != g_total or mono_pole_total(m) > pole_bound for m in result.terms):
+        raise failure(
+            f"series of {list(gen_names)} has no local match within pole bound {pole_bound}",
+            radius,
+        )
+    expansion: Dict[Tuple[int, ...], Fraction] = {}
+    for m, c in result.terms.items():
+        add_into(expansion, _mono_series_support(m, radius + 2), c)
+    series = _vacuum_series_support(pres, gidx, radius + 2, -g_total)
+    if expansion != series:
+        e = min(k for k in expansion.keys() | series.keys() if expansion.get(k) != series.get(k))
+        raise failure(f"verification window mismatch at exponents {e}", radius + 2, e)
+    if not in_connective(result, pres.connectivity, SortSignature(0, sorts)):
+        raise failure(
+            f"local match of {list(gen_names)} is outside the connectivity-"
+            f"{pres.connectivity} piece",
+            radius,
+        )
+    return result
 
 
 def npoint_vacuum(pres: Presentation, gen_names: Sequence[str], pole_bound: int) -> LocalFn:
@@ -831,80 +864,50 @@ def npoint_vacuum(pres: Presentation, gen_names: Sequence[str], pole_bound: int)
     vacuum matrix series of the given generator insertions.
 
     An ansatz over every basis monomial within the pole bound is solved
-    against exactly computed series coefficients, re-verified on a larger
-    exponent window, and certified to lie in the connective piece
-    (in_connective).  The candidates are not filtered one by one, because
-    the connective piece is not spanned by its monomials: the canonical form
-    of c/((z1-z2)(z1-z3)(z2-z3))^2 passes although two of its four monomials
-    fail.  NoLocalMatch reports a series that is not local within the pole
-    bound, or whose local match is not connective; it carries the window
-    radius and the candidate count, and a verification mismatch also its
-    exponent tuple.
+    against exactly computed series coefficients on the window of radius
+    R0 = pole_bound + |total weight| + 1, widened by 2 up to three times
+    while the solve is underdetermined, and the solution is certified by
+    _certify at the final radius.  The candidates are not filtered one by
+    one, because the connective piece is not spanned by its monomials: the
+    canonical form of c/((z1-z2)(z1-z3)(z2-z3))^2 passes in_connective
+    although two of its four monomials fail.  NoLocalMatch reports an
+    inconsistent or underdetermined ansatz, or a failed certificate, with
+    _certify's payload.
 
-    The linear system has one sparse row per window tuple (every exponent in
-    [-radius, radius], summing to minus the total weight).  Its entries come
-    from each candidate's nonzero series coefficients on the window
-    (_mono_series_support) and its right-hand side is the series at that
-    tuple (_vacuum_series_support, 0 where it has no key).  A tuple where
-    every candidate vanishes is still a row, so the series must vanish there
-    too.  The re-verification evaluates each monomial with the closed form
-    _mono_series_coeff instead, at every tuple of its window.
+    The linear system has one sparse row per tuple where the series
+    (_vacuum_series_support) or some candidate's expansion
+    (_mono_series_support) is nonzero: its entries are the candidates'
+    coefficients there and its right-hand side the series value.  Any other
+    tuple of the window would only add an all-zero row.
     """
-    gidx, sorts = _insertions(pres, gen_names)
+    gidx, sorts = _insertions(pres, gen_names, pole_bound)
     r = len(gidx)
     g_total = sum(sorts)
-    sig = SortSignature(0, sorts)
     candidates = basis_monomials(r, g_total, pole_bound)
-    radius = pole_bound + abs(g_total) + 1
-    max_radius = radius + 6
-    solution = None
-    while radius <= max_radius:
-        series = _vacuum_series_support(pres, gidx, radius, -g_total)
-        row_of = {e: {} for e in _window_tuples(r, radius, -g_total)}
+    start = pole_bound + abs(g_total) + 1
+    for radius in range(start, start + 7, 2):
+        row_of = {
+            e: {len(candidates): v}
+            for e, v in _vacuum_series_support(pres, gidx, radius, -g_total).items()
+        }
         for j, m in enumerate(candidates):
             for e, c in _mono_series_support(m, radius).items():
-                row_of[e][j] = c
-        for e, row in row_of.items():
-            row[len(candidates)] = series.get(e, 0)
-        sol = _solve(row_of.values(), len(candidates))
-        if sol == "inconsistent":
+                row_of.setdefault(e, {})[j] = c
+        solution = _solve(row_of.values(), len(candidates))
+        if solution == "inconsistent":
             raise NoLocalMatch(
                 f"series of {list(gen_names)} has no local match within pole bound {pole_bound}",
                 radius=radius,
                 candidates=len(candidates),
             )
-        if sol is not None:
-            solution = sol
-            break
-        radius += 2
-    if solution is None:
-        raise NoLocalMatch(
-            "ansatz underdetermined; increase the pole bound window",
-            radius=max_radius,
-            candidates=len(candidates),
-        )
-    result = LocalFn(r, {m: c for m, c in zip(candidates, solution) if c})
-    series = _vacuum_series_support(pres, gidx, radius + 2, -g_total)
-    for e in _window_tuples(r, radius + 2, -g_total):
-        got = sum(
-            (c * _mono_series_coeff(m, e) for m, c in result.terms.items()),
-            Fraction(0),
-        )
-        if got != series.get(e, 0):
-            raise NoLocalMatch(
-                f"verification window mismatch at exponents {e}",
-                radius=radius + 2,
-                candidates=len(candidates),
-                exponents=e,
-            )
-    if not in_connective(result, pres.connectivity, sig):
-        raise NoLocalMatch(
-            f"local match of {list(gen_names)} is outside the connectivity-"
-            f"{pres.connectivity} piece",
-            radius=radius,
-            candidates=len(candidates),
-        )
-    return result
+        if solution is not None:
+            result = LocalFn(r, {m: c for m, c in zip(candidates, solution) if c})
+            return _certify(pres, gen_names, gidx, sorts, result, pole_bound, radius)
+    raise NoLocalMatch(
+        "ansatz underdetermined; increase the pole bound window",
+        radius=radius,
+        candidates=len(candidates),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -935,8 +938,7 @@ def ward_correlator(pres: Presentation, gen_names: Sequence[str]) -> LocalFn:
     one call.  Any number of insertions is accepted; the result is exact and
     canonical, and npoint_ward certifies it against the series.
     """
-    if not pres.ope_closed:
-        raise SchemaError("correlators need a table-closed presentation")
+    pres.require_closed("a correlator")
     _require_positive_weights(pres, "the Ward recursion")
     r = len(gen_names)
     memo: Dict[Tuple[Word, ...], LocalFn] = {}
@@ -972,54 +974,15 @@ def ward_correlator(pres: Presentation, gen_names: Sequence[str]) -> LocalFn:
 
 
 def npoint_ward(pres: Presentation, gen_names: Sequence[str], pole_bound: int) -> LocalFn:
-    """npoint_vacuum's local function computed by ward_correlator, with a
-    certificate that needs no solve.
-
-    The result must lie in the ansatz space of npoint_vacuum (basis
-    monomials of the total weight with pole total at most the pole bound),
-    its expansion (_mono_series_support) must equal the vacuum series
-    (_vacuum_series_support) at every tuple of the window of radius R0 + 2,
-    where R0 = pole_bound + |total weight| + 1 is the first radius of the
-    ansatz, and it must pass in_connective.  Both sides are compared as
-    sparse sums with no zero values: every key of the expansion lies in the
-    window, because each exponent is within R0 + 2 and every monomial has
-    the total weight, so equal sums agree at every tuple of the window.
-    NoLocalMatch reports a failed check with the same payload as
-    npoint_vacuum: the window radius, the number of basis monomials within
-    the pole bound and, for a series mismatch, the first mismatching tuple
-    in lexicographic order.
+    """npoint_vacuum's local function computed by ward_correlator, with no
+    solve: the result is certified by _certify at R0 = pole_bound +
+    |total weight| + 1, the first radius of the ansatz, so a failure carries
+    the same payload as npoint_vacuum's.
     """
-    gidx, sorts = _insertions(pres, gen_names)
-    if pole_bound < 0:
-        raise SchemaError("pole budget must be >= 0")
-    r = len(gidx)
-    g_total = sum(sorts)
-    radius = pole_bound + abs(g_total) + 1
-
-    def failure(message, radius, exponents=None):
-        candidates = len(basis_monomials(r, g_total, pole_bound))
-        return NoLocalMatch(message, radius=radius, candidates=candidates, exponents=exponents)
-
+    gidx, sorts = _insertions(pres, gen_names, pole_bound)
+    radius = pole_bound + abs(sum(sorts)) + 1
     result = ward_correlator(pres, gen_names)
-    if any(mono_grading(m) != g_total or mono_pole_total(m) > pole_bound for m in result.terms):
-        raise failure(
-            f"series of {list(gen_names)} has no local match within pole bound {pole_bound}",
-            radius,
-        )
-    expansion: Dict[Tuple[int, ...], Fraction] = {}
-    for m, c in result.terms.items():
-        add_into(expansion, _mono_series_support(m, radius + 2), c)
-    series = _vacuum_series_support(pres, gidx, radius + 2, -g_total)
-    if expansion != series:
-        e = min(k for k in expansion.keys() | series.keys() if expansion.get(k) != series.get(k))
-        raise failure(f"verification window mismatch at exponents {e}", radius + 2, e)
-    if not in_connective(result, pres.connectivity, SortSignature(0, sorts)):
-        raise failure(
-            f"local match of {list(gen_names)} is outside the connectivity-"
-            f"{pres.connectivity} piece",
-            radius,
-        )
-    return result
+    return _certify(pres, gen_names, gidx, sorts, result, pole_bound, radius)
 
 
 # ---------------------------------------------------------------------------
