@@ -1,10 +1,17 @@
-"""Small exact helpers used across modules: sparse sums and sparse elimination."""
+"""Small exact helpers used across modules: sparse sums and sparse elimination.
+
+Values are exact: an int where the value is integral, a Fraction otherwise.
+Elimination is fraction-free: rows are cleared to integers and reduced by
+cross-multiplication with gcd content division (in the style of Bareiss,
+Math. Comp. 22, 1968); the reduced echelon form over the rationals is formed
+only at the end.
+"""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
-from typing import Dict, List
+from math import comb, gcd, lcm
+from typing import Dict, List, Tuple
 
 from .errors import ArityMismatch
 
@@ -19,14 +26,6 @@ def gbinom(m: int, j: int) -> int:
     if m >= 0:
         return comb(m, j) if j <= m else 0
     return (-1) ** j * comb(j - m - 1, j)
-
-
-def falling(m: int, j: int) -> int:
-    """Falling factorial m (m-1) ... (m-j+1); empty product for j == 0."""
-    out = 1
-    for s in range(j):
-        out *= m - s
-    return out
 
 
 def add_into(acc: dict, terms: dict, c=1) -> dict:
@@ -109,36 +108,88 @@ class SparseSum:
         return sorted(self.terms.items(), key=lambda t: key(t[0]))
 
 
-def _reduce_by(row: dict, pivots: dict) -> dict:
-    """Clear, in place, row's entries at the pivots of reduced echelon rows."""
-    for p in [c for c in row if c in pivots]:
-        add_into(row, pivots[p], -row[p])
-    return row
+def _integral(row: dict) -> Dict[int, int]:
+    """The nonzero entries of a row of ints and Fractions, scaled by the lcm
+    of their denominators to integers."""
+    den = 1
+    for v in row.values():
+        if type(v) is not int:
+            den = lcm(den, v.denominator)
+    return {c: v.numerator * (den // v.denominator) for c, v in row.items() if v}
+
+
+def _primitive(row: Dict[int, int]) -> Dict[int, int]:
+    """The integer row divided by the gcd of its entries, with its leading
+    (smallest-column) entry made positive."""
+    g = gcd(*row.values())
+    if row[min(row)] < 0:
+        g = -g
+    return row if g == 1 else {c: v // g for c, v in row.items()}
+
+
+def _cross_reduce(row: dict, pivots: Dict[int, Dict[int, int]], scale: int) -> dict:
+    """scale * row - sum_p row[p] (scale / d_p) R_p over the pivot columns p
+    of row, for integer echelon rows R_p whose leads d_p = R_p[p] divide
+    scale.
+
+    Every R_p is zero at the other pivots, so the result vanishes at every
+    pivot column; it is an int row when row is.
+    """
+    out = {c: scale * v for c, v in row.items()} if scale != 1 else dict(row)
+    for p in [p for p in row if p in pivots]:
+        prow = pivots[p]
+        add_into(out, prow, -row[p] * (scale // prow[p]))
+    return out
+
+
+def _echelon(rows) -> Dict[int, Dict[int, int]]:
+    """Fraction-free reduced echelon form of sparse rows {column: value} with
+    int or Fraction values, as {pivot column: integer row}.
+
+    Rows are taken one at a time and cleared to integers (one lcm of
+    denominators per row).  A row with entries at the pivot columns found so
+    far is reduced against them all at once by _cross_reduce, with scale the
+    lcm of their leads.  A nonzero remainder is divided by its content (the
+    gcd of its entries), its lead is made positive, and it becomes a new
+    pivot row at its smallest column, cleared the same way from the earlier
+    pivot rows.  Every pivot row is primitive, starts at its pivot with a
+    positive lead and is zero at the other pivots, so dividing each by its
+    lead gives the unique reduced echelon form of the row space (_rref).  No
+    Fraction is formed.
+    """
+    pivots: Dict[int, Dict[int, int]] = {}
+    for row in rows:
+        row = _integral(row)
+        row = _cross_reduce(row, pivots, lcm(*(pivots[p][p] for p in row if p in pivots)))
+        if not row:
+            continue
+        row = _primitive(row)
+        p = min(row)
+        lead = row[p]
+        for q, other in pivots.items():
+            a = other.get(p)
+            if a:
+                g = gcd(a, lead)
+                out = {c: (lead // g) * v for c, v in other.items()}
+                add_into(out, row, -(a // g))
+                pivots[q] = _primitive(out)
+        pivots[p] = row
+    return pivots
 
 
 def _rref(rows) -> Dict[int, Dict[int, Fraction]]:
     """Reduced row echelon form of sparse rows {column: value} over the
-    rationals, as {pivot column: row}.
+    rationals, as {pivot column: row} with Fraction values, pivots in the
+    order the rows produced them.
 
-    Rows are taken one at a time.  Each is reduced by the pivot rows found
-    so far; a nonzero remainder becomes a new pivot row at its smallest
-    column, scaled to 1 there and eliminated from the earlier pivot rows.
-    Every pivot row starts at its pivot and is zero at the other pivots, so
-    the result is the unique reduced echelon form of the row space.
+    Eliminates fraction-free by _echelon and normalizes only at the end:
+    each integer pivot row divided by its lead is 1 at its pivot and zero at
+    the other pivots, the unique reduced echelon form of the row space.
     """
-    pivots: Dict[int, Dict[int, Fraction]] = {}
-    for row in rows:
-        row = _reduce_by({c: v for c, v in row.items() if v}, pivots)
-        if not row:
-            continue
-        p = min(row)
-        lead = Fraction(row[p])
-        row = {c: v / lead for c, v in row.items()}
-        for other in pivots.values():
-            if p in other:
-                add_into(other, row, -other[p])
-        pivots[p] = row
-    return pivots
+    return {
+        p: {c: Fraction(v, row[p]) for c, v in row.items()}
+        for p, row in _echelon(rows).items()
+    }
 
 
 def _kernel(rows, ncols: int) -> List[Dict[int, Fraction]]:
@@ -155,6 +206,25 @@ def _kernel(rows, ncols: int) -> List[Dict[int, Fraction]]:
                 vec[p] = -row[free]
         kernel.append(vec)
     return kernel
+
+
+def _scaled_echelon(kernel: List[Dict[int, Fraction]]) -> Tuple[int, Dict[int, Dict[int, int]]]:
+    """A kernel basis from _kernel as an integer echelon with one scale:
+    (L, {f: L * v_f}), L the lcm of the denominators of all entries.
+
+    The vector v_f of free column f is 1 at f, zero at the other free
+    columns, and otherwise nonzero only at pivot columns below f.  So the
+    rows L * v_f form a reduced echelon of the kernel, each row with the
+    lead L at its last column f, ready for _cross_reduce with scale L.
+    """
+    scale = 1
+    for vec in kernel:
+        for v in vec.values():
+            scale = lcm(scale, v.denominator)
+    return scale, {
+        max(vec): {c: v.numerator * (scale // v.denominator) for c, v in vec.items()}
+        for vec in kernel
+    }
 
 
 def _solve(rows, ncols: int):

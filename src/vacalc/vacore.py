@@ -43,7 +43,16 @@ from .errors import (
     WeightMismatch,
 )
 from .localfn import LocalFn, basis_monomials, mono_grading, mono_pole_total
-from .numutil import SparseSum, _kernel, _reduce_by, _rref, _solve, add_into, falling, gbinom
+from .numutil import (
+    SparseSum,
+    _cross_reduce,
+    _echelon,
+    _kernel,
+    _scaled_echelon,
+    _solve,
+    add_into,
+    gbinom,
+)
 
 Word = Tuple[Tuple[int, int], ...]  # (generator, mode) pairs, applied to 1
 
@@ -52,16 +61,27 @@ VACUUM_WORD: Word = ()
 _MAX_SINGULAR = 64
 
 
+def _exact(c) -> int | Fraction:
+    """The rational c as an int when it is integral, else as a Fraction."""
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 class VAElement(SparseSum):
-    """Rational combination of mode words, bound to one presentation."""
+    """Rational combination of mode words, bound to one presentation.
+
+    Coefficients are ints where the given value is an int and Fractions
+    otherwise; str, == and hash agree between the two types."""
 
     __slots__ = ("pres",)
     _space_name = "presentation"
     _sort_key = staticmethod(lambda word: word)
 
-    def __init__(self, pres: "Presentation", terms: Dict[Word, Fraction]):
+    def __init__(self, pres: "Presentation", terms: Dict[Word, int | Fraction]):
         self.pres = pres
-        self.terms = {w: Fraction(c) for w, c in terms.items() if c != 0}
+        self.terms = {
+            w: c if type(c) is int else Fraction(c) for w, c in terms.items() if c != 0
+        }
 
     @property
     def _space(self):
@@ -76,8 +96,8 @@ class VAElement(SparseSum):
             raise WeightMismatch(f"mixed weights {sorted(weights)}")
         return weights.pop()
 
-    def vacuum_coefficient(self) -> Fraction:
-        return self.terms.get(VACUUM_WORD, Fraction(0))
+    def vacuum_coefficient(self) -> int | Fraction:
+        return self.terms.get(VACUUM_WORD, 0)
 
     def __str__(self):
         if not self.terms:
@@ -106,12 +126,13 @@ class VAElement(SparseSum):
 
 class Presentation:
     """Generators with weights, a completed singular-product table, central
-    parameters, and a connectivity bound."""
+    parameters, and a connectivity bound.  Table coefficients are ints where
+    integral and Fractions otherwise."""
 
     def __init__(
         self,
         generators: Sequence[Tuple[str, int]],
-        relations: Dict[Tuple[int, int, int], Dict[Word, Fraction]],
+        relations: Dict[Tuple[int, int, int], Dict[Word, int | Fraction]],
         central: Dict[str, Fraction],
         connectivity: int = 0,
         lattice: Optional[dict] = None,
@@ -137,10 +158,10 @@ class Presentation:
         self.step_bound = step_bound
         self.label = label
         # (a, b) -> n -> [a, b]_n, each row ascending in n, zero entries omitted
-        self.ope: Dict[Tuple[int, int], Dict[int, Dict[Word, Fraction]]] = {}
+        self.ope: Dict[Tuple[int, int], Dict[int, Dict[Word, int | Fraction]]] = {}
         zeros = []
         for (a, b, n), entry in sorted(relations.items()):
-            entry = {w: Fraction(c) for w, c in entry.items() if c != 0}
+            entry = {w: _exact(c) for w, c in entry.items() if c != 0}
             if entry:
                 self.ope.setdefault((a, b), {})[n] = entry
             else:
@@ -155,7 +176,7 @@ class Presentation:
                     f"declared [{self.gen_name(a)},{self.gen_name(b)}]_{n} = 0 "
                     "conflicts with skew symmetry"
                 )
-        self._prepend_cache: Dict[tuple, Dict[Word, Fraction]] = {}
+        self._prepend_cache: Dict[tuple, Dict[Word, int | Fraction]] = {}
         self._table_mode_cache: Dict[tuple, tuple] = {}
 
     # -- bookkeeping -------------------------------------------------------
@@ -190,18 +211,18 @@ class Presentation:
     def word_str(self, word: Word) -> str:
         return "".join(f"{self.gen_name(g)}({n})" for g, n in word) + "1"
 
-    def element(self, terms: Dict[Word, Fraction]) -> VAElement:
+    def element(self, terms: Dict[Word, int | Fraction]) -> VAElement:
         return VAElement(self, terms)
 
     def zero(self) -> VAElement:
         return VAElement(self, {})
 
     def vacuum(self) -> VAElement:
-        return VAElement(self, {VACUUM_WORD: Fraction(1)})
+        return VAElement(self, {VACUUM_WORD: 1})
 
     def gen_element(self, name: str) -> VAElement:
         g = self.gen_index(name)
-        return VAElement(self, {((g, -1),): Fraction(1)})
+        return VAElement(self, {((g, -1),): 1})
 
     def _validate_table(self):
         for (a, b), row in self.ope.items():
@@ -237,9 +258,9 @@ class Presentation:
         declared = dict(self.ope)
         for (a, b), row in declared.items():
             top = max(row, default=-1)
-            skew: Dict[int, Dict[Word, Fraction]] = {}
+            skew: Dict[int, Dict[Word, int | Fraction]] = {}
             for m in range(0, top + 1):
-                entry: Dict[Word, Fraction] = {}
+                entry: Dict[Word, int | Fraction] = {}
                 for j in range(0, top - m + 1):
                     src = row.get(m + j)
                     if not src:
@@ -253,10 +274,10 @@ class Presentation:
                         else:
                             g, mode = word[0]
                             s = -1 - mode
-                            c = c * Fraction(factorial(s + j), factorial(s))
+                            c = c * (factorial(s + j) // factorial(s))
                             w2 = ((g, mode - j),)
-                        entry[w2] = entry.get(w2, Fraction(0)) + sign * c
-                entry = {w: c for w, c in entry.items() if c}
+                        entry[w2] = entry.get(w2, 0) + sign * c
+                entry = {w: _exact(c) for w, c in entry.items() if c}
                 if entry:
                     skew[m] = entry
             have = declared.get((b, a))
@@ -271,10 +292,14 @@ class Presentation:
 
     # -- straightening -----------------------------------------------------
 
-    def _entry_mode(self, entry: Dict[Word, Fraction], N: int):
+    def _entry_mode(self, entry: Dict[Word, int | Fraction], N: int):
         """Mode N of a table entry: list of (gen, mode, coeff) plus the
-        identity coefficient (from vacuum words, delta at N == -1)."""
-        id_coeff = Fraction(0)
+        identity coefficient (from vacuum words, delta at N == -1).
+
+        The mode N of (1/s!) T^s g is (-1)^s C(N, s) g(N - s): the falling
+        factorial N (N-1) ... (N-s+1) over s! is the integer C(N, s), so an
+        int table coefficient gives an int coefficient."""
+        id_coeff = 0
         parts = []
         for word, c in entry.items():
             if not word:
@@ -283,7 +308,7 @@ class Presentation:
                 continue
             g, mode = word[0]
             s = -1 - mode  # the word is (1/s!) T^s g
-            coeff = c * Fraction((-1) ** s * falling(N, s), factorial(s))
+            coeff = c * (-1) ** s * gbinom(N, s)
             if coeff:
                 parts.append((g, N - s, coeff))
         return parts, id_coeff
@@ -296,25 +321,25 @@ class Presentation:
             got = self._table_mode_cache[key] = self._entry_mode(self.ope[(a, b)][j], N)
         return got
 
-    def _prepend(self, g: int, n: int, word: Word) -> Dict[Word, Fraction]:
+    def _prepend(self, g: int, n: int, word: Word) -> Dict[Word, int | Fraction]:
         """Normal form of g(n) applied to a normal word."""
         key = (g, n, word)
         cached = self._prepend_cache.get(key)
         if cached is not None:
             return cached
-        out: Dict[Word, Fraction] = {}
+        out: Dict[Word, int | Fraction] = {}
         if self.wt(g) - n - 1 + self.word_weight(word) < self.connectivity:
             pass
         elif not word:
             if n <= -1:
-                out[((g, n),)] = Fraction(1)
+                out[((g, n),)] = 1
         else:
             h, m = word[0]
             if n <= -1 and (n > m or (n == m and g >= h)):
-                out = {((g, n),) + word: Fraction(1)}
+                out = {((g, n),) + word: 1}
             else:
                 rest = word[1:]
-                acc: Dict[Word, Fraction] = {}
+                acc: Dict[Word, int | Fraction] = {}
                 for w2, c2 in self._prepend(g, n, rest).items():
                     add_into(acc, self._prepend(h, m, w2), c2)
                 for j in self.ope.get((g, h), {}):
@@ -337,15 +362,15 @@ class Presentation:
         return out
 
     def prepend_mode(self, g: int, n: int, el: VAElement) -> VAElement:
-        out: Dict[Word, Fraction] = {}
+        out: Dict[Word, int | Fraction] = {}
         for word, c in el.terms.items():
             add_into(out, self._prepend(g, n, word), c)
         return VAElement(self, out)
 
-    def _nf_word_suffix(self, word: Word) -> Dict[Word, Fraction]:
-        el: Dict[Word, Fraction] = {VACUUM_WORD: Fraction(1)}
+    def _nf_word_suffix(self, word: Word) -> Dict[Word, int | Fraction]:
+        el: Dict[Word, int | Fraction] = {VACUUM_WORD: 1}
         for g, n in reversed(word):
-            nxt: Dict[Word, Fraction] = {}
+            nxt: Dict[Word, int | Fraction] = {}
             for w, c in el.items():
                 add_into(nxt, self._prepend(g, n, w), c)
             el = nxt
@@ -413,18 +438,18 @@ class Presentation:
         if strategy not in ("suffix", "bubble"):
             raise SchemaError(f"unknown rewriting strategy {strategy!r}")
         nf = self._nf_word_suffix if strategy == "suffix" else self._nf_word_bubble
-        out: Dict[Word, Fraction] = {}
+        out: Dict[Word, int | Fraction] = {}
         for word, c in el.terms.items():
             add_into(out, nf(word), c)
         return VAElement(self, out)
 
     def word_element(self, modes) -> VAElement:
         """Normal form of an explicit mode word."""
-        return self.normal_form(VAElement(self, {tuple(modes): Fraction(1)}))
+        return self.normal_form(VAElement(self, {tuple(modes): 1}))
 
     # -- composite modes and the bracket calculus ---------------------------
 
-    def _word_mode(self, uword: Word, K: int, xword: Word) -> Dict[Word, Fraction]:
+    def _word_mode(self, uword: Word, K: int, xword: Word) -> Dict[Word, int | Fraction]:
         """u(K) applied to one normal word, for u a normal word.
 
         Words of length one are generator modes; longer words reduce with
@@ -433,12 +458,12 @@ class Presentation:
                                            - (-1)^m v(m+K-i) (g(i) x) ].
         """
         if not uword:
-            return {xword: Fraction(1)} if K == -1 else {}
+            return {xword: 1} if K == -1 else {}
         g, m = uword[0]
         rest = uword[1:]
         if not rest and m == -1:
             return self._prepend(g, K, xword)
-        out: Dict[Word, Fraction] = {}
+        out: Dict[Word, int | Fraction] = {}
         wt_v = self.word_weight(rest)
         wt_x = self.word_weight(xword)
         k = self.connectivity
@@ -466,7 +491,7 @@ class Presentation:
         """a(n)x for arbitrary states a, x."""
         a = self.normal_form(a)
         x = self.normal_form(x)
-        out: Dict[Word, Fraction] = {}
+        out: Dict[Word, int | Fraction] = {}
         for uw, cu in a.terms.items():
             for xw, cx in x.terms.items():
                 add_into(out, self._word_mode(uw, n, xw), cu * cx)
@@ -475,7 +500,7 @@ class Presentation:
     def derivative(self, x: VAElement) -> VAElement:
         """Translation operator: [T, g(n)] = -n g(n-1), T 1 = 0."""
         x = self.normal_form(x)
-        out: Dict[Word, Fraction] = {}
+        out: Dict[Word, int | Fraction] = {}
         for word, c in x.terms.items():
             for i, (g, n) in enumerate(word):
                 shifted = word[:i] + ((g, n - 1),) + word[i + 1 :]
@@ -598,7 +623,7 @@ def _lowering_generators(pres: Presentation, top: int) -> List[Tuple[int, int]]:
             p = pres.wt(a) + d1 - 1
             for b in range(ngen):
                 q = pres.wt(b) + d - d1 - 1
-                bracket: Dict[int, Fraction] = {}
+                bracket: Dict[int, int | Fraction] = {}
                 for j in pres.ope.get((a, b), {}):
                     cpj = gbinom(p, j)
                     if cpj:
@@ -606,7 +631,7 @@ def _lowering_generators(pres: Presentation, top: int) -> List[Tuple[int, int]]:
                         for g, _, c in parts:
                             add_into(bracket, {ngen - 1 - g: c}, cpj)
                 rows.append(bracket)
-        pivots = _rref(rows)
+        pivots = _echelon(rows)
         out.extend((g, d) for g in range(ngen) if ngen - 1 - g not in pivots)
     return out
 
@@ -629,9 +654,12 @@ def radical_slices(pres: Presentation, w_max: int) -> List[RadicalSlice]:
     the kernel of all lowering words, each applied by straightening, for
     any table.  The generating modes are a subset of those conditions, so
     on a table that fails the Jacobi identity the result can be a larger
-    radical, with no warning.  Each Rad_u below the top is kept in reduced
-    echelon form; reducing s b by it, for a spanning word b, leaves one
-    linear condition per non-pivot column.
+    radical, with no warning.  Each Rad_u below the top is kept as an
+    integer echelon with one common scale L (_scaled_echelon): rows R_f with
+    lead L at pivot f and zero at the other pivots.  For a spanning word b,
+    the image y = s b becomes L y - sum_f y[f] R_f (_cross_reduce), an int
+    row when y is, and its entry at each non-pivot column gives one linear
+    condition; scaling every image by the same L does not change the kernel.
     """
     pres.require_closed("the radical slice")
     if pres.connectivity != 0:
@@ -639,27 +667,27 @@ def radical_slices(pres: Presentation, w_max: int) -> List[RadicalSlice]:
     _require_positive_weights(pres, "the radical slice")
     imposed = _lowering_generators(pres, w_max)
     columns: List[Dict[Word, int]] = []  # per weight: word -> column
-    rads: List[Dict[int, Dict[int, Fraction]]] = []  # per weight: echelon rows
+    rads: List[Tuple[int, Dict[int, Dict[int, int]]]] = []  # per weight: (L, rows)
     out: List[RadicalSlice] = []
     for u in range(w_max + 1):
         basis = spanning_basis(pres, u)
-        states = [VAElement(pres, {b: Fraction(1)}) for b in basis]
-        rows = [] if u else [{0: Fraction(1)}]  # Rad_0 = 0
+        states = [VAElement(pres, {b: 1}) for b in basis]
+        rows = [] if u else [{0: 1}]  # Rad_0 = 0
         for g, d in imposed:
             if d > u:
                 break
-            cols, rad = columns[u - d], rads[u - d]
+            cols, (scale, rad) = columns[u - d], rads[u - d]
             m = pres.wt(g) + d - 1
             conditions = {c: {} for c in range(len(cols)) if c not in rad}
             for j, x in enumerate(states):
                 image = {cols[w]: c for w, c in pres.prepend_mode(g, m, x).terms.items()}
-                for c, v in _reduce_by(image, rad).items():
+                for c, v in _cross_reduce(image, rad, scale).items():
                     conditions[c][j] = v
             rows.extend(conditions.values())
         kernel = _kernel(rows, len(basis))
         if u < w_max:
             columns.append({b: j for j, b in enumerate(basis)})
-            rads.append(_rref(kernel))
+            rads.append(_scaled_echelon(kernel))
         elements = [VAElement(pres, {basis[j]: c for j, c in vec.items()}) for vec in kernel]
         out.append(RadicalSlice(u, basis, elements))
     return out
@@ -748,7 +776,7 @@ def _mono_series_support(mono, radius: int) -> Dict[Tuple[int, ...], int]:
 
 def _vacuum_series_support(
     pres: Presentation, gidx: Sequence[int], radius: int, total: int
-) -> Dict[Tuple[int, ...], Fraction]:
+) -> Dict[Tuple[int, ...], int | Fraction]:
     """Every nonzero vacuum coefficient of g_r(-e_r-1) ... g_1(-e_1-1) 1 on
     the window (every exponent in [-radius, radius], summing to total),
     keyed by exponent tuple, where g_i = gidx[i-1]: the coefficient of
@@ -763,13 +791,13 @@ def _vacuum_series_support(
     """
     r = len(gidx)
     acc: List[int] = []
-    out: Dict[Tuple[int, ...], Fraction] = {}
+    out: Dict[Tuple[int, ...], int | Fraction] = {}
 
     def walk(i, state, left):
         if i == r - 1:
             if -radius <= left <= radius:
                 g, n = gidx[i], -left - 1
-                value = Fraction(0)
+                value = 0
                 for word, c in state.items():
                     v = pres._prepend(g, n, word).get(VACUUM_WORD)
                     if v:
@@ -780,7 +808,7 @@ def _vacuum_series_support(
         g = gidx[i]
         reach = radius * (r - 1 - i)
         for e in range(max(-radius, left - reach), min(radius, left + reach) + 1):
-            nxt: Dict[Word, Fraction] = {}
+            nxt: Dict[Word, int | Fraction] = {}
             for word, c in state.items():
                 add_into(nxt, pres._prepend(g, -e - 1, word), c)
             if nxt:
@@ -788,7 +816,7 @@ def _vacuum_series_support(
                 walk(i + 1, nxt, left - e)
                 acc.pop()
 
-    walk(0, {VACUUM_WORD: Fraction(1)}, total)
+    walk(0, {VACUUM_WORD: 1}, total)
     return out
 
 
@@ -843,7 +871,7 @@ def _certify(
             f"series of {list(gen_names)} has no local match within pole bound {pole_bound}",
             radius,
         )
-    expansion: Dict[Tuple[int, ...], Fraction] = {}
+    expansion: Dict[Tuple[int, ...], int | Fraction] = {}
     for m, c in result.terms.items():
         add_into(expansion, _mono_series_support(m, radius + 2), c)
     series = _vacuum_series_support(pres, gidx, radius + 2, -g_total)

@@ -269,6 +269,32 @@ def test_npoint_virasoro_four_point_output_is_pinned():
     )
 
 
+# affine sl2 at level 1, the document of the CI console-script step
+_SL2_DOC = {
+    "generators": [{"name": g, "weight": 1} for g in "efh"],
+    "relations": [
+        {"a": "e", "b": "f", "n": 0, "result": [{"coeff": "1", "word": [["h", -1]]}]},
+        {"a": "e", "b": "f", "n": 1, "result": [{"coeff": "1", "word": []}]},
+        {"a": "e", "b": "h", "n": 0, "result": [{"coeff": "-2", "word": [["e", -1]]}]},
+        {"a": "f", "b": "h", "n": 0, "result": [{"coeff": "2", "word": [["f", -1]]}]},
+        {"a": "h", "b": "h", "n": 1, "result": [{"coeff": "2", "word": []}]},
+    ],
+}
+
+
+def test_radical_affine_sl2_output_is_pinned(tmp_path):
+    # a radical over a non-abelian table, byte for byte: 192 kernel vectors
+    # with integer and fractional coefficients
+    path = tmp_path / "sl2.json"
+    path.write_text(json.dumps(_SL2_DOC))
+    proc = _vacalc_process("radical", "--file", str(path), "--weight", "6", "--json")
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["dimension"] == 192
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (
+        "0e88a93e8ba543754a235be4ad752f300f99d0dd977c15cf8f19ebee41080c50"
+    )
+
+
 @pytest.mark.parametrize("argv", [
     ("canon", "--arity", "2", "(z2-z1)^-1*z2"),
     ("verify-cooperad", "--arity-max", "4", "--samples", "6", "--order", "3",

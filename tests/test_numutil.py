@@ -1,14 +1,15 @@
-"""Tests for the shared sparse helpers: the accumulate helper and the
-sparse-sum type behind LocalFn and VAElement."""
+"""Tests for the shared sparse helpers: the accumulate helper, the
+sparse-sum type behind LocalFn and VAElement, and fraction-free elimination."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
 
 from vacalc.errors import ArityMismatch
 from vacalc.localfn import LocalFn
-from vacalc.numutil import add_into
+from vacalc.numutil import _echelon, _kernel, _rref, add_into
 from vacalc.vacore import VAElement, preset_virasoro
 
 # few keys and small values, so that sums cancel often
@@ -82,3 +83,76 @@ def test_sparse_sum_contract(cls, space, other_space, keys):
         x + cls(other_space, {})
     with pytest.raises(ArityMismatch):
         x - cls(other_space, {})
+
+
+# sparse rows over 8 columns with entries of denominator 1..6, ints mixed in
+_entry = st.one_of(
+    st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6)),
+    st.integers(-4, 4),
+)
+_NCOLS = 8
+
+
+@st.composite
+def _row_lists(draw):
+    """Rows with negative leads, zero and empty rows, and duplicate or
+    negated rows mixed in."""
+    rows = draw(st.lists(st.dictionaries(st.integers(0, _NCOLS - 1), _entry, max_size=5),
+                         max_size=7))
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["duplicate", "negated", "zero", "empty"]))
+        if kind in ("duplicate", "negated") and rows:
+            row = draw(st.sampled_from(rows))
+            row = dict(row) if kind == "duplicate" else {c: -v for c, v in row.items()}
+        elif kind == "zero":
+            row = {c: Fraction(0, draw(st.integers(1, 6))) for c in draw(st.sets(
+                st.integers(0, _NCOLS - 1), min_size=1, max_size=3))}
+        else:
+            row = {}
+        rows.insert(draw(st.integers(0, len(rows))), row)
+    return rows
+
+
+def _dense_rref(rows, ncols):
+    """Reduced row echelon form by textbook Gauss-Jordan on a dense
+    Fraction matrix, as {pivot column: {column: nonzero value}}."""
+    mat = [[Fraction(row.get(c, 0)) for c in range(ncols)] for row in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        k = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if k is None:
+            continue
+        mat[r], mat[k] = mat[k], mat[r]
+        mat[r] = [v / mat[r][c] for v in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c]:
+                f = mat[i][c]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(c)
+    return {c: {j: v for j, v in enumerate(mat[i]) if v} for i, c in enumerate(pivots)}
+
+
+@given(rows=_row_lists())
+def test_rref_matches_dense_fraction_rref(rows):
+    got = _rref(rows)
+    assert got == _dense_rref(rows, _NCOLS)
+    for p, row in got.items():
+        assert min(row) == p and row[p] == 1
+        assert all(q == p or q not in row for q in got)
+        assert all(type(v) is Fraction and v != 0 for v in row.values())
+    # the integer echelon behind it: primitive rows, positive leads, the
+    # same pivots, each row a multiple of its reduced row
+    ech = _echelon(rows)
+    assert list(ech) == list(got)
+    for p, row in ech.items():
+        assert all(type(v) is int and v for v in row.values())
+        assert row[p] > 0 and gcd(*row.values()) == 1
+        assert {c: Fraction(v, row[p]) for c, v in row.items()} == got[p]
+    # kernel vectors are Fractions that every row annihilates
+    kernel = _kernel(rows, _NCOLS)
+    assert len(kernel) == _NCOLS - len(got)
+    for vec in kernel:
+        assert all(type(v) is Fraction for v in vec.values())
+        for row in rows:
+            assert sum(v * vec.get(c, 0) for c, v in row.items()) == 0

@@ -174,6 +174,34 @@ def test_reversed_affine_sl2_matches_forward():
     assert _simple_dims(reverse, 4) == lattice
 
 
+def test_table_coefficients_are_ints_where_integral():
+    vir = preset_virasoro(Fraction(1, 2))
+    row = vir.ope[(0, 0)]
+    assert row[1] == {((0, -1),): 2} and type(row[1][((0, -1),)]) is int
+    assert row[3] == {VACUUM_WORD: Fraction(1, 4)} and type(row[3][VACUUM_WORD]) is Fraction
+    # the mode of T L = L(-2)1 is an integer multiple of a generator mode
+    parts, id_coeff = vir._entry_mode(row[0], 5)
+    assert parts == [(0, 4, -5)] and type(parts[0][2]) is int and id_coeff == 0
+    # every row of the reversed sl2 table but (h,h) comes from skew completion
+    reverse = load_presentation(_doc("efh", _SL2_REVERSED))
+    values = [c for row in reverse.ope.values() for entry in row.values() for c in entry.values()]
+    assert len(values) == 9 and all(type(c) is int for c in values)
+
+
+def test_int_and_fraction_coefficients_print_and_compare_alike():
+    pres = preset_virasoro(Fraction(1, 2))
+    words = [((0, -2),), ((0, -3),), ((0, -2), (0, -2))]
+    ints = VAElement(pres, dict(zip(words, [1, -3, 2])))
+    fractions = VAElement(pres, dict(zip(words, [Fraction(1), Fraction(-3), Fraction(2)])))
+    assert all(type(c) is int for c in ints.terms.values())
+    assert all(type(c) is Fraction for c in fractions.terms.values())
+    assert str(ints) == str(fractions) == "-3 * L(-3)1 + L(-2)1 + 2 * L(-2)L(-2)1"
+    assert ints.to_obj() == fractions.to_obj()
+    assert ints == fractions and hash(ints) == hash(fractions)
+    # any other value is kept as a Fraction
+    assert type(VAElement(pres, {words[0]: "1/2"}).terms[words[0]]) is Fraction
+
+
 def test_both_directions_declared():
     both = load_presentation(_doc("efh", _SL2_FORWARD + _SL2_REVERSED[:4]))
     assert both.ope == load_presentation(_doc("efh", _SL2_FORWARD)).ope
