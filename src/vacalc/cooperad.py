@@ -1,24 +1,28 @@
 """Co-operations on local functions: insertion, general co-composition,
 expansion kernels, the cluster filtration, and axiom verification.
 
-The basic co-operation splits the last n-m variables of a local function off
-into a cluster around a fresh point.  Writing t for the new outer variable
-and t_s = z_{s+m} - t for the cluster offsets, every factor rewrites as
+The basic co-operation splits a sorted subset S of the variables of a local
+function off into a cluster around a fresh point t.  The outer variables
+are those outside S, in order, with t at the slot of min S; the cluster
+offsets are t_r = z_(S[r]) - t.  Every factor rewrites as
 
-    z_v              ->  t + t_{v-m}                       (v > m)
-    (z_v - z_i)^k    ->  ((t - z_i) + t_{v-m})^k           (v > m >= i)
-    (z_v - z_i)^k    ->  (t_{v-m} - t_{i-m})^k             (v > i > m)
+    z_v              ->  t + t_r                     (v = S[r])
+    (z_v - z_i)^k    ->  ((t - z_i) + t_r)^k         (v = S[r], i outside S)
+    (z_v - z_i)^k    ->  ((z_v - t) - t_r)^k         (i = S[r], v outside S)
+    (z_v - z_i)^k    ->  (t_r - t_r')^k              (v = S[r], i = S[r'])
 
 and the series are expanded in increasing powers of the cluster offsets.
 For each outer grading p the coefficient is a finite sum of tensor products,
-collected here in TensorElement values.  One engine expands a single basis
-monomial into integer (outer monomial, inner monomial) coefficients for a
-whole window of outer gradings in one enumeration; a block other than the
-last goes in by permuting that monomial's variables so the block comes
-last, and permuting each outer monomial back.  The public insertions are
-sums of the engine's output over the input's terms.  The general
-many-block co-composition is iterated insertion, last block first; it is
-well defined because insertions into disjoint blocks commute.
+collected here in TensorElement values.  localfn's cluster expansion, the
+one expansion engine, expands a single basis monomial in place for a whole
+window of outer gradings in one enumeration, so every block and every
+subset expands where it stands; _cluster_components turns its terms into
+integer (outer monomial, inner monomial) coefficients.  The public
+insertions are sums of those over the input's terms.  The cluster
+filtration reads the same engine: the level of S is the top inner grading
+of the insertion that splits S off.  The general many-block co-composition
+is iterated insertion, last block first; it is well defined because
+insertions into disjoint blocks commute.
 
 Gradings follow localfn: the grading of an outer/inner factor is minus its
 scaling degree, and outer + inner grading equals the input grading in every
@@ -30,7 +34,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations, product as _iproduct
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 from .errors import BadPartition, BadSplit, BadSubset, SchemaError
 from .localfn import (
@@ -38,12 +42,14 @@ from .localfn import (
     Monomial,
     basis_monomials,
     mono_grading,
+    mono_level_in_subset,
     mono_pole_total,
     mono_sort_key,
+    _cluster_gterms,
+    _cluster_layout,
+    _cluster_setup,
+    _cluster_terms,
     _collision_level,
-    _eps_coefficient,
-    _eps_expansions,
-    _permute_gterm,
     _reduce,
 )
 from .numutil import _kernel, _rref, gbinom
@@ -163,157 +169,52 @@ class TensorElement:
 
 
 # ---------------------------------------------------------------------------
-# Insertion at the last slot
+# Insertion
 # ---------------------------------------------------------------------------
 
-def _factor_options(fac, v, m, outer_budget):
-    """Expansion options of one factor of a monomial under the split at m.
-
-    Returns a list of (outer_delta, outer_piece, inner_exp_mono, coeff):
-    outer_piece updates a generalized term on the outer side, inner_exp_mono
-    is the factor landing on inner variable v-m (an exponent for pures, or a
-    ready factor tuple), and outer_delta is the outer grading contribution.
-    """
-    kind = fac[0]
-    options = []
-    if kind == "p":
-        l = fac[1]
-        for s in range(0, l + 1):
-            options.append((-(l - s), ("z", l - s), ("p", s), gbinom(l, s)))
-    else:
-        i, k = fac[1], fac[2]
-        if i <= m:
-            # ((t - z_i) + t_{v-m})^k, expanded in the cluster offset
-            s = 0
-            while -k + s <= outer_budget:
-                options.append(
-                    ((-k) + s, ("d", i, k - s), ("p", s), gbinom(k, s))
-                )
-                s += 1
-        else:
-            options.append((0, None, ("d", i - m, k), 1))
-    return options
-
-
-def _mono_components(mono: Monomial, m: int, p_lo: int, p_hi: int, reduced):
-    """Outer gradings p_lo..p_hi of the split at m of one basis monomial with
-    coefficient 1, from one enumeration: {p: {(outer monomial, inner
-    monomial): int}}, with every p of the window present and zero sums
-    possible.  reduced maps each monic outer leaf to its canonical form;
-    the caller decides how long it lives.  The enumeration costs as much
-    as its highest grading, so callers ask for exactly the window they use."""
-    oa = m + 1
-    fixed_zp = [0] * oa
-    fixed_dp: Dict[Tuple[int, int], int] = {}
-    fixed_grading = 0
-    var_opts = []
-    for v, fac in enumerate(mono, start=1):
-        if v <= m:
-            if fac[0] == "p":
-                fixed_zp[v - 1] = fac[1]
-                fixed_grading -= fac[1]
-            else:
-                fixed_dp[(v, fac[1])] = fac[2]
-                fixed_grading -= fac[2]
-        else:
-            var_opts.append((v, fac))
-    budget = p_hi - fixed_grading
-    # minimum outer contribution per factor: pures reach -l, cross diffs |k|
-    mins = []
-    for v, fac in var_opts:
-        if fac[0] == "p":
-            mins.append(-fac[1])
-        elif fac[1] <= m:
-            mins.append(-fac[2])
-        else:
-            mins.append(0)
-    # tails[idx]: least outer grading the factors from idx on contribute
-    tails = [0] * (len(mins) + 1)
-    for idx in range(len(mins) - 1, -1, -1):
-        tails[idx] = tails[idx + 1] + mins[idx]
-    # each factor's options up to the most it can ever contribute
-    opts = [
-        _factor_options(fac, v, m, budget - tails[0] + mins[idx])
-        for idx, (v, fac) in enumerate(var_opts)
-    ]
-    out: Dict[int, Dict[tuple, int]] = {p: {} for p in range(p_lo, p_hi + 1)}
-
-    def rec(idx, remaining, zp, dp, inner, coeff_acc):
-        if idx == len(opts):
-            if remaining > p_hi - p_lo:
-                return
-            key = (tuple(zp), tuple(sorted(dp.items())))
-            red = reduced.get(key)
-            if red is None:
-                red = reduced[key] = _reduce([(1, zp, dp)], oa)
-            acc = out[p_hi - remaining]
-            for mo, c in red.items():
-                pair = (mo, inner)
-                acc[pair] = acc.get(pair, 0) + coeff_acc * c
-            return
-        cap = remaining - tails[idx + 1]
-        for delta, piece, inner_fac, c in opts[idx]:
-            if delta > cap:
-                continue
-            zp2, dp2 = zp, dp
-            if piece is not None:
-                if piece[0] == "z":
-                    if piece[1]:
-                        zp2 = list(zp)
-                        zp2[oa - 1] += piece[1]
-                else:
-                    _, i, k = piece
-                    if k:
-                        dp2 = dict(dp)
-                        dp2[(oa, i)] = dp2.get((oa, i), 0) + k
-            rec(idx + 1, remaining - delta, zp2, dp2, inner + (inner_fac,), coeff_acc * c)
-
-    rec(0, budget, fixed_zp, fixed_dp, (), 1)
-    return out
-
-
-def _permuted(cache, mono: Monomial, sigma: tuple) -> Dict[Monomial, int]:
-    """Canonical form of mono(z_sigma(1), ..., z_sigma(n)), reduced once per
-    (mono, sigma) held in cache."""
-    got = cache.get((mono, sigma))
-    if got is None:
-        got = cache[mono, sigma] = _reduce([_permute_gterm(mono, sigma)], len(mono))
-    return got
-
-
-def _block_components(mono: Monomial, pos: int, size: int, p_lo: int, p_hi: int,
-                      reduced, permuted):
-    """_mono_components of the insertion clustering the block [pos, pos+size)
-    of mono's variables, with the new outer variable placed back at
-    position pos.  Any other block is moved last by permuting mono, and
-    each outer monomial is permuted back; permuted caches both."""
-    n = len(mono)
-    m = n - size
-    if pos == m + 1:
-        return _mono_components(mono, m, p_lo, p_hi, reduced)
-    sigma = tuple(v if v < pos else v - size if v >= pos + size else m + 1 + v - pos
-                  for v in range(1, n + 1))
-    rho = tuple(j if j < pos else j + 1 for j in range(1, m + 1)) + (pos,)
-    out: Dict[int, Dict[tuple, int]] = {p: {} for p in range(p_lo, p_hi + 1)}
-    for moved, s in _permuted(permuted, mono, sigma).items():
-        for p, comp in _mono_components(moved, m, p_lo, p_hi, reduced).items():
-            acc = out[p]
-            for (outer, inner), c in comp.items():
-                for back, s2 in _permuted(permuted, outer, rho).items():
-                    pair = (back, inner)
-                    acc[pair] = acc.get(pair, 0) + s * c * s2
+def _cluster_components(mono: Monomial, layout, p_lo: int, p_hi: int, reduced):
+    """Outer gradings p_lo..p_hi of the insertion clustering a subset of the
+    variables of one basis monomial with coefficient 1, from one enumeration
+    of localfn's cluster expansion on the subset's layout: {p: {(outer
+    monomial, inner monomial): int}}, with every p of the window present
+    and zero sums possible.  reduced maps each outer and each inner leaf to
+    its canonical form; the caller decides how long it lives."""
+    expansion, term, inner = _cluster_setup(mono, layout)
+    oa = layout[1]
+    size = len(mono) + 1 - oa
+    inner = {(hi - oa, lo - oa): k for (hi, lo), k in inner.items()}
+    inner_key = tuple(sorted(inner.items()))
+    leaves = [[] for _ in range(p_lo, p_hi + 1)]
+    _cluster_terms(expansion, term, p_lo, p_hi, gbinom, leaves)
+    out: Dict[int, Dict[tuple, int]] = {}
+    for p, terms in zip(range(p_lo, p_hi + 1), leaves):
+        acc = out[p] = {}
+        for c, zp, dp in terms:
+            key = (tuple(zp[:oa]), tuple(sorted(dp.items())))
+            red_out = reduced.get(key)
+            if red_out is None:
+                red_out = reduced[key] = _reduce([(1, zp[:oa], dp)], oa)
+            key = (tuple(zp[oa:]), inner_key)
+            red_in = reduced.get(key)
+            if red_in is None:
+                red_in = reduced[key] = _reduce([(1, zp[oa:], inner)], size)
+            for mi, ci in red_in.items():
+                for mo, co in red_out.items():
+                    pair = (mo, mi)
+                    acc[pair] = acc.get(pair, 0) + c * co * ci
     return out
 
 
 def _insert(f: LocalFn, pos: int, size: int, p_lo: int, p_hi: int) -> Dict[int, TensorElement]:
     """{p: TensorElement} for p_lo..p_hi of the insertion clustering the block
-    [pos, pos+size) of f: each term's coefficient times _block_components,
-    with reductions and permutes shared within this call only."""
+    [pos, pos+size) of f: each term's coefficient times _cluster_components,
+    with reductions shared within this call only."""
     f.grading()  # raises NotHomogeneous when mixed
-    reduced, permuted = {}, {}
+    reduced = {}
+    layout = _cluster_layout(f.arity, list(range(pos, pos + size)))
     expanded: Dict[int, Dict[tuple, Fraction]] = {p: {} for p in range(p_lo, p_hi + 1)}
     for mono, coeff in f.terms.items():
-        for p, comp in _block_components(mono, pos, size, p_lo, p_hi, reduced, permuted).items():
+        for p, comp in _cluster_components(mono, layout, p_lo, p_hi, reduced).items():
             acc = expanded[p]
             # always multiply by coeff: the stored coefficients stay Fractions
             for pair, c in comp.items():
@@ -511,8 +412,10 @@ def filtration_level(f: LocalFn, subset) -> int:
 def filtration_basis(n, subset, N, grading, pole_budget) -> List[LocalFn]:
     """Reduced-echelon basis, in order of pivot column, of the level-<=N piece
     on the subset spanned by basis_monomials(n, grading, pole_budget): the
-    kernel of the eps^-j coefficients, j > N, of localfn._eps_expansions.
-    Its elements may be sums of monomials whose deeper poles cancel."""
+    kernel of the parts of inner grading j > N of the insertion clustering
+    the subset, each read off localfn's cluster expansion of every
+    candidate.  Its elements may be sums of monomials whose deeper poles
+    cancel."""
     s = sorted(set(subset))
     if not s or s[0] < 1 or s[-1] > n:
         raise BadSubset(f"subset must be nonempty within 1..{n}: {subset}")
@@ -520,10 +423,14 @@ def filtration_basis(n, subset, N, grading, pole_budget) -> List[LocalFn]:
         return []
     cands = basis_monomials(n, grading, pole_budget)
     rows: Dict[tuple, Dict[int, Fraction]] = {}
-    for col, expansion in enumerate(_eps_expansions([(m, 1) for m in cands], n, s)):
-        for j in range(N + 1, expansion[0] + 1):
-            for mono, v in _reduce(_eps_coefficient([expansion], j), n + 1).items():
-                rows.setdefault((j, mono), {})[col] = v
+    layout = _cluster_layout(n, s)
+    for col, mono in enumerate(cands):
+        expansion, term = _cluster_gterms(mono, layout)
+        for j in range(N + 1, mono_level_in_subset(mono, s) + 1):
+            gterms: List[tuple] = []
+            _cluster_terms(expansion, term, grading - j, grading - j, gbinom, [gterms])
+            for m, v in _reduce(gterms, n + 1).items():
+                rows.setdefault((j, m), {})[col] = v
     pivots = _rref(_kernel(rows.values(), len(cands)))
     return [LocalFn(n, {cands[c]: v for c, v in pivots[p].items()}) for p in sorted(pivots)]
 
@@ -623,7 +530,7 @@ def _double_split_orders(comps, mono, T, posA, a, posB, b, qA, qB):
     """Insert disjoint blocks A then B and B then A into the basis monomial
     mono; returns the two expanded sums {(outer, innerA, innerB): int} for
     inner gradings qA, qB (the check passes when they agree).  comps(mono,
-    pos, size, p_lo, p_hi) gives _block_components; every insertion asks
+    pos, size, p_lo, p_hi) gives _cluster_components on the block; every insertion asks
     for the outer gradings of inner grading -T..T."""
     assert posA + a <= posB
     g = mono_grading(mono)
@@ -720,13 +627,14 @@ def verify_axioms(arity_cap: int = 4, samples: int = 20, truncation: int = 4, se
         # block components repeat across a sample's grading grid: expand each
         # (monomial, block, window) once, and drop them all with the sample
         memo: Dict[tuple, dict] = {}
-        reduced, permuted = {}, {}
+        reduced = {}
 
         def comps(mono, pos, size, p_lo, p_hi):
             key = (mono, pos, size, p_lo, p_hi)
             got = memo.get(key)
             if got is None:
-                got = memo[key] = _block_components(mono, pos, size, p_lo, p_hi, reduced, permuted)
+                layout = _cluster_layout(len(mono), list(range(pos, pos + size)))
+                got = memo[key] = _cluster_components(mono, layout, p_lo, p_hi, reduced)
             return got
 
         kind = rng.choice(["equivariance", "commutativity", "coassociativity"])

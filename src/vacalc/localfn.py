@@ -26,6 +26,14 @@ recursively rewrites with two moves until each variable carries one factor:
 Both moves strictly shrink (total pure degree + total pole depth), so the
 rewriting terminates; uniqueness of the result is what the evaluation-based
 property tests certify.
+
+The cluster expansion (_cluster_layout, _cluster_setup, _cluster_terms) is
+the package's one expansion engine.  It splits any sorted subset S of a
+basis monomial's variables off into a cluster around a new point, in place,
+and enumerates the terms of a window of outer gradings.  cooperad's
+insertions collect its terms as tensors.  The collision level of S, the
+cluster filtration, is the top inner grading whose terms, summed over the
+monomials, survive one _reduce.
 """
 
 from __future__ import annotations
@@ -650,96 +658,152 @@ def _permute_gterm(mono: Monomial, sigma, coeff=1):
     return (coeff * sign, zp, dp)
 
 
-def _eps_expansions(terms, n: int, subset: List[int]) -> List[tuple]:
-    """Expansion data of each (monomial, coeff) of terms at z_i = t + eps*u_i
-    (i in the sorted subset S), without clearing any denominator.
-
-    The expansion lives over the variables (t, z_rest, u_S), numbered 1..n+1
-    in that order; with w a variable outside S, each factor of a monomial
-    expands as
-
-        z_i^l,         i in S      ->  sum_s C(l,s) (eps u_i)^s t^(l-s)
-        (z_m - z_i)^k, both in S   ->  eps^k (u_m - u_i)^k
-        (w - z_i)^k,   i in S      ->  sum_s C(k,s) (-eps u_i)^s (w - t)^(k-s)
-        (z_m - w)^k,   m in S      ->  (-1)^k times the line above, i = m
-
-    so a monomial of depth p inside S (mono_level_in_subset) starts at
-    eps^-p, and its eps^-j coefficient (_eps_coefficient) is its series
-    terms of total order p - j.  Returns, per monomial, (p, coeff, fixed
-    pure powers, fixed poles, series factors (u index, pole base or None
-    for a power of t, exponent, sign of u)).  Putting t first makes _reduce
-    rewrite the outside variables before t, which keeps it fast.
-    """
+def _cluster_layout(n: int, subset: List[int]):
+    """Layout of the cluster expansion that splits the sorted subset S of n
+    variables off into a cluster around a new point t, in place: (slot,
+    oa).  One numbering covers both sides.  The outer variables, those
+    outside S in order, take slots 1..oa, with t at slot pos = min S, after
+    every outside variable below min S.  Inner variable r, t_r = z_(S[r]) - t,
+    takes slot oa + r.  slot maps each variable to its slot, and t, as 0,
+    to pos."""
     in_s = set(subset)
     outside = [v for v in range(1, n + 1) if v not in in_s]
-    new = {v: r for r, v in enumerate(outside + subset, start=2)}
-    expansions = []
-    for mono, coeff in terms:
-        zp = [0] * (n + 1)
-        dp: Dict[Tuple[int, int], int] = {}
-        series = []
-        for m, fac in enumerate(mono, start=1):
-            if fac[0] == "p":
-                if m not in in_s:
-                    zp[new[m] - 1] = fac[1]
-                elif fac[1]:
-                    series.append((new[m], None, fac[1], 1))
+    pos = subset[0]
+    order = outside[:pos - 1] + [0] + outside[pos - 1:] + list(subset)
+    return dict(zip(order, range(1, n + 2))), n - len(subset) + 1
+
+
+def _cluster_setup(mono: Monomial, layout):
+    """Per-monomial half of the cluster expansion of a basis monomial, on
+    the _cluster_layout of its subset S.  Each factor becomes
+
+        z_v^l,          v in S      ->  sum_s C(l,s) t^(l-s) t_r^s
+        (z_v - z_i)^k,  v, i in S   ->  (t_r - t_ri)^k
+        (z_v - z_i)^k,  v in S      ->  sum_s C(k,s) t_r^s (t - z_i)^(k-s)
+        (z_v - z_i)^k,  i in S      ->  sum_s C(k,s) (-t_ri)^s (z_v - t)^(k-s)
+
+    and the other factors stay on the outer side.  When z_i sits after t,
+    (t - z_i) is oriented as (z_i - t), with the sign (-1)^(k-s); z_v in
+    the last rule always sits after t, since v > i >= min S.  A series
+    term of order s has outer grading s - l or s - k, so the outer grading
+    of a term is base (every series at order 0) plus its total order.
+
+    Returns (expansion, term, inner): expansion = (base, index of t in the
+    pure powers, series factors (index of t_r, exponent, whether the sign
+    alternates in s, oriented outer pole or None for a power of t)), term
+    the fixed part (int sign, pure powers, outer poles) of every term, and
+    inner the fixed inner poles, all in slot numbering.  _cluster_terms
+    enumerates the terms.
+    """
+    slot, oa = layout
+    pos = slot[0]
+    sign, base = 1, 0
+    zp = [0] * len(slot)
+    dp: Dict[Tuple[int, int], int] = {}
+    inner: Dict[Tuple[int, int], int] = {}
+    series = []
+    for v, fac in enumerate(mono, start=1):
+        sv = slot[v]
+        if fac[0] == "p":
+            base -= fac[1]
+            if sv <= oa:
+                zp[sv - 1] = fac[1]
+            elif fac[1]:
+                series.append((sv - 1, fac[1], False, None))
+            continue
+        si, k = slot[fac[1]], fac[2]
+        if si > oa:
+            if sv > oa:
+                inner[(sv, si)] = k
                 continue
-            i, k = fac[1], fac[2]
-            if (m in in_s) == (i in in_s):
-                dp[(new[m], new[i])] = k
-            elif i in in_s:
-                series.append((new[i], new[m], k, -1))
-            else:
-                coeff *= (-1) ** (k % 2)
-                series.append((new[m], new[i], k, -1))
-        expansions.append((mono_level_in_subset(mono, subset), coeff, zp, dp, series))
-    return expansions
-
-
-def _eps_terms(order, coeff, mult, zp, dp, series, out):
-    """Append to out the GTerms of the series terms of total order `order`."""
-    if not series:
-        if order == 0:
-            out.append((coeff * mult, zp, dp))
-        return
-    (u, base, e, sign), rest = series[0], series[1:]
-    cap = min(order, e) if base is None else order
-    for s in range(order if not rest else 0, cap + 1):
-        z1 = list(zp)
-        z1[u - 1] += s
-        if base is None:
-            z1[0] += e - s
-            d1 = dp
+            series.append((si - 1, k, True, (sv, pos)))
+        elif sv <= oa:
+            dp[(sv, si)] = k
+        elif si < pos:
+            series.append((sv - 1, k, False, (pos, si)))
         else:
-            d1 = dict(dp)
-            d1[(base, 1)] = d1.get((base, 1), 0) + e - s
-        _eps_terms(order - s, coeff, mult * gbinom(e, s) * sign ** s, z1, d1, rest, out)
+            sign *= (-1) ** (k % 2)
+            series.append((sv - 1, k, True, (si, pos)))
+        base -= k
+    return (base, pos - 1, series), (sign, zp, dp), inner
 
 
-def _eps_coefficient(expansions, j: int) -> List[tuple]:
-    """GTerms of the eps^-j coefficient of the summed _eps_expansions."""
-    out: List[tuple] = []
-    for p, coeff, zp, dp, series in expansions:
-        if p >= j:
-            _eps_terms(p - j, coeff, 1, zp, dp, series, out)
-    return out
+def _cluster_terms(expansion, term, p_lo: int, p_hi: int, binom, out) -> None:
+    """Enumerating half of the cluster expansion (_cluster_setup): append
+    to out[p - p_lo] the GTerm of every term of outer grading p, for
+    p_lo <= p <= p_hi.  Each GTerm is term times one order of every series
+    factor.  binom(e, s) is the binomial coefficient C(e, s), taken from the
+    caller's module so that a test can break it for one caller alone.  The
+    enumeration prunes at the total order p_hi - base, so it costs as much
+    as its highest grading."""
+    base, tix, series = expansion
+    if p_hi >= base:
+        _cluster_rec((series, tix, p_lo - base, p_hi - base, binom, out, term[0]),
+                     0, 0, 1, term[1], term[2])
+
+
+def _cluster_rec(ctx, idx, order, mult, zp, dp):
+    """The terms of _cluster_terms from series factor idx on, total order
+    so far `order`; mult is an int, and term's coefficient joins once per
+    leaf.  A module-level function with one context tuple costs less per
+    call than a closure, which the filtration makes once per order."""
+    series, tix, lo, hi, binom, out, coeff = ctx
+    if idx == len(series):
+        if order >= lo:
+            out[order - lo].append((coeff * mult, zp, dp))
+        return
+    ix, e, alt, pair = series[idx]
+    cap = hi - order
+    if pair is None and e < cap:
+        cap = e
+    idx += 1
+    for s in range(max(0, lo - order) if idx == len(series) else 0, cap + 1):
+        c = binom(e, s)
+        if alt and s & 1:
+            c = -c
+        zp1 = zp.copy()
+        zp1[ix] += s
+        if pair is None:
+            zp1[tix] += e - s
+            _cluster_rec(ctx, idx, order + s, mult * c, zp1, dp)
+        else:
+            dp1 = dp.copy()
+            dp1[pair] = dp1.get(pair, 0) + e - s
+            _cluster_rec(ctx, idx, order + s, mult * c, zp1, dp1)
+
+
+def _cluster_gterms(mono: Monomial, layout, coeff=1):
+    """(expansion, term) of _cluster_setup with the inner poles joined to
+    the outer ones, so every enumerated GTerm is a whole term over the
+    outer variables followed by the inner ones, reduced in one _reduce."""
+    expansion, (sign, zp, dp), inner = _cluster_setup(mono, layout)
+    dp.update(inner)
+    return expansion, (coeff if sign > 0 else -coeff, zp, dp)
 
 
 def _collision_level(f: LocalFn, subset: List[int], floor: int) -> int:
     """max(floor, collision level of f on the sorted subset S): the largest
-    j > floor whose eps^-j coefficient (_eps_expansions) _reduce, the exact
-    zero test, leaves nonzero, scanning j down from the deepest monomial."""
+    j > floor for which the insertion clustering S has a nonzero part of
+    inner grading j.  Each order j gathers every monomial's terms of outer
+    grading (its grading) - j from the cluster expansion, and one _reduce,
+    the exact zero test, sees cancellations between monomials.  The scan
+    runs down from the deepest monomial's pole depth inside S, which no
+    inner grading exceeds."""
     depth = {mono: mono_level_in_subset(mono, subset) for mono in f.terms}
     top = max(depth.values(), default=0)
     if top <= floor:
         return floor
     if list(depth.values()).count(top) == 1:
         return top  # a lone deepest monomial cannot cancel
-    expansions = _eps_expansions(
-        [(mono, c) for mono, c in f.terms.items() if depth[mono] > floor], f.arity, subset)
+    layout = _cluster_layout(f.arity, subset)
+    expansions = [(depth[mono], mono_grading(mono), *_cluster_gterms(mono, layout, c))
+                  for mono, c in f.terms.items() if depth[mono] > floor]
     for j in range(top, floor, -1):
-        if _reduce(_eps_coefficient(expansions, j), f.arity + 1):
+        gterms: List[tuple] = []
+        for d, g, expansion, term in expansions:
+            if d >= j:
+                _cluster_terms(expansion, term, g - j, g - j, gbinom, [gterms])
+        if _reduce(gterms, f.arity + 1):
             return j
     return floor
 
