@@ -39,28 +39,19 @@ from .vacore import (
     radical_slice,
 )
 
-_VALUE_FLAGS = {
-    "--arity", "--m", "--p", "--subset", "--k", "--sorts", "--preset", "--c",
-    "--norm", "--rank", "--weight", "--max-weight", "--cutoff", "--samples",
-    "--order", "--seed", "--file", "--kind", "--m-max", "--n-max",
-    "--arity-max", "--a", "--b", "--n", "--gens", "--pole-bound",
-    "--grading", "--level", "--pole-budget",
-}
-
-
 def _merge_negative_values(argv):
     """Glue values starting with '-' onto their flag so argparse accepts
-    things like --c -22/5."""
+    things like --c -22/5; a token that is itself an option is not a value."""
+    value_flags, options = _option_strings()
     out = []
     i = 0
     while i < len(argv):
         tok = argv[i]
         if (
-            tok in _VALUE_FLAGS
+            tok in value_flags
             and i + 1 < len(argv)
             and argv[i + 1].startswith("-")
-            and argv[i + 1] not in _VALUE_FLAGS
-            and argv[i + 1] != "--json"
+            and argv[i + 1] not in options
         ):
             out.append(f"{tok}={argv[i + 1]}")
             i += 2
@@ -211,6 +202,17 @@ def build_parser():
     p.add_argument("--norm", type=int, default=2)
     p.add_argument("--max-weight", type=int, required=True)
     return ap
+
+
+@functools.cache
+def _option_strings():
+    """The parser's options that take a value, and all of its options, over
+    every subcommand."""
+    ap = build_parser()
+    (sp,) = (a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
+    actions = [a for p in (ap, *sp.choices.values()) for a in p._actions]
+    every = {opt for a in actions for opt in a.option_strings}
+    return {opt for a in actions if a.nargs != 0 for opt in a.option_strings}, every
 
 
 def _parse(argv):

@@ -59,6 +59,22 @@ class SchemaError(VacalcError):
     """Input that violates the documented schema or range."""
 
 
+class JacobiViolation(SchemaError):
+    """An explicit table fails the Jacobi identity
+    a(m)(b(n)c) - b(n)(a(m)c) = [a(m), b(n)] c on a generator state c.
+
+    generators names a, b and c, and modes is [m, n].
+    """
+
+    def __init__(self, message, *, generators=None, modes=None):
+        super().__init__(message)
+        self.generators = generators
+        self.modes = modes
+
+    def payload(self) -> dict:
+        return {"generators": self.generators, "modes": self.modes}
+
+
 class WeightMismatch(VacalcError):
     """A relation's right-hand side is not homogeneous of the forced weight."""
 

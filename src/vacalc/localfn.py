@@ -564,9 +564,6 @@ class LocalFn(SparseSum):
             raise NotHomogeneous(f"gradings {sorted(gradings)}")
         return next(iter(gradings), 0)
 
-    def is_homogeneous(self) -> bool:
-        return len(self.grade_components()) <= 1
-
     def pole_order(self, i: int, j: int) -> int:
         if i == j or not (1 <= i <= self.arity) or not (1 <= j <= self.arity):
             raise BadSubset(f"need distinct indices in 1..{self.arity}: {i}, {j}")

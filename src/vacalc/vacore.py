@@ -19,7 +19,7 @@ Mode conventions (used consistently here and in fockoracle):
   w + wt(a) - n - 1 and the generator itself is a(-1)1;
 * the translation operator T acts by (Ta)(n) = -n a(n-1) and T1 = 0, so
   T^s a = s! a(-1-s)1;
-* words of weight below the connectivity bound are zero.
+* words of negative weight are zero.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from itertools import product
 from math import factorial
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -34,6 +35,7 @@ from . import fockoracle
 from .cooperad import SortSignature, in_connective
 from .errors import (
     BadPartition,
+    JacobiViolation,
     NoLocalMatch,
     NonTerminating,
     ResourceLimit,
@@ -125,16 +127,17 @@ class VAElement(SparseSum):
 
 
 class Presentation:
-    """Generators with weights, a completed singular-product table, central
-    parameters, and a connectivity bound.  Table coefficients are ints where
-    integral and Fractions otherwise."""
+    """Generators with weights, a completed singular-product table and
+    central parameters.  Table coefficients are ints where integral and
+    Fractions otherwise."""
+
+    connectivity = 0  # words of negative weight vanish
 
     def __init__(
         self,
         generators: Sequence[Tuple[str, int]],
         relations: Dict[Tuple[int, int, int], Dict[Word, int | Fraction]],
         central: Dict[str, Fraction],
-        connectivity: int = 0,
         lattice: Optional[dict] = None,
         ope_closed: bool = True,
         step_bound: int = 10**6,
@@ -146,13 +149,10 @@ class Presentation:
         if len(set(self.names)) != len(self.names):
             raise SchemaError("generator names must be unique")
         for name, w in self.gens:
-            if w < connectivity:
-                raise WeightMismatch(
-                    f"generator {name} has weight {w} below connectivity {connectivity}"
-                )
+            if w < 0:
+                raise WeightMismatch(f"generator {name} has weight {w} below connectivity 0")
         self.name2idx = {name: i for i, name in enumerate(self.names)}
         self.central = dict(central)
-        self.connectivity = connectivity
         self.lattice = lattice
         self.ope_closed = ope_closed
         self.step_bound = step_bound
@@ -328,7 +328,7 @@ class Presentation:
         if cached is not None:
             return cached
         out: Dict[Word, int | Fraction] = {}
-        if self.wt(g) - n - 1 + self.word_weight(word) < self.connectivity:
+        if self.wt(g) - n - 1 + self.word_weight(word) < 0:
             pass
         elif not word:
             if n <= -1:
@@ -339,9 +339,7 @@ class Presentation:
                 out = {((g, n),) + word: 1}
             else:
                 rest = word[1:]
-                acc: Dict[Word, int | Fraction] = {}
-                for w2, c2 in self._prepend(g, n, rest).items():
-                    add_into(acc, self._prepend(h, m, w2), c2)
+                acc = self._act(h, m, self._prepend(g, n, rest))
                 for j in self.ope.get((g, h), {}):
                     cnj = gbinom(n, j)
                     if cnj == 0:
@@ -361,19 +359,33 @@ class Presentation:
             )
         return out
 
-    def prepend_mode(self, g: int, n: int, el: VAElement) -> VAElement:
+    def _act(self, g: int, n: int, state: Dict[Word, int | Fraction]):
+        """Normal form of g(n) applied to a combination of normal words."""
         out: Dict[Word, int | Fraction] = {}
-        for word, c in el.terms.items():
+        for word, c in state.items():
             add_into(out, self._prepend(g, n, word), c)
-        return VAElement(self, out)
+        return out
+
+    def _mode_bracket(self, a: int, p: int, b: int, q: int):
+        """[a(p), b(q)] = sum_j C(p, j) ([a, b]_j)(p + q - j), read off the
+        table: {(gen, mode): coeff} plus the identity coefficient."""
+        modes: Dict[Tuple[int, int], int | Fraction] = {}
+        id_total = 0
+        for j in self.ope.get((a, b), {}):
+            cpj = gbinom(p, j)
+            if cpj:
+                parts, id_coeff = self._table_mode(a, b, j, p + q - j)
+                id_total += cpj * id_coeff
+                add_into(modes, {(g, n): c for g, n, c in parts}, cpj)
+        return modes, id_total
+
+    def prepend_mode(self, g: int, n: int, el: VAElement) -> VAElement:
+        return VAElement(self, self._act(g, n, el.terms))
 
     def _nf_word_suffix(self, word: Word) -> Dict[Word, int | Fraction]:
         el: Dict[Word, int | Fraction] = {VACUUM_WORD: 1}
         for g, n in reversed(word):
-            nxt: Dict[Word, int | Fraction] = {}
-            for w, c in el.items():
-                add_into(nxt, self._prepend(g, n, w), c)
-            el = nxt
+            el = self._act(g, n, el)
         return el
 
     def _nf_word_bubble(self, word: Word) -> Dict[Word, Fraction]:
@@ -391,7 +403,7 @@ class Presentation:
                     word=self.word_str(word),
                 )
             coeff, ms = stack.pop()
-            if self.word_weight(ms) < self.connectivity:
+            if self.word_weight(ms) < 0:
                 continue
             if ms and ms[-1][1] >= 0:
                 continue  # annihilates the vacuum
@@ -466,9 +478,8 @@ class Presentation:
         out: Dict[Word, int | Fraction] = {}
         wt_v = self.word_weight(rest)
         wt_x = self.word_weight(xword)
-        k = self.connectivity
-        bound1 = wt_v + wt_x - K - 1 - k
-        bound2 = self.wt(g) + wt_x - 1 - k
+        bound1 = wt_v + wt_x - K - 1
+        bound2 = self.wt(g) + wt_x - 1
         imax = max(bound1, bound2)
         if m >= 0:
             imax = min(imax, m)
@@ -478,9 +489,7 @@ class Presentation:
             if c == 0:
                 continue
             if i <= bound1:
-                inner = self._word_mode(rest, K + i, xword)
-                for w2, c2 in inner.items():
-                    add_into(out, self._prepend(g, m - i, w2), c * c2)
+                add_into(out, self._act(g, m - i, self._word_mode(rest, K + i, xword)), c)
             if i <= bound2:
                 gi = self._prepend(g, i, xword)
                 for w2, c2 in gi.items():
@@ -595,25 +604,22 @@ def _lowering_generators(pres: Presentation, top: int) -> List[Tuple[int, int]]:
 
     Table entries are combinations of derivatives of generators and the
     vacuum, so the lowering modes g(m), m >= wt(g), span a Lie algebra L+
-    graded by the drop d = m + 1 - wt(g), with brackets
-
-        [a(p), b(q)] = sum_j C(p, j) ([a, b]_j)(p + q - j),
-
-    each table mode expanded by _entry_mode.  No identity term occurs: it
-    would need p + q - j = -1, that is j > p.  A set S of modes generates L+
-    exactly when it spans L+ modulo [L+, L+] in every drop, and then
-    [L+, L+] is spanned by the brackets [s, x] with s in S.  So drop by drop,
+    graded by the drop d = m + 1 - wt(g), with the brackets of
+    Presentation._mode_bracket.  No identity term occurs: it would need
+    p + q - j = -1, that is j > p.  A set S of modes generates L+ exactly
+    when it spans L+ modulo [L+, L+] in every drop, and then [L+, L+] is
+    spanned by the brackets [s, x] with s in S.  So drop by drop,
     D_d is the span of [s, x] for every kept s of drop d1 < d and every
     generator mode x of drop d - d1, and generator g is kept when its mode
     is not in D_d plus the modes of the generators before g, that is, when
     no vector of D_d has g as its last nonzero column.  The columns are
     numbered in reverse, so those are the columns that are not pivots of
     D_d's reduced echelon form (the pivots are the leading columns of its
-    vectors).  Both facts about S assume the Jacobi identity, as
-    radical_slices does; without it, brackets with kept modes alone span at
-    most the full D_d, so no fewer modes are kept.  Virasoro keeps L(2) and
-    L(3), that is L_1 and L_2; affine sl2 keeps its drop-1 modes and a
-    Heisenberg algebra every mode.
+    vectors).  Both facts about S rest on the Jacobi identity, which
+    load_presentation checks for documents (_check_jacobi) and the tests
+    check for every preset.  Virasoro keeps L(2) and L(3), that is L_1 and
+    L_2; affine sl2 keeps its drop-1 modes and a Heisenberg algebra every
+    mode.
     """
     ngen = len(pres.gens)
     out: List[Tuple[int, int]] = []
@@ -623,14 +629,8 @@ def _lowering_generators(pres: Presentation, top: int) -> List[Tuple[int, int]]:
             p = pres.wt(a) + d1 - 1
             for b in range(ngen):
                 q = pres.wt(b) + d - d1 - 1
-                bracket: Dict[int, int | Fraction] = {}
-                for j in pres.ope.get((a, b), {}):
-                    cpj = gbinom(p, j)
-                    if cpj:
-                        parts, _ = pres._table_mode(a, b, j, p + q - j)
-                        for g, _, c in parts:
-                            add_into(bracket, {ngen - 1 - g: c}, cpj)
-                rows.append(bracket)
+                modes, _ = pres._mode_bracket(a, p, b, q)
+                rows.append({ngen - 1 - g: c for (g, _), c in modes.items()})
         pivots = _echelon(rows)
         out.extend((g, d) for g in range(ngen) if ngen - 1 - g not in pivots)
     return out
@@ -649,21 +649,15 @@ def radical_slices(pres: Presentation, w_max: int) -> List[RadicalSlice]:
     s2 s1 x and [s1, s2] x; hence every lowering mode g(m) sends x into Rad,
     and W = W' g(m) leaves Wx = W'(g(m)x) no vacuum component.  The argument
     takes the bracket of two lowering modes to act as the table says, which
-    holds when the table satisfies the Jacobi identity; load_presentation
-    does not check that.  Imposing every lowering mode g(m) instead gives
-    the kernel of all lowering words, each applied by straightening, for
-    any table.  The generating modes are a subset of those conditions, so
-    on a table that fails the Jacobi identity the result can be a larger
-    radical, with no warning.  Each Rad_u below the top is kept as an
-    integer echelon with one common scale L (_scaled_echelon): rows R_f with
-    lead L at pivot f and zero at the other pivots.  For a spanning word b,
-    the image y = s b becomes L y - sum_f y[f] R_f (_cross_reduce), an int
-    row when y is, and its entry at each non-pivot column gives one linear
-    condition; scaling every image by the same L does not change the kernel.
+    holds because the table satisfies the Jacobi identity (_check_jacobi).
+    Each Rad_u below the top is kept as an integer echelon with one common
+    scale L (_scaled_echelon): rows R_f with lead L at pivot f and zero at
+    the other pivots.  For a spanning word b, the image y = s b becomes
+    L y - sum_f y[f] R_f (_cross_reduce), an int row when y is, and its
+    entry at each non-pivot column gives one linear condition; scaling every
+    image by the same L does not change the kernel.
     """
     pres.require_closed("the radical slice")
-    if pres.connectivity != 0:
-        raise SchemaError("radical slices are defined for connectivity 0")
     _require_positive_weights(pres, "the radical slice")
     imposed = _lowering_generators(pres, w_max)
     columns: List[Dict[Word, int]] = []  # per weight: word -> column
@@ -808,9 +802,7 @@ def _vacuum_series_support(
         g = gidx[i]
         reach = radius * (r - 1 - i)
         for e in range(max(-radius, left - reach), min(radius, left + reach) + 1):
-            nxt: Dict[Word, int | Fraction] = {}
-            for word, c in state.items():
-                add_into(nxt, pres._prepend(g, -e - 1, word), c)
+            nxt = pres._act(g, -e - 1, state)
             if nxt:
                 acc.append(e)
                 walk(i + 1, nxt, left - e)
@@ -878,11 +870,9 @@ def _certify(
     if expansion != series:
         e = min(k for k in expansion.keys() | series.keys() if expansion.get(k) != series.get(k))
         raise failure(f"verification window mismatch at exponents {e}", radius + 2, e)
-    if not in_connective(result, pres.connectivity, SortSignature(0, sorts)):
+    if not in_connective(result, 0, SortSignature(0, sorts)):
         raise failure(
-            f"local match of {list(gen_names)} is outside the connectivity-"
-            f"{pres.connectivity} piece",
-            radius,
+            f"local match of {list(gen_names)} is outside the connectivity-0 piece", radius
         )
     return result
 
@@ -1107,7 +1097,7 @@ def preset_heisenberg(rank: int = 1, form=None) -> Presentation:
         for j in range(i, rank):
             if form[i][j]:
                 rel[(i, j, 1)] = {VACUUM_WORD: form[i][j]}
-    return Presentation(gens, rel, {}, connectivity=0, label=f"heisenberg(rank={rank})")
+    return Presentation(gens, rel, {}, label=f"heisenberg(rank={rank})")
 
 
 def preset_virasoro(c) -> Presentation:
@@ -1118,9 +1108,7 @@ def preset_virasoro(c) -> Presentation:
         (0, 0, 1): {((0, -1),): Fraction(2)},
         (0, 0, 3): {VACUUM_WORD: c / 2},
     }
-    return Presentation(
-        [("L", 2)], rel, {"c": c}, connectivity=0, label=f"virasoro(c={c})"
-    )
+    return Presentation([("L", 2)], rel, {"c": c}, label=f"virasoro(c={c})")
 
 
 def preset_lattice_rank1(norm: int = 2) -> Presentation:
@@ -1136,7 +1124,6 @@ def preset_lattice_rank1(norm: int = 2) -> Presentation:
         gens,
         {},
         {},
-        connectivity=0,
         lattice={"norm": norm},
         ope_closed=False,
         label=f"lattice_rank1(norm={norm})",
@@ -1171,6 +1158,37 @@ def _json_typed(value, kind: type, what: str):
     return value
 
 
+def _check_jacobi(pres: Presentation):
+    """Raise JacobiViolation unless the table satisfies
+
+        a(m)(b(n)c) - b(n)(a(m)c) = [a(m), b(n)] c
+
+    for all generators a, b, c, with c = c(-1)1, and modes m, n >= 0 with
+    m + n <= wt a + wt b + wt c - 2 (beyond that the weight is negative).
+    The table is linear, so this is its Jacobi identity (the lambda-bracket
+    form; Kac, Vertex algebras for beginners, 2.7).  The right side reads
+    the bracket through _mode_bracket, the left side straightens twice.
+    """
+    for a, b, c in product(range(len(pres.gens)), repeat=3):
+        state = {((c, -1),): 1}
+        top = pres.wt(a) + pres.wt(b) + pres.wt(c) - 2
+        for m in range(top + 1):
+            for n in range(top - m + 1):
+                diff = pres._act(a, m, pres._act(b, n, state))
+                add_into(diff, pres._act(b, n, pres._act(a, m, state)), -1)
+                modes, _ = pres._mode_bracket(a, m, b, n)  # m >= 0: no identity term
+                for (g, k), coeff in modes.items():
+                    add_into(diff, pres._act(g, k, state), -coeff)
+                if diff:
+                    names = [pres.gen_name(x) for x in (a, b, c)]
+                    raise JacobiViolation(
+                        f"the table fails the Jacobi identity for {', '.join(names)} "
+                        f"at modes [{m}, {n}]",
+                        generators=names,
+                        modes=[m, n],
+                    )
+
+
 def load_presentation(doc) -> Presentation:
     """Build a presentation from a JSON document or preset description.
 
@@ -1179,7 +1197,8 @@ def load_presentation(doc) -> Presentation:
     {"preset": "lattice_rank1", "norm": 2}, or the explicit form
     {"generators": [{"name", "weight"}], "central": {...},
      "relations": [{"a", "b", "n", "result": [{"coeff", "word", "tail"}]}]}.
-    All rationals are strings like "p/q".
+    All rationals are strings like "p/q".  An explicit document may state
+    "connectivity" only as 0, and its table must pass _check_jacobi.
     """
     if isinstance(doc, str):
         try:
@@ -1243,13 +1262,11 @@ def load_presentation(doc) -> Presentation:
         if (a, b, n) in relations:
             raise SchemaError(f"duplicate relation for ({rel['a']},{rel['b']},{n})")
         relations[(a, b, n)] = entry
-    return Presentation(
-        gens,
-        relations,
-        central,
-        connectivity=_integer(doc.get("connectivity", 0), "connectivity"),
-        label="document",
-    )
+    if _integer(doc.get("connectivity", 0), "connectivity") != 0:
+        raise SchemaError("only connectivity 0 is supported")
+    pres = Presentation(gens, relations, central, label="document")
+    _check_jacobi(pres)
+    return pres
 
 
 _WORD_TOKEN = re.compile(r"\s*([A-Za-z_][A-Za-z_0-9]*)\s*\(\s*(-?\d+)\s*\)")

@@ -199,6 +199,17 @@ _BAD_INPUTS = [
     (("npoint", "--preset", "heisenberg", "--gens", "a,a,"), None),
     (("filtration", "--arity", "2", "--subset", "1,,2", "(z2-z1)^-1"), None),
     (("connective", "--arity", "2", "--sorts", "0,,1", "(z2-z1)^-1"), None),
+    # only connectivity 0 is accepted
+    (("radical", "--file", "PRES", "--weight", "3"), {
+        "generators": [{"name": "a", "weight": 1}],
+        "relations": [{"a": "a", "b": "a", "n": 1, "result": [{"coeff": "1", "word": []}]}],
+        "connectivity": 1,
+    }),
+    (("radical", "--file", "PRES", "--weight", "3"), {
+        "generators": [{"name": "a", "weight": 1}],
+        "relations": [{"a": "a", "b": "a", "n": 1, "result": [{"coeff": "1", "word": []}]}],
+        "connectivity": -1,
+    }),
 ]
 
 
@@ -229,6 +240,19 @@ def test_empty_list_item_names_the_flag(flag, value, argv):
     assert proc.returncode == 1
     assert proc.stderr == f"error: SchemaError: empty item in {flag} list {value!r}\n"
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("insert", "--arity", "2", "--m", "1", "--p", "-1", "z1*z2"), "--p"),
+    (("filtration", "--basis", "--arity", "2", "--subset", "1,2", "--level", "1",
+      "--grading", "-1", "--pole-budget", "1"), "--grading"),
+], ids=["insert-p", "filtration-grading"])
+def test_negative_value_is_glued_to_its_flag(capsys, argv, flag):
+    i = argv.index(flag)
+    glued = argv[:i] + (f"{flag}={argv[i + 1]}",) + argv[i + 2:]
+    code, out = invoke(capsys, *argv)
+    assert code == 0 and out not in ("", "0\n")
+    assert (code, out) == invoke(capsys, *glued)
 
 
 def test_insert_without_variables_is_a_bad_split():
@@ -280,6 +304,24 @@ _SL2_DOC = {
         {"a": "h", "b": "h", "n": 1, "result": [{"coeff": "2", "word": []}]},
     ],
 }
+
+
+@pytest.mark.parametrize("relation, coeff, modes", [
+    (2, "-3", [0, 0]),  # [e,h]_0 = -3e
+    (4, "3", [0, 1]),  # [h,h]_1 = 3
+], ids=["structure-constant", "central-term"])
+def test_jacobi_violation_is_a_one_line_error(tmp_path, relation, coeff, modes):
+    doc = json.loads(json.dumps(_SL2_DOC))
+    doc["relations"][relation]["result"][0]["coeff"] = coeff
+    path = tmp_path / "mutant.json"
+    path.write_text(json.dumps(doc))
+    proc = _vacalc_process("radical", "--file", str(path), "--weight", "3", "--json")
+    assert proc.returncode == 1
+    assert proc.stdout == "" and "Traceback" not in proc.stderr
+    line, obj = proc.stderr.splitlines()
+    assert line.startswith("error: JacobiViolation: ")
+    obj = json.loads(obj)
+    assert (obj["generators"], obj["modes"]) == (["e", "f", "h"], modes)
 
 
 def test_radical_affine_sl2_output_is_pinned(tmp_path):

@@ -16,6 +16,7 @@ from vacalc import fockoracle as F
 from vacalc.cooperad import SortSignature, in_connective
 from vacalc.errors import (
     BadPartition,
+    JacobiViolation,
     NoLocalMatch,
     ResourceLimit,
     SchemaError,
@@ -29,6 +30,7 @@ from vacalc.vacore import (
     VACUUM_WORD,
     Presentation,
     VAElement,
+    _check_jacobi,
     _lowering_generators,
     _mono_series_coeff,
     _mono_series_support,
@@ -162,6 +164,38 @@ _SL2_REVERSED = [
 ]
 
 
+@pytest.mark.parametrize("mutant, payload", [
+    # [e,h]_0 = -3e against [e,f]_0 = h and [f,h]_0 = 2f
+    (_rel("e", "h", 0, ("-3", [["e", -1]])), {"generators": ["e", "f", "h"], "modes": [0, 0]}),
+    # [h,h]_1 = 3 against [e,f]_1 = 1
+    (_rel("h", "h", 1, ("3", [])), {"generators": ["e", "f", "h"], "modes": [0, 1]}),
+], ids=["structure-constant", "central-term"])
+def test_jacobi_violation_at_load(mutant, payload):
+    # both tables are skew-consistent, so only the Jacobi check rejects them
+    key = (mutant["a"], mutant["b"], mutant["n"])
+    table = [mutant if (r["a"], r["b"], r["n"]) == key else r for r in _SL2_FORWARD]
+    with pytest.raises(JacobiViolation) as exc:
+        load_presentation(_doc("efh", table))
+    assert isinstance(exc.value, SchemaError)
+    assert exc.value.payload() == payload
+
+
+@pytest.mark.parametrize("pres", [
+    *(preset_virasoro(1 - Fraction(6 * (q - p) ** 2, p * q))
+      for p, q in ((2, 5), (3, 4), (2, 7), (4, 5))),
+    preset_virasoro(1),
+    preset_heisenberg(1),
+    preset_heisenberg(2),
+    preset_heisenberg(3),
+    preset_heisenberg(2, [[1, 1], [1, 1]]),
+    preset_heisenberg(2, [[0, 0], [0, 1]]),
+], ids=["lee-yang", "ising", "c=-68/7", "tricritical", "c=1", "rank-1", "rank-2", "rank-3",
+        "form-11-11", "form-00-01"])
+def test_presets_pass_the_jacobi_check(pres):
+    # presets skip the check at load; it must hold for every one of them
+    _check_jacobi(pres)
+
+
 def test_reversed_affine_sl2_matches_forward():
     forward = load_presentation(_doc("efh", _SL2_FORWARD))
     reverse = load_presentation(_doc("efh", _SL2_REVERSED))
@@ -265,6 +299,16 @@ def test_schema_rejections():
             load_presentation(doc)
     # integer strings are integers
     assert load_presentation({"preset": "heisenberg", "rank": "2"}).label == "heisenberg(rank=2)"
+
+
+def test_only_connectivity_0_loads():
+    # [a,a]_1 = 1 at connectivity 1 would drop the vacuum from a(1)a
+    doc = _doc("a", [_rel("a", "a", 1, ("1", []))])
+    for value in (0, "0"):
+        assert load_presentation({**doc, "connectivity": value}).connectivity == 0
+    for value in (1, -1):
+        with pytest.raises(SchemaError, match="only connectivity 0 is supported"):
+            load_presentation({**doc, "connectivity": value})
 
 
 # ---------------------------------------------------------------------------
