@@ -28,7 +28,7 @@ import json
 import re
 from fractions import Fraction
 from itertools import product
-from math import factorial
+from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import fockoracle
@@ -67,6 +67,17 @@ def _exact(c) -> int | Fraction:
     """The rational c as an int when it is integral, else as a Fraction."""
     c = Fraction(c)
     return c.numerator if c.denominator == 1 else c
+
+
+def _gf2_reduce(v: int, echelon: Dict[int, int]) -> int:
+    """The bitmask v reduced over GF(2) by an echelon {leading bit: row};
+    0 exactly when v is in the rows' span."""
+    while v:
+        row = echelon.get(v.bit_length() - 1)
+        if row is None:
+            break
+        v ^= row
+    return v
 
 
 class VAElement(SparseSum):
@@ -178,6 +189,7 @@ class Presentation:
                 )
         self._prepend_cache: Dict[tuple, Dict[Word, int | Fraction]] = {}
         self._table_mode_cache: Dict[tuple, tuple] = {}
+        self._parity_echelon: Optional[Dict[int, int]] = None  # built by _parity_forbids
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -254,6 +266,9 @@ class Presentation:
 
         filling (b, a) when it was not declared and otherwise (a == b
         included) requiring the declared row to equal the computed one.
+        The word g(-1-s)1 is (1/s!) T^s g, so (1/j!) T^j takes it to
+        C(s + j, j) g(-1-s-j)1 and every factor but the table coefficient
+        is an integer.
         """
         declared = dict(self.ope)
         for (a, b), row in declared.items():
@@ -265,7 +280,7 @@ class Presentation:
                     src = row.get(m + j)
                     if not src:
                         continue
-                    sign = Fraction((-1) ** (m + 1) * (-1) ** j, factorial(j))
+                    sign = -1 if (m + 1 + j) % 2 else 1
                     for word, c in src.items():
                         if not word:
                             if j:
@@ -273,8 +288,7 @@ class Presentation:
                             w2 = VACUUM_WORD
                         else:
                             g, mode = word[0]
-                            s = -1 - mode
-                            c = c * (factorial(s + j) // factorial(s))
+                            c = c * comb(-1 - mode + j, j)
                             w2 = ((g, mode - j),)
                         entry[w2] = entry.get(w2, 0) + sign * c
                 entry = {w: _exact(c) for w, c in entry.items() if c}
@@ -289,6 +303,45 @@ class Presentation:
                     f"declared [{self.gen_name(b)},{self.gen_name(a)}]_{m} "
                     "conflicts with skew symmetry"
                 )
+
+    # -- the sign-symmetry selection rule -----------------------------------
+
+    def _parity_forbids(self, gidx: Sequence[int]) -> bool:
+        """True when the table's sign symmetry forces the vacuum coefficient
+        of every product g_r(n_r) ... g_1(n_1) 1 to zero, g_i = gidx[i-1].
+
+        Over GF(2), with one coordinate per generator, each word w of each
+        table entry [a, b]_n gives the row e_a + e_b + e_gen(w), where a
+        vacuum word has no e_gen(w) term.  The rows' echelon is built on
+        first use and cached, keyed by leading bit, as int bitmasks.  The
+        insertions' parity is c = sum_i e_(g_i) mod 2, and the rule fires
+        when c is not in the span of the rows.
+
+        Why this is exact.  Take any x orthogonal to every row.  The sign
+        flip g -> (-1)^(x_g) g fixes every table entry, so every _prepend
+        and _act step keeps the x-parity sum_i x_(g_i) of the words it
+        rewrites: the commuted term keeps the word's letters, a table term
+        replaces g, h by one generator of parity x_g + x_h, and an identity
+        term drops g, h with x_g + x_h = 0.  This uses no Jacobi identity.
+        The vacuum has parity 0.  If c lies outside the row span, some such
+        x has c.x = 1, so the product has odd x-parity and no vacuum
+        component.
+        """
+        echelon = self._parity_echelon
+        if echelon is None:
+            echelon = {}
+            for (a, b), row in self.ope.items():
+                for entry in row.values():
+                    for word in entry:
+                        v = (1 << a) ^ (1 << b) ^ ((1 << word[0][0]) if word else 0)
+                        v = _gf2_reduce(v, echelon)
+                        if v:
+                            echelon[v.bit_length() - 1] = v
+            self._parity_echelon = echelon
+        c = 0
+        for g in gidx:
+            c ^= 1 << g
+        return _gf2_reduce(c, echelon) != 0
 
     # -- straightening -----------------------------------------------------
 
@@ -776,13 +829,19 @@ def _vacuum_series_support(
     keyed by exponent tuple, where g_i = gidx[i-1]: the coefficient of
     prod z_i^(e_i) in the vacuum matrix series of the insertions.
 
-    Walks the window's prefixes depth first, each exponent within the range
-    the remaining ones can still reach, with the last exponent fixed by the
-    total.  The state after the first k insertions is straightened once for
-    every tuple that shares those k exponents, and a prefix whose state is
-    empty is dropped with its whole subtree: every tuple under it has the
-    value 0.  The last insertion contributes only its vacuum coefficient.
+    When the sign-symmetry selection rule (Presentation._parity_forbids)
+    fires, every coefficient is 0 and the result is {} with no walk, for
+    every table, Jacobi or not (the argument is in its docstring).
+    Otherwise the walk runs over the window's prefixes depth first, each
+    exponent within the range the remaining ones can still reach, with the
+    last exponent fixed by the total.  The state after the first k
+    insertions is straightened once for every tuple that shares those k
+    exponents, and a prefix whose state is empty is dropped with its whole
+    subtree: every tuple under it has the value 0.  The last insertion
+    contributes only its vacuum coefficient.
     """
+    if pres._parity_forbids(gidx):
+        return {}
     r = len(gidx)
     acc: List[int] = []
     out: Dict[Tuple[int, ...], int | Fraction] = {}
@@ -836,15 +895,18 @@ def _certify(
     """Return result once it is certified as the vacuum correlator of the
     insertions; both correlator routes end here.
 
-    Every monomial must lie in the ansatz space (basis monomials of the
-    total weight with pole total at most the pole bound), the expansion
-    (_mono_series_support) must equal the vacuum series
-    (_vacuum_series_support) at every tuple of the window of radius
-    radius + 2, and result must pass in_connective.  Both sides are compared
-    as sparse sums with no zero values: every key of the expansion lies in
-    the window, because each exponent is within radius + 2 and every
-    monomial has the total weight, so equal sums agree at every tuple of
-    the window.
+    Three checks, in order:
+    * every monomial lies in the ansatz space: basis monomials of the total
+      weight with pole total at most the pole bound;
+    * the expansion (_mono_series_support) equals the vacuum series
+      (_vacuum_series_support) on the window of radius radius + 2.  Both
+      sides are sparse sums with no zero values.  Every key of the
+      expansion lies in the window, because each exponent is within
+      radius + 2 and every monomial has the total weight, so equal sums
+      agree at every tuple of the window.  Where the selection rule makes
+      the series {}, the check still runs and requires an expansion with
+      no nonzero value on the window;
+    * result passes in_connective.
 
     A failed check is a NoLocalMatch carrying the window radius (radius + 2
     for a series mismatch, radius otherwise), the number of basis monomials

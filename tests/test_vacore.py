@@ -923,6 +923,91 @@ def test_vacuum_series_matches_oracle_at_c_one(vir1):
     assert got == want and any(want)
 
 
+# ---------------------------------------------------------------------------
+# the sign-symmetry selection rule
+# ---------------------------------------------------------------------------
+
+_SIGN_PRESETS = {
+    "rank-1": lambda: preset_heisenberg(1),
+    "rank-2": lambda: preset_heisenberg(2),
+    "rank-3": lambda: preset_heisenberg(3),
+    "form-11-11": lambda: preset_heisenberg(2, [[1, 1], [1, 1]]),
+    "form-01-10": lambda: preset_heisenberg(2, [[0, 1], [1, 0]]),
+    "form-00-01": lambda: preset_heisenberg(2, [[0, 0], [0, 1]]),
+    "virasoro-1/2": lambda: preset_virasoro(Fraction(1, 2)),
+    "virasoro-22/5": lambda: preset_virasoro(Fraction(-22, 5)),
+    "sl2": lambda: load_presentation(_doc("efh", _SL2_FORWARD)),
+}
+
+
+def _table_sign_flips(pres):
+    """Every x in {0,1}^n whose sign flip g -> (-1)^(x_g) g fixes every
+    table entry: [a,b]_n = sum c_w w goes to (-1)^(x_a+x_b) [a,b]_n on one
+    side and to sum c_w (-1)^(x of w's letters) w on the other."""
+    flips = []
+    for x in product((0, 1), repeat=len(pres.gens)):
+        if all(
+            {w: (-1) ** (x[a] + x[b] + sum(x[g] for g, _ in w)) * c for w, c in entry.items()}
+            == entry
+            for (a, b), row in pres.ope.items()
+            for entry in row.values()
+        ):
+            flips.append(x)
+    return flips
+
+
+@pytest.mark.parametrize("name, independent", [
+    ("rank-1", 1), ("rank-2", 2), ("rank-3", 3),
+    ("form-11-11", 1), ("form-01-10", 1), ("form-00-01", 2),
+    ("virasoro-1/2", 0), ("virasoro-22/5", 0), ("sl2", 1),
+])
+def test_parity_rule_matches_brute_force_sign_flips(name, independent):
+    # the rule fires on a generator tuple exactly when some table-fixing
+    # sign flip makes the tuple odd, over all 2^n sign vectors
+    pres = _SIGN_PRESETS[name]()
+    flips = _table_sign_flips(pres)
+    assert len(flips) == 2 ** independent
+    if name == "sl2":
+        assert flips == [(0, 0, 0), (1, 1, 0)]  # e and f flip together
+    n = len(pres.gens)
+    for k in range(0, 4):
+        for gidx in product(range(n), repeat=k):
+            odd = any(sum(x[g] for g in gidx) % 2 for x in flips)
+            assert pres._parity_forbids(gidx) == odd, gidx
+
+
+@pytest.mark.parametrize("name, arity, odd_tuples", [
+    ("rank-1", 4, 2), ("rank-2", 4, 20), ("rank-3", 4, 96),
+    ("form-11-11", 4, 10), ("form-01-10", 4, 10), ("form-00-01", 4, 20),
+    ("sl2", 3, 20),
+])
+def test_parity_rule_agrees_with_the_walk(name, arity, odd_tuples, monkeypatch):
+    # with the rule switched off, the walk of the certificate's window
+    # (pole bound = total weight) finds no nonzero tuple where the rule fires
+    pres = _SIGN_PRESETS[name]()
+    n = len(pres.gens)
+    odd = [gidx for r in range(1, arity + 1) for gidx in product(range(n), repeat=r)
+           if pres._parity_forbids(gidx)]
+    assert len(odd) == odd_tuples
+    monkeypatch.setattr(Presentation, "_parity_forbids", lambda self, gidx: False)
+    for gidx in odd:
+        total = sum(pres.wt(g) for g in gidx)
+        assert _vacuum_series_support(pres, gidx, 2 * total + 3, -total) == {}, gidx
+
+
+def test_parity_rule_mutant_breaks_the_certificate():
+    # an echelon without the row e_L of [L,L]_0 = TL calls L odd; the Ward
+    # route then disagrees with the (now empty) series on the window
+    pres = preset_virasoro(Fraction(1, 2))
+    assert not pres._parity_forbids([0, 0, 0])
+    npoint_ward(pres, ["L"] * 3, 6)
+    pres._parity_echelon = {}
+    assert pres._parity_forbids([0, 0, 0])
+    with pytest.raises(NoLocalMatch) as err:
+        npoint_ward(pres, ["L"] * 3, 6)
+    assert err.value.exponents is not None
+
+
 def test_series_support_matches_closed_form():
     # the sparse rows of the correlator solve against the closed-form lookup,
     # on windows that cut through the support and, below four points, on
