@@ -107,11 +107,10 @@ def _nonnegative(value, flag):
     return value
 
 
-def _add_pres_flags(sub, with_c=True):
+def _add_pres_flags(sub):
     sub.add_argument("--preset", choices=["heisenberg", "virasoro", "lattice_rank1"])
     sub.add_argument("--file")
-    if with_c:
-        sub.add_argument("--c")
+    sub.add_argument("--c")
     sub.add_argument("--rank", type=int)
     sub.add_argument("--norm", type=int)
 

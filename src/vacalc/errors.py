@@ -82,8 +82,8 @@ class WeightMismatch(VacalcError):
 class UnboundedOPE(VacalcError):
     """A generator pair declares singular products beyond the supported bound.
 
-    Finite JSON documents cannot actually trigger this; the guard exists so
-    a future rule-based relation source cannot silently break termination.
+    Raised at load time for a nonzero table entry [a,b]_n with n > 64; an
+    explicit document with a nonzero relation result at n = 65 does it.
     """
 
 

@@ -150,7 +150,6 @@ class Presentation:
         relations: Dict[Tuple[int, int, int], Dict[Word, int | Fraction]],
         central: Dict[str, Fraction],
         lattice: Optional[dict] = None,
-        ope_closed: bool = True,
         step_bound: int = 10**6,
         label: str = "custom",
     ):
@@ -165,7 +164,6 @@ class Presentation:
         self.name2idx = {name: i for i, name in enumerate(self.names)}
         self.central = dict(central)
         self.lattice = lattice
-        self.ope_closed = ope_closed
         self.step_bound = step_bound
         self.label = label
         # (a, b) -> n -> [a, b]_n, each row ascending in n, zero entries omitted
@@ -197,7 +195,9 @@ class Presentation:
         return self.label
 
     def require_closed(self, what: str):
-        if not self.ope_closed:
+        """Refuse `what` on a lattice presentation, which has no table and
+        is realized explicitly instead."""
+        if self.lattice is not None:
             raise SchemaError(
                 f"{what} needs a table-closed presentation; {self.label} is "
                 "realized explicitly instead (see lattice_check)"
@@ -432,8 +432,11 @@ class Presentation:
                 add_into(modes, {(g, n): c for g, n, c in parts}, cpj)
         return modes, id_total
 
-    def prepend_mode(self, g: int, n: int, el: VAElement) -> VAElement:
-        return VAElement(self, self._act(g, n, el.terms))
+    def prepend_mode(self, g: int, n: int, word: Word) -> Dict[Word, int | Fraction]:
+        """Normal form of g(n) applied to the normal word `word`, as
+        {normal word: coefficient}.  The dict is the rewrite cache's own
+        entry: read it, never change it."""
+        return self._prepend(g, n, word)
 
     def _nf_word_suffix(self, word: Word) -> Dict[Word, int | Fraction]:
         el: Dict[Word, int | Fraction] = {VACUUM_WORD: 1}
@@ -718,7 +721,6 @@ def radical_slices(pres: Presentation, w_max: int) -> List[RadicalSlice]:
     out: List[RadicalSlice] = []
     for u in range(w_max + 1):
         basis = spanning_basis(pres, u)
-        states = [VAElement(pres, {b: 1}) for b in basis]
         rows = [] if u else [{0: 1}]  # Rad_0 = 0
         for g, d in imposed:
             if d > u:
@@ -726,8 +728,8 @@ def radical_slices(pres: Presentation, w_max: int) -> List[RadicalSlice]:
             cols, (scale, rad) = columns[u - d], rads[u - d]
             m = pres.wt(g) + d - 1
             conditions = {c: {} for c in range(len(cols)) if c not in rad}
-            for j, x in enumerate(states):
-                image = {cols[w]: c for w, c in pres.prepend_mode(g, m, x).terms.items()}
+            for j, b in enumerate(basis):
+                image = {cols[w]: c for w, c in pres.prepend_mode(g, m, b).items()}
                 for c, v in _cross_reduce(image, rad, scale).items():
                     conditions[c][j] = v
             rows.extend(conditions.values())
@@ -1143,15 +1145,16 @@ def preset_heisenberg(rank: int = 1, form=None) -> Presentation:
     if rank < 1:
         raise SchemaError("rank must be >= 1")
     if form is None:
-        form = [[Fraction(int(i == j)) for j in range(rank)] for i in range(rank)]
-    try:
-        form = [[_rational(x, "a form entry") for x in row] for row in form]
-    except TypeError as exc:
-        raise SchemaError("form must be rank x rank") from exc
-    if len(form) != rank or any(len(row) != rank for row in form):
-        raise SchemaError("form must be rank x rank")
-    if any(form[i][j] != form[j][i] for i in range(rank) for j in range(rank)):
-        raise SchemaError("form must be symmetric")
+        form = [[int(i == j) for j in range(rank)] for i in range(rank)]
+    else:
+        try:
+            form = [[_rational(x, "a form entry") for x in row] for row in form]
+        except TypeError as exc:
+            raise SchemaError("form must be rank x rank") from exc
+        if len(form) != rank or any(len(row) != rank for row in form):
+            raise SchemaError("form must be rank x rank")
+        if any(form[i][j] != form[j][i] for i in range(rank) for j in range(rank)):
+            raise SchemaError("form must be symmetric")
     names = ["a"] if rank == 1 else [f"a{i+1}" for i in range(rank)]
     gens = [(name, 1) for name in names]
     rel = {}
@@ -1166,8 +1169,8 @@ def preset_virasoro(c) -> Presentation:
     """One generator of weight 2 with the stress-tensor singular products."""
     c = Fraction(c)
     rel = {
-        (0, 0, 0): {((0, -2),): Fraction(1)},
-        (0, 0, 1): {((0, -1),): Fraction(2)},
+        (0, 0, 0): {((0, -2),): 1},
+        (0, 0, 1): {((0, -1),): 2},
         (0, 0, 3): {VACUUM_WORD: c / 2},
     }
     return Presentation([("L", 2)], rel, {"c": c}, label=f"virasoro(c={c})")
@@ -1187,7 +1190,6 @@ def preset_lattice_rank1(norm: int = 2) -> Presentation:
         {},
         {},
         lattice={"norm": norm},
-        ope_closed=False,
         label=f"lattice_rank1(norm={norm})",
     )
 

@@ -211,6 +211,12 @@ _BAD_INPUTS = [
         "connectivity": -1,
     }),
 ]
+# a singular product beyond the supported bound, the one case with its own class
+_UNBOUNDED_OPE = (("ope", "--file", "PRES", "--a", "a", "--b", "a"), {
+    "generators": [{"name": "a", "weight": 33}],
+    "relations": [{"a": "a", "b": "a", "n": 65, "result": [{"coeff": "1", "word": []}]}],
+})
+_BAD_INPUTS.append(_UNBOUNDED_OPE)
 
 
 @pytest.mark.parametrize(
@@ -223,8 +229,9 @@ def test_bad_input_is_a_schema_error(tmp_path, argv, document):
     elif document is not None:
         path.write_text(document)
     proc = _vacalc_process(*(str(path) if a == "PRES" else a for a in argv))
+    error = "UnboundedOPE" if (argv, document) == _UNBOUNDED_OPE else "SchemaError"
     assert proc.returncode == 1
-    assert proc.stderr.startswith("error: SchemaError: ")
+    assert proc.stderr.startswith(f"error: {error}: ")
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
     assert proc.stdout == ""
 

@@ -222,6 +222,39 @@ def test_table_coefficients_are_ints_where_integral():
     assert len(values) == 9 and all(type(c) is int for c in values)
 
 
+def _typed_table(pres):
+    return {(a, b, n): {w: (c, type(c)) for w, c in entry.items()}
+            for (a, b), row in pres.ope.items() for n, entry in row.items()}
+
+
+def test_heisenberg_tables_keep_their_values_and_types():
+    for rank in (1, 2, 3):
+        assert _typed_table(preset_heisenberg(rank)) == {
+            (i, i, 1): {VACUUM_WORD: (1, int)} for i in range(rank)}
+    forms = [
+        ([[1, 1], [1, 1]], {(a, b, 1): {VACUUM_WORD: (1, int)}
+                            for a in range(2) for b in range(2)}),
+        ([["1/2", "0"], ["0", "-2/3"]], {(0, 0, 1): {VACUUM_WORD: (Fraction(1, 2), Fraction)},
+                                         (1, 1, 1): {VACUUM_WORD: (Fraction(-2, 3), Fraction)}}),
+        ([[0, 0], [0, 1]], {(1, 1, 1): {VACUUM_WORD: (1, int)}}),
+    ]
+    for form, want in forms:
+        assert _typed_table(preset_heisenberg(2, form)) == want
+    bad = [
+        ((0, None), "rank must be >= 1"),
+        ((2, [[1, 0]]), "form must be rank x rank"),
+        ((2, [[1, 0], [0]]), "form must be rank x rank"),
+        ((2, 5), "form must be rank x rank"),
+        ((2, [1, 2]), "form must be rank x rank"),
+        ((2, [[1, 0], [1, 1]]), "form must be symmetric"),
+        ((1, [["x"]]), "bad rational 'x' for a form entry"),
+    ]
+    for args, message in bad:
+        with pytest.raises(SchemaError) as exc:
+            preset_heisenberg(*args)
+        assert str(exc.value) == message
+
+
 def test_int_and_fraction_coefficients_print_and_compare_alike():
     pres = preset_virasoro(Fraction(1, 2))
     words = [((0, -2),), ((0, -3),), ((0, -2), (0, -2))]
@@ -590,6 +623,29 @@ def test_lowering_generators_virasoro_plus_current():
     # (2 - d) L_d and [L_1, J_(d-1)] = (1 - d) J_d, so nothing is kept.
     lj = load_presentation(_LJ_DOC)
     assert _lowering_generators(lj, 8) == [(0, 1), (1, 1), (0, 2)]
+
+
+@pytest.mark.parametrize("make, arg", [
+    *((preset_virasoro, 1 - Fraction(6 * (q - p) ** 2, p * q))
+      for p, q in ((2, 5), (3, 4), (2, 7), (4, 5))),
+    (preset_heisenberg, 2),
+], ids=["lee-yang", "ising", "c=-68/7", "tricritical", "rank-2"])
+def test_prepend_mode_is_the_word_level_rewrite_step(make, arg):
+    pres = make(arg)
+    lowering = _lowering_generators(pres, 6)
+    for u in range(7):
+        for b in spanning_basis(pres, u):
+            for g, d in lowering:
+                m = pres.wt(g) + d - 1
+                assert pres.prepend_mode(g, m, b) == pres._act(g, m, {b: 1})
+    # prepend_mode hands out the rewrite cache's own dicts; the radical must
+    # leave every one of them as a fresh presentation computes it
+    pres = make(arg)
+    radical_slices(pres, 8)
+    fresh = make(arg)
+    assert pres._prepend_cache
+    for key, value in pres._prepend_cache.items():
+        assert value == fresh._prepend(*key), key
 
 
 def test_radical_slice_is_the_top_of_radical_slices():
