@@ -31,7 +31,6 @@ from .vacore import (
     ope_singular,
     parse_element,
     preset_heisenberg,
-    preset_lattice_rank1,
     preset_virasoro,
     radical_slice,
     radical_slices,
@@ -70,7 +69,6 @@ __all__ = [
     "ope_singular",
     "parse_element",
     "preset_heisenberg",
-    "preset_lattice_rank1",
     "preset_virasoro",
     "radical_slice",
     "radical_slices",

@@ -77,8 +77,6 @@ def _pres_from_args(args):
         doc["c"] = args.c
     if getattr(args, "rank", None) is not None:
         doc["rank"] = args.rank
-    if getattr(args, "norm", None) is not None:
-        doc["norm"] = args.norm
     return load_presentation(doc)
 
 
@@ -108,11 +106,10 @@ def _nonnegative(value, flag):
 
 
 def _add_pres_flags(sub):
-    sub.add_argument("--preset", choices=["heisenberg", "virasoro", "lattice_rank1"])
+    sub.add_argument("--preset", choices=["heisenberg", "virasoro"])
     sub.add_argument("--file")
     sub.add_argument("--c")
     sub.add_argument("--rank", type=int)
-    sub.add_argument("--norm", type=int)
 
 
 @functools.cache
@@ -192,7 +189,6 @@ def build_parser():
     p.add_argument("--pole-bound", type=int)
 
     p = cmd("lattice-check", "verify the rank-1 lattice relations in the realization")
-    p.add_argument("--norm", type=int, default=2)
     p.add_argument("--cutoff", type=int, default=4)
 
     p = cmd("oracle-dims", "certification series coefficients")
@@ -340,8 +336,7 @@ def run(argv):
         _emit(args, f.format(), f.to_obj())
 
     elif args.command == "lattice-check":
-        pres = load_presentation({"preset": "lattice_rank1", "norm": args.norm})
-        rep = lattice_check(pres, args.cutoff)
+        rep = lattice_check(args.cutoff)
         human = [f"checks {len(rep['checks'])} failures {rep['failures']}"]
         for c in rep["checks"]:
             mark = "ok " if c["status"] == "ok" else "FAIL"

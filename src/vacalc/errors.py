@@ -7,11 +7,29 @@ of the CLI itself are argparse's business and exit with code 2.
 
 
 class VacalcError(Exception):
-    """Base class for all domain errors raised by this package."""
+    """Base class for all domain errors raised by this package.
+
+    A subclass declares its diagnostic attributes in `fields`; they are
+    passed by keyword and default to None.
+    """
+
+    fields: tuple = ()
+
+    def __init__(self, message, **values):
+        unknown = values.keys() - self.fields
+        if unknown:
+            raise TypeError(f"{type(self).__name__} has no field {min(unknown)!r}")
+        super().__init__(message)
+        for name in self.fields:
+            setattr(self, name, values.get(name))
 
     def payload(self) -> dict:
         """Diagnostic attributes as JSON values (vacalc --json prints them)."""
-        return {}
+        out = {}
+        for name in self.fields:
+            value = getattr(self, name)
+            out[name] = list(value) if isinstance(value, tuple) else value
+        return out
 
 
 class ParseError(VacalcError):
@@ -66,13 +84,7 @@ class JacobiViolation(SchemaError):
     generators names a, b and c, and modes is [m, n].
     """
 
-    def __init__(self, message, *, generators=None, modes=None):
-        super().__init__(message)
-        self.generators = generators
-        self.modes = modes
-
-    def payload(self) -> dict:
-        return {"generators": self.generators, "modes": self.modes}
+    fields = ("generators", "modes")
 
 
 class WeightMismatch(VacalcError):
@@ -93,13 +105,7 @@ class NonTerminating(VacalcError):
     bound is the step bound and word the printed word being rewritten.
     """
 
-    def __init__(self, message, *, bound=None, word=None):
-        super().__init__(message)
-        self.bound = bound
-        self.word = word
-
-    def payload(self) -> dict:
-        return {"bound": self.bound, "word": self.word}
+    fields = ("bound", "word")
 
 
 class ResourceLimit(VacalcError):
@@ -109,13 +115,7 @@ class ResourceLimit(VacalcError):
     bound is the size bound and cache_entries the size that passed it.
     """
 
-    def __init__(self, message, *, bound=None, cache_entries=None):
-        super().__init__(message)
-        self.bound = bound
-        self.cache_entries = cache_entries
-
-    def payload(self) -> dict:
-        return {"bound": self.bound, "cache_entries": self.cache_entries}
+    fields = ("bound", "cache_entries")
 
 
 class NoLocalMatch(VacalcError):
@@ -127,15 +127,7 @@ class NoLocalMatch(VacalcError):
     series, or None.
     """
 
-    def __init__(self, message, *, radius=None, candidates=None, exponents=None):
-        super().__init__(message)
-        self.radius = radius
-        self.candidates = candidates
-        self.exponents = exponents
-
-    def payload(self) -> dict:
-        exponents = None if self.exponents is None else list(self.exponents)
-        return {"radius": self.radius, "candidates": self.candidates, "exponents": exponents}
+    fields = ("radius", "candidates", "exponents")
 
 
 class TruncationTooSmall(VacalcError):

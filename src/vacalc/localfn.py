@@ -40,9 +40,8 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Tuple
 
 from . import polyq
 from .errors import (
@@ -66,8 +65,7 @@ Monomial = Tuple[Factor, ...]
 # Parsing
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RawExpr:
+class RawExpr(NamedTuple):
     """Parsed expression tree plus the declared arity.
 
     ``tree`` uses nested tuples: ("rat", Fraction), ("var", i),
@@ -870,7 +868,9 @@ def canonicalize(expr: RawExpr) -> LocalFn:
 
 def basis_monomials(n: int, grading: int, pole_budget: int) -> List[Monomial]:
     """All basis monomials of the given arity and grading with total pole
-    depth at most pole_budget, in canonical order."""
+    depth at most pole_budget, in canonical order.  The search runs from
+    the last variable down and tries each variable's factors in
+    _factor_key order, so depth-first order is mono_sort_key order."""
     if pole_budget < 0:
         raise SchemaError("pole budget must be >= 0")
     if pole_budget < grading:
@@ -879,20 +879,19 @@ def basis_monomials(n: int, grading: int, pole_budget: int) -> List[Monomial]:
     out: List[Monomial] = []
 
     def rec(m: int, pole: int, pure: int, acc: List[Factor]):
-        if m > n:
+        if m == 0:
             if pole - pure == grading:
-                out.append(tuple(acc))
+                out.append(tuple(reversed(acc)))
             return
+        for i in range(1, m):
+            for k in range(pole_budget - pole, 0, -1):
+                acc.append(("d", i, -k))
+                rec(m - 1, pole + k, pure, acc)
+                acc.pop()
         for l in range(0, pure_cap - pure + 1):
             acc.append(("p", l))
-            rec(m + 1, pole, pure + l, acc)
+            rec(m - 1, pole, pure + l, acc)
             acc.pop()
-        for i in range(1, m):
-            for k in range(1, pole_budget - pole + 1):
-                acc.append(("d", i, -k))
-                rec(m + 1, pole + k, pure, acc)
-                acc.pop()
 
-    rec(1, 0, 0, [])
-    out.sort(key=mono_sort_key)
+    rec(n, 0, 0, [])
     return out

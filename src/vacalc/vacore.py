@@ -142,14 +142,11 @@ class Presentation:
     central parameters.  Table coefficients are ints where integral and
     Fractions otherwise."""
 
-    connectivity = 0  # words of negative weight vanish
-
     def __init__(
         self,
         generators: Sequence[Tuple[str, int]],
         relations: Dict[Tuple[int, int, int], Dict[Word, int | Fraction]],
         central: Dict[str, Fraction],
-        lattice: Optional[dict] = None,
         step_bound: int = 10**6,
         label: str = "custom",
     ):
@@ -163,7 +160,6 @@ class Presentation:
                 raise WeightMismatch(f"generator {name} has weight {w} below connectivity 0")
         self.name2idx = {name: i for i, name in enumerate(self.names)}
         self.central = dict(central)
-        self.lattice = lattice
         self.step_bound = step_bound
         self.label = label
         # (a, b) -> n -> [a, b]_n, each row ascending in n, zero entries omitted
@@ -193,15 +189,6 @@ class Presentation:
 
     def __str__(self):
         return self.label
-
-    def require_closed(self, what: str):
-        """Refuse `what` on a lattice presentation, which has no table and
-        is realized explicitly instead."""
-        if self.lattice is not None:
-            raise SchemaError(
-                f"{what} needs a table-closed presentation; {self.label} is "
-                "realized explicitly instead (see lattice_check)"
-            )
 
     def gen_index(self, name: str) -> int:
         if name not in self.name2idx:
@@ -502,7 +489,6 @@ class Presentation:
         return out
 
     def normal_form(self, el: VAElement, strategy: str = "suffix") -> VAElement:
-        self.require_closed("normal_form")
         if strategy not in ("suffix", "bubble"):
             raise SchemaError(f"unknown rewriting strategy {strategy!r}")
         nf = self._nf_word_suffix if strategy == "suffix" else self._nf_word_bubble
@@ -587,7 +573,6 @@ def _require_positive_weights(pres: Presentation, what: str):
 
 def spanning_basis(pres: Presentation, weight: int) -> List[Word]:
     """All normal-form words of the given weight, in lexicographic order."""
-    pres.require_closed("spanning enumeration")
     _require_positive_weights(pres, "spanning enumeration")
     if weight < 0:
         return []
@@ -619,23 +604,18 @@ def spanning_basis(pres: Presentation, weight: int) -> List[Word]:
 
 def graded_dims(pres: Presentation, w_max: int) -> List[int]:
     """Spanning-set cardinalities per weight (equal to true dimensions where
-    an oracle realization certifies independence).  Lattice presentations
-    report the dimensions of their explicit realization instead."""
-    if pres.lattice is not None:
-        return fockoracle.lattice_graded_dims(w_max, pres.lattice["norm"])
+    an oracle realization certifies independence)."""
     return [len(spanning_basis(pres, w)) for w in range(w_max + 1)]
 
 
 def ope_singular(pres: Presentation, a: str, b: str):
     """All nonzero singular products of two generators, as (n, element)."""
-    pres.require_closed("singular products")
     ai, bi = pres.gen_index(a), pres.gen_index(b)
     return [(n, VAElement(pres, entry)) for n, entry in pres.ope.get((ai, bi), {}).items()]
 
 
 def check_uniform_bound(pres: Presentation, a: str, b: str) -> int:
     """Largest n with a(n)b nonzero; -1 when the product is regular."""
-    pres.require_closed("the uniformity bound")
     return max(pres.ope.get((pres.gen_index(a), pres.gen_index(b)), {}), default=-1)
 
 
@@ -713,7 +693,6 @@ def radical_slices(pres: Presentation, w_max: int) -> List[RadicalSlice]:
     entry at each non-pivot column gives one linear condition; scaling every
     image by the same L does not change the kernel.
     """
-    pres.require_closed("the radical slice")
     _require_positive_weights(pres, "the radical slice")
     imposed = _lowering_generators(pres, w_max)
     columns: List[Dict[Word, int]] = []  # per weight: word -> column
@@ -874,9 +853,8 @@ def _vacuum_series_support(
 
 
 def _insertions(pres: Presentation, gen_names: Sequence[str], pole_bound: int):
-    """Generator indices and weights of 1 to 4 insertions into a
-    table-closed presentation, under a pole bound >= 0."""
-    pres.require_closed("a correlator")
+    """Generator indices and weights of 1 to 4 insertions, under a pole
+    bound >= 0."""
     if not 1 <= len(gen_names) <= 4:
         raise BadPartition("between 1 and 4 insertions supported")
     gidx = [pres.gen_index(name) for name in gen_names]
@@ -1020,7 +998,6 @@ def ward_correlator(pres: Presentation, gen_names: Sequence[str]) -> LocalFn:
     one call.  Any number of insertions is accepted; the result is exact and
     canonical, and npoint_ward certifies it against the series.
     """
-    pres.require_closed("a correlator")
     _require_positive_weights(pres, "the Ward recursion")
     r = len(gen_names)
     memo: Dict[Tuple[Word, ...], LocalFn] = {}
@@ -1071,8 +1048,9 @@ def npoint_ward(pres: Presentation, gen_names: Sequence[str], pole_bound: int) -
 # Lattice checks
 # ---------------------------------------------------------------------------
 
-def lattice_check(pres: Presentation, truncation: int = 4) -> dict:
-    """Verify the lattice presentation relations in the explicit realization.
+def lattice_check(truncation: int = 4) -> dict:
+    """Verify the relations of the rank-1 even lattice of norm 2 in its
+    explicit realization (fockoracle).
 
     Checks, per generator pair (s1*lambda, s2*lambda) with pairing
     p = s1*s2*norm:  the product modes vanish for n >= -p (the regularity
@@ -1080,9 +1058,7 @@ def lattice_check(pres: Presentation, truncation: int = 4) -> dict:
     vacuum with coefficient one, and the realization dimensions match the
     theta-over-eta series for weights 0..3.
     """
-    if pres.lattice is None:
-        raise SchemaError("lattice_check needs a lattice presentation")
-    norm = pres.lattice["norm"]
+    norm = 2
     if truncation < 4:
         raise TruncationTooSmall("relation scan needs truncation weight >= 4")
     checks = []
@@ -1176,24 +1152,6 @@ def preset_virasoro(c) -> Presentation:
     return Presentation([("L", 2)], rel, {"c": c}, label=f"virasoro(c={c})")
 
 
-def preset_lattice_rank1(norm: int = 2) -> Presentation:
-    """Rank-1 even lattice generators (+L) and (-L); not table-closed, all
-    computations go through the explicit realization (see lattice_check)."""
-    if norm <= 0 or norm % 2:
-        raise SchemaError("norm must be a positive even integer")
-    if norm != 2:
-        raise SchemaError("only norm 2 is supported")
-    w = norm // 2
-    gens = [("ep", w), ("em", w)]
-    return Presentation(
-        gens,
-        {},
-        {},
-        lattice={"norm": norm},
-        label=f"lattice_rank1(norm={norm})",
-    )
-
-
 def _rational(value, what: str) -> Fraction:
     try:
         return Fraction(value)
@@ -1258,7 +1216,7 @@ def load_presentation(doc) -> Presentation:
 
     Accepted shapes: {"preset": "virasoro", "c": "1/2"},
     {"preset": "heisenberg", "rank": 2, "form": [["1","0"],["0","1"]]},
-    {"preset": "lattice_rank1", "norm": 2}, or the explicit form
+    or the explicit form
     {"generators": [{"name", "weight"}], "central": {...},
      "relations": [{"a", "b", "n", "result": [{"coeff", "word", "tail"}]}]}.
     All rationals are strings like "p/q".  An explicit document may state
@@ -1278,8 +1236,6 @@ def load_presentation(doc) -> Presentation:
         if name == "heisenberg":
             rank = _integer(doc.get("rank", 1), "rank")
             return preset_heisenberg(rank, doc.get("form"))
-        if name == "lattice_rank1":
-            return preset_lattice_rank1(_integer(doc.get("norm", 2), "norm"))
         raise SchemaError(f"unknown preset {name!r}")
     try:
         gens = [

@@ -27,7 +27,6 @@ from vacalc.vacore import (
     lattice_check,
     npoint_vacuum,
     preset_heisenberg,
-    preset_lattice_rank1,
     preset_virasoro,
     radical_slice,
     radical_slices,
@@ -284,8 +283,7 @@ def test_criterion_09_correlators():
 
 def test_criterion_10_lattice():
     t0 = time.time()
-    lat = preset_lattice_rank1(2)
-    rep = lattice_check(lat, 4)
+    rep = lattice_check(4)
     dims_ok = F.lattice_graded_dims(3) == [1, 3, 4, 7]
     ok = rep["failures"] == 0 and dims_ok
     report(10, "rank-1 lattice: graded dims and presentation relations",

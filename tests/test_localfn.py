@@ -7,6 +7,7 @@ everything derived is cross-checked through the direct-evaluation oracle
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -28,6 +29,8 @@ from vacalc.localfn import (
     eval_raw,
     mono_grading,
     mono_level_in_subset,
+    mono_pole_total,
+    mono_sort_key,
     parse,
 )
 
@@ -253,6 +256,27 @@ def test_basis_monomials_are_graded_and_bounded():
         assert sum(
             f.pole_order(i, j) for i in range(1, 4) for j in range(i + 1, 4)
         ) <= 3
+
+
+def test_basis_monomials_match_brute_force():
+    # every factor choice per variable, filtered and sorted afterwards
+    for n in range(5):
+        for grading in range(-2, 4):
+            for budget in range(4):
+                factors = [
+                    [("d", i, -k) for i in range(1, m) for k in range(1, budget + 1)]
+                    + [("p", l) for l in range(budget - grading + 1)]
+                    for m in range(1, n + 1)
+                ]
+                want = sorted(
+                    (
+                        mono
+                        for mono in product(*factors)
+                        if mono_grading(mono) == grading and mono_pole_total(mono) <= budget
+                    ),
+                    key=mono_sort_key,
+                )
+                assert basis_monomials(n, grading, budget) == want, (n, grading, budget)
 
 
 # ---------------------------------------------------------------------------

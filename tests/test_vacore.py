@@ -25,7 +25,7 @@ from vacalc.errors import (
 )
 from vacalc.localfn import LocalFn, basis_monomials
 from vacalc.numutil import _kernel, _solve, gbinom
-from vacalc import vacore
+from vacalc import cli, vacore
 from vacalc.vacore import (
     VACUUM_WORD,
     Presentation,
@@ -44,7 +44,6 @@ from vacalc.vacore import (
     ope_singular,
     parse_element,
     preset_heisenberg,
-    preset_lattice_rank1,
     preset_virasoro,
     radical_slice,
     radical_slices,
@@ -338,7 +337,7 @@ def test_only_connectivity_0_loads():
     # [a,a]_1 = 1 at connectivity 1 would drop the vacuum from a(1)a
     doc = _doc("a", [_rel("a", "a", 1, ("1", []))])
     for value in (0, "0"):
-        assert load_presentation({**doc, "connectivity": value}).connectivity == 0
+        assert load_presentation({**doc, "connectivity": value}).ope == load_presentation(doc).ope
     for value in (1, -1):
         with pytest.raises(SchemaError, match="only connectivity 0 is supported"):
             load_presentation({**doc, "connectivity": value})
@@ -703,10 +702,8 @@ def test_npoint_virasoro_three_point(c):
     got = npoint_vacuum(pres, ["L", "L", "L"], 6)
     assert got == lf("(z2-z1)^-2*(z3-z1)^-2*(z3-z2)^-2", 3).scale(c)
     sig = SortSignature(0, (2, 2, 2))
-    assert in_connective(got, pres.connectivity, sig)
-    assert not all(
-        in_connective(LocalFn.from_monomial(3, m), pres.connectivity, sig) for m in got.terms
-    )
+    assert in_connective(got, 0, sig)
+    assert not all(in_connective(LocalFn.from_monomial(3, m), 0, sig) for m in got.terms)
 
 
 def test_npoint_virasoro_three_point_series_against_oracle(vir1):
@@ -897,8 +894,6 @@ def test_npoint_ward_errors_match_ansatz(hei):
             route(hei, ["a"] * 5, 4)
         with pytest.raises(SchemaError):
             route(hei, ["a", "a"], -1)
-        with pytest.raises(SchemaError):
-            route(preset_lattice_rank1(2), ["ep", "em"], 2)
     for gens, bound in ((["a", "a"], 1), (["a"] * 4, 3)):
         errors = []
         for route in (npoint_vacuum, npoint_ward):
@@ -1126,30 +1121,28 @@ def test_elimination_against_independent_rank(system):
 
 
 # ---------------------------------------------------------------------------
-# lattice presentation
+# rank-1 lattice
 # ---------------------------------------------------------------------------
 
 def test_lattice_check_passes():
-    lat = preset_lattice_rank1(2)
-    rep = lattice_check(lat, 4)
+    rep = lattice_check(4)
     assert rep["failures"] == 0
     kinds = {c["kind"] for c in rep["checks"]}
     assert {"regularity", "unit-product", "graded-dims", "leading-term"} <= kinds
 
 
 def test_lattice_check_truncation_guard():
-    lat = preset_lattice_rank1(2)
     with pytest.raises(TruncationTooSmall):
-        lattice_check(lat, 3)
+        lattice_check(3)
 
 
-def test_lattice_presentation_rejects_table_operations():
-    lat = preset_lattice_rank1(2)
-    with pytest.raises(SchemaError):
-        ope_singular(lat, "ep", "em")
-    with pytest.raises(SchemaError):
-        spanning_basis(lat, 2)
-    assert graded_dims(lat, 3) == [1, 3, 4, 7]
+def test_lattice_is_not_a_presentation():
+    # the lattice has no singular-product table; lattice_check realizes it
+    with pytest.raises(SchemaError, match="unknown preset 'lattice_rank1'"):
+        load_presentation({"preset": "lattice_rank1"})
+    with pytest.raises(SystemExit) as exc:
+        cli.run(["dims", "--preset", "lattice_rank1", "--max-weight", "3"])
+    assert exc.value.code == 2
 
 
 # ---------------------------------------------------------------------------
@@ -1273,3 +1266,12 @@ def test_rewrite_cache_bound_raises_resource_limit(vir):
     assert exc.value.payload() == {"bound": 5, "cache_entries": 6}
     # under the default bound the same word straightens: too big, not endless
     assert not vir.normal_form(vir.element(word)).is_zero()
+
+
+def test_error_payloads_are_the_declared_fields():
+    err = NoLocalMatch("no match", radius=3, exponents=(0, -2))
+    assert (err.radius, err.candidates, err.exponents) == (3, None, (0, -2))
+    assert err.payload() == {"radius": 3, "candidates": None, "exponents": [0, -2]}
+    assert SchemaError("plain").payload() == {}
+    with pytest.raises(TypeError, match="NoLocalMatch has no field 'bogus'"):
+        NoLocalMatch("no match", radius=3, bogus=1)
