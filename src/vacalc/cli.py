@@ -230,7 +230,7 @@ def run(argv):
     elif args.command == "kernels":
         _nonnegative(args.m_max, "--m-max")
         _nonnegative(args.n_max, "--n-max")
-        kt = kernel_table(args.kind, args.m_max, args.n_max)
+        coeffs = kernel_table(args.kind, args.m_max, args.n_max)
         if args.kind == "symmetric":
             one = symmetric_expansion("u", args.m_max, args.n_max)
             two = symmetric_expansion("v", args.m_max, args.n_max)
@@ -238,10 +238,10 @@ def run(argv):
             one = associative_expansion(1, args.m_max, args.n_max)
             two = associative_expansion(2, args.m_max, args.n_max)
         agree = all(
-            one.get(kk, 0) == two.get(kk, 0) == cc for kk, cc in kt.coefficients.items()
+            one.get(kk, 0) == two.get(kk, 0) == cc for kk, cc in coeffs.items()
         )
         lines = [
-            f"{m} {n} {kt.coefficients[(m, n)]}"
+            f"{m} {n} {coeffs[(m, n)]}"
             for m in range(args.m_max + 1)
             for n in range(args.n_max + 1)
         ]
@@ -249,7 +249,7 @@ def run(argv):
         obj = {
             "kind": args.kind,
             "orders_agree": agree,
-            "coefficients": {f"{m},{n}": str(c) for (m, n), c in sorted(kt.coefficients.items())},
+            "coefficients": {f"{m},{n}": str(c) for (m, n), c in sorted(coeffs.items())},
         }
         _emit(args, "\n".join(lines), obj)
         if not agree:

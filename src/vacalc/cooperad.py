@@ -34,7 +34,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations, product as _iproduct
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 from .errors import BadPartition, BadSplit, BadSubset, SchemaError
 from .localfn import (
@@ -52,7 +52,7 @@ from .localfn import (
     _collision_level,
     _reduce,
 )
-from .numutil import _kernel, _rref, gbinom
+from .numutil import _echelon, _kernel, gbinom
 
 
 # ---------------------------------------------------------------------------
@@ -371,17 +371,8 @@ def associative_expansion(route: int, m_max: int, n_max: int):
     return table
 
 
-class KernelTable:
-    """Closed-form coefficient tables of the two expansion kernels."""
-
-    __slots__ = ("kind", "coefficients")
-
-    def __init__(self, kind: str, coefficients):
-        self.kind = kind
-        self.coefficients = coefficients
-
-
-def kernel_table(kind: str, m_max: int, n_max: int) -> KernelTable:
+def kernel_table(kind: str, m_max: int, n_max: int) -> Dict[Tuple[int, int], Fraction]:
+    """Closed-form {(m, n): coeff} table of the symmetric or associative kernel."""
     if kind == "symmetric":
         coeffs = {
             (m, n): Fraction((-1) ** n * gbinom(m + n, n))
@@ -396,7 +387,7 @@ def kernel_table(kind: str, m_max: int, n_max: int) -> KernelTable:
         }
     else:
         raise SchemaError(f"unknown kernel kind {kind!r}")
-    return KernelTable(kind, coeffs)
+    return coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -431,8 +422,11 @@ def filtration_basis(n, subset, N, grading, pole_budget) -> List[LocalFn]:
             _cluster_terms(expansion, term, grading - j, grading - j, gbinom, [gterms])
             for m, v in _reduce(gterms, n + 1).items():
                 rows.setdefault((j, m), {})[col] = v
-    pivots = _rref(_kernel(rows.values(), len(cands)))
-    return [LocalFn(n, {cands[c]: v for c, v in pivots[p].items()}) for p in sorted(pivots)]
+    pivots = _echelon(_kernel(rows.values(), len(cands)))
+    return [
+        LocalFn(n, {cands[c]: Fraction(v, row[p]) for c, v in row.items()})
+        for p, row in sorted(pivots.items())
+    ]
 
 
 class SortSignature:
@@ -471,7 +465,7 @@ def in_connective(f: LocalFn, k: int, sig: SortSignature) -> bool:
     return True
 
 
-def induced_signatures(sig: SortSignature, k_conn: int, m: int, p: int):
+def induced_signatures(sig: SortSignature, m: int, p: int):
     """Sorts of the two factors of an outer-grading-p insertion component.
 
     The cluster gets the intermediate sort j = p + out_sort - (sum of the
@@ -498,7 +492,7 @@ def insertion_closure_failures(f: LocalFn, k: int, sig: SortSignature, m: int, w
     """
     fails = []
     for p, te in insert_components(f, m, -window, window).items():
-        j, outer_sig, inner_sig = induced_signatures(sig, k, m, p)
+        j, outer_sig, inner_sig = induced_signatures(sig, m, p)
         if j < k:
             if not te.is_zero():
                 fails.append(f"p={p}: intermediate sort {j} < {k} but component nonzero")

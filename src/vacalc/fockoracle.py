@@ -25,6 +25,7 @@ Conventions, fixed once and used consistently:
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb, factorial
 from typing import Dict, List, Tuple
 
 from .errors import TruncationTooSmall
@@ -187,8 +188,6 @@ def lattice_vertex_act(
                 return
             k = removables[idx]
             ck = counts[k]
-            from math import comb
-
             for d in range(0, ck + 1):
                 removals(
                     idx + 1,
@@ -200,28 +199,14 @@ def lattice_vertex_act(
                 )
 
         def _creation_terms(total: int):
-            """Yield (parts list, coeff) over partitions of total, with the
+            """Yield (parts, coeff) over the partitions of total, with the
             exponential-series coefficient prod (sign/k)^a_k / a_k!."""
-            results: List[Tuple[List[int], Fraction]] = []
-
-            def rec(remaining, max_part, acc_parts):
-                if remaining == 0:
-                    c = Fraction(1)
-                    for p in set(acc_parts):
-                        a = acc_parts.count(p)
-                        fact = 1
-                        for t in range(1, a + 1):
-                            fact *= t
-                        c *= Fraction(sign, p) ** a / fact
-                    results.append((list(acc_parts), c))
-                    return
-                for p in range(min(remaining, max_part), 0, -1):
-                    acc_parts.append(p)
-                    rec(remaining - p, p, acc_parts)
-                    acc_parts.pop()
-
-            rec(total, total if total else 1, [])
-            return results
+            for add_parts in _partitions_of(total):
+                c = Fraction(1)
+                for p in set(add_parts):
+                    a = add_parts.count(p)
+                    c *= Fraction(sign, p) ** a / factorial(a)
+                yield add_parts, c
 
         removals(0, list(parts), Fraction(1), 0)
     return out

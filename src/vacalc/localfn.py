@@ -251,7 +251,7 @@ def _check_distinct(points):
 # exponents, dpows maps oriented pairs (hi, lo) with hi > lo to negative
 # exponents of (z_hi - z_lo).
 
-def _gterm_mul(a, b, n):
+def _gterm_mul(a, b):
     ca, za, da = a
     cb, zb, db = b
     dp = add_into(dict(da), db)
@@ -286,7 +286,7 @@ def _expand(expr: RawExpr) -> List[tuple]:
             rhs = go(node[2])
             for a in go(node[1]):
                 for b in rhs:
-                    out.append(_gterm_mul(a, b, n))
+                    out.append(_gterm_mul(a, b))
             return out
         if tag == "pow":
             k = node[2]
@@ -306,7 +306,7 @@ def _expand(expr: RawExpr) -> List[tuple]:
                 base = go(node[1])
                 for a in out:
                     for b in base:
-                        nxt.append(_gterm_mul(a, b, n))
+                        nxt.append(_gterm_mul(a, b))
                 out = nxt
             return out
         raise AssertionError(node)
@@ -510,7 +510,7 @@ class LocalFn(SparseSum):
         for m1, c1 in self.terms.items():
             g1 = _mono_to_gterm(m1, c1, self.arity)
             for m2, c2 in other.terms.items():
-                gterms.append(_gterm_mul(g1, _mono_to_gterm(m2, c2, self.arity), self.arity))
+                gterms.append(_gterm_mul(g1, _mono_to_gterm(m2, c2, self.arity)))
         return LocalFn(self.arity, _reduce(gterms, self.arity))
 
     def primitive(self):

@@ -3,8 +3,8 @@
 Values are exact: an int where the value is integral, a Fraction otherwise.
 Elimination is fraction-free: rows are cleared to integers and reduced by
 cross-multiplication with gcd content division (in the style of Bareiss,
-Math. Comp. 22, 1968); the reduced echelon form over the rationals is formed
-only at the end.
+Math. Comp. 22, 1968); a Fraction is formed only for an entry a caller
+returns.
 """
 
 from __future__ import annotations
@@ -154,7 +154,7 @@ def _echelon(rows) -> Dict[int, Dict[int, int]]:
     pivot row at its smallest column, cleared the same way from the earlier
     pivot rows.  Every pivot row is primitive, starts at its pivot with a
     positive lead and is zero at the other pivots, so dividing each by its
-    lead gives the unique reduced echelon form of the row space (_rref).  No
+    lead gives the unique reduced echelon form of the row space.  No
     Fraction is formed.
     """
     pivots: Dict[int, Dict[int, int]] = {}
@@ -177,35 +177,23 @@ def _echelon(rows) -> Dict[int, Dict[int, int]]:
     return pivots
 
 
-def _rref(rows) -> Dict[int, Dict[int, Fraction]]:
-    """Reduced row echelon form of sparse rows {column: value} over the
-    rationals, as {pivot column: row} with Fraction values, pivots in the
-    order the rows produced them.
-
-    Eliminates fraction-free by _echelon and normalizes only at the end:
-    each integer pivot row divided by its lead is 1 at its pivot and zero at
-    the other pivots, the unique reduced echelon form of the row space.
-    """
-    return {
-        p: {c: Fraction(v, row[p]) for c, v in row.items()}
-        for p, row in _echelon(rows).items()
-    }
-
-
 def _kernel(rows, ncols: int) -> List[Dict[int, Fraction]]:
-    """Kernel basis of the sparse rows, one vector {column: value} per free
-    column in increasing order, with 1 at that column."""
-    pivots = _rref(rows)
-    kernel = []
-    for free in range(ncols):
-        if free in pivots:
-            continue
-        vec = {free: Fraction(1)}
-        for p, row in pivots.items():
-            if free in row:
-                vec[p] = -row[free]
-        kernel.append(vec)
-    return kernel
+    """Kernel basis of sparse rows whose columns are all below ncols, one
+    vector {column: value} per free column in increasing order, with 1 at
+    that column.
+
+    Read off _echelon in one pass: each pivot row R_p is zero at the other
+    pivots, so every other entry v of it sits at a free column f and gives
+    the kernel vector of f the value -v / R_p[p] at p.
+    """
+    pivots = _echelon(rows)
+    kernel = {f: {f: Fraction(1)} for f in range(ncols) if f not in pivots}
+    for p, row in pivots.items():
+        lead = row[p]
+        for f, v in row.items():
+            if f != p:
+                kernel[f][p] = Fraction(-v, lead)
+    return list(kernel.values())
 
 
 def _scaled_echelon(kernel: List[Dict[int, Fraction]]) -> Tuple[int, Dict[int, Dict[int, int]]]:
@@ -234,9 +222,9 @@ def _solve(rows, ncols: int):
     Returns the unique solution as a list, None when underdetermined, or the
     string "inconsistent".
     """
-    pivots = _rref(rows)
+    pivots = _echelon(rows)
     if ncols in pivots:
         return "inconsistent"
     if len(pivots) < ncols:
         return None
-    return [pivots[c].get(ncols, Fraction(0)) for c in range(ncols)]
+    return [Fraction(pivots[c].get(ncols, 0), pivots[c][c]) for c in range(ncols)]

@@ -380,6 +380,7 @@ class Presentation:
             else:
                 rest = word[1:]
                 acc = self._act(h, m, self._prepend(g, n, rest))
+                # own loop: memoized _mode_bracket is cold per Presentation (npoint wall_s +11%)
                 for j in self.ope.get((g, h), {}):
                     cnj = gbinom(n, j)
                     if cnj == 0:

@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 
 from vacalc.errors import ArityMismatch
 from vacalc.localfn import LocalFn
-from vacalc.numutil import _echelon, _kernel, _rref, add_into
+from vacalc.numutil import _echelon, _kernel, add_into
 from vacalc.vacore import VAElement, preset_virasoro
 
 # few keys and small values, so that sums cancel often
@@ -135,23 +135,27 @@ def _dense_rref(rows, ncols):
 
 @given(rows=_row_lists())
 def test_rref_matches_dense_fraction_rref(rows):
-    got = _rref(rows)
-    assert got == _dense_rref(rows, _NCOLS)
+    # the integer echelon: primitive rows with positive leads
+    ech = _echelon(rows)
+    for p, row in ech.items():
+        assert all(type(v) is int and v for v in row.values())
+        assert row[p] > 0 and gcd(*row.values()) == 1
+    # each row divided by its lead is the reduced echelon form
+    got = {p: {c: Fraction(v, row[p]) for c, v in row.items()} for p, row in ech.items()}
+    rref = _dense_rref(rows, _NCOLS)
+    assert got == rref
     for p, row in got.items():
         assert min(row) == p and row[p] == 1
         assert all(q == p or q not in row for q in got)
         assert all(type(v) is Fraction and v != 0 for v in row.values())
-    # the integer echelon behind it: primitive rows, positive leads, the
-    # same pivots, each row a multiple of its reduced row
-    ech = _echelon(rows)
-    assert list(ech) == list(got)
-    for p, row in ech.items():
-        assert all(type(v) is int and v for v in row.values())
-        assert row[p] > 0 and gcd(*row.values()) == 1
-        assert {c: Fraction(v, row[p]) for c, v in row.items()} == got[p]
-    # kernel vectors are Fractions that every row annihilates
+    # kernel vectors are the null-space basis read off the reduced echelon
+    # form: 1 at the free column f, -rref[p][f] at each pivot p, nothing else
     kernel = _kernel(rows, _NCOLS)
-    assert len(kernel) == _NCOLS - len(got)
+    assert kernel == [
+        {f: 1, **{p: -row[f] for p, row in rref.items() if f in row}}
+        for f in range(_NCOLS)
+        if f not in rref
+    ]
     for vec in kernel:
         assert all(type(v) is Fraction for v in vec.values())
         for row in rows:
