@@ -10,7 +10,6 @@ from .cooperad import (
     TensorElement,
     cocompose_general,
     filtration_basis,
-    filtration_level,
     in_connective,
     insert_block,
     insert_component,
@@ -50,7 +49,6 @@ __all__ = [
     "TensorElement",
     "cocompose_general",
     "filtration_basis",
-    "filtration_level",
     "in_connective",
     "insert_block",
     "insert_component",

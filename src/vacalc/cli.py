@@ -17,7 +17,6 @@ from . import fockoracle
 from .cooperad import (
     associative_expansion,
     filtration_basis,
-    filtration_level,
     in_connective,
     insert_component,
     kernel_table,
@@ -41,9 +40,13 @@ from .vacore import (
 
 def _merge_negative_values(argv):
     """Glue values starting with '-' onto their flag so argparse accepts
-    things like --c -22/5; a token that is itself an option is not a value."""
-    value_flags, options = _option_strings()
-    out = []
+    things like --c -22/5; a token that is itself an option is not a value.
+    Unless argv holds a '--', any other token that starts with one '-' is the
+    expression of a command that takes one (canon --arity 2 -z1), so it
+    moves behind a '--'."""
+    value_flags, options, expr_commands = _option_strings()
+    takes_expr = bool(argv) and argv[0] in expr_commands and "--" not in argv
+    out, exprs = [], []
     i = 0
     while i < len(argv):
         tok = argv[i]
@@ -55,10 +58,14 @@ def _merge_negative_values(argv):
         ):
             out.append(f"{tok}={argv[i + 1]}")
             i += 2
+        elif (takes_expr and tok.startswith("-") and not tok.startswith("--")
+              and tok not in options):
+            exprs.append(tok)
+            i += 1
         else:
             out.append(tok)
             i += 1
-    return out
+    return out + ["--", *exprs] if exprs else out
 
 
 def _pres_from_args(args):
@@ -201,13 +208,16 @@ def build_parser():
 
 @functools.cache
 def _option_strings():
-    """The parser's options that take a value, and all of its options, over
-    every subcommand."""
+    """The parser's options that take a value and all of its options, over
+    every subcommand, and the subcommands that take an expression."""
     ap = build_parser()
     (sp,) = (a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
     actions = [a for p in (ap, *sp.choices.values()) for a in p._actions]
     every = {opt for a in actions for opt in a.option_strings}
-    return {opt for a in actions if a.nargs != 0 for opt in a.option_strings}, every
+    value_flags = {opt for a in actions if a.nargs != 0 for opt in a.option_strings}
+    exprs = {name for name, p in sp.choices.items()
+             if any(a.dest == "expr" for a in p._actions)}
+    return value_flags, every, exprs
 
 
 def _parse(argv):
@@ -257,20 +267,23 @@ def run(argv):
 
     elif args.command == "filtration":
         subset = _int_list(args.subset, "--subset")
+        if args.basis == (args.expr is not None):
+            ap.error("--basis takes no expression" if args.basis
+                     else "need an expression unless --basis is given")
+        # each flag of the basis mode is required with --basis, refused without
+        for flag in ("level", "grading", "pole_budget"):
+            if (getattr(args, flag) is None) == args.basis:
+                name = "--" + flag.replace("_", "-")
+                ap.error(f"--basis needs {name}" if args.basis else f"{name} needs --basis")
         if args.basis:
-            for flag in ("level", "grading", "pole_budget"):
-                if getattr(args, flag) is None:
-                    ap.error(f"--basis needs --{flag.replace('_', '-')}")
             fns = filtration_basis(
                 args.arity, subset, args.level, args.grading, args.pole_budget
             )
             _emit(args, "\n".join(f.format() for f in fns) or "(empty)",
                   [f.to_obj() for f in fns])
         else:
-            if args.expr is None:
-                ap.error("need an expression unless --basis is given")
             f = canonicalize(parse(args.expr, args.arity))
-            lvl = filtration_level(f, subset)
+            lvl = f.collision_level(subset)
             _emit(args, f"level {lvl}", {"level": lvl})
 
     elif args.command == "connective":

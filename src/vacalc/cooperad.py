@@ -394,12 +394,6 @@ def kernel_table(kind: str, m_max: int, n_max: int) -> Dict[Tuple[int, int], Fra
 # Cluster filtration and connectivity
 # ---------------------------------------------------------------------------
 
-def filtration_level(f: LocalFn, subset) -> int:
-    """Least N such that f is N-regular in the chosen variables: the order
-    of the singularity when the chosen variables collide at one point."""
-    return f.collision_level(subset)
-
-
 def filtration_basis(n, subset, N, grading, pole_budget) -> List[LocalFn]:
     """Reduced-echelon basis, in order of pivot column, of the level-<=N piece
     on the subset spanned by basis_monomials(n, grading, pole_budget): the

@@ -38,7 +38,6 @@ monomials, survive one _reduce.
 
 from __future__ import annotations
 
-import json
 import re
 from fractions import Fraction
 from typing import Dict, Iterable, List, NamedTuple, Tuple
@@ -76,6 +75,7 @@ class RawExpr(NamedTuple):
     tree: tuple
 
 
+_MAX_NESTING = 100
 _TOKEN = re.compile(r"\s*(z\d+|\d+|\*\*|[-+*/^()])")
 
 
@@ -101,13 +101,15 @@ class _Parser:
         atom   := "z" int | int ["/" int] | "(" expr ")"
 
     A negative exponent is legal only when the base is literally a
-    difference of two distinct variables (parentheses ignored).
+    difference of two distinct variables (parentheses ignored).  Parentheses
+    nest at most _MAX_NESTING deep, so no input exhausts the stack.
     """
 
     def __init__(self, tokens, arity):
         self.toks = tokens
         self.i = 0
         self.arity = arity
+        self.depth = 0
 
     def peek(self):
         return self.toks[self.i] if self.i < len(self.toks) else None
@@ -171,8 +173,12 @@ class _Parser:
     def atom(self):
         tok = self.next()
         if tok == "(":
+            self.depth += 1
+            if self.depth > _MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {_MAX_NESTING}")
             node = self.expr()
             self.expect(")")
+            self.depth -= 1
             return node
         if tok.startswith("z"):
             idx = int(tok[1:])
@@ -258,8 +264,32 @@ def _gterm_mul(a, b):
     return (ca * cb, [x + y for x, y in zip(za, zb)], dp)
 
 
+def _gterm_list_mul(lhs, rhs):
+    """Every product of a GTerm of lhs with one of rhs.  When both are sums,
+    equal GTerms (same pure exponents and poles) merge as they are formed,
+    so a power of a sum grows with its distinct terms, not with the number
+    of factor choices."""
+    if len(lhs) == 1 or len(rhs) == 1:
+        out = []
+        for a in lhs:
+            for b in rhs:
+                out.append(_gterm_mul(a, b))
+        return out
+    merged = {}
+    for a in lhs:
+        for b in rhs:
+            c, z, d = _gterm_mul(a, b)
+            key = (tuple(z), tuple(sorted(d.items())))
+            old = merged.get(key)
+            merged[key] = (c, z, d) if old is None else (old[0] + c, z, d)
+    return [t for t in merged.values() if t[0]]
+
+
 def _expand(expr: RawExpr) -> List[tuple]:
-    """Distribute a RawExpr into a list of GTerms."""
+    """Distribute a RawExpr into a list of GTerms.
+
+    Chains of +, - and * are walked along their left spine, so a long sum
+    or product does not recurse, and a power expands its base once."""
     n = expr.arity
 
     def const(c):
@@ -275,19 +305,6 @@ def _expand(expr: RawExpr) -> List[tuple]:
             return [(Fraction(1), z, {})]
         if tag == "neg":
             return [(-c, z, d) for (c, z, d) in go(node[1])]
-        if tag == "add" or tag == "sub":
-            lhs = go(node[1])
-            rhs = go(node[2])
-            if tag == "sub":
-                rhs = [(-c, z, d) for (c, z, d) in rhs]
-            return lhs + rhs
-        if tag == "mul":
-            out = []
-            rhs = go(node[2])
-            for a in go(node[1]):
-                for b in rhs:
-                    out.append(_gterm_mul(a, b))
-            return out
         if tag == "pow":
             k = node[2]
             if k < 0:
@@ -300,16 +317,29 @@ def _expand(expr: RawExpr) -> List[tuple]:
                 hi, lo = (i, j) if i > j else (j, i)
                 sign = Fraction(1) if i > j else Fraction(-1) ** (-k)
                 return [(sign, [0] * n, {(hi, lo): k})]
-            out = const(1)
-            for _ in range(k):
-                nxt = []
-                base = go(node[1])
-                for a in out:
-                    for b in base:
-                        nxt.append(_gterm_mul(a, b))
-                out = nxt
+            if k == 0:
+                return const(1)
+            out = base = go(node[1])
+            for _ in range(k - 1):
+                out = _gterm_list_mul(out, base)
             return out
-        raise AssertionError(node)
+        if tag not in ("add", "sub", "mul"):
+            raise AssertionError(node)
+        chain = ("mul",) if tag == "mul" else ("add", "sub")
+        rights = []
+        while node[0] in chain:
+            rights.append(node)
+            node = node[1]
+        out = go(node)
+        for op, _, rhs in reversed(rights):
+            rhs = go(rhs)
+            if op == "mul":
+                out = _gterm_list_mul(out, rhs)
+            elif op == "add":
+                out.extend(rhs)
+            else:
+                out.extend((-c, z, d) for (c, z, d) in rhs)
+        return out
 
     return go(expr.tree)
 
@@ -589,9 +619,6 @@ class LocalFn(SparseSum):
             terms.append({"coeff": str(coeff), "factors": factors})
         return {"arity": self.arity, "terms": terms}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_obj())
-
     @classmethod
     def from_obj(cls, obj) -> "LocalFn":
         arity = obj["arity"]
@@ -616,10 +643,6 @@ class LocalFn(SparseSum):
             mono = tuple(factors)
             terms[mono] = terms.get(mono, Fraction(0)) + Fraction(t["coeff"])
         return cls(arity, terms)
-
-    @classmethod
-    def from_json(cls, text: str) -> "LocalFn":
-        return cls.from_obj(json.loads(text))
 
 
 def _mono_to_gterm(mono: Monomial, coeff: Fraction, n: int):

@@ -29,7 +29,7 @@ import re
 from fractions import Fraction
 from itertools import product
 from math import comb
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from . import fockoracle
 from .cooperad import SortSignature, in_connective
@@ -183,7 +183,6 @@ class Presentation:
                 )
         self._prepend_cache: Dict[tuple, Dict[Word, int | Fraction]] = {}
         self._table_mode_cache: Dict[tuple, tuple] = {}
-        self._parity_echelon: Optional[Dict[int, int]] = None  # built by _parity_forbids
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -300,7 +299,7 @@ class Presentation:
         Over GF(2), with one coordinate per generator, each word w of each
         table entry [a, b]_n gives the row e_a + e_b + e_gen(w), where a
         vacuum word has no e_gen(w) term.  The rows' echelon is built on
-        first use and cached, keyed by leading bit, as int bitmasks.  The
+        every call, keyed by leading bit, as int bitmasks.  The
         insertions' parity is c = sum_i e_(g_i) mod 2, and the rule fires
         when c is not in the span of the rows.
 
@@ -314,17 +313,14 @@ class Presentation:
         x has c.x = 1, so the product has odd x-parity and no vacuum
         component.
         """
-        echelon = self._parity_echelon
-        if echelon is None:
-            echelon = {}
-            for (a, b), row in self.ope.items():
-                for entry in row.values():
-                    for word in entry:
-                        v = (1 << a) ^ (1 << b) ^ ((1 << word[0][0]) if word else 0)
-                        v = _gf2_reduce(v, echelon)
-                        if v:
-                            echelon[v.bit_length() - 1] = v
-            self._parity_echelon = echelon
+        echelon: Dict[int, int] = {}
+        for (a, b), row in self.ope.items():
+            for entry in row.values():
+                for word in entry:
+                    v = (1 << a) ^ (1 << b) ^ ((1 << word[0][0]) if word else 0)
+                    v = _gf2_reduce(v, echelon)
+                    if v:
+                        echelon[v.bit_length() - 1] = v
         c = 0
         for g in gidx:
             c ^= 1 << g
@@ -433,8 +429,9 @@ class Presentation:
         return el
 
     def _nf_word_bubble(self, word: Word) -> Dict[Word, Fraction]:
-        """Worklist variant swapping the leftmost offender; used to check
-        that the normal form does not depend on the rewriting strategy."""
+        """Worklist variant swapping the leftmost offender: the tests'
+        independent check that normal_form does not depend on the rewriting
+        strategy."""
         out: Dict[Word, Fraction] = {}
         stack = [(Fraction(1), list(word))]
         steps = 0
@@ -489,13 +486,10 @@ class Presentation:
                     )
         return out
 
-    def normal_form(self, el: VAElement, strategy: str = "suffix") -> VAElement:
-        if strategy not in ("suffix", "bubble"):
-            raise SchemaError(f"unknown rewriting strategy {strategy!r}")
-        nf = self._nf_word_suffix if strategy == "suffix" else self._nf_word_bubble
+    def normal_form(self, el: VAElement) -> VAElement:
         out: Dict[Word, int | Fraction] = {}
         for word, c in el.terms.items():
-            add_into(out, nf(word), c)
+            add_into(out, self._nf_word_suffix(word), c)
         return VAElement(self, out)
 
     def word_element(self, modes) -> VAElement:
@@ -539,16 +533,6 @@ class Presentation:
                     add_into(out, self._word_mode(rest, m + K - i, w2), -sign_m * c * c2)
         return out
 
-    def apply_mode(self, a: VAElement, n: int, x: VAElement) -> VAElement:
-        """a(n)x for arbitrary states a, x."""
-        a = self.normal_form(a)
-        x = self.normal_form(x)
-        out: Dict[Word, int | Fraction] = {}
-        for uw, cu in a.terms.items():
-            for xw, cx in x.terms.items():
-                add_into(out, self._word_mode(uw, n, xw), cu * cx)
-        return VAElement(self, out)
-
     def derivative(self, x: VAElement) -> VAElement:
         """Translation operator: [T, g(n)] = -n g(n-1), T 1 = 0."""
         x = self.normal_form(x)
@@ -560,7 +544,14 @@ class Presentation:
         return VAElement(self, out)
 
     def bracket(self, a: VAElement, b: VAElement, n: int) -> VAElement:
-        return self.apply_mode(a, n, b)
+        """a(n)b for arbitrary states a, b."""
+        a = self.normal_form(a)
+        b = self.normal_form(b)
+        out: Dict[Word, int | Fraction] = {}
+        for uw, cu in a.terms.items():
+            for bw, cb in b.terms.items():
+                add_into(out, self._word_mode(uw, n, bw), cu * cb)
+        return VAElement(self, out)
 
 
 # ---------------------------------------------------------------------------
@@ -732,45 +723,16 @@ def radical_slice(pres: Presentation, weight: int) -> RadicalSlice:
 # Vacuum correlation functions
 # ---------------------------------------------------------------------------
 
-def _mono_series_coeff(mono, exps) -> Fraction:
-    """Coefficient of prod z_i^(e_i) in the expansion of a basis monomial on
-    the region |z_r| > ... > |z_1|, where (z_m - z_i)^k expands as
-    sum_s C(k, s) (-1)^s z_i^s z_m^(k-s).
-
-    Processing owners from the top variable down determines every expansion
-    order s uniquely, so this is a closed-form lookup.  The library reads
-    expansions only through _mono_series_support; this lookup is the
-    closed-form reference the tests check that walk against.
-    """
-    r = len(mono)
-    need = list(exps)
-    coeff = Fraction(1)
-    for m in range(r, 0, -1):
-        fac = mono[m - 1]
-        if fac[0] == "p":
-            if need[m - 1] != fac[1]:
-                return Fraction(0)
-        else:
-            i, k = fac[1], fac[2]
-            s = k - need[m - 1]
-            if s < 0:
-                return Fraction(0)
-            coeff *= gbinom(k, s) * (-1) ** (s % 2)
-            if coeff == 0:
-                return Fraction(0)
-            need[i - 1] -= s
-    return coeff
-
-
 def _mono_series_support(mono, radius: int) -> Dict[Tuple[int, ...], int]:
-    """Every nonzero coefficient of the expansion in _mono_series_coeff whose
-    exponents all lie in [-radius, radius], keyed by exponent tuple.
+    """Every nonzero coefficient of prod z_i^(e_i) in the expansion of a
+    basis monomial on the region |z_r| > ... > |z_1|, where (z_m - z_i)^k
+    expands as sum_s C(k, s) (-1)^s z_i^s z_m^(k-s), whose exponents all lie
+    in [-radius, radius], keyed by exponent tuple.
 
-    Walks the owners from the top variable down as _mono_series_coeff does,
-    but enumerates each expansion order s instead of solving for it: the
-    exponent of z_m is its own power (l for z_m^l, k - s for (z_m - z_i)^k)
-    plus the orders s that higher owners sent down to it.  Basis monomials
-    have k < 0, so C(k, s) never vanishes.
+    Walks the owners from the top variable down and enumerates each
+    expansion order s: the exponent of z_m is its own power (l for z_m^l,
+    k - s for (z_m - z_i)^k) plus the orders s that higher owners sent down
+    to it.  Basis monomials have k < 0, so C(k, s) never vanishes.
     """
     r = len(mono)
     exps = [0] * r

@@ -262,6 +262,21 @@ def test_negative_value_is_glued_to_its_flag(capsys, argv, flag):
     assert (code, out) == invoke(capsys, *glued)
 
 
+@pytest.mark.parametrize("argv", [
+    ("canon", "--arity", "2", "-z1*(z2-z1)^-1"),
+    ("canon", "-z1*(z2-z1)^-1", "--arity", "2"),
+    ("insert", "--arity", "2", "--m", "1", "--p", "0", "-z1*(z2-z1)^-1"),
+    ("connective", "--arity", "2", "--sorts", "0,1,1", "-z1*(z2-z1)^-1"),
+], ids=["canon", "canon-first", "insert", "connective"])
+def test_leading_minus_expression_is_the_expression(capsys, argv):
+    # an expression that starts with '-' is no option: it parses as after '--'
+    i = argv.index("-z1*(z2-z1)^-1")
+    code, out = invoke(capsys, *argv)
+    assert code == 0 and out not in ("", "0\n")
+    assert (code, out) == invoke(capsys, *argv[:i], *argv[i + 1:], "--", argv[i])
+    assert invoke(capsys, "canon", "--arity", "2", "-z1") == (0, "-1 * z1\n")
+
+
 def test_insert_without_variables_is_a_bad_split():
     # an arity-0 function has no variable to split off, whatever m is
     proc = _vacalc_process("insert", "--arity", "0", "--m", "0", "--p", "0", "1")
@@ -367,6 +382,16 @@ def test_usage_error_exit_code(capsys):
     assert exc.value.code == 2
     # the parser is shared across runs; a usage error leaves it working
     assert invoke(capsys, "canon", "--arity", "2", "(z1-z2)^-1") == (0, "-1 * (z2-z1)^-1\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("--level", "3", "--grading", "9", "(z2-z1)^-2"),
+    ("--basis", "--level", "1", "--grading", "1", "--pole-budget", "1", "z1"),
+], ids=["basis-flags-without-basis", "expression-with-basis"])
+def test_filtration_mode_mixups_are_usage_errors(argv):
+    proc = _vacalc_process("filtration", "--arity", "2", "--subset", "1,2", *argv)
+    assert proc.returncode == 2
+    assert proc.stdout == "" and "Traceback" not in proc.stderr
 
 
 def test_byte_determinism(capsys):

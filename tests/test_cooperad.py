@@ -16,7 +16,6 @@ from vacalc.cooperad import (
     associative_expansion,
     cocompose_general,
     filtration_basis,
-    filtration_level,
     in_connective,
     insert_block,
     insert_component,
@@ -200,9 +199,9 @@ def test_kernel_bad_selector_is_a_schema_error(call):
 # ---------------------------------------------------------------------------
 
 def test_filtration_level_examples():
-    assert filtration_level(lf("(z2-z1)^-2", 2), [1, 2]) == 2
-    assert filtration_level(lf("(z2-z1)^-2", 2), [1]) == 0
-    assert filtration_level(lf("(z2-z1)^-1*(z3-z2)^-1", 3), [1, 3]) == 0
+    assert lf("(z2-z1)^-2", 2).collision_level([1, 2]) == 2
+    assert lf("(z2-z1)^-2", 2).collision_level([1]) == 0
+    assert lf("(z2-z1)^-1*(z3-z2)^-1", 3).collision_level([1, 3]) == 0
 
 
 def test_filtration_level_monotone_under_enlargement():
@@ -212,7 +211,7 @@ def test_filtration_level_monotone_under_enlargement():
         monos = basis_monomials(n, rng.randint(0, 2), 3)
         f = LocalFn.from_monomial(n, rng.choice(monos))
         for small, big in ([ [1], [1, 2] ], [ [1, 2], [1, 2, 3] ], [ [2], [2, 3] ]):
-            assert filtration_level(f, small) <= filtration_level(f, big)
+            assert f.collision_level(small) <= f.collision_level(big)
 
 
 def test_filtration_level_is_the_top_inner_grading_of_the_insertion():
@@ -252,7 +251,7 @@ def test_filtration_basis_examples():
     assert filtration_basis(2, [1, 2], 1, 1, 1) == [lf("(z2-z1)^-1", 2)]
     assert filtration_basis(2, [2], 0, 1, 1) == [lf("(z2-z1)^-1", 2)]
     for f in filtration_basis(3, [1, 3], 1, 2, 3):
-        assert filtration_level(f, [1, 3]) <= 1
+        assert f.collision_level([1, 3]) <= 1
 
 
 def _coordinates(fns, cands):
@@ -262,7 +261,7 @@ def _coordinates(fns, cands):
 def test_filtration_basis_spans_cancelling_three_point_form():
     # level 2 on {1,2}, although each of its four monomials is deeper there
     f = lf("(z1-z2)^-2*(z1-z3)^-2*(z2-z3)^-2", 3)
-    assert len(f.terms) == 4 and filtration_level(f, [1, 2]) == 2
+    assert len(f.terms) == 4 and f.collision_level([1, 2]) == 2
     basis = filtration_basis(3, [1, 2], 2, 6, 6)
     cands = basis_monomials(3, 6, 6)
     assert len(basis) == 9

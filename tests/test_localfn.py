@@ -5,6 +5,8 @@ everything derived is cross-checked through the direct-evaluation oracle
 (eval_raw), which never goes through the canonicalizer.
 """
 
+import json
+import math
 import random
 from fractions import Fraction
 from itertools import product
@@ -21,6 +23,7 @@ from vacalc.errors import (
     ParseError,
 )
 from vacalc.localfn import (
+    _MAX_NESTING,
     LocalFn,
     _collision_level,
     _collision_level_exact,
@@ -82,6 +85,14 @@ def test_parse_bad_index_and_syntax():
         parse("1/0", 1)
 
 
+def test_parse_nesting_is_capped():
+    deepest = "(" * _MAX_NESTING + "z1" + ")" * _MAX_NESTING
+    assert lf(deepest, 1) == lf("z1", 1)
+    for depth in (_MAX_NESTING + 1, 1000):
+        with pytest.raises(ParseError, match=f"nested deeper than {_MAX_NESTING}"):
+            parse("(" * depth + "z1" + ")" * depth, 1)
+
+
 # ---------------------------------------------------------------------------
 # canonicalize
 # ---------------------------------------------------------------------------
@@ -102,6 +113,27 @@ def test_canonical_partial_fraction_three_vars():
     want = lf("(z2-z1)^-1*(z3-z2)^-1 - (z2-z1)^-1*(z3-z1)^-1", 3)
     assert f == want
     assert f.evaluate([0, 1, 3]) == Fraction(1, 6)
+
+
+def test_power_of_a_sum_has_binomial_coefficients():
+    for k in range(41):
+        f = lf(f"(z1+z2)^{k}", 2)
+        want = {(("p", j), ("p", k - j)): math.comb(k, j) for j in range(k + 1)}
+        assert f.terms == want, k
+
+
+def test_power_of_a_sum_times_a_pole_matches_eval_raw():
+    expr = parse("(z1+z2+z3)^6*(z3-z1)^-2", 3)
+    f = canonicalize(expr)
+    rng = random.Random(6)
+    for _ in range(10):
+        pts = distinct_points(rng, 3)
+        assert f.evaluate(pts) == eval_raw(expr, pts)
+
+
+def test_long_sums_and_products_do_not_recurse():
+    assert lf("+".join(["z1"] * 3000), 1) == lf("3000*z1", 1)
+    assert lf("*".join(["z1"] * 3000), 1) == lf("z1^3000", 1)
 
 
 def test_canonicalize_idempotent_on_output():
@@ -388,7 +420,7 @@ def test_serialization_round_trip():
     rng = random.Random(4)
     for _ in range(10):
         f = _random_localfn(rng, 3)
-        assert LocalFn.from_json(f.to_json()) == f
+        assert LocalFn.from_obj(json.loads(json.dumps(f.to_obj()))) == f
 
 
 # ---------------------------------------------------------------------------
