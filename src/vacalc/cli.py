@@ -88,10 +88,12 @@ def _pres_from_args(args):
 
 
 def _emit(args, human, obj):
+    """Print obj() as JSON with --json and human() otherwise; each output
+    is built only when it is printed."""
     if args.json:
-        print(json.dumps(obj, sort_keys=True))
+        print(json.dumps(obj(), sort_keys=True))
     else:
-        print(human)
+        print(human())
 
 
 def _items(text, flag):
@@ -230,12 +232,12 @@ def run(argv):
 
     if args.command == "canon":
         f = canonicalize(parse(args.expr, args.arity))
-        _emit(args, f.format(), f.to_obj())
+        _emit(args, f.format, f.to_obj)
 
     elif args.command == "insert":
         f = canonicalize(parse(args.expr, args.arity))
         te = insert_component(f, args.m, args.p)
-        _emit(args, str(te), te.to_obj())
+        _emit(args, lambda: str(te), te.to_obj)
 
     elif args.command == "kernels":
         _nonnegative(args.m_max, "--m-max")
@@ -250,18 +252,21 @@ def run(argv):
         agree = all(
             one.get(kk, 0) == two.get(kk, 0) == cc for kk, cc in coeffs.items()
         )
-        lines = [
-            f"{m} {n} {coeffs[(m, n)]}"
-            for m in range(args.m_max + 1)
-            for n in range(args.n_max + 1)
-        ]
-        lines.append(f"expansion orders agree: {'yes' if agree else 'NO'}")
-        obj = {
+
+        def human():
+            lines = [
+                f"{m} {n} {coeffs[(m, n)]}"
+                for m in range(args.m_max + 1)
+                for n in range(args.n_max + 1)
+            ]
+            lines.append(f"expansion orders agree: {'yes' if agree else 'NO'}")
+            return "\n".join(lines)
+
+        _emit(args, human, lambda: {
             "kind": args.kind,
             "orders_agree": agree,
             "coefficients": {f"{m},{n}": str(c) for (m, n), c in sorted(coeffs.items())},
-        }
-        _emit(args, "\n".join(lines), obj)
+        })
         if not agree:
             return 1
 
@@ -279,12 +284,12 @@ def run(argv):
             fns = filtration_basis(
                 args.arity, subset, args.level, args.grading, args.pole_budget
             )
-            _emit(args, "\n".join(f.format() for f in fns) or "(empty)",
-                  [f.to_obj() for f in fns])
+            _emit(args, lambda: "\n".join(f.format() for f in fns) or "(empty)",
+                  lambda: [f.to_obj() for f in fns])
         else:
             f = canonicalize(parse(args.expr, args.arity))
             lvl = f.collision_level(subset)
-            _emit(args, f"level {lvl}", {"level": lvl})
+            _emit(args, lambda: f"level {lvl}", lambda: {"level": lvl})
 
     elif args.command == "connective":
         sorts = _int_list(args.sorts, "--sorts")
@@ -292,52 +297,54 @@ def run(argv):
             ap.error("--sorts needs the output sort plus one sort per variable")
         f = canonicalize(parse(args.expr, args.arity))
         ans = in_connective(f, args.k, SortSignature(sorts[0], sorts[1:]))
-        _emit(args, "true" if ans else "false", {"in_connective": ans})
+        _emit(args, lambda: "true" if ans else "false", lambda: {"in_connective": ans})
 
     elif args.command == "verify-cooperad":
         rep = verify_axioms(args.arity_max, args.samples, args.order, args.seed)
-        human = [f"checks {len(rep['checks'])} failures {rep['failures']}"]
-        for c in rep["checks"]:
-            if c["status"] == "fail":
-                human.append(f"FAIL {c['kind']} input={c['input']} component={c['component']}")
-        _emit(args, "\n".join(human), rep)
+
+        def human():
+            lines = [f"checks {len(rep['checks'])} failures {rep['failures']}"]
+            for c in rep["checks"]:
+                if c["status"] == "fail":
+                    lines.append(f"FAIL {c['kind']} input={c['input']} component={c['component']}")
+            return "\n".join(lines)
+
+        _emit(args, human, lambda: rep)
         if rep["failures"]:
             return 1
 
     elif args.command == "dims":
         pres = _pres_from_args(args)
         dims = graded_dims(pres, _nonnegative(args.max_weight, "--max-weight"))
-        _emit(args, " ".join(map(str, dims)), {"dims": dims})
+        _emit(args, lambda: " ".join(map(str, dims)), lambda: {"dims": dims})
 
     elif args.command == "ope":
         pres = _pres_from_args(args)
         terms = ope_singular(pres, args.a, args.b)
-        human = "\n".join(f"n={n}: {el}" for n, el in terms) or "(regular product)"
-        obj = {
-            "bound": check_uniform_bound(pres, args.a, args.b),
-            "singular": [{"n": n, "result": el.to_obj()} for n, el in terms],
-        }
-        _emit(args, human, obj)
+        _emit(args, lambda: "\n".join(f"n={n}: {el}" for n, el in terms) or "(regular product)",
+              lambda: {
+                  "bound": check_uniform_bound(pres, args.a, args.b),
+                  "singular": [{"n": n, "result": el.to_obj()} for n, el in terms],
+              })
 
     elif args.command == "bracket":
         pres = _pres_from_args(args)
         a = parse_element(pres, args.a)
         b = parse_element(pres, args.b)
         out = pres.bracket(a, b, args.n)
-        _emit(args, str(out), out.to_obj())
+        _emit(args, lambda: str(out), out.to_obj)
 
     elif args.command == "radical":
         pres = _pres_from_args(args)
         rs = radical_slice(pres, _nonnegative(args.weight, "--weight"))
-        human = [f"dimension {rs.dimension}"]
-        human += [f"kernel: {el}" for el in rs.kernel]
-        obj = {
-            "weight": rs.weight,
-            "dimension": rs.dimension,
-            "basis": [pres.word_str(w) for w in rs.basis],
-            "kernel": [el.to_obj() for el in rs.kernel],
-        }
-        _emit(args, "\n".join(human), obj)
+        _emit(args, lambda: "\n".join([f"dimension {rs.dimension}"]
+                                      + [f"kernel: {el}" for el in rs.kernel]),
+              lambda: {
+                  "weight": rs.weight,
+                  "dimension": rs.dimension,
+                  "basis": [pres.word_str(w) for w in rs.basis],
+                  "kernel": [el.to_obj() for el in rs.kernel],
+              })
 
     elif args.command == "npoint":
         pres = _pres_from_args(args)
@@ -346,15 +353,19 @@ def run(argv):
         if bound is None:
             bound = sum(pres.wt(pres.gen_index(g)) for g in gens)
         f = npoint_ward(pres, gens, bound)
-        _emit(args, f.format(), f.to_obj())
+        _emit(args, f.format, f.to_obj)
 
     elif args.command == "lattice-check":
         rep = lattice_check(args.cutoff)
-        human = [f"checks {len(rep['checks'])} failures {rep['failures']}"]
-        for c in rep["checks"]:
-            mark = "ok " if c["status"] == "ok" else "FAIL"
-            human.append(f"{mark} {c['kind']}: {c['detail']}")
-        _emit(args, "\n".join(human), rep)
+
+        def human():
+            lines = [f"checks {len(rep['checks'])} failures {rep['failures']}"]
+            for c in rep["checks"]:
+                mark = "ok " if c["status"] == "ok" else "FAIL"
+                lines.append(f"{mark} {c['kind']}: {c['detail']}")
+            return "\n".join(lines)
+
+        _emit(args, human, lambda: rep)
         if rep["failures"]:
             return 1
 
@@ -366,7 +377,7 @@ def run(argv):
                 raise SchemaError("--norm must be a positive even integer")
             kind = ("theta_over_eta", args.norm)
         dims = fockoracle.series_dims(kind, args.max_weight)
-        _emit(args, " ".join(map(str, dims)), {"dims": dims})
+        _emit(args, lambda: " ".join(map(str, dims)), lambda: {"dims": dims})
 
     return 0
 

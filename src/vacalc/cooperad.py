@@ -64,7 +64,7 @@ def _regroup(expanded, arities):
     factor but the last becomes a single monic monomial, the last factor
     collects the sum, and its leading coefficient is split off into the
     stored coefficient.  Zero coefficients are skipped."""
-    groups: Dict[tuple, Dict[Monomial, Fraction]] = {}
+    groups: Dict[tuple, Dict[Monomial, int | Fraction]] = {}
     for key, v in expanded.items():
         if v:
             groups.setdefault(key[:-1], {})[key[-1]] = v
@@ -83,7 +83,7 @@ def _norm_terms(terms):
     the same element, so the sum is first expanded down to tuples of basis
     monomials and then regrouped deterministically (_regroup).
     """
-    expanded: Dict[tuple, Fraction] = {}
+    expanded: Dict[tuple, int | Fraction] = {}
     arities = None
     for *factors, coeff in terms:
         if coeff == 0 or any(f.is_zero() for f in factors):
@@ -94,7 +94,7 @@ def _norm_terms(terms):
             val = coeff
             for _, c in combo:
                 val *= c
-            expanded[key] = expanded.get(key, Fraction(0)) + val
+            expanded[key] = expanded.get(key, 0) + val
     return _regroup(expanded, arities)
 
 
@@ -212,11 +212,10 @@ def _insert(f: LocalFn, pos: int, size: int, p_lo: int, p_hi: int) -> Dict[int, 
     f.grading()  # raises NotHomogeneous when mixed
     reduced = {}
     layout = _cluster_layout(f.arity, list(range(pos, pos + size)))
-    expanded: Dict[int, Dict[tuple, Fraction]] = {p: {} for p in range(p_lo, p_hi + 1)}
+    expanded: Dict[int, Dict[tuple, int | Fraction]] = {p: {} for p in range(p_lo, p_hi + 1)}
     for mono, coeff in f.terms.items():
         for p, comp in _cluster_components(mono, layout, p_lo, p_hi, reduced).items():
             acc = expanded[p]
-            # always multiply by coeff: the stored coefficients stay Fractions
             for pair, c in comp.items():
                 acc[pair] = acc.get(pair, 0) + coeff * c
     oa = f.arity - size + 1
@@ -278,7 +277,7 @@ def cocompose_general(
         raise BadPartition("need one outer degree plus one degree per block")
     if sum(multidegree) != g:
         raise BadPartition(f"multidegree sums to {sum(multidegree)}, grading is {g}")
-    partial = [(f, (), Fraction(1))]
+    partial = [(f, (), 1)]
     pos, p = n + 1, g
     for size, ell in zip(reversed(blocks), reversed(multidegree[1:])):
         pos -= size
@@ -491,16 +490,16 @@ def insertion_closure_failures(f: LocalFn, k: int, sig: SortSignature, m: int, w
             if not te.is_zero():
                 fails.append(f"p={p}: intermediate sort {j} < {k} but component nonzero")
             continue
-        by_outer: Dict[Monomial, Dict[Monomial, Fraction]] = {}
-        by_inner: Dict[Monomial, Dict[Monomial, Fraction]] = {}
+        by_outer: Dict[Monomial, Dict[Monomial, int | Fraction]] = {}
+        by_inner: Dict[Monomial, Dict[Monomial, int | Fraction]] = {}
         for outer, inner, c in te.terms:
             for mo, co in outer.terms.items():
                 for mi, ci in inner.terms.items():
                     coeff = c * co * ci
                     d = by_outer.setdefault(mo, {})
-                    d[mi] = d.get(mi, Fraction(0)) + coeff
+                    d[mi] = d.get(mi, 0) + coeff
                     d = by_inner.setdefault(mi, {})
-                    d[mo] = d.get(mo, Fraction(0)) + coeff
+                    d[mo] = d.get(mo, 0) + coeff
         for mo, inner_terms in by_outer.items():
             if not in_connective(LocalFn(te.inner_arity, inner_terms), k, inner_sig):
                 fails.append(f"p={p}: inner coefficient fails with sorts {inner_sig.sorts}")
@@ -565,7 +564,7 @@ def _same_sum(one, two) -> bool:
 
 def _show_expanded(arities):
     """Report text of an expanded sum with factors of the given arities: its
-    canonical tuple, with Fraction coefficients as every tensor stores."""
+    canonical tuple, with each stored coefficient shown as a Fraction."""
     return lambda e: str(_regroup({k: Fraction(c) for k, c in e.items()}, arities))
 
 

@@ -12,20 +12,23 @@ Representation
     Factor    = ("p", l)          # z_m ** l, l >= 0
               | ("d", i, k)       # (z_m - z_i) ** k, i < m, k < 0
     Monomial  = tuple[Factor]     # one factor per variable, index m-1
-    LocalFn   = arity + dict[Monomial, Fraction]   (no zero coefficients)
+    LocalFn   = arity + {Monomial: coefficient}   (no zero coefficients)
+
+A coefficient is an int where it is integral and a Fraction otherwise.
 
 The grading used throughout is the negative of the scaling degree, so
 (z_2 - z_1)^-2 is homogeneous of grading 2 and z_1 of grading -1.
 
-Canonicalization runs partial fractions in the highest variable first and
-recursively rewrites with two moves until each variable carries one factor:
-
-    R2:  x^a (x-u)^k ...      ->  x^(a-1) (x-u)^(k+1) ... + u x^(a-1) (x-u)^k ...
-    R1:  (x-u)^j (x-w)^k      ->  (u-w)^-1 [ (x-u)^j (x-w)^(k+1) - (x-u)^(j+1) (x-w)^k ]
-
-Both moves strictly shrink (total pure degree + total pole depth), so the
-rewriting terminates; uniqueness of the result is what the evaluation-based
-property tests certify.
+Canonicalization runs partial fractions in the highest variable first.
+A term whose highest unreduced variable x = z_v carries a pure power and a
+pole, or two poles, has x eliminated in one closed-form step (_eliminate):
+two poles (x-A)^-a (x-B)^-b split into poles at A and at B, each
+coefficient a signed binomial times a power of (B-A), until one pole is
+left; then x^p (x-A)^-a splits into its pole part and its polynomial part
+by the binomial expansion of x^p about A.  Every new factor sits on lower
+variables, so the elimination runs down the variables and terminates;
+uniqueness of the result is what the evaluation-based property tests
+certify.
 
 The cluster expansion (_cluster_layout, _cluster_setup, _cluster_terms) is
 the package's one expansion engine.  It splits any sorted subset S of a
@@ -40,6 +43,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import comb
 from typing import Dict, Iterable, List, NamedTuple, Tuple
 
 from . import polyq
@@ -54,7 +58,7 @@ from .errors import (
     ParseError,
     SchemaError,
 )
-from .numutil import SparseSum, add_into, gbinom
+from .numutil import SparseSum, _exact, add_into, gbinom
 
 Factor = Tuple
 Monomial = Tuple[Factor, ...]
@@ -213,8 +217,22 @@ def parse(text: str, arity: int) -> RawExpr:
     return RawExpr(arity, _Parser(_tokenize(text), arity).parse())
 
 
+def _chain(node):
+    """The operands of the chain of +, - or * that node heads: its leftmost
+    operand, then (op, operand) for the others in order.  The walk follows
+    the left spine, so a long sum or product costs no recursion depth."""
+    kinds = ("mul",) if node[0] == "mul" else ("add", "sub")
+    rights = []
+    while node[0] in kinds:
+        rights.append((node[0], node[2]))
+        node = node[1]
+    return node, reversed(rights)
+
+
 def eval_raw(expr: RawExpr, points) -> Fraction:
-    """Evaluate the raw tree directly (independent of canonicalization)."""
+    """Evaluate the raw tree directly (independent of canonicalization).
+    Chains are walked by _chain, so a long sum or product does not
+    recurse."""
     points = [Fraction(p) for p in points]
     if len(points) != expr.arity:
         raise ArityMismatch(f"need {expr.arity} points, got {len(points)}")
@@ -228,19 +246,24 @@ def eval_raw(expr: RawExpr, points) -> Fraction:
             return points[node[1] - 1]
         if tag == "neg":
             return -ev(node[1])
-        if tag == "add":
-            return ev(node[1]) + ev(node[2])
-        if tag == "sub":
-            return ev(node[1]) - ev(node[2])
-        if tag == "mul":
-            return ev(node[1]) * ev(node[2])
         if tag == "pow":
             base = ev(node[1])
             k = node[2]
             if k < 0 and base == 0:
                 raise CoincidentPoints("pole hit during evaluation")
             return base ** k
-        raise AssertionError(node)
+        if tag not in ("add", "sub", "mul"):
+            raise AssertionError(node)
+        first, rest = _chain(node)
+        val = ev(first)
+        for op, rhs in rest:
+            if op == "mul":
+                val *= ev(rhs)
+            elif op == "add":
+                val += ev(rhs)
+            else:
+                val -= ev(rhs)
+        return val
 
     return ev(expr.tree)
 
@@ -288,12 +311,12 @@ def _gterm_list_mul(lhs, rhs):
 def _expand(expr: RawExpr) -> List[tuple]:
     """Distribute a RawExpr into a list of GTerms.
 
-    Chains of +, - and * are walked along their left spine, so a long sum
-    or product does not recurse, and a power expands its base once."""
+    Chains are walked by _chain, so a long sum or product does not
+    recurse, and a power expands its base once."""
     n = expr.arity
 
     def const(c):
-        return [(Fraction(c), [0] * n, {})]
+        return [(_exact(c), [0] * n, {})]
 
     def go(node):
         tag = node[0]
@@ -302,7 +325,7 @@ def _expand(expr: RawExpr) -> List[tuple]:
         if tag == "var":
             z = [0] * n
             z[node[1] - 1] = 1
-            return [(Fraction(1), z, {})]
+            return [(1, z, {})]
         if tag == "neg":
             return [(-c, z, d) for (c, z, d) in go(node[1])]
         if tag == "pow":
@@ -315,7 +338,7 @@ def _expand(expr: RawExpr) -> List[tuple]:
                     )
                 i, j = diff
                 hi, lo = (i, j) if i > j else (j, i)
-                sign = Fraction(1) if i > j else Fraction(-1) ** (-k)
+                sign = -1 if i < j and k & 1 else 1
                 return [(sign, [0] * n, {(hi, lo): k})]
             if k == 0:
                 return const(1)
@@ -325,13 +348,9 @@ def _expand(expr: RawExpr) -> List[tuple]:
             return out
         if tag not in ("add", "sub", "mul"):
             raise AssertionError(node)
-        chain = ("mul",) if tag == "mul" else ("add", "sub")
-        rights = []
-        while node[0] in chain:
-            rights.append(node)
-            node = node[1]
-        out = go(node)
-        for op, _, rhs in reversed(rights):
+        first, rest = _chain(node)
+        out = go(first)
+        for op, rhs in rest:
             rhs = go(rhs)
             if op == "mul":
                 out = _gterm_list_mul(out, rhs)
@@ -344,13 +363,16 @@ def _expand(expr: RawExpr) -> List[tuple]:
     return go(expr.tree)
 
 
-def _reduce(gterms: Iterable[tuple], n: int) -> Dict[Monomial, Fraction]:
-    """Rewrite GTerms with R1/R2 until each variable carries one factor.
+def _reduce(gterms: Iterable[tuple], n: int) -> Dict[Monomial, int | Fraction]:
+    """Expand GTerms in the basis: each term left with a variable that
+    carries a pure power and a pole, or two poles, has the highest such
+    variable eliminated in closed form (_eliminate), until each variable
+    carries one factor.
 
-    The moves only add and negate coefficients, so GTerms with integer
-    coefficients reduce to integer coefficients."""
-    out: Dict[Monomial, Fraction] = {}
-    stack = [(c, list(z), dict(d)) for (c, z, d) in gterms]
+    The closed forms multiply by binomials and signs only, so GTerms with
+    int coefficients reduce to int coefficients."""
+    out: Dict[Monomial, int | Fraction] = {}
+    stack = list(gterms)
     while stack:
         coeff, zp, dp = stack.pop()
         if coeff == 0:
@@ -365,51 +387,86 @@ def _reduce(gterms: Iterable[tuple], n: int) -> Dict[Monomial, Fraction]:
                 v = m
                 vbases.sort()
                 break
-        if v == 0:
-            # every variable now owns at most one base
-            factors = []
-            for m in range(1, n + 1):
-                bases = owners.get(m)
-                if bases:
-                    factors.append(("d", bases[0], dp[(m, bases[0])]))
-                else:
-                    factors.append(("p", zp[m - 1]))
-            mono = tuple(factors)
-            old = out.get(mono)
-            s = coeff if old is None else old + coeff
-            if s:
-                out[mono] = s
-            else:
-                del out[mono]
+        if v:
+            _eliminate(coeff, zp, dp, v, vbases, stack)
             continue
-        if zp[v - 1] > 0:
-            # R2 against the smallest base
-            j0 = vbases[0]
-            k = dp[(v, j0)]
-            z1 = list(zp)
-            z1[v - 1] -= 1
-            d1 = dict(dp)
-            if k + 1:
-                d1[(v, j0)] = k + 1
+        # every variable now owns at most one base
+        factors = []
+        for m in range(1, n + 1):
+            bases = owners.get(m)
+            if bases:
+                factors.append(("d", bases[0], dp[(m, bases[0])]))
             else:
-                del d1[(v, j0)]
-            stack.append((coeff, z1, d1))
-            z2 = list(zp)
-            z2[v - 1] -= 1
-            z2[j0 - 1] += 1
-            stack.append((coeff, z2, dict(dp)))
+                factors.append(("p", zp[m - 1]))
+        mono = tuple(factors)
+        old = out.get(mono)
+        s = coeff if old is None else old + coeff
+        if s:
+            out[mono] = s
         else:
-            # R1 on the two smallest bases; multiplier (z_j0-z_j1)^-1
-            j0, j1 = vbases[0], vbases[1]
-            for keep, drop, sign in (((v, j0), (v, j1), -1), ((v, j1), (v, j0), 1)):
-                d1 = dict(dp)
-                if d1[drop] + 1:
-                    d1[drop] += 1
-                else:
-                    del d1[drop]
-                d1[(j1, j0)] = d1.get((j1, j0), 0) - 1
-                stack.append((coeff * sign, list(zp), d1))
+            del out[mono]
     return out
+
+
+def _eliminate(coeff, zp, dp, v: int, bases: List[int], out: list) -> None:
+    """Append to out GTerms that sum to the GTerm (coeff, zp, dp) and leave
+    variable v, whose sorted bases are given, with one factor each: one
+    pole (z_v - z_j)^-k or one pure power of z_v.  Every new factor sits on
+    lower variables.  With x = z_v:
+
+    Two bases, A = z_j0 and B = z_j1 with j0 < j1, against each other:
+
+        (x-A)^-a (x-B)^-b = sum_{k<a} (-1)^b C(b+k-1, k) (B-A)^(-b-k) (x-A)^-(a-k)
+                          + sum_{k<b} (-1)^k C(a+k-1, k) (B-A)^(-a-k) (x-B)^-(b-k),
+
+    applied to the two smallest bases of a term until one is left.  Then a
+    power against that base, A = z_j:
+
+        x^p (x-A)^-a = sum_{i<a, i<=p} C(p, i) A^(p-i) (x-A)^(i-a)
+                     + sum_{s=0..p-a} C(p-s-1, a-1) A^(p-a-s) x^s.
+
+    The first is the expansion of either pole about the other's point, the
+    second the binomial expansion of x^p about A."""
+    rest = {pair: k for pair, k in dp.items() if pair[0] != v}
+    j0 = bases[0]
+    poles = [(coeff, rest, j0, -dp[(v, j0)])]
+    for j1 in bases[1:]:
+        b = -dp[(v, j1)]
+        split = []
+        for c, d, j, a in poles:
+            pair = (j1, j)
+            e = d.get(pair, 0)
+            cb = -c if b & 1 else c
+            for k in range(a):
+                d1 = d.copy()
+                d1[pair] = e - b - k
+                split.append((cb * comb(b + k - 1, k), d1, j, a - k))
+            for k in range(b):
+                d1 = d.copy()
+                d1[pair] = e - a - k
+                ck = c * comb(a + k - 1, k)
+                split.append((-ck if k & 1 else ck, d1, j1, b - k))
+        poles = split
+    p = zp[v - 1]
+    if not p:
+        # v has two bases or more, so every d is a copy made above
+        for c, d, j, a in poles:
+            d[(v, j)] = -a
+            out.append((c, zp, d))
+        return
+    for c, d, j, a in poles:
+        for i in range(min(a, p + 1)):
+            z1 = zp.copy()
+            z1[v - 1] = 0
+            z1[j - 1] += p - i
+            d1 = d.copy()
+            d1[(v, j)] = i - a
+            out.append((c * comb(p, i), z1, d1))
+        for s in range(p - a + 1):
+            z1 = zp.copy()
+            z1[v - 1] = s
+            z1[j - 1] += p - a - s
+            out.append((c * comb(p - s - 1, a - 1), z1, d))
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +531,7 @@ class LocalFn(SparseSum):
     _space_name = "arity"
     _sort_key = staticmethod(mono_sort_key)
 
-    def __init__(self, arity: int, terms: Dict[Monomial, Fraction]):
+    def __init__(self, arity: int, terms: Dict[Monomial, int | Fraction]):
         self.arity = arity
         self.terms = {m: c for m, c in terms.items() if c != 0}
 
@@ -490,7 +547,7 @@ class LocalFn(SparseSum):
 
     @classmethod
     def const(cls, arity: int, c) -> "LocalFn":
-        c = Fraction(c)
+        c = _exact(c)
         if c == 0:
             return cls.zero(arity)
         return cls(arity, {tuple(("p", 0) for _ in range(arity)): c})
@@ -501,7 +558,7 @@ class LocalFn(SparseSum):
 
     @classmethod
     def from_monomial(cls, arity: int, mono: Monomial, coeff=1) -> "LocalFn":
-        return cls(arity, {mono: Fraction(coeff)})
+        return cls(arity, {mono: _exact(coeff)})
 
     @classmethod
     def from_text(cls, text: str, arity: int) -> "LocalFn":
@@ -546,11 +603,14 @@ class LocalFn(SparseSum):
     def primitive(self):
         """Split off the leading coefficient: self == c * f with f monic."""
         if not self.terms:
-            return Fraction(0), self
+            return 0, self
         lead = self.terms[min(self.terms, key=mono_sort_key)]
         if lead == 1:
             return lead, self
-        return lead, self.scale(Fraction(1) / lead)
+        if lead == -1:
+            return lead, -self
+        inv = Fraction(1) / lead
+        return lead, LocalFn(self.arity, {m: _exact(c * inv) for m, c in self.terms.items()})
 
     # -- queries ---------------------------------------------------------------
 
@@ -580,7 +640,7 @@ class LocalFn(SparseSum):
         return LocalFn(n, _reduce(gterms, n))
 
     def grade_components(self) -> Dict[int, "LocalFn"]:
-        comps: Dict[int, Dict[Monomial, Fraction]] = {}
+        comps: Dict[int, Dict[Monomial, int | Fraction]] = {}
         for mono, coeff in self.terms.items():
             comps.setdefault(mono_grading(mono), {})[mono] = coeff
         return {g: LocalFn(self.arity, t) for g, t in sorted(comps.items())}
@@ -622,7 +682,7 @@ class LocalFn(SparseSum):
     @classmethod
     def from_obj(cls, obj) -> "LocalFn":
         arity = obj["arity"]
-        terms: Dict[Monomial, Fraction] = {}
+        terms: Dict[Monomial, int | Fraction] = {}
         for t in obj["terms"]:
             factors = []
             for m, f in enumerate(t["factors"], start=1):
@@ -641,11 +701,11 @@ class LocalFn(SparseSum):
             if len(factors) != arity:
                 raise ArityMismatch("factor list length != arity")
             mono = tuple(factors)
-            terms[mono] = terms.get(mono, Fraction(0)) + Fraction(t["coeff"])
+            terms[mono] = terms.get(mono, 0) + _exact(t["coeff"])
         return cls(arity, terms)
 
 
-def _mono_to_gterm(mono: Monomial, coeff: Fraction, n: int):
+def _mono_to_gterm(mono: Monomial, coeff, n: int):
     zp = [0] * n
     dp: Dict[Tuple[int, int], int] = {}
     for m, f in enumerate(mono, start=1):
@@ -898,13 +958,17 @@ def basis_monomials(n: int, grading: int, pole_budget: int) -> List[Monomial]:
         raise SchemaError("pole budget must be >= 0")
     if pole_budget < grading:
         return []
+    if n == 0:
+        return [()] if grading == 0 else []
     pure_cap = pole_budget - grading
     out: List[Monomial] = []
 
     def rec(m: int, pole: int, pure: int, acc: List[Factor]):
-        if m == 0:
-            if pole - pure == grading:
-                out.append(tuple(reversed(acc)))
+        if m == 1:
+            # variable 1 carries a pure power, and the grading fixes it
+            l = pole - pure - grading
+            if 0 <= l <= pure_cap - pure:
+                out.append((("p", l), *reversed(acc)))
             return
         for i in range(1, m):
             for k in range(pole_budget - pole, 0, -1):

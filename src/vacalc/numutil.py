@@ -16,6 +16,12 @@ from typing import Dict, List, Tuple
 from .errors import ArityMismatch
 
 
+def _exact(c) -> int | Fraction:
+    """The rational c as an int when it is integral, else as a Fraction."""
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 def gbinom(m: int, j: int) -> int:
     """Generalized binomial coefficient C(m, j) for any integer m, j >= 0.
 
@@ -85,7 +91,8 @@ class SparseSum:
         return self + (-other)
 
     def scale(self, c):
-        c = Fraction(c)
+        if type(c) is not int:
+            c = _exact(c)
         return self._like({k: v * c for k, v in self.terms.items()})
 
     def __rmul__(self, c):

@@ -49,6 +49,7 @@ from .numutil import (
     SparseSum,
     _cross_reduce,
     _echelon,
+    _exact,
     _kernel,
     _scaled_echelon,
     _solve,
@@ -61,12 +62,6 @@ Word = Tuple[Tuple[int, int], ...]  # (generator, mode) pairs, applied to 1
 VACUUM_WORD: Word = ()
 
 _MAX_SINGULAR = 64
-
-
-def _exact(c) -> int | Fraction:
-    """The rational c as an int when it is integral, else as a Fraction."""
-    c = Fraction(c)
-    return c.numerator if c.denominator == 1 else c
 
 
 def _gf2_reduce(v: int, echelon: Dict[int, int]) -> int:
@@ -941,7 +936,7 @@ def _ward_kernel(r: int, i: int, p: int, mode: int, m: int) -> LocalFn:
     """C(mode, m) (z_i - z_p)^(mode - m) for 0-based points p < i and
     mode < 0: the residue at x = z_i of (x - z_p)^mode (x - z_i)^(-m-1)."""
     mono = tuple(("d", p + 1, mode - m) if v == i else ("p", 0) for v in range(r))
-    return LocalFn(r, {mono: Fraction(gbinom(mode, m))})
+    return LocalFn(r, {mono: gbinom(mode, m)})
 
 
 def ward_correlator(pres: Presentation, gen_names: Sequence[str]) -> LocalFn:

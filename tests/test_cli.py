@@ -68,6 +68,26 @@ def test_insert_and_kernels(capsys):
     assert out.strip().endswith("expansion orders agree: yes")
 
 
+@pytest.mark.parametrize("cls, argv", [
+    ("cooperad.TensorElement", ("insert", "--arity", "2", "--m", "1", "--p", "2", "(z2-z1)^-1")),
+    ("vacore.VAElement", ("radical", "--preset", "virasoro", "--c", "-22/5", "--weight", "4")),
+])
+def test_each_output_mode_builds_only_its_own_text(monkeypatch, capsys, cls, argv):
+    module, name = cls.split(".")
+    cls = getattr(getattr(vacalc, module), name)
+
+    def unused(self):
+        raise AssertionError("built for the other output mode")
+
+    want = invoke(capsys, *argv)
+    want_json = invoke(capsys, *argv, "--json")
+    with monkeypatch.context() as m:
+        m.setattr(cls, "__str__", unused)
+        assert invoke(capsys, *argv, "--json") == want_json
+    monkeypatch.setattr(cls, "to_obj", unused)
+    assert invoke(capsys, *argv) == want
+
+
 def test_filtration_and_connective(capsys):
     code, out = invoke(capsys, "filtration", "--arity", "3", "--subset", "1,3",
                        "(z2-z1)^-1*(z3-z2)^-1")

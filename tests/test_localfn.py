@@ -22,11 +22,13 @@ from vacalc.errors import (
     IllegalPole,
     ParseError,
 )
+from vacalc.cooperad import insert_components
 from vacalc.localfn import (
     _MAX_NESTING,
     LocalFn,
     _collision_level,
     _collision_level_exact,
+    _reduce,
     basis_monomials,
     canonicalize,
     eval_raw,
@@ -36,6 +38,7 @@ from vacalc.localfn import (
     mono_sort_key,
     parse,
 )
+from vacalc.vacore import npoint_ward, preset_heisenberg, preset_virasoro
 
 
 def lf(text, arity):
@@ -134,6 +137,25 @@ def test_power_of_a_sum_times_a_pole_matches_eval_raw():
 def test_long_sums_and_products_do_not_recurse():
     assert lf("+".join(["z1"] * 3000), 1) == lf("3000*z1", 1)
     assert lf("*".join(["z1"] * 3000), 1) == lf("z1^3000", 1)
+
+
+def test_eval_raw_walks_long_chains():
+    assert eval_raw(parse("+".join(["z1"] * 3000), 1), [1]) == 3000
+    assert eval_raw(parse("-".join(["z1"] * 3000), 1), [1]) == -2998
+    assert eval_raw(parse("*".join(["z1"] * 3000), 1), [2]) == 2 ** 3000
+
+
+def test_deep_poles_of_one_variable_match_eval_raw():
+    # one closed-form step per variable: the depth costs no more than the
+    # 40 output terms, where one rewrite step per path walks C(40, 20)
+    rng = random.Random(20)
+    for text, n_terms in (("(z3-z1)^-20*(z3-z2)^-20", 40), ("z2^14*(z2-z1)^-14", 15)):
+        expr = parse(text, 3)
+        f = canonicalize(expr)
+        assert len(f.terms) == n_terms
+        for _ in range(5):
+            pts = distinct_points(rng, 3)
+            assert f.evaluate(pts) == eval_raw(expr, pts)
 
 
 def test_canonicalize_idempotent_on_output():
@@ -308,6 +330,41 @@ def test_basis_monomials_match_brute_force():
                     ),
                     key=mono_sort_key,
                 )
+                assert basis_monomials(n, grading, budget) == want, (n, grading, budget)
+
+
+def _basis_monomials_every_power(n, grading, pole_budget):
+    """basis_monomials with every pure power of variable 1 tried and the
+    grading tested at the leaf, instead of that power read off the grading."""
+    if pole_budget < grading:
+        return []
+    pure_cap = pole_budget - grading
+    out = []
+
+    def rec(m, pole, pure, acc):
+        if m == 0:
+            if pole - pure == grading:
+                out.append(tuple(reversed(acc)))
+            return
+        for i in range(1, m):
+            for k in range(pole_budget - pole, 0, -1):
+                acc.append(("d", i, -k))
+                rec(m - 1, pole + k, pure, acc)
+                acc.pop()
+        for l in range(0, pure_cap - pure + 1):
+            acc.append(("p", l))
+            rec(m - 1, pole, pure + l, acc)
+            acc.pop()
+
+    rec(n, 0, 0, [])
+    return out
+
+
+def test_basis_monomials_read_the_first_power_off_the_grading():
+    for n in range(6):
+        for grading in range(-3, 6):
+            for budget in range(7):
+                want = _basis_monomials_every_power(n, grading, budget)
                 assert basis_monomials(n, grading, budget) == want, (n, grading, budget)
 
 
@@ -487,3 +544,145 @@ def test_hypothesis_collision_level_matches_cleared_numerators(f):
         assert f.collision_level(s) == level
         for floor in range(level + 2):
             assert _collision_level(f, s, floor) == max(level, floor)
+
+
+# ---------------------------------------------------------------------------
+# the closed-form reduction against single rewrite steps
+# ---------------------------------------------------------------------------
+
+def _reduce_r1r2(gterms, n):
+    """The canonical reduction by single rewrite steps: the reference for
+    _reduce's closed forms.  Each GTerm's highest variable x = z_v with a
+    pure power and a pole, or with two poles, takes one step
+
+        R2:  x^a (x-u)^k      ->  x^(a-1) (x-u)^(k+1) + u x^(a-1) (x-u)^k
+        R1:  (x-u)^j (x-w)^k  ->  (u-w)^-1 [(x-u)^j (x-w)^(k+1) - (x-u)^(j+1) (x-w)^k]
+
+    against v's smallest base, or its two smallest.  Each step shrinks the
+    pure degree plus the pole depth at v, so the rewriting terminates.  No
+    two paths merge, so the time grows exponentially with the pole depth."""
+    out = {}
+    stack = [(c, list(z), dict(d)) for (c, z, d) in gterms]
+    while stack:
+        coeff, zp, dp = stack.pop()
+        if coeff == 0:
+            continue
+        owners = {}
+        for hi, lo in dp:
+            owners.setdefault(hi, []).append(lo)
+        v = 0
+        for m in sorted(owners, reverse=True):
+            vbases = owners[m]
+            if zp[m - 1] > 0 or len(vbases) >= 2:
+                v = m
+                vbases.sort()
+                break
+        if v == 0:
+            mono = tuple(
+                ("d", owners[m][0], dp[(m, owners[m][0])]) if m in owners else ("p", zp[m - 1])
+                for m in range(1, n + 1)
+            )
+            s = out.get(mono, 0) + coeff
+            if s:
+                out[mono] = s
+            else:
+                out.pop(mono, None)
+            continue
+        if zp[v - 1] > 0:
+            # R2 against the smallest base
+            j0 = vbases[0]
+            k = dp[(v, j0)]
+            z1 = list(zp)
+            z1[v - 1] -= 1
+            d1 = dict(dp)
+            if k + 1:
+                d1[(v, j0)] = k + 1
+            else:
+                del d1[(v, j0)]
+            stack.append((coeff, z1, d1))
+            z2 = list(zp)
+            z2[v - 1] -= 1
+            z2[j0 - 1] += 1
+            stack.append((coeff, z2, dict(dp)))
+        else:
+            # R1 on the two smallest bases; multiplier (z_j0-z_j1)^-1
+            j0, j1 = vbases[0], vbases[1]
+            for keep, drop, sign in (((v, j0), (v, j1), -1), ((v, j1), (v, j0), 1)):
+                d1 = dict(dp)
+                if d1[drop] + 1:
+                    d1[drop] += 1
+                else:
+                    del d1[drop]
+                d1[(j1, j0)] = d1.get((j1, j0), 0) - 1
+                stack.append((coeff * sign, list(zp), d1))
+    return out
+
+
+@st.composite
+def gterm_lists(draw):
+    """(n, GTerms) over n variables: pure powers up to 3 and up to five pole
+    factors of depth 1 or 2, half of them on the last variable, so that a
+    variable often carries several bases and a pure power at once."""
+    n = draw(st.integers(2, 5))
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        zp = [draw(st.integers(0, 3)) for _ in range(n)]
+        dp = {}
+        for _ in range(draw(st.integers(0, 5))):
+            hi = n if draw(st.booleans()) else draw(st.integers(2, n))
+            lo = draw(st.integers(1, hi - 1))
+            dp[(hi, lo)] = dp.get((hi, lo), 0) - draw(st.integers(1, 2))
+        coeff = draw(st.one_of(st.integers(-3, 3), small_fracs))
+        terms.append((coeff, zp, dp))
+    return n, terms
+
+
+@settings(max_examples=300, deadline=None)
+@given(gterm_lists())
+@example((3, [(1, [0, 0, 0], {(3, 1): -2, (3, 2): -2})]))
+@example((3, [(1, [0, 0, 3], {(3, 1): -2})]))
+@example((4, [(2, [1, 0, 0, 2], {(4, 1): -1, (4, 2): -2, (4, 3): -1, (3, 1): -1})]))
+def test_hypothesis_reduce_matches_single_rewrite_steps(case):
+    n, terms = case
+    copy = [(c, list(z), dict(d)) for c, z, d in terms]
+    assert _reduce(terms, n) == _reduce_r1r2(copy, n)
+    assert terms == copy  # the input is left as it was
+
+
+def _all_ints(f):
+    return all(type(c) is int for c in f.terms.values())
+
+
+def test_integer_inputs_keep_int_coefficients():
+    # an integral coefficient is an int, never an integral Fraction (and
+    # never a float), through every route that reduces
+    rng = random.Random(26)
+    for _ in range(20):
+        n = rng.randint(2, 4)
+        f = _random_localfn(rng, n)
+        assert _all_ints(f)
+        assert _all_ints(f.permute(rng.sample(range(1, n + 1), n)))
+        assert _all_ints(f * f)
+    for text, n in ((THREE_POINT, 3), (FIVE_VAR, 5), ("(z1+z2)^7*(z1-z2)^-3 - 2*(z1-z2)^-5", 2)):
+        assert _all_ints(lf(text, n))
+    # an insertion stores an int lead and monomial outer factors; its monic
+    # inner factor is an int wherever it is integral
+    f = lf("z1*(z3-z1)^-2*(z4-z2)^-1*(z4-z3)^-1 + 3*(z2-z1)^-3"
+           " - 2*z2*(z4-z1)^-2*(z3-z2)^-2", 4)
+    fractions = 0
+    for m in range(4):
+        for te in insert_components(f, m, -4, 4).values():
+            for outer, inner, c in te.terms:
+                assert type(c) is int and _all_ints(outer)
+                for x in inner.terms.values():
+                    assert type(x) is int or (type(x) is Fraction and x.denominator > 1)
+                    assert (c * x).denominator == 1
+                    fractions += type(x) is Fraction
+    assert fractions  # the check above sees both types
+    # Ward correlators at an integral central charge and an integral form
+    for pres, gens in ((preset_virasoro(2), ["L"] * 4),
+                       (preset_heisenberg(1), ["a"] * 4),
+                       (preset_heisenberg(2), ["a1", "a2", "a1", "a2"])):
+        bound = sum(pres.wt(pres.gen_index(g)) for g in gens)
+        f = npoint_ward(pres, gens, bound)
+        assert f.terms and _all_ints(f)
