@@ -23,7 +23,6 @@ from .vacore import (
     VAElement,
     check_uniform_bound,
     graded_dims,
-    lattice_check,
     load_presentation,
     npoint_vacuum,
     npoint_ward,
@@ -37,6 +36,7 @@ from .vacore import (
     ward_correlator,
 )
 from . import fockoracle
+from .fockoracle import lattice_check
 
 __all__ = [
     "VacalcError",

@@ -30,7 +30,6 @@ from .vacore import (
     _integer,
     check_uniform_bound,
     graded_dims,
-    lattice_check,
     load_presentation,
     npoint_ward,
     ope_singular,
@@ -356,7 +355,7 @@ def run(argv):
         _emit(args, f.format, f.to_obj)
 
     elif args.command == "lattice-check":
-        rep = lattice_check(args.cutoff)
+        rep = fockoracle.lattice_check(args.cutoff)
 
         def human():
             lines = [f"checks {len(rep['checks'])} failures {rep['failures']}"]

@@ -52,7 +52,7 @@ from .localfn import (
     _collision_level,
     _reduce,
 )
-from .numutil import _echelon, _kernel, gbinom
+from .numutil import _echelon, _exact, _kernel, gbinom
 
 
 # ---------------------------------------------------------------------------
@@ -302,14 +302,13 @@ def cocompose_general(
 def _geo_expand(c_a: int, c_x: int, exponent: int, orders: int):
     """Coefficients of (c_a*A + c_x*x)^exponent as a series in x.
 
-    Returns {j: coeff of x^j * A^(exponent - j)} for j < orders.
+    Returns {j: coeff of x^j * A^(exponent - j)} for j < orders, each an
+    int where it is integral.
     """
     out = {}
     for j in range(orders):
-        out[j] = (
-            Fraction(gbinom(exponent, j))
-            * Fraction(c_x) ** j
-            * Fraction(c_a) ** (exponent - j)
+        out[j] = _exact(
+            gbinom(exponent, j) * Fraction(c_x) ** j * Fraction(c_a) ** (exponent - j)
         )
     return out
 
@@ -355,7 +354,7 @@ def associative_expansion(route: int, m_max: int, n_max: int):
             for r in range(0, j + 1):  # w^j = (q + v)^j
                 n, m = r, j - r
                 if n <= n_max and m <= m_max:
-                    table[(m, n)] = table.get((m, n), Fraction(0)) + cj * gbinom(j, r)
+                    table[(m, n)] = table.get((m, n), 0) + cj * gbinom(j, r)
     elif route == 2:
         outer = _geo_expand(1, 1, -1, size)  # (-(z_i - t) + v)^-1 in v, A = -(z_i - t)
         for n, cn in outer.items():
@@ -370,17 +369,17 @@ def associative_expansion(route: int, m_max: int, n_max: int):
     return table
 
 
-def kernel_table(kind: str, m_max: int, n_max: int) -> Dict[Tuple[int, int], Fraction]:
+def kernel_table(kind: str, m_max: int, n_max: int) -> Dict[Tuple[int, int], int]:
     """Closed-form {(m, n): coeff} table of the symmetric or associative kernel."""
     if kind == "symmetric":
         coeffs = {
-            (m, n): Fraction((-1) ** n * gbinom(m + n, n))
+            (m, n): (-1) ** n * gbinom(m + n, n)
             for m in range(m_max + 1)
             for n in range(n_max + 1)
         }
     elif kind == "associative":
         coeffs = {
-            (m, n): Fraction(-gbinom(m + n, m))
+            (m, n): -gbinom(m + n, m)
             for m in range(m_max + 1)
             for n in range(n_max + 1)
         }
@@ -417,7 +416,7 @@ def filtration_basis(n, subset, N, grading, pole_budget) -> List[LocalFn]:
                 rows.setdefault((j, m), {})[col] = v
     pivots = _echelon(_kernel(rows.values(), len(cands)))
     return [
-        LocalFn(n, {cands[c]: Fraction(v, row[p]) for c, v in row.items()})
+        LocalFn(n, {cands[c]: _exact(Fraction(v, row[p])) for c, v in row.items()})
         for p, row in sorted(pivots.items())
     ]
 

@@ -99,18 +99,9 @@ class UnboundedOPE(VacalcError):
     """
 
 
-class NonTerminating(VacalcError):
-    """Rewriting exceeded the configured step bound.
-
-    bound is the step bound and word the printed word being rewritten.
-    """
-
-    fields = ("bound", "word")
-
-
 class ResourceLimit(VacalcError):
-    """A computation outgrew a configured size bound; unlike NonTerminating,
-    it may well finish with a larger bound.
+    """A computation outgrew a configured size bound; it may well finish
+    with a larger bound.
 
     bound is the size bound and cache_entries the size that passed it.
     """

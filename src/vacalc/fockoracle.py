@@ -19,7 +19,8 @@ Conventions, fixed once and used consistently:
   quadratic expression in the norm-1 oscillator, hence central charge 1.
 * ``lattice_vertex_act`` realizes the exponential vertex operators of the
   rank-1 even lattice (norm 2 by default) with the trivial two-cocycle,
-  truncated to a weight cutoff.
+  truncated to a weight cutoff, and ``lattice_check`` checks the lattice
+  relations in that realization.
 """
 
 from __future__ import annotations
@@ -311,3 +312,66 @@ def virasoro_word(modes) -> FockVec:
         if not v:
             break
     return v
+
+
+# ---------------------------------------------------------------------------
+# Lattice checks
+# ---------------------------------------------------------------------------
+
+def lattice_check(truncation: int = 4) -> dict:
+    """Verify the relations of the rank-1 even lattice of norm 2 in its
+    explicit realization (lattice_vertex_act).
+
+    Checks, per generator pair (s1*lambda, s2*lambda) with pairing
+    p = s1*s2*norm:  the product modes vanish for n >= -p (the regularity
+    relation), the weight-consistent mode of the opposite pair is the
+    vacuum with coefficient one, and the realization dimensions match the
+    theta-over-eta series for weights 0..3.
+    """
+    norm = 2
+    if truncation < 4:
+        raise TruncationTooSmall("relation scan needs truncation weight >= 4")
+    checks = []
+    failures = 0
+
+    def record(kind, detail, ok, value=None):
+        nonlocal failures
+        entry = {"kind": kind, "detail": detail, "status": "ok" if ok else "fail"}
+        if value is not None:
+            entry["value"] = value
+        if not ok:
+            failures += 1
+        checks.append(entry)
+
+    for s1 in (1, -1):
+        for s2 in (1, -1):
+            pairing = s1 * s2 * norm
+            state = vec(((), s2))
+            for n in range(-pairing, -pairing + truncation + 1):
+                got = lattice_vertex_act(s1, n, state, truncation, norm)
+                record(
+                    "regularity",
+                    f"({s1:+d}L)({n})({s2:+d}L) = 0",
+                    got == {},
+                    vec_to_obj(got) if got else None,
+                )
+            lead = lattice_vertex_act(s1, -pairing - 1, state, truncation, norm)
+            record(
+                "leading-term",
+                f"({s1:+d}L)({-pairing - 1})({s2:+d}L) nonzero",
+                bool(lead),
+                vec_to_obj(lead),
+            )
+    vac_mode = norm - 1
+    for s in (1, -1):
+        got = lattice_vertex_act(s, vac_mode, vec(((), -s)), truncation, norm)
+        record(
+            "unit-product",
+            f"({s:+d}L)({vac_mode})({-s:+d}L) = 1",
+            got == vec(),
+            vec_to_obj(got),
+        )
+    dims = lattice_graded_dims(3, norm)
+    series = series_dims(("theta_over_eta", norm), 3)
+    record("graded-dims", f"realization dims 0..3 = {series}", dims == series, dims)
+    return {"checks": checks, "failures": failures}

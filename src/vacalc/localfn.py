@@ -229,50 +229,6 @@ def _chain(node):
     return node, reversed(rights)
 
 
-def eval_raw(expr: RawExpr, points) -> Fraction:
-    """Evaluate the raw tree directly (independent of canonicalization).
-    Chains are walked by _chain, so a long sum or product does not
-    recurse."""
-    points = [Fraction(p) for p in points]
-    if len(points) != expr.arity:
-        raise ArityMismatch(f"need {expr.arity} points, got {len(points)}")
-    _check_distinct(points)
-
-    def ev(node):
-        tag = node[0]
-        if tag == "rat":
-            return node[1]
-        if tag == "var":
-            return points[node[1] - 1]
-        if tag == "neg":
-            return -ev(node[1])
-        if tag == "pow":
-            base = ev(node[1])
-            k = node[2]
-            if k < 0 and base == 0:
-                raise CoincidentPoints("pole hit during evaluation")
-            return base ** k
-        if tag not in ("add", "sub", "mul"):
-            raise AssertionError(node)
-        first, rest = _chain(node)
-        val = ev(first)
-        for op, rhs in rest:
-            if op == "mul":
-                val *= ev(rhs)
-            elif op == "add":
-                val += ev(rhs)
-            else:
-                val -= ev(rhs)
-        return val
-
-    return ev(expr.tree)
-
-
-def _check_distinct(points):
-    if len(set(points)) != len(points):
-        raise CoincidentPoints(f"points must be pairwise distinct: {points}")
-
-
 # ---------------------------------------------------------------------------
 # Generalized terms and the canonical reduction
 # ---------------------------------------------------------------------------
@@ -618,7 +574,8 @@ class LocalFn(SparseSum):
         points = [Fraction(p) for p in points]
         if len(points) != self.arity:
             raise ArityMismatch(f"need {self.arity} points, got {len(points)}")
-        _check_distinct(points)
+        if len(set(points)) != len(points):
+            raise CoincidentPoints(f"points must be pairwise distinct: {points}")
         total = Fraction(0)
         for mono, coeff in self.terms.items():
             val = coeff

@@ -31,16 +31,13 @@ from itertools import product
 from math import comb
 from typing import Dict, List, Sequence, Tuple
 
-from . import fockoracle
 from .cooperad import SortSignature, in_connective
 from .errors import (
     BadPartition,
     JacobiViolation,
     NoLocalMatch,
-    NonTerminating,
     ResourceLimit,
     SchemaError,
-    TruncationTooSmall,
     UnboundedOPE,
     WeightMismatch,
 )
@@ -323,16 +320,21 @@ class Presentation:
 
     # -- straightening -----------------------------------------------------
 
-    def _entry_mode(self, entry: Dict[Word, int | Fraction], N: int):
-        """Mode N of a table entry: list of (gen, mode, coeff) plus the
-        identity coefficient (from vacuum words, delta at N == -1).
+    def _table_mode(self, a: int, b: int, j: int, N: int):
+        """Mode N of the table entry [a, b]_j, memoized: list of (gen, mode,
+        coeff) plus the identity coefficient (from vacuum words, delta at
+        N == -1).
 
         The mode N of (1/s!) T^s g is (-1)^s C(N, s) g(N - s): the falling
         factorial N (N-1) ... (N-s+1) over s! is the integer C(N, s), so an
         int table coefficient gives an int coefficient."""
+        key = (a, b, j, N)
+        got = self._table_mode_cache.get(key)
+        if got is not None:
+            return got
         id_coeff = 0
         parts = []
-        for word, c in entry.items():
+        for word, c in self.ope[(a, b)][j].items():
             if not word:
                 if N == -1:
                     id_coeff += c
@@ -342,14 +344,7 @@ class Presentation:
             coeff = c * (-1) ** s * gbinom(N, s)
             if coeff:
                 parts.append((g, N - s, coeff))
-        return parts, id_coeff
-
-    def _table_mode(self, a: int, b: int, j: int, N: int):
-        """_entry_mode of the table entry [a, b]_j at mode N, memoized."""
-        key = (a, b, j, N)
-        got = self._table_mode_cache.get(key)
-        if got is None:
-            got = self._table_mode_cache[key] = self._entry_mode(self.ope[(a, b)][j], N)
+        got = self._table_mode_cache[key] = (parts, id_coeff)
         return got
 
     def _prepend(self, g: int, n: int, word: Word) -> Dict[Word, int | Fraction]:
@@ -422,64 +417,6 @@ class Presentation:
         for g, n in reversed(word):
             el = self._act(g, n, el)
         return el
-
-    def _nf_word_bubble(self, word: Word) -> Dict[Word, Fraction]:
-        """Worklist variant swapping the leftmost offender: the tests'
-        independent check that normal_form does not depend on the rewriting
-        strategy."""
-        out: Dict[Word, Fraction] = {}
-        stack = [(Fraction(1), list(word))]
-        steps = 0
-        while stack:
-            steps += 1
-            if steps > self.step_bound:
-                raise NonTerminating(
-                    f"exceeded {self.step_bound} rewrite steps",
-                    bound=self.step_bound,
-                    word=self.word_str(word),
-                )
-            coeff, ms = stack.pop()
-            if self.word_weight(ms) < 0:
-                continue
-            if ms and ms[-1][1] >= 0:
-                continue  # annihilates the vacuum
-            # push the rightmost nonnegative mode toward the vacuum first
-            # (its right neighbor is negative, so the swap makes progress),
-            # then sort the all-negative word by adjacent swaps
-            idx = None
-            for i in range(len(ms) - 2, -1, -1):
-                if ms[i][1] >= 0:
-                    idx = i
-                    break
-            if idx is None:
-                for i in range(len(ms) - 1):
-                    (a, m), (b, k) = ms[i], ms[i + 1]
-                    if m < k or (m == k and a < b):
-                        idx = i
-                        break
-            if idx is None:
-                w = tuple(ms)
-                s = out.get(w, Fraction(0)) + coeff
-                if s:
-                    out[w] = s
-                else:
-                    del out[w]
-                continue
-            (a, m), (b, k) = ms[idx], ms[idx + 1]
-            swapped = ms[:idx] + [(b, k), (a, m)] + ms[idx + 2 :]
-            stack.append((coeff, swapped))
-            for j, entry in self.ope.get((a, b), {}).items():
-                cnj = gbinom(m, j)
-                if cnj == 0:
-                    continue
-                parts, id_coeff = self._entry_mode(entry, m + k - j)
-                if id_coeff:
-                    stack.append((coeff * cnj * id_coeff, ms[:idx] + ms[idx + 2 :]))
-                for g2, n2, cc in parts:
-                    stack.append(
-                        (coeff * cnj * cc, ms[:idx] + [(g2, n2)] + ms[idx + 2 :])
-                    )
-        return out
 
     def normal_form(self, el: VAElement) -> VAElement:
         out: Dict[Word, int | Fraction] = {}
@@ -703,7 +640,9 @@ def radical_slices(pres: Presentation, w_max: int) -> List[RadicalSlice]:
         if u < w_max:
             columns.append({b: j for j, b in enumerate(basis)})
             rads.append(_scaled_echelon(kernel))
-        elements = [VAElement(pres, {basis[j]: c for j, c in vec.items()}) for vec in kernel]
+        elements = [
+            VAElement(pres, {basis[j]: _exact(c) for j, c in vec.items()}) for vec in kernel
+        ]
         out.append(RadicalSlice(u, basis, elements))
     return out
 
@@ -1000,73 +939,6 @@ def npoint_ward(pres: Presentation, gen_names: Sequence[str], pole_bound: int) -
     radius = pole_bound + abs(sum(sorts)) + 1
     result = ward_correlator(pres, gen_names)
     return _certify(pres, gen_names, gidx, sorts, result, pole_bound, radius)
-
-
-# ---------------------------------------------------------------------------
-# Lattice checks
-# ---------------------------------------------------------------------------
-
-def lattice_check(truncation: int = 4) -> dict:
-    """Verify the relations of the rank-1 even lattice of norm 2 in its
-    explicit realization (fockoracle).
-
-    Checks, per generator pair (s1*lambda, s2*lambda) with pairing
-    p = s1*s2*norm:  the product modes vanish for n >= -p (the regularity
-    relation), the weight-consistent mode of the opposite pair is the
-    vacuum with coefficient one, and the realization dimensions match the
-    theta-over-eta series for weights 0..3.
-    """
-    norm = 2
-    if truncation < 4:
-        raise TruncationTooSmall("relation scan needs truncation weight >= 4")
-    checks = []
-    failures = 0
-
-    def record(kind, detail, ok, value=None):
-        nonlocal failures
-        entry = {"kind": kind, "detail": detail, "status": "ok" if ok else "fail"}
-        if value is not None:
-            entry["value"] = value
-        if not ok:
-            failures += 1
-        checks.append(entry)
-
-    for s1 in (1, -1):
-        for s2 in (1, -1):
-            pairing = s1 * s2 * norm
-            state = fockoracle.vec(((), s2))
-            for n in range(-pairing, -pairing + truncation + 1):
-                got = fockoracle.lattice_vertex_act(s1, n, state, truncation, norm)
-                record(
-                    "regularity",
-                    f"({s1:+d}L)({n})({s2:+d}L) = 0",
-                    got == {},
-                    fockoracle.vec_to_obj(got) if got else None,
-                )
-            lead = fockoracle.lattice_vertex_act(
-                s1, -pairing - 1, state, truncation, norm
-            )
-            record(
-                "leading-term",
-                f"({s1:+d}L)({-pairing - 1})({s2:+d}L) nonzero",
-                bool(lead),
-                fockoracle.vec_to_obj(lead),
-            )
-    vac_mode = norm - 1
-    for s in (1, -1):
-        got = fockoracle.lattice_vertex_act(
-            s, vac_mode, fockoracle.vec(((), -s)), truncation, norm
-        )
-        record(
-            "unit-product",
-            f"({s:+d}L)({vac_mode})({-s:+d}L) = 1",
-            got == fockoracle.vec(),
-            fockoracle.vec_to_obj(got),
-        )
-    dims = fockoracle.lattice_graded_dims(3, norm)
-    series = fockoracle.series_dims(("theta_over_eta", norm), 3)
-    record("graded-dims", f"realization dims 0..3 = {series}", dims == series, dims)
-    return {"checks": checks, "failures": failures}
 
 
 # ---------------------------------------------------------------------------

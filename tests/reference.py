@@ -1,0 +1,148 @@
+"""Independent reference routes for the tests.
+
+Each function here recomputes what a production route of vacalc computes,
+by another method, and shares no code with it: only the input is common.
+
+* eval_raw evaluates a parsed expression tree at points, with no
+  canonical form (the check of localfn's canonicalization);
+* nf_word_bubble straightens a mode word by swapping the leftmost
+  offending pair, and reads each table entry's modes with its own formula
+  (the check of Presentation.normal_form, which straightens suffix first).
+
+The module name has no test_ prefix, so pytest collects nothing from it.
+"""
+
+from fractions import Fraction
+from math import factorial, prod
+
+from vacalc.errors import ArityMismatch, CoincidentPoints, VacalcError
+
+
+def eval_raw(expr, points) -> Fraction:
+    """Evaluate the raw tree of expr at points.  A chain of +, - or * is
+    walked along its left spine, so a long sum or product does not
+    recurse."""
+    points = [Fraction(p) for p in points]
+    if len(points) != expr.arity:
+        raise ArityMismatch(f"need {expr.arity} points, got {len(points)}")
+    if len(set(points)) != len(points):
+        raise CoincidentPoints(f"points must be pairwise distinct: {points}")
+
+    def ev(node):
+        tag = node[0]
+        if tag == "rat":
+            return node[1]
+        if tag == "var":
+            return points[node[1] - 1]
+        if tag == "neg":
+            return -ev(node[1])
+        if tag == "pow":
+            base = ev(node[1])
+            if node[2] < 0 and base == 0:
+                raise CoincidentPoints("pole hit during evaluation")
+            return base ** node[2]
+        if tag not in ("add", "sub", "mul"):
+            raise AssertionError(node)
+        kinds = ("mul",) if tag == "mul" else ("add", "sub")
+        rights = []
+        while node[0] in kinds:
+            rights.append((node[0], node[2]))
+            node = node[1]
+        val = ev(node)
+        for op, rhs in reversed(rights):
+            if op == "mul":
+                val *= ev(rhs)
+            elif op == "add":
+                val += ev(rhs)
+            else:
+                val -= ev(rhs)
+        return val
+
+    return ev(expr.tree)
+
+
+class NonTerminating(VacalcError):
+    """nf_word_bubble took more than its bound of rewrite steps.
+
+    bound is the step bound and word the printed word being rewritten.
+    """
+
+    fields = ("bound", "word")
+
+
+def _binom(x: int, k: int) -> int:
+    """x (x-1) ... (x-k+1) / k! for any integer x and k >= 0."""
+    return prod(range(x - k + 1, x + 1)) // factorial(k)
+
+
+def _entry_modes(entry, N: int):
+    """Mode N of a table entry as (generator, mode, coefficient) triples,
+    with generator None for the identity.  By (Ta)(n) = -n a(n-1), mode N
+    of (1/s!) T^s g = g(-1-s)1 is (-1)^s N (N-1) ... (N-s+1) / s! times
+    g(N - s); mode N of the vacuum is the identity at N = -1, else 0."""
+    out = []
+    for word, c in entry.items():
+        if not word:
+            if N == -1:
+                out.append((None, None, c))
+            continue
+        ((g, mode),) = word
+        s = -1 - mode
+        coeff = c * (-1) ** s * _binom(N, s)
+        if coeff:
+            out.append((g, N - s, coeff))
+    return out
+
+
+def nf_word_bubble(pres, word, bound: int = 10**6):
+    """Normal form of the mode word applied to the vacuum, as {normal word:
+    Fraction}, by a worklist that swaps the leftmost offending pair with
+    the commutator rule a(m) b(k) = b(k) a(m) + sum_j C(m, j)
+    ([a, b]_j)(m+k-j).  Raises NonTerminating after bound steps."""
+    out = {}
+    stack = [(Fraction(1), list(word))]
+    steps = 0
+    while stack:
+        steps += 1
+        if steps > bound:
+            raise NonTerminating(
+                f"exceeded {bound} rewrite steps", bound=bound, word=pres.word_str(word)
+            )
+        coeff, ms = stack.pop()
+        if sum(pres.weights[g] - n - 1 for g, n in ms) < 0:
+            continue
+        if ms and ms[-1][1] >= 0:
+            continue  # annihilates the vacuum
+        # push the rightmost nonnegative mode toward the vacuum first
+        # (its right neighbor is negative, so the swap makes progress),
+        # then sort the all-negative word by adjacent swaps
+        idx = None
+        for i in range(len(ms) - 2, -1, -1):
+            if ms[i][1] >= 0:
+                idx = i
+                break
+        if idx is None:
+            for i in range(len(ms) - 1):
+                (a, m), (b, k) = ms[i], ms[i + 1]
+                if m < k or (m == k and a < b):
+                    idx = i
+                    break
+        if idx is None:
+            w = tuple(ms)
+            s = out.get(w, Fraction(0)) + coeff
+            if s:
+                out[w] = s
+            else:
+                del out[w]
+            continue
+        (a, m), (b, k) = ms[idx], ms[idx + 1]
+        head, tail = ms[:idx], ms[idx + 2 :]
+        stack.append((coeff, head + [(b, k), (a, m)] + tail))
+        for j, entry in pres.ope.get((a, b), {}).items():
+            cmj = _binom(m, j)
+            if cmj == 0:
+                continue
+            for g, n, c in _entry_modes(entry, m + k - j):
+                middle = [] if g is None else [(g, n)]
+                stack.append((coeff * cmj * c, head + middle + tail))
+    return out

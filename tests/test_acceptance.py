@@ -20,11 +20,11 @@ from vacalc.cooperad import (
     symmetric_expansion,
     verify_axioms,
 )
-from vacalc.localfn import LocalFn, basis_monomials, canonicalize, eval_raw, mono_pole_total
+from vacalc.fockoracle import lattice_check
+from vacalc.localfn import LocalFn, basis_monomials, canonicalize, mono_pole_total
 from vacalc.numutil import gbinom
 from vacalc.vacore import (
     graded_dims,
-    lattice_check,
     npoint_vacuum,
     preset_heisenberg,
     preset_virasoro,
@@ -33,6 +33,7 @@ from vacalc.vacore import (
     spanning_basis,
 )
 
+from reference import eval_raw
 from test_localfn import distinct_points, random_raw_expr
 
 

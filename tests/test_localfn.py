@@ -2,7 +2,7 @@
 
 Expected values tagged by an example in the interface notes are frozen here;
 everything derived is cross-checked through the direct-evaluation oracle
-(eval_raw), which never goes through the canonicalizer.
+(reference.eval_raw), which never goes through the canonicalizer.
 """
 
 import json
@@ -22,7 +22,13 @@ from vacalc.errors import (
     IllegalPole,
     ParseError,
 )
-from vacalc.cooperad import insert_components
+from vacalc.cooperad import (
+    associative_expansion,
+    filtration_basis,
+    insert_components,
+    kernel_table,
+    symmetric_expansion,
+)
 from vacalc.localfn import (
     _MAX_NESTING,
     LocalFn,
@@ -31,14 +37,15 @@ from vacalc.localfn import (
     _reduce,
     basis_monomials,
     canonicalize,
-    eval_raw,
     mono_grading,
     mono_level_in_subset,
     mono_pole_total,
     mono_sort_key,
     parse,
 )
-from vacalc.vacore import npoint_ward, preset_heisenberg, preset_virasoro
+from vacalc.vacore import npoint_ward, preset_heisenberg, preset_virasoro, radical_slice
+
+from reference import eval_raw
 
 
 def lf(text, arity):
@@ -686,3 +693,13 @@ def test_integer_inputs_keep_int_coefficients():
         bound = sum(pres.wt(pres.gen_index(g)) for g in gens)
         f = npoint_ward(pres, gens, bound)
         assert f.terms and _all_ints(f)
+    # the cluster filtration's basis, the radical's kernel vectors, and the
+    # kernel tables with their mechanical expansions
+    basis = filtration_basis(3, [1, 2], 2, 6, 6)
+    assert len(basis) == 9 and all(_all_ints(f) for f in basis)
+    kernel = radical_slice(preset_heisenberg(2, [[0, 0], [0, 1]]), 3).kernel
+    assert len(kernel) == 7 and all(_all_ints(el) for el in kernel)
+    tables = [kernel_table("symmetric", 6, 6), kernel_table("associative", 6, 6),
+              symmetric_expansion("u", 6, 6), symmetric_expansion("v", 6, 6),
+              associative_expansion(1, 6, 6), associative_expansion(2, 6, 6)]
+    assert all(type(c) is int for table in tables for c in table.values())

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vacalc import fockoracle as F
+from vacalc.fockoracle import lattice_check
 from vacalc.cooperad import SortSignature, in_connective
 from vacalc.errors import (
     BadPartition,
@@ -36,7 +37,6 @@ from vacalc.vacore import (
     _vacuum_series_support,
     check_uniform_bound,
     graded_dims,
-    lattice_check,
     load_presentation,
     npoint_vacuum,
     npoint_ward,
@@ -49,6 +49,8 @@ from vacalc.vacore import (
     spanning_basis,
     ward_correlator,
 )
+
+from reference import NonTerminating, nf_word_bubble
 
 
 @pytest.fixture(scope="module")
@@ -70,11 +72,11 @@ def lf(text, arity):
     return LocalFn.from_text(text, arity)
 
 
-def _bubble_nf(pres, el):
+def _bubble_nf(pres, el, bound=10**6):
     """Normal form of el by the independent bubble strategy."""
     out = {}
     for word, c in el.terms.items():
-        add_into(out, pres._nf_word_bubble(word), c)
+        add_into(out, nf_word_bubble(pres, word, bound), c)
     return VAElement(pres, out)
 
 
@@ -220,7 +222,7 @@ def test_table_coefficients_are_ints_where_integral():
     assert row[1] == {((0, -1),): 2} and type(row[1][((0, -1),)]) is int
     assert row[3] == {VACUUM_WORD: Fraction(1, 4)} and type(row[3][VACUUM_WORD]) is Fraction
     # the mode of T L = L(-2)1 is an integer multiple of a generator mode
-    parts, id_coeff = vir._entry_mode(row[0], 5)
+    parts, id_coeff = vir._table_mode(0, 0, 0, 5)
     assert parts == [(0, 4, -5)] and type(parts[0][2]) is int and id_coeff == 0
     # every row of the reversed sl2 table but (h,h) comes from skew completion
     reverse = load_presentation(_doc("efh", _SL2_REVERSED))
@@ -404,14 +406,46 @@ def test_vacuum_axioms(hei, vir):
             assert got == (x if n == -1 else P.zero())
 
 
+def _confluence_draw(rng):
+    """100 random words of at most four modes -5..5 of generator 0."""
+    for _ in range(100):
+        k = rng.randint(0, 4)
+        yield tuple((0, rng.randint(-5, 5)) for _ in range(k))
+
+
 def test_confluence_suffix_vs_bubble(hei, vir1):
     rng = random.Random(17)
     for P in (hei, vir1):
-        for _ in range(100):
-            k = rng.randint(0, 4)
-            modes = [(0, rng.randint(-5, 5)) for _ in range(k)]
-            el = P.element({tuple(modes): Fraction(1)})
+        for modes in _confluence_draw(rng):
+            el = P.element({modes: Fraction(1)})
             assert P.normal_form(el) == _bubble_nf(P, el)
+
+
+def test_bubble_catches_a_table_mode_mutant():
+    # the bubble strategy reads table modes by its own formula, so a wrong
+    # _table_mode reaches normal_form only; the mutant doubles the part of
+    # each entry mode that comes from a single derivative T g (s = 1, at
+    # mode N - 1), as in [L, L]_0 = L(-2)1
+    rng = random.Random(17)
+    for _ in _confluence_draw(rng):  # the Heisenberg half of the draw
+        pass
+    words = list(_confluence_draw(rng))
+    mutant = preset_virasoro(1)
+    table_mode = mutant._table_mode
+
+    def doubled(a, b, j, N):
+        parts, id_coeff = table_mode(a, b, j, N)
+        return [(g, n, 2 * c if n == N - 1 else c) for g, n, c in parts], id_coeff
+
+    mutant._table_mode = doubled
+    shipped = preset_virasoro(1)
+
+    def disagree(pres, word):
+        el = pres.element({word: 1})
+        return pres.normal_form(el) != _bubble_nf(pres, el)
+
+    wrong = [w for w in words if disagree(mutant, w)]
+    assert wrong and not any(disagree(shipped, w) for w in wrong)
 
 
 # ---------------------------------------------------------------------------
@@ -1262,9 +1296,7 @@ def test_parse_element(vir):
 
 
 def test_step_bound_raises_non_terminating():
-    from vacalc.errors import NonTerminating
-    from vacalc.vacore import Presentation, VACUUM_WORD
-
+    # the bound counts the bubble strategy's rewrite steps
     tiny = Presentation(
         [("L", 2)],
         {
@@ -1273,11 +1305,10 @@ def test_step_bound_raises_non_terminating():
             (0, 0, 3): {VACUUM_WORD: Fraction(1, 2)},
         },
         {"c": Fraction(1)},
-        step_bound=5,
     )
     deep = tiny.element({tuple([(0, -6 + i) for i in range(6)]): Fraction(1)})
     with pytest.raises(NonTerminating) as exc:
-        _bubble_nf(tiny, deep)
+        _bubble_nf(tiny, deep, bound=5)
     assert exc.value.payload() == {"bound": 5, "word": "L(-6)L(-5)L(-4)L(-3)L(-2)L(-1)1"}
 
 
