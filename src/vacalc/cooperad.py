@@ -40,6 +40,7 @@ from .errors import BadPartition, BadSplit, BadSubset, SchemaError
 from .localfn import (
     LocalFn,
     Monomial,
+    MonomialBasis,
     basis_monomials,
     mono_grading,
     mono_level_in_subset,
@@ -568,11 +569,13 @@ def _show_expanded(arities):
 
 
 def _random_monomial(rng, arity_cap):
+    """(n, f): a random arity n in 2..arity_cap and a basis monomial f of it,
+    drawn from a MonomialBasis, which is counted and never listed."""
     n = rng.randint(2, arity_cap)
     for _ in range(40):
         g = rng.randint(-2, 3)
         pole = rng.randint(max(0, g), max(0, g) + 2)
-        monos = basis_monomials(n, g, pole)
+        monos = MonomialBasis(n, g, pole)
         if monos:
             return n, LocalFn.from_monomial(n, rng.choice(monos))
     return n, LocalFn.one(n)

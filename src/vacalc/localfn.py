@@ -565,8 +565,12 @@ class LocalFn(SparseSum):
             return lead, self
         if lead == -1:
             return lead, -self
-        inv = Fraction(1) / lead
-        return lead, LocalFn(self.arity, {m: _exact(c * inv) for m, c in self.terms.items()})
+        terms = {}
+        for m, c in self.terms.items():
+            q, r = divmod(c, lead)
+            # a Fraction is formed only for a quotient that is not integral
+            terms[m] = Fraction(c, lead) if r else q
+        return lead, LocalFn(self.arity, terms)
 
     # -- queries ---------------------------------------------------------------
 
@@ -906,36 +910,105 @@ def canonicalize(expr: RawExpr) -> LocalFn:
     return LocalFn(expr.arity, _reduce(_expand(expr), expr.arity))
 
 
+class MonomialBasis:
+    """The basis monomials of arity n and the given grading with total pole
+    depth at most pole_budget, in canonical order, as a sequence that holds
+    none of them.
+
+    The monomials are the leaves of a search that runs from the last
+    variable down and tries each variable's factors in _factor_key order
+    (_choices), so depth-first order is mono_sort_key order.  Which
+    branches of a node lead to a leaf, and how many leaves each holds,
+    depends only on the node's variable and on the pole depth and pure
+    degree used above it; _branches works it out once per such state.  len
+    is the count at the root, and an index is found by walking down the
+    search past the counts of earlier branches (unranking), both in time
+    polynomial in n, where the list grows exponentially with n."""
+
+    __slots__ = ("n", "grading", "pole_budget", "_memo")
+
+    def __init__(self, n: int, grading: int, pole_budget: int):
+        if pole_budget < 0:
+            raise SchemaError("pole budget must be >= 0")
+        self.n = n
+        self.grading = grading
+        self.pole_budget = pole_budget
+        self._memo: Dict[Tuple[int, int, int], tuple] = {}
+
+    def _choices(self, m: int, pole: int, pure: int):
+        """Each factor variable m can take, in _factor_key order, once the
+        variables above it used pole depth `pole` and pure degree `pure`,
+        with the pole depth and pure degree used after taking it."""
+        if m == 1:
+            # variable 1 carries a pure power, and the grading fixes it; as
+            # pole <= pole_budget, it never exceeds the pure degree left
+            l = pole - pure - self.grading
+            if l >= 0:
+                yield ("p", l), pole, pure + l
+            return
+        room = self.pole_budget - pole
+        for i in range(1, m):
+            for k in range(room, 0, -1):
+                yield ("d", i, -k), pole + k, pure
+        for l in range(self.pole_budget - self.grading - pure + 1):
+            yield ("p", l), pole, pure + l
+
+    def _branches(self, m: int, pole: int, pure: int):
+        """(leaves, branches) of the state with variables m..1 still to
+        choose: every choice with a leaf below it, as (factor, pole, pure,
+        leaves), in _choices order."""
+        key = (m, pole, pure)
+        got = self._memo.get(key)
+        if got is None:
+            if m == 0:
+                # only arity 0 starts here: its one monomial has grading 0
+                got = (int(self.grading == 0), ())
+            else:
+                total = 0
+                branches = []
+                for f, p, q in self._choices(m, pole, pure):
+                    # every choice of variable 1 is a leaf
+                    c = self._branches(m - 1, p, q)[0] if m > 1 else 1
+                    if c:
+                        total += c
+                        branches.append((f, p, q, c))
+                got = (total, branches)
+            self._memo[key] = got
+        return got
+
+    def __len__(self) -> int:
+        return self._branches(self.n, 0, 0)[0]
+
+    def __getitem__(self, idx: int) -> Monomial:
+        if not 0 <= idx < len(self):
+            raise IndexError(idx)
+        acc: List[Factor] = []
+        pole = pure = 0
+        for m in range(self.n, 0, -1):
+            for f, pole, pure, c in self._branches(m, pole, pure)[1]:
+                if idx < c:
+                    break
+                idx -= c
+            acc.append(f)
+        return tuple(reversed(acc))
+
+
 def basis_monomials(n: int, grading: int, pole_budget: int) -> List[Monomial]:
     """All basis monomials of the given arity and grading with total pole
-    depth at most pole_budget, in canonical order.  The search runs from
-    the last variable down and tries each variable's factors in
-    _factor_key order, so depth-first order is mono_sort_key order."""
-    if pole_budget < 0:
-        raise SchemaError("pole budget must be >= 0")
-    if pole_budget < grading:
-        return []
-    if n == 0:
-        return [()] if grading == 0 else []
-    pure_cap = pole_budget - grading
+    depth at most pole_budget, in canonical order: every leaf of
+    MonomialBasis's search, depth first."""
+    basis = MonomialBasis(n, grading, pole_budget)
     out: List[Monomial] = []
 
-    def rec(m: int, pole: int, pure: int, acc: List[Factor]):
-        if m == 1:
-            # variable 1 carries a pure power, and the grading fixes it
-            l = pole - pure - grading
-            if 0 <= l <= pure_cap - pure:
-                out.append((("p", l), *reversed(acc)))
+    def rec(m, pole, pure, acc):
+        if m == 0:
+            out.append(tuple(reversed(acc)))
             return
-        for i in range(1, m):
-            for k in range(pole_budget - pole, 0, -1):
-                acc.append(("d", i, -k))
-                rec(m - 1, pole + k, pure, acc)
-                acc.pop()
-        for l in range(0, pure_cap - pure + 1):
-            acc.append(("p", l))
-            rec(m - 1, pole, pure + l, acc)
+        for f, p, q, _ in basis._branches(m, pole, pure)[1]:
+            acc.append(f)
+            rec(m - 1, p, q, acc)
             acc.pop()
 
-    rec(n, 0, 0, [])
+    if len(basis):
+        rec(n, 0, 0, [])
     return out

@@ -41,7 +41,7 @@ from .errors import (
     UnboundedOPE,
     WeightMismatch,
 )
-from .localfn import LocalFn, basis_monomials, mono_grading, mono_pole_total
+from .localfn import LocalFn, MonomialBasis, basis_monomials, mono_grading, mono_pole_total
 from .numutil import (
     SparseSum,
     _cross_reduce,
@@ -794,7 +794,7 @@ def _certify(
     g_total = sum(sorts)
 
     def failure(message, radius, exponents=None):
-        candidates = len(basis_monomials(r, g_total, pole_bound))
+        candidates = len(MonomialBasis(r, g_total, pole_bound))
         return NoLocalMatch(message, radius=radius, candidates=candidates, exponents=exponents)
 
     if any(mono_grading(m) != g_total or mono_pole_total(m) > pole_bound for m in result.terms):

@@ -26,7 +26,16 @@ from vacalc.cooperad import (
     verify_axioms,
 )
 from vacalc.errors import BadPartition, BadSplit, NotHomogeneous, SchemaError
-from vacalc.localfn import LocalFn, _collision_level_exact, basis_monomials, canonicalize, parse
+from vacalc.localfn import (
+    LocalFn,
+    MonomialBasis,
+    _collision_level_exact,
+    basis_monomials,
+    canonicalize,
+    mono_grading,
+    mono_pole_total,
+    parse,
+)
 
 from test_vacore import _rank
 
@@ -398,6 +407,50 @@ def test_verify_axioms_report_is_pinned():
     rep = verify_axioms(arity_cap=4, samples=15, truncation=3, seed=2)
     digest = hashlib.sha256(json.dumps(rep, sort_keys=True).encode()).hexdigest()
     assert digest == "45631bbb5d11330b8259acd5a5e02ec10db674655b11f9b542e646e711fa68ad"
+
+
+def test_verify_axioms_arity_five_report_is_pinned():
+    # the report at arity cap 5, where every arity-5 sample is drawn by
+    # counting and unranking instead of from a listed basis
+    rep = verify_axioms(arity_cap=5, samples=12, truncation=3, seed=1)
+    assert rep["failures"] == 0
+    assert any("z5" in c["input"] for c in rep["checks"])
+    digest = hashlib.sha256(json.dumps(rep, sort_keys=True).encode()).hexdigest()
+    assert digest == "39f32f2006aeea48a6fe900c6cb48141be9bc10245aef13adf9e2bf97e0bb0fa"
+
+
+def _listed_draw(rng, arity_cap):
+    """The sample draw made from the listed basis: the reference that
+    cooperad._random_monomial must match draw for draw."""
+    n = rng.randint(2, arity_cap)
+    for _ in range(40):
+        g = rng.randint(-2, 3)
+        pole = rng.randint(max(0, g), max(0, g) + 2)
+        monos = basis_monomials(n, g, pole)
+        if monos:
+            return n, LocalFn.from_monomial(n, rng.choice(monos))
+    return n, LocalFn.one(n)
+
+
+def test_random_monomial_matches_the_listed_draw():
+    for cap in range(2, 7):
+        for seed in range(200):
+            rng, ref = random.Random(seed), random.Random(seed)
+            for _ in range(2):
+                assert cooperad._random_monomial(rng, cap) == _listed_draw(ref, cap), (cap, seed)
+            assert rng.getstate() == ref.getstate()
+
+
+def test_random_monomial_draws_at_arity_twelve():
+    # seed 376 draws arity 12, grading 3 and pole budget 5, a basis of
+    # 138,405,828 monomials that is counted, never listed
+    rng = random.Random(376)
+    assert len(MonomialBasis(12, 3, 5)) == 138_405_828
+    n, f = cooperad._random_monomial(rng, 12)
+    (mono,) = f.terms
+    assert n == f.arity == len(mono) == 12
+    assert mono_grading(mono) == 3 and mono_pole_total(mono) <= 5
+    assert lf(str(f), 12) == f
 
 
 def _break_binomial(monkeypatch):

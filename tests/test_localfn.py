@@ -32,6 +32,7 @@ from vacalc.cooperad import (
 from vacalc.localfn import (
     _MAX_NESTING,
     LocalFn,
+    MonomialBasis,
     _collision_level,
     _collision_level_exact,
     _reduce,
@@ -375,6 +376,20 @@ def test_basis_monomials_read_the_first_power_off_the_grading():
                 assert basis_monomials(n, grading, budget) == want, (n, grading, budget)
 
 
+def test_monomial_basis_counts_and_unranks_the_list():
+    # the sequence holds no monomial: its length is counted and each entry
+    # unranked, and both must agree with the list, empty bases included
+    for n in range(6):
+        for grading in range(-3, 5):
+            for budget in range(7):
+                want = basis_monomials(n, grading, budget)
+                seq = MonomialBasis(n, grading, budget)
+                assert len(seq) == len(want), (n, grading, budget)
+                assert [seq[i] for i in range(len(seq))] == want, (n, grading, budget)
+                with pytest.raises(IndexError):
+                    seq[len(seq)]
+
+
 # ---------------------------------------------------------------------------
 # random expression machinery (shared with the acceptance suite)
 # ---------------------------------------------------------------------------
@@ -703,3 +718,25 @@ def test_integer_inputs_keep_int_coefficients():
               symmetric_expansion("u", 6, 6), symmetric_expansion("v", 6, 6),
               associative_expansion(1, 6, 6), associative_expansion(2, 6, 6)]
     assert all(type(c) is int for table in tables for c in table.values())
+
+
+def test_primitive_divides_in_integers():
+    # every coefficient is divided by the lead: an integral quotient is an
+    # int, and any other is the reduced Fraction that 1/lead times it gives
+    monos = basis_monomials(3, 1, 2)
+    first = min(monos, key=mono_sort_key)
+    rest = [m for m in monos if m != first]
+    values = [6, -7, 12, 1, -3, Fraction(1, 3), Fraction(-9, 2), Fraction(5, 6)]
+    for lead in (2, -3, 6, 1, -1, Fraction(3, 2), Fraction(-1, 2), Fraction(2, 3)):
+        terms = {first: lead, **dict(zip(rest, values))}
+        got_lead, prim = LocalFn(3, terms).primitive()
+        assert got_lead == lead and prim.terms[first] == 1
+        for m, c in terms.items():
+            old = c * (Fraction(1) / lead)
+            q = prim.terms[m]
+            assert q == old, (lead, c)
+            if old.denominator == 1:
+                assert type(q) is int, (lead, c)
+            else:
+                assert type(q) is Fraction and q.denominator > 1, (lead, c)
+        assert prim.scale(lead) == LocalFn(3, terms)

@@ -1013,12 +1013,16 @@ def _bubble_series(pres, gidx, e):
         (preset_heisenberg(2), ["a1", "a1", "a2", "a2"], 3),
         (preset_heisenberg(2), ["a2", "a1", "a1", "a2"], 3),
         (preset_virasoro(Fraction(-22, 5)), ["L", "L", "L"], 4),
+        (preset_virasoro(Fraction(-22, 5)), ["L", "L", "L"], 5),
     ],
 )
 def test_vacuum_series_matches_bubble_rewriting(pres, gens, radius):
     # every tuple of one window, zeros included, against the worklist
     # strategy applied to each word on its own; the walk keeps only nonzero
-    # values, and only at tuples of the window
+    # values, and only at tuples of the window.  At radius 4 every nonzero
+    # Virasoro tuple has e_3 = -4; radius 5 adds words such as L(4)L(0)L(-1)1,
+    # where modes that annihilate the vacuum stand left of a creation mode,
+    # so the table's derivative terms reach the vacuum coefficient
     gidx = [pres.gen_index(g) for g in gens]
     total = -sum(pres.wt(g) for g in gidx)
     window = _window(len(gens), radius, total)
