@@ -11,6 +11,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 
 from . import fockoracle
@@ -36,36 +37,6 @@ from .vacore import (
     parse_element,
     radical_slice,
 )
-
-def _merge_negative_values(argv):
-    """Glue values starting with '-' onto their flag so argparse accepts
-    things like --c -22/5; a token that is itself an option is not a value.
-    Unless argv holds a '--', any other token that starts with one '-' is the
-    expression of a command that takes one (canon --arity 2 -z1), so it
-    moves behind a '--'."""
-    value_flags, options, expr_commands = _option_strings()
-    takes_expr = bool(argv) and argv[0] in expr_commands and "--" not in argv
-    out, exprs = [], []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if (
-            tok in value_flags
-            and i + 1 < len(argv)
-            and argv[i + 1].startswith("-")
-            and argv[i + 1] not in options
-        ):
-            out.append(f"{tok}={argv[i + 1]}")
-            i += 2
-        elif (takes_expr and tok.startswith("-") and not tok.startswith("--")
-              and tok not in options):
-            exprs.append(tok)
-            i += 1
-        else:
-            out.append(tok)
-            i += 1
-    return out + ["--", *exprs] if exprs else out
-
 
 def _pres_from_args(args):
     if getattr(args, "file", None):
@@ -133,6 +104,12 @@ def build_parser():
 
     def cmd(name, help_):
         p = sp.add_parser(name, help=help_)
+        # argparse takes a token with one leading '-' that is no option of
+        # the parser as a value when it matches this pattern (by default only
+        # negative numbers do), so --c -22/5 and canon --arity 2 -z1 parse;
+        # that holds while no option string matches it: every option below
+        # is --long, and -h is registered before the assignment
+        p._negative_number_matcher = re.compile(r"-[^-]")
         p.add_argument("--json", action="store_true")
         return p
 
@@ -207,22 +184,8 @@ def build_parser():
     return ap
 
 
-@functools.cache
-def _option_strings():
-    """The parser's options that take a value and all of its options, over
-    every subcommand, and the subcommands that take an expression."""
-    ap = build_parser()
-    (sp,) = (a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
-    actions = [a for p in (ap, *sp.choices.values()) for a in p._actions]
-    every = {opt for a in actions for opt in a.option_strings}
-    value_flags = {opt for a in actions if a.nargs != 0 for opt in a.option_strings}
-    exprs = {name for name, p in sp.choices.items()
-             if any(a.dest == "expr" for a in p._actions)}
-    return value_flags, every, exprs
-
-
 def _parse(argv):
-    return build_parser().parse_args(_merge_negative_values(list(argv)))
+    return build_parser().parse_args(argv)
 
 
 def run(argv):

@@ -53,7 +53,7 @@ from .localfn import (
     _collision_level,
     _reduce,
 )
-from .numutil import _echelon, _exact, _kernel, gbinom
+from .numutil import _exact, _kernel, gbinom
 
 
 # ---------------------------------------------------------------------------
@@ -406,6 +406,10 @@ def filtration_basis(n, subset, N, grading, pole_budget) -> List[LocalFn]:
     if N < 0:
         return []
     cands = basis_monomials(n, grading, pole_budget)
+    # columns are numbered from the last candidate, so each kernel vector
+    # leads, in candidate order, at its free column: the kernel is the
+    # reduced echelon form, by decreasing free column
+    last = len(cands) - 1
     rows: Dict[tuple, Dict[int, Fraction]] = {}
     layout = _cluster_layout(n, s)
     for col, mono in enumerate(cands):
@@ -414,11 +418,11 @@ def filtration_basis(n, subset, N, grading, pole_budget) -> List[LocalFn]:
             gterms: List[tuple] = []
             _cluster_terms(expansion, term, grading - j, grading - j, gbinom, [gterms])
             for m, v in _reduce(gterms, n + 1).items():
-                rows.setdefault((j, m), {})[col] = v
-    pivots = _echelon(_kernel(rows.values(), len(cands)))
+                rows.setdefault((j, m), {})[last - col] = v
+    scale, kernel = _kernel(rows.values(), len(cands))
     return [
-        LocalFn(n, {cands[c]: _exact(Fraction(v, row[p])) for c, v in row.items()})
-        for p, row in sorted(pivots.items())
+        LocalFn(n, {cands[last - c]: _exact(Fraction(v, scale)) for c, v in vec.items()})
+        for vec in reversed(kernel.values())
     ]
 
 

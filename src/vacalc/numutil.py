@@ -3,7 +3,8 @@
 Values are exact: an int where the value is integral, a Fraction otherwise.
 Elimination is fraction-free: rows are cleared to integers and reduced by
 cross-multiplication with gcd content division (in the style of Bareiss,
-Math. Comp. 22, 1968); a Fraction is formed only for an entry a caller
+Math. Comp. 22, 1968).  _kernel returns the kernel as an integer echelon
+with one common scale, and _solve forms a Fraction only for an entry it
 returns.
 """
 
@@ -11,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, gcd, lcm
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 from .errors import ArityMismatch
 
@@ -184,42 +185,30 @@ def _echelon(rows) -> Dict[int, Dict[int, int]]:
     return pivots
 
 
-def _kernel(rows, ncols: int) -> List[Dict[int, Fraction]]:
-    """Kernel basis of sparse rows whose columns are all below ncols, one
-    vector {column: value} per free column in increasing order, with 1 at
-    that column.
+def _kernel(rows, ncols: int) -> Tuple[int, Dict[int, Dict[int, int]]]:
+    """Kernel basis of sparse rows whose columns are all below ncols, as an
+    integer echelon with one scale: (L, {f: v_f}) with one vector per free
+    column f in increasing order.
 
     Read off _echelon in one pass: each pivot row R_p is zero at the other
-    pivots, so every other entry v of it sits at a free column f and gives
-    the kernel vector of f the value -v / R_p[p] at p.
+    pivots, so every other entry of it sits at a free column f.  With L the
+    lcm of the leads R_p[p] of the pivot rows that have such an entry, v_f
+    is L at f and -R_p[f] * (L / R_p[p]) at each pivot p, zero at the other
+    free columns: L times the kernel vector that is 1 at f.  Each v_f is
+    nonzero only at f and at pivots below it, so the v_f form a reduced
+    echelon, each with the lead L at its last column f, ready for
+    _cross_reduce with scale L.  As every R_p is primitive, L is the lcm of
+    the denominators of the kernel vectors that are 1 at their free column.
     """
     pivots = _echelon(rows)
-    kernel = {f: {f: Fraction(1)} for f in range(ncols) if f not in pivots}
+    scale = lcm(*(row[p] for p, row in pivots.items() if len(row) > 1))
+    kernel = {f: {f: scale} for f in range(ncols) if f not in pivots}
     for p, row in pivots.items():
-        lead = row[p]
+        step = scale // row[p]
         for f, v in row.items():
             if f != p:
-                kernel[f][p] = Fraction(-v, lead)
-    return list(kernel.values())
-
-
-def _scaled_echelon(kernel: List[Dict[int, Fraction]]) -> Tuple[int, Dict[int, Dict[int, int]]]:
-    """A kernel basis from _kernel as an integer echelon with one scale:
-    (L, {f: L * v_f}), L the lcm of the denominators of all entries.
-
-    The vector v_f of free column f is 1 at f, zero at the other free
-    columns, and otherwise nonzero only at pivot columns below f.  So the
-    rows L * v_f form a reduced echelon of the kernel, each row with the
-    lead L at its last column f, ready for _cross_reduce with scale L.
-    """
-    scale = 1
-    for vec in kernel:
-        for v in vec.values():
-            scale = lcm(scale, v.denominator)
-    return scale, {
-        max(vec): {c: v.numerator * (scale // v.denominator) for c, v in vec.items()}
-        for vec in kernel
-    }
+                kernel[f][p] = -v * step
+    return scale, kernel
 
 
 def _solve(rows, ncols: int):

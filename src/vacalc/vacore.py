@@ -48,7 +48,6 @@ from .numutil import (
     _echelon,
     _exact,
     _kernel,
-    _scaled_echelon,
     _solve,
     add_into,
     gbinom,
@@ -496,34 +495,30 @@ def _require_positive_weights(pres: Presentation, what: str):
 
 
 def spanning_basis(pres: Presentation, weight: int) -> List[Word]:
-    """All normal-form words of the given weight, in lexicographic order."""
-    _require_positive_weights(pres, "spanning enumeration")
-    if weight < 0:
-        return []
-    if weight == 0:
-        return [VACUUM_WORD]
-    out: List[Word] = []
-    ngen = len(pres.gens)
-    # modes are bounded below by the weight budget: wt(g) - n - 1 <= weight
-    lowest = -(weight + 1)
+    """All normal-form words of the given weight, in lexicographic order.
 
-    def rec_bounded(remaining, prev, acc):
+    A normal-form word lists its letters (g, n) with (n, g) weakly
+    decreasing, each lowering the remaining weight by wt(g) - n - 1 >= 1.
+    The walk tries letters in increasing (generator, mode) order, each mode
+    in the closed range that the remaining weight and the previous letter
+    allow, so it emits the words in lexicographic order.
+    """
+    _require_positive_weights(pres, "spanning enumeration")
+    out: List[Word] = []
+    weights = pres.weights
+
+    def walk(remaining, prev_g, prev_n, acc):
         if remaining == 0:
             out.append(tuple(acc))
             return
-        n_top = prev[0]
-        for n in range(n_top, lowest - 1, -1):
-            for g in range(ngen - 1, -1, -1):
-                if (n, g) > prev:
-                    continue
-                step = pres.wt(g) - n - 1
-                if 0 < step <= remaining:
-                    acc.append((g, n))
-                    rec_bounded(remaining - step, (n, g), acc)
-                    acc.pop()
+        for g, w in enumerate(weights):
+            for n in range(w - 1 - remaining, min(w - 2, prev_n - (g > prev_g)) + 1):
+                acc.append((g, n))
+                walk(remaining - (w - n - 1), g, n, acc)
+                acc.pop()
 
-    rec_bounded(weight, (-1, ngen - 1), [])
-    return sorted(out)
+    walk(weight, len(weights) - 1, -1, [])
+    return out
 
 
 def graded_dims(pres: Presentation, w_max: int) -> List[int]:
@@ -610,12 +605,12 @@ def radical_slices(pres: Presentation, w_max: int) -> List[RadicalSlice]:
     and W = W' g(m) leaves Wx = W'(g(m)x) no vacuum component.  The argument
     takes the bracket of two lowering modes to act as the table says, which
     holds because the table satisfies the Jacobi identity (_check_jacobi).
-    Each Rad_u below the top is kept as an integer echelon with one common
-    scale L (_scaled_echelon): rows R_f with lead L at pivot f and zero at
-    the other pivots.  For a spanning word b, the image y = s b becomes
-    L y - sum_f y[f] R_f (_cross_reduce), an int row when y is, and its
-    entry at each non-pivot column gives one linear condition; scaling every
-    image by the same L does not change the kernel.
+    Each Rad_u below the top is kept as _kernel returns it: an integer
+    echelon with one common scale L, rows R_f with lead L at pivot f and
+    zero at the other pivots.  For a spanning word b, the image y = s b
+    becomes L y - sum_f y[f] R_f (_cross_reduce), an int row when y is, and
+    its entry at each non-pivot column gives one linear condition; scaling
+    every image by the same L does not change the kernel.
     """
     _require_positive_weights(pres, "the radical slice")
     imposed = _lowering_generators(pres, w_max)
@@ -636,12 +631,13 @@ def radical_slices(pres: Presentation, w_max: int) -> List[RadicalSlice]:
                 for c, v in _cross_reduce(image, rad, scale).items():
                     conditions[c][j] = v
             rows.extend(conditions.values())
-        kernel = _kernel(rows, len(basis))
+        scale, kernel = _kernel(rows, len(basis))
         if u < w_max:
             columns.append({b: j for j, b in enumerate(basis)})
-            rads.append(_scaled_echelon(kernel))
+            rads.append((scale, kernel))
         elements = [
-            VAElement(pres, {basis[j]: _exact(c) for j, c in vec.items()}) for vec in kernel
+            VAElement(pres, {basis[j]: _exact(Fraction(v, scale)) for j, v in vec.items()})
+            for vec in kernel.values()
         ]
         out.append(RadicalSlice(u, basis, elements))
     return out
@@ -951,7 +947,8 @@ def preset_heisenberg(rank: int = 1, form=None) -> Presentation:
     if rank < 1:
         raise SchemaError("rank must be >= 1")
     if form is None:
-        form = [[int(i == j) for j in range(rank)] for i in range(rank)]
+        # the identity form, built from its diagonal alone
+        rel = {(i, i, 1): {VACUUM_WORD: 1} for i in range(rank)}
     else:
         try:
             form = [[_rational(x, "a form entry") for x in row] for row in form]
@@ -961,13 +958,12 @@ def preset_heisenberg(rank: int = 1, form=None) -> Presentation:
             raise SchemaError("form must be rank x rank")
         if any(form[i][j] != form[j][i] for i in range(rank) for j in range(rank)):
             raise SchemaError("form must be symmetric")
+        rel = {
+            (i, j, 1): {VACUUM_WORD: form[i][j]}
+            for i in range(rank) for j in range(i, rank) if form[i][j]
+        }
     names = ["a"] if rank == 1 else [f"a{i+1}" for i in range(rank)]
     gens = [(name, 1) for name in names]
-    rel = {}
-    for i in range(rank):
-        for j in range(i, rank):
-            if form[i][j]:
-                rel[(i, j, 1)] = {VACUUM_WORD: form[i][j]}
     return Presentation(gens, rel, {}, label=f"heisenberg(rank={rank})")
 
 

@@ -10,6 +10,7 @@ import sys
 import pytest
 
 import vacalc
+from vacalc import cli
 from vacalc.cli import main, run
 from vacalc.localfn import LocalFn
 
@@ -295,6 +296,81 @@ def test_leading_minus_expression_is_the_expression(capsys, argv):
     assert code == 0 and out not in ("", "0\n")
     assert (code, out) == invoke(capsys, *argv[:i], *argv[i + 1:], "--", argv[i])
     assert invoke(capsys, "canon", "--arity", "2", "-z1") == (0, "-1 * z1\n")
+
+
+# (command and its other required arguments, value flag): every flag that
+# takes a value, of every subcommand, written out here rather than read from
+# the parser; --kind and --preset are left out, as no one-dash value is one
+# of their choices
+_PRES = ("--preset", "virasoro")
+_VALUE_FLAGS = [
+    (("canon", "z1"), "--arity"),
+    (("insert", "--m", "1", "--p", "0", "z1"), "--arity"),
+    (("insert", "--arity", "2", "--p", "0", "z1"), "--m"),
+    (("insert", "--arity", "2", "--m", "1", "z1"), "--p"),
+    (("kernels", "--kind", "symmetric"), "--m-max"),
+    (("kernels", "--kind", "symmetric"), "--n-max"),
+    (("filtration", "--subset", "1,2", "z1"), "--arity"),
+    (("filtration", "--arity", "2", "z1"), "--subset"),
+    (("filtration", "--arity", "2", "--subset", "1,2", "--basis"), "--level"),
+    (("filtration", "--arity", "2", "--subset", "1,2", "--basis"), "--grading"),
+    (("filtration", "--arity", "2", "--subset", "1,2", "--basis"), "--pole-budget"),
+    (("connective", "--sorts", "0,1,1", "z1"), "--arity"),
+    (("connective", "--arity", "2", "--sorts", "0,1,1", "z1"), "--k"),
+    (("connective", "--arity", "2", "z1"), "--sorts"),
+    (("verify-cooperad",), "--arity-max"),
+    (("verify-cooperad",), "--samples"),
+    (("verify-cooperad",), "--order"),
+    (("verify-cooperad",), "--seed"),
+    (("dims", "--max-weight", "2"), "--file"),
+    (("dims", *_PRES, "--max-weight", "2"), "--c"),
+    (("dims", *_PRES, "--max-weight", "2"), "--rank"),
+    (("dims", *_PRES), "--max-weight"),
+    (("ope", "--a", "L", "--b", "L"), "--file"),
+    (("ope", *_PRES, "--a", "L", "--b", "L"), "--c"),
+    (("ope", *_PRES, "--a", "L", "--b", "L"), "--rank"),
+    (("ope", *_PRES, "--b", "L"), "--a"),
+    (("ope", *_PRES, "--a", "L"), "--b"),
+    (("bracket", "--a", "L", "--b", "L", "--n", "1"), "--file"),
+    (("bracket", *_PRES, "--a", "L", "--b", "L", "--n", "1"), "--c"),
+    (("bracket", *_PRES, "--a", "L", "--b", "L", "--n", "1"), "--rank"),
+    (("bracket", *_PRES, "--b", "L", "--n", "1"), "--a"),
+    (("bracket", *_PRES, "--a", "L", "--n", "1"), "--b"),
+    (("bracket", *_PRES, "--a", "L", "--b", "L"), "--n"),
+    (("radical", "--weight", "2"), "--file"),
+    (("radical", *_PRES, "--weight", "2"), "--c"),
+    (("radical", *_PRES, "--weight", "2"), "--rank"),
+    (("radical", *_PRES), "--weight"),
+    (("npoint", "--gens", "L,L"), "--file"),
+    (("npoint", *_PRES, "--gens", "L,L"), "--c"),
+    (("npoint", *_PRES, "--gens", "L,L"), "--rank"),
+    (("npoint", *_PRES), "--gens"),
+    (("npoint", *_PRES, "--gens", "L,L"), "--pole-bound"),
+    (("lattice-check",), "--cutoff"),
+    (("oracle-dims", "--kind", "partitions", "--max-weight", "2"), "--norm"),
+    (("oracle-dims", "--kind", "partitions"), "--max-weight"),
+]
+
+
+@pytest.mark.parametrize("argv, flag", _VALUE_FLAGS,
+                         ids=[f"{argv[0]}{flag}" for argv, flag in _VALUE_FLAGS])
+def test_every_value_flag_takes_a_one_dash_value(argv, flag):
+    args = cli._parse([*argv, flag, "-1"])
+    assert args == cli._parse([*argv, f"{flag}=-1"])
+    assert getattr(args, flag[2:].replace("-", "_")) in (-1, "-1")
+
+
+@pytest.mark.parametrize("argv", [
+    ("canon", "--arity", "--", "2"),
+    ("radical", "--preset", "virasoro", "--c", "--", "--weight", "2"),
+    ("connective", "--arity", "2", "--sorts", "0,1,1", "--k", "--", "-1"),
+], ids=["canon-arity", "radical-c", "connective-k"])
+def test_double_dash_after_a_value_flag_is_a_usage_error(argv):
+    # '--' ends the options, so it is no flag's value: the flag has none
+    proc = _vacalc_process(*argv)
+    assert proc.returncode == 2
+    assert proc.stdout == "" and "Traceback" not in proc.stderr
+    assert "expected one argument" in proc.stderr
 
 
 def test_insert_without_variables_is_a_bad_split():

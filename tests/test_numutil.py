@@ -2,7 +2,7 @@
 sparse-sum type behind LocalFn and VAElement, and fraction-free elimination."""
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, strategies as st
@@ -150,13 +150,20 @@ def test_rref_matches_dense_fraction_rref(rows):
         assert all(type(v) is Fraction and v != 0 for v in row.values())
     # kernel vectors are the null-space basis read off the reduced echelon
     # form: 1 at the free column f, -rref[p][f] at each pivot p, nothing else
-    kernel = _kernel(rows, _NCOLS)
-    assert kernel == [
-        {f: 1, **{p: -row[f] for p, row in rref.items() if f in row}}
+    want = {
+        f: {f: 1, **{p: -row[f] for p, row in rref.items() if f in row}}
         for f in range(_NCOLS)
         if f not in rref
-    ]
-    for vec in kernel:
-        assert all(type(v) is Fraction for v in vec.values())
+    }
+    # _kernel returns them as integer rows, in increasing order of f, with
+    # one scale: the lcm of their denominators, which is each row's lead
+    scale, kernel = _kernel(rows, _NCOLS)
+    assert scale == lcm(*(v.denominator for vec in want.values() for v in vec.values()))
+    assert list(kernel) == list(want)
+    assert {f: {c: Fraction(v, scale) for c, v in vec.items()}
+            for f, vec in kernel.items()} == want
+    for f, vec in kernel.items():
+        assert all(type(v) is int for v in vec.values())
+        assert max(vec) == f and vec[f] == scale
         for row in rows:
             assert sum(v * vec.get(c, 0) for c, v in row.items()) == 0

@@ -236,9 +236,15 @@ def _typed_table(pres):
 
 
 def test_heisenberg_tables_keep_their_values_and_types():
-    for rank in (1, 2, 3):
-        assert _typed_table(preset_heisenberg(rank)) == {
+    for rank in (1, 2, 3, 4):
+        default = preset_heisenberg(rank)
+        assert _typed_table(default) == {
             (i, i, 1): {VACUUM_WORD: (1, int)} for i in range(rank)}
+        # the default is the identity form, built without a rank x rank matrix
+        identity = preset_heisenberg(rank, [[int(i == j) for j in range(rank)]
+                                            for i in range(rank)])
+        assert _typed_table(identity) == _typed_table(default)
+        assert (identity.gens, identity.label) == (default.gens, default.label)
     forms = [
         ([[1, 1], [1, 1]], {(a, b, 1): {VACUUM_WORD: (1, int)}
                             for a in range(2) for b in range(2)}),
@@ -1171,9 +1177,9 @@ def test_elimination_against_independent_rank(system):
     mat = [row[:ncols] for row in aug]
     rank = _rank(mat)
 
-    kernel = _kernel([dict(enumerate(row)) for row in mat], ncols)
+    _, kernel = _kernel([dict(enumerate(row)) for row in mat], ncols)
     assert len(kernel) == ncols - rank
-    dense = [[vec.get(c, Fraction(0)) for c in range(ncols)] for vec in kernel]
+    dense = [[Fraction(vec.get(c, 0)) for c in range(ncols)] for vec in kernel.values()]
     assert _rank(dense) == len(kernel)
     for vec in dense:
         for row in mat:
