@@ -5,6 +5,10 @@ JSON with --json.  Exit codes: 0 on success, 1 on a domain error (bad pole,
 weight mismatch, ...) or a closed stdout, 2 on usage errors.  Rationals are
 always printed as p/q, and term orders are the canonical ones, so identical
 invocations give byte-identical output.
+
+Each argv is parsed once, by the parser of the command it names; tokens
+that parser leaves over are reported by the top-level `vacalc` parser, as
+argparse's own parse_args reports them.
 """
 
 import argparse
@@ -61,7 +65,8 @@ def _emit(args, human, obj):
     """Print obj() as JSON with --json and human() otherwise; each output
     is built only when it is printed."""
     if args.json:
-        print(json.dumps(obj(), sort_keys=True))
+        # every emitted object is freshly built and holds no cycle
+        print(json.dumps(obj(), sort_keys=True, check_circular=False))
     else:
         print(human())
 
@@ -92,9 +97,10 @@ def _add_pres_flags(sub):
 
 
 @functools.cache
-def build_parser():
-    """The argument parser, built once per process and shared by every run;
-    parsing does not change it."""
+def _parsers():
+    """The top-level parser and the map from each command name to its own
+    parser, built once per process and shared by every run; parsing changes
+    neither."""
     ap = argparse.ArgumentParser(
         prog="vacalc",
         description="Exact workbench for local-function co-operations and "
@@ -181,11 +187,29 @@ def build_parser():
                    choices=["partitions", "partitions_min_part_2", "theta_over_eta"])
     p.add_argument("--norm", type=int, default=2)
     p.add_argument("--max-weight", type=int, required=True)
-    return ap
+    return ap, sp.choices
+
+
+def build_parser():
+    """The top-level argument parser."""
+    return _parsers()[0]
 
 
 def _parse(argv):
-    return build_parser().parse_args(argv)
+    """The namespace that build_parser().parse_args(argv) gives, parsed once.
+
+    The top-level parser would only hand the tokens after a command name on
+    to that command's parser, so such an argv goes there directly.  An argv
+    that names no command (empty, -h, an unknown name, a leading --) takes
+    the top-level route."""
+    ap, commands = _parsers()
+    sub = commands.get(argv[0]) if argv else None
+    if sub is None:
+        return ap.parse_args(argv)
+    args, extra = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extra:
+        ap.error("unrecognized arguments: " + " ".join(extra))
+    return args
 
 
 def run(argv):
@@ -353,7 +377,7 @@ def main():
         # run parsed these arguments before anything could raise
         if _parse(sys.argv[1:]).json:
             obj = {"error": type(exc).__name__, "message": str(exc), **exc.payload()}
-            print(json.dumps(obj, sort_keys=True), file=sys.stderr)
+            print(json.dumps(obj, sort_keys=True, check_circular=False), file=sys.stderr)
         code = 1
     except BrokenPipeError:
         # the reader closed stdout; point it at devnull so the interpreter's

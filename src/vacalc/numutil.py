@@ -19,6 +19,8 @@ from .errors import ArityMismatch
 
 def _exact(c) -> int | Fraction:
     """The rational c as an int when it is integral, else as a Fraction."""
+    if type(c) is int:
+        return c
     c = Fraction(c)
     return c.numerator if c.denominator == 1 else c
 

@@ -495,3 +495,82 @@ def test_byte_determinism(capsys):
     _, first = invoke(capsys, *args)
     _, second = invoke(capsys, *args)
     assert first == second
+
+
+# one valid argv per command
+_VALID_ARGVS = [
+    ("canon", "--arity", "2", "-z1*(z2-z1)^-1"),
+    ("insert", "--arity", "2", "--m", "1", "--p", "-1", "z1*z2", "--json"),
+    ("kernels", "--kind", "symmetric", "--m-max", "3"),
+    ("filtration", "--basis", "--arity", "2", "--subset", "1,2", "--level", "1",
+     "--grading", "1", "--pole-budget", "1"),
+    ("connective", "--arity", "2", "--k", "0", "--sorts", "0,1,1", "(z2-z1)^-2"),
+    ("verify-cooperad", "--samples", "6", "--order", "2"),
+    ("dims", "--preset", "virasoro", "--c", "-22/5", "--max-weight", "6"),
+    ("ope", "--preset", "virasoro", "--c", "1/2", "--a", "L", "--b", "L", "--json"),
+    ("bracket", "--preset", "virasoro", "--c", "1", "--a", "L", "--b", "L", "--n", "1"),
+    ("radical", "--preset", "virasoro", "--c", "-22/5", "--weight", "4"),
+    ("npoint", "--preset", "heisenberg", "--rank", "2", "--gens", "a1,a1"),
+    ("lattice-check", "--cutoff", "3"),
+    ("oracle-dims", "--kind", "theta_over_eta", "--norm", "2", "--max-weight", "6"),
+]
+
+# (id, argv): argvs that parse, that fail in the program, and usage errors
+# of every kind, with '--' in each place it can stand
+_PARSE_ARGVS = (
+    [(argv[0], argv) for argv in _VALID_ARGVS]
+    + [(f"bad{i}", argv) for i, (argv, _) in enumerate(_BAD_INPUTS)]
+    + [
+        ("empty", ()),
+        ("-h", ("-h",)),
+        ("--help", ("--help",)),
+        ("-hx", ("-hx",)),
+        ("bogus", ("bogus", "--arity", "2")),
+        ("canon-h", ("canon", "-h")),
+        ("canon-hx", ("canon", "--arity", "2", "-hx")),
+        ("extra-positional", ("canon", "--arity", "2", "z1", "extra")),
+        ("unknown-flag", ("canon", "--arity", "2", "--bogus", "z1")),
+        ("abbreviation", ("canon", "--ar", "2", "z1")),
+        ("missing-required", ("canon", "z1")),
+        ("leading-dashdash", ("--", "canon", "--arity", "2", "z1")),
+        ("dashdash-before-expr", ("canon", "--arity", "2", "--", "-z1")),
+        ("dashdash-trailing", ("canon", "--arity", "2", "-z1", "--")),
+        ("dashdash-canon-arity", ("canon", "--arity", "--", "2")),
+        ("dashdash-radical-c", ("radical", "--preset", "virasoro", "--c", "--",
+                                "--weight", "2")),
+        ("dashdash-connective-k", ("connective", "--arity", "2", "--sorts", "0,1,1",
+                                   "--k", "--", "-1")),
+    ]
+)
+
+
+def _parse_outcome(capsys, parse, argv):
+    """(exit code or None, stdout, stderr, vars of the namespace or None)."""
+    try:
+        code, ns = None, vars(parse(list(argv)))
+    except SystemExit as exc:
+        code, ns = exc.code, None
+    out, err = capsys.readouterr()
+    return code, out, err, ns
+
+
+@pytest.mark.parametrize("argv", [argv for _, argv in _PARSE_ARGVS],
+                         ids=[name for name, _ in _PARSE_ARGVS])
+def test_command_parser_matches_top_level_parse(capsys, argv):
+    # the top-level parse, kept here as the reference for cli._parse
+    want = _parse_outcome(capsys, cli.build_parser().parse_args, argv)
+    assert _parse_outcome(capsys, cli._parse, argv) == want
+    if argv in _VALID_ARGVS:
+        assert want[0] is None and want[3]["command"] == argv[0]
+
+
+@pytest.mark.parametrize("argv", _VALID_ARGVS, ids=[argv[0] for argv in _VALID_ARGVS])
+def test_command_argv_is_parsed_once(monkeypatch, argv):
+    # an argv that names a command never reaches the top-level parser
+    want = cli._parse(list(argv))
+
+    def top_level(*args, **kwargs):
+        raise AssertionError("parsed by the top-level parser")
+
+    monkeypatch.setattr(cli.build_parser(), "parse_known_args", top_level)
+    assert cli._parse(list(argv)) == want

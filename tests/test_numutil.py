@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 
 from vacalc.errors import ArityMismatch
 from vacalc.localfn import LocalFn
-from vacalc.numutil import _echelon, _kernel, add_into
+from vacalc.numutil import _echelon, _exact, _kernel, add_into
 from vacalc.vacore import VAElement, preset_virasoro
 
 # few keys and small values, so that sums cancel often
@@ -49,6 +49,20 @@ def test_add_into_matches_naive_sum(acc, terms, c):
 def test_add_into_cancels_to_empty():
     acc = {"x": Fraction(1, 2), "y": 3}
     assert add_into(acc, {"x": 1, "y": 6}, Fraction(-1, 2)) == {}
+
+
+@pytest.mark.parametrize("c", [
+    0, 7, -3, 10**30, True, False,
+    Fraction(6, 3), Fraction(-4), Fraction(1, 2), Fraction(-5, 3),
+    "3/1", "-2/4", "5", "0",
+])
+def test_exact_matches_the_fraction_route(c):
+    # an int comes back as it is; everything else, bools too, goes through
+    # Fraction: value and type are those of the Fraction route either way
+    f = Fraction(c)
+    want = f.numerator if f.denominator == 1 else f
+    got = _exact(c)
+    assert got == want and type(got) is type(want)
 
 
 # (class, a space, a different space, three distinct keys); the two
