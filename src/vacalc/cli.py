@@ -43,7 +43,13 @@ from .vacore import (
 )
 
 def _pres_from_args(args):
+    """The presentation that --file or --preset names.  The document of
+    --file states the whole presentation, so --preset, --c and --rank next
+    to it are a SchemaError, as a preset rejects a key it does not take."""
     if getattr(args, "file", None):
+        for flag in ("preset", "c", "rank"):
+            if getattr(args, flag, None) is not None:
+                raise SchemaError(f"--{flag} cannot be given with --file")
         try:
             with open(args.file) as fh:
                 text = fh.read()

@@ -517,48 +517,73 @@ def insertion_closure_failures(f: LocalFn, k: int, sig: SortSignature, m: int, w
 # Axiom verification
 # ---------------------------------------------------------------------------
 
-def _double_split_orders(comps, mono, T, posA, a, posB, b, qA, qB):
+def _commutativity_grid(comps, mono, T, posA, a, posB, b):
     """Insert disjoint blocks A then B and B then A into the basis monomial
-    mono; returns the two expanded sums {(outer, innerA, innerB): int} for
-    inner gradings qA, qB (the check passes when they agree).  comps(mono,
-    pos, size, p_lo, p_hi) gives _cluster_components on the block; every insertion asks
-    for the outer gradings of inner grading -T..T."""
+    mono, for every inner grading pair (qA, qB) in -T..T at once: returns
+    {(qA, qB): (one, two)}, the two expanded sums {(outer, innerA, innerB):
+    int} (the check passes when they agree).  comps(mono, pos, size, p_lo,
+    p_hi) gives _cluster_components on the block; every insertion asks for
+    the outer gradings of inner grading -T..T.  Each block expansion is
+    looked up once per outer grading and its terms go to every cell, in the
+    order a cell-by-cell walk would add them."""
     assert posA + a <= posB
     g = mono_grading(mono)
-    gA, gB = g - qA, g - qB
-    one: Dict[tuple, int] = {}
-    two: Dict[tuple, int] = {}
+    grid = range(-T, T + 1)
+    cells = {(qA, qB): ({}, {}) for qA in grid for qB in grid}
     # B first: positions unchanged for A
-    for (h, innerB), c1 in comps(mono, posB, b, g - T, g + T)[gB].items():
-        for (outer, innerA), c2 in comps(h, posA, a, gB - T, gB + T)[gB - qA].items():
-            key = (outer, innerA, innerB)
-            one[key] = one.get(key, 0) + c1 * c2
+    first = comps(mono, posB, b, g - T, g + T)
+    for qB in grid:
+        gB = g - qB
+        for (h, innerB), c1 in first[gB].items():
+            second = comps(h, posA, a, gB - T, gB + T)
+            for qA in grid:
+                one = cells[qA, qB][0]
+                for (outer, innerA), c2 in second[gB - qA].items():
+                    key = (outer, innerA, innerB)
+                    one[key] = one.get(key, 0) + c1 * c2
     # A first: B shifts left by a-1
-    for (h, innerA), c1 in comps(mono, posA, a, g - T, g + T)[gA].items():
-        for (outer, innerB), c2 in comps(h, posB - a + 1, b, gA - T, gA + T)[gA - qB].items():
-            key = (outer, innerA, innerB)
-            two[key] = two.get(key, 0) + c1 * c2
-    return one, two
+    first = comps(mono, posA, a, g - T, g + T)
+    for qA in grid:
+        gA = g - qA
+        for (h, innerA), c1 in first[gA].items():
+            second = comps(h, posB - a + 1, b, gA - T, gA + T)
+            for qB in grid:
+                two = cells[qA, qB][1]
+                for (outer, innerB), c2 in second[gA - qB].items():
+                    key = (outer, innerA, innerB)
+                    two[key] = two.get(key, 0) + c1 * c2
+    return cells
 
 
-def _coassoc_orders(comps, mono, T, b, b_sub, p_out, p_mid):
+def _coassoc_grid(comps, mono, T, b, b_sub):
     """Split the last b variables, then the last b_sub of the cluster,
-    against doing the two splits in the other order; returns both expanded
-    sums {(outer, mid, inner): int} as _double_split_orders does.  The
-    b_sub-first split takes its outer grading p_out + p_mid from -2T..2T."""
+    against doing the two splits in the other order, for every grading pair
+    (p_out, p_mid) in -T..T at once: returns {(p_out, p_mid): (one, two)},
+    the two expanded sums {(outer, mid, inner): int}, built as
+    _commutativity_grid builds its cells.  The b_sub-first split takes its
+    outer grading p_out + p_mid from -2T..2T."""
     n = len(mono)
-    one: Dict[tuple, int] = {}
-    two: Dict[tuple, int] = {}
-    for (outer, inner1), c1 in comps(mono, n - b + 1, b, -T, T)[p_out].items():
-        for (mid, inner), c2 in comps(inner1, b - b_sub + 1, b_sub, -T, T)[p_mid].items():
-            key = (outer, mid, inner)
-            one[key] = one.get(key, 0) + c1 * c2
-    big_comps = comps(mono, n - b_sub + 1, b_sub, -2 * T, 2 * T)[p_out + p_mid]
-    for (big, inner), c1 in big_comps.items():
-        for (outer, mid), c2 in comps(big, n - b + 1, b - b_sub + 1, -T, T)[p_out].items():
-            key = (outer, mid, inner)
-            two[key] = two.get(key, 0) + c1 * c2
-    return one, two
+    grid = range(-T, T + 1)
+    cells = {(p_out, p_mid): ({}, {}) for p_out in grid for p_mid in grid}
+    first = comps(mono, n - b + 1, b, -T, T)
+    for p_out in grid:
+        for (outer, inner1), c1 in first[p_out].items():
+            second = comps(inner1, b - b_sub + 1, b_sub, -T, T)
+            for p_mid in grid:
+                one = cells[p_out, p_mid][0]
+                for (mid, inner), c2 in second[p_mid].items():
+                    key = (outer, mid, inner)
+                    one[key] = one.get(key, 0) + c1 * c2
+    first = comps(mono, n - b_sub + 1, b_sub, -2 * T, 2 * T)
+    for total in range(-2 * T, 2 * T + 1):
+        for (big, inner), c1 in first[total].items():
+            second = comps(big, n - b + 1, b - b_sub + 1, -T, T)
+            for p_out in range(max(-T, total - T), min(T, total + T) + 1):
+                two = cells[p_out, total - p_out][1]
+                for (outer, mid), c2 in second[p_out].items():
+                    key = (outer, mid, inner)
+                    two[key] = two.get(key, 0) + c1 * c2
+    return cells
 
 
 def _same_sum(one, two) -> bool:
@@ -617,7 +642,7 @@ def verify_axioms(arity_cap: int = 4, samples: int = 20, truncation: int = 4, se
         checks.append(entry)
 
     for _ in range(samples):
-        # block components repeat across a sample's grading grid: expand each
+        # one monomial can head several terms of a sample's sweep: expand each
         # (monomial, block, window) once, and drop them all with the sample
         memo: Dict[tuple, dict] = {}
         reduced = {}
@@ -662,19 +687,17 @@ def verify_axioms(arity_cap: int = 4, samples: int = 20, truncation: int = 4, se
             posA = rng.randint(1, n - a - b + 1)
             posB = rng.randint(posA + a, n - b + 1)
             show = _show_expanded((n - a - b + 2, a, b))
-            for qA in range(-T, T + 1):
-                for qB in range(-T, T + 1):
-                    one, two = _double_split_orders(comps, mono, T, posA, a, posB, b, qA, qB)
-                    record("commutativity", text, {"A": [posA, a], "B": [posB, b]}, [qA, qB],
-                           _same_sum(one, two), one, two, show)
+            cells = _commutativity_grid(comps, mono, T, posA, a, posB, b)
+            for (qA, qB), (one, two) in cells.items():
+                record("commutativity", text, {"A": [posA, a], "B": [posB, b]}, [qA, qB],
+                       _same_sum(one, two), one, two, show)
         else:
             b = rng.randint(2, n)
             b_sub = rng.randint(1, b - 1)
             show = _show_expanded((n - b + 1, b - b_sub + 1, b_sub))
-            for p_out in range(-T, T + 1):
-                for p_mid in range(-T, T + 1):
-                    one, two = _coassoc_orders(comps, mono, T, b, b_sub, p_out, p_mid)
-                    record("coassociativity", text, {"block": b, "sub": b_sub}, [p_out, p_mid],
-                           _same_sum(one, two), one, two, show)
+            cells = _coassoc_grid(comps, mono, T, b, b_sub)
+            for (p_out, p_mid), (one, two) in cells.items():
+                record("coassociativity", text, {"block": b, "sub": b_sub}, [p_out, p_mid],
+                       _same_sum(one, two), one, two, show)
     failures = sum(1 for c in checks if c["status"] == "fail")
     return {"checks": checks, "failures": failures}

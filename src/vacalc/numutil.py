@@ -120,11 +120,12 @@ class SparseSum:
 
 def _integral(row: dict) -> Dict[int, int]:
     """The nonzero entries of a row of ints and Fractions, scaled by the lcm
-    of their denominators to integers."""
-    den = 1
-    for v in row.values():
-        if type(v) is not int:
-            den = lcm(den, v.denominator)
+    of their denominators to integers, as a new dict.  An all-int row is
+    copied as it is."""
+    dens = [v.denominator for v in row.values() if type(v) is not int]
+    if not dens:
+        return {c: v for c, v in row.items() if v}
+    den = lcm(*dens)
     return {c: v.numerator * (den // v.denominator) for c, v in row.items() if v}
 
 
@@ -159,18 +160,20 @@ def _echelon(rows) -> Dict[int, Dict[int, int]]:
     Rows are taken one at a time and cleared to integers (one lcm of
     denominators per row).  A row with entries at the pivot columns found so
     far is reduced against them all at once by _cross_reduce, with scale the
-    lcm of their leads.  A nonzero remainder is divided by its content (the
-    gcd of its entries), its lead is made positive, and it becomes a new
-    pivot row at its smallest column, cleared the same way from the earlier
-    pivot rows.  Every pivot row is primitive, starts at its pivot with a
-    positive lead and is zero at the other pivots, so dividing each by its
-    lead gives the unique reduced echelon form of the row space.  No
-    Fraction is formed.
+    lcm of their leads; a row with none is taken as it is.  A nonzero
+    remainder is divided by its content (the gcd of its entries), its lead
+    is made positive, and it becomes a new pivot row at its smallest column,
+    cleared the same way from the earlier pivot rows.  Every pivot row is
+    primitive, starts at its pivot with a positive lead and is zero at the
+    other pivots, so dividing each by its lead gives the unique reduced
+    echelon form of the row space.  No Fraction is formed.
     """
     pivots: Dict[int, Dict[int, int]] = {}
     for row in rows:
         row = _integral(row)
-        row = _cross_reduce(row, pivots, lcm(*(pivots[p][p] for p in row if p in pivots)))
+        leads = [pivots[p][p] for p in row if p in pivots]
+        if leads:
+            row = _cross_reduce(row, pivots, lcm(*leads))
         if not row:
             continue
         row = _primitive(row)

@@ -192,9 +192,10 @@ class Presentation:
         return self.weights[idx]
 
     def word_weight(self, word: Word) -> int:
+        weights = self.weights
         w = 0
         for g, n in word:
-            w += self.wt(g) - n - 1
+            w += weights[g] - n - 1
         return w
 
     def word_str(self, word: Word) -> str:
@@ -347,13 +348,22 @@ class Presentation:
         return got
 
     def _prepend(self, g: int, n: int, word: Word) -> Dict[Word, int | Fraction]:
-        """Normal form of g(n) applied to a normal word."""
+        """Normal form of g(n) applied to a normal word.
+
+        Memoized per presentation.  The weight bound is tested only for
+        n >= wt(g): below that g(n) does not lower the weight, and a normal
+        word has weight >= 0.  In the commute branch, the head h(m) of the
+        word goes back in front of each word w of g(n) rest; where h(m)
+        already stands in order before w its term is added in place, so such
+        in-order prepends take no cache entry.  The cache raises
+        ResourceLimit once it holds more than step_bound entries.
+        """
         key = (g, n, word)
         cached = self._prepend_cache.get(key)
         if cached is not None:
             return cached
         out: Dict[Word, int | Fraction] = {}
-        if self.wt(g) - n - 1 + self.word_weight(word) < 0:
+        if n >= self.weights[g] and self.weights[g] - n - 1 + self.word_weight(word) < 0:
             pass
         elif not word:
             if n <= -1:
@@ -364,7 +374,20 @@ class Presentation:
                 out = {((g, n),) + word: 1}
             else:
                 rest = word[1:]
-                acc = self._act(h, m, self._prepend(g, n, rest))
+                # h(m) applied to g(n) rest, with the ordered branch's test
+                # inline.  Words of other w can reorder onto the same key,
+                # so every term is added, never assigned.
+                acc: Dict[Word, int | Fraction] = {}
+                for w, c in self._prepend(g, n, rest).items():
+                    if m <= -1 and (not w or m > w[0][1] or (m == w[0][1] and h >= w[0][0])):
+                        k = ((h, m),) + w
+                        v = acc.get(k, 0) + c
+                        if v:
+                            acc[k] = v
+                        else:
+                            del acc[k]
+                    else:
+                        add_into(acc, self._prepend(h, m, w), c)
                 # own loop: memoized _mode_bracket is cold per Presentation (npoint wall_s +11%)
                 for j in self.ope.get((g, h), {}):
                     cnj = gbinom(n, j)
@@ -591,32 +614,32 @@ def _lowering_generators(pres: Presentation, top: int) -> List[Tuple[int, int]]:
     return out
 
 
-def radical_slices(pres: Presentation, w_max: int) -> List[RadicalSlice]:
-    """Radical of the vacuum module at every weight 0..w_max: the states x
-    with Wx = 0 for every product W of lowering modes g(m), m >= wt(g), that
-    lowers x to weight 0 (where only the vacuum lives).
+def _radical_kernels(pres: Presentation, w_max: int):
+    """Yield (u, basis, L, kernel) for every weight u = 0..w_max: the
+    spanning basis of weight u and Rad_u as _kernel returns it over that
+    basis, an integer echelon {free column f: row} with one scale L.
 
-    Computed weight by weight from the generating lowering modes of
-    _lowering_generators: Rad_0 = 0, and x of weight u lies in Rad_u exactly
-    when s x lies in Rad_(u-d) for every generating mode s of drop d <= u.
-    This is the kernel of all lowering words.  Rad_(<u) is closed under
-    every lowering mode, so if s1 x and s2 x lie in it, so do s1 s2 x,
-    s2 s1 x and [s1, s2] x; hence every lowering mode g(m) sends x into Rad,
-    and W = W' g(m) leaves Wx = W'(g(m)x) no vacuum component.  The argument
+    Rad_u is the kernel of all lowering words, computed weight by weight
+    from the generating lowering modes of _lowering_generators: Rad_0 = 0,
+    and x of weight u lies in Rad_u exactly when s x lies in Rad_(u-d) for
+    every generating mode s of drop d <= u.  Rad_(<u) is closed under every
+    lowering mode, so if s1 x and s2 x lie in it, so do s1 s2 x, s2 s1 x and
+    [s1, s2] x; hence every lowering mode g(m) sends x into Rad, and
+    W = W' g(m) leaves Wx = W'(g(m)x) no vacuum component.  The argument
     takes the bracket of two lowering modes to act as the table says, which
     holds because the table satisfies the Jacobi identity (_check_jacobi).
-    Each Rad_u below the top is kept as _kernel returns it: an integer
-    echelon with one common scale L, rows R_f with lead L at pivot f and
-    zero at the other pivots.  For a spanning word b, the image y = s b
-    becomes L y - sum_f y[f] R_f (_cross_reduce), an int row when y is, and
-    its entry at each non-pivot column gives one linear condition; scaling
-    every image by the same L does not change the kernel.
+    Each Rad_u below the top is kept as _kernel returns it, with rows R_f
+    of lead L at pivot f and zero at the other pivots.  For a spanning word
+    b, the image y = s b becomes L y - sum_f y[f] R_f (_cross_reduce), an
+    int row when y is, and its entry at each non-pivot column gives one
+    linear condition; scaling every image by the same L does not change
+    the kernel.  Where Rad_(u-d) is empty every column is a condition, and
+    the image is taken as it is.
     """
     _require_positive_weights(pres, "the radical slice")
     imposed = _lowering_generators(pres, w_max)
     columns: List[Dict[Word, int]] = []  # per weight: word -> column
     rads: List[Tuple[int, Dict[int, Dict[int, int]]]] = []  # per weight: (L, rows)
-    out: List[RadicalSlice] = []
     for u in range(w_max + 1):
         basis = spanning_basis(pres, u)
         rows = [] if u else [{0: 1}]  # Rad_0 = 0
@@ -628,25 +651,44 @@ def radical_slices(pres: Presentation, w_max: int) -> List[RadicalSlice]:
             conditions = {c: {} for c in range(len(cols)) if c not in rad}
             for j, b in enumerate(basis):
                 image = {cols[w]: c for w, c in pres.prepend_mode(g, m, b).items()}
-                for c, v in _cross_reduce(image, rad, scale).items():
+                if rad:
+                    image = _cross_reduce(image, rad, scale)
+                for c, v in image.items():
                     conditions[c][j] = v
             rows.extend(conditions.values())
         scale, kernel = _kernel(rows, len(basis))
         if u < w_max:
             columns.append({b: j for j, b in enumerate(basis)})
             rads.append((scale, kernel))
-        elements = [
-            VAElement(pres, {basis[j]: _exact(Fraction(v, scale)) for j, v in vec.items()})
-            for vec in kernel.values()
-        ]
-        out.append(RadicalSlice(u, basis, elements))
-    return out
+        yield u, basis, scale, kernel
+
+
+def _build_slice(pres: Presentation, u: int, basis: List[Word], scale: int, kernel):
+    """The RadicalSlice of one weight that _radical_kernels yields, with one
+    VAElement per kernel vector."""
+    elements = [
+        VAElement(pres, {basis[j]: _exact(Fraction(v, scale)) for j, v in vec.items()})
+        for vec in kernel.values()
+    ]
+    return RadicalSlice(u, basis, elements)
+
+
+def radical_slices(pres: Presentation, w_max: int) -> List[RadicalSlice]:
+    """Radical of the vacuum module at every weight 0..w_max: the states x
+    with Wx = 0 for every product W of lowering modes g(m), m >= wt(g), that
+    lowers x to weight 0 (where only the vacuum lives).  _radical_kernels
+    computes it."""
+    return [_build_slice(pres, *k) for k in _radical_kernels(pres, w_max)]
 
 
 def radical_slice(pres: Presentation, weight: int) -> RadicalSlice:
-    """The weight-`weight` slice of radical_slices (empty below weight 0)."""
-    slices = radical_slices(pres, weight)
-    return slices[-1] if slices else RadicalSlice(weight, [], [])
+    """The weight-`weight` slice of radical_slices (empty below weight 0).
+    The lower weights are computed, but only this slice's elements are
+    built."""
+    top = None
+    for top in _radical_kernels(pres, weight):
+        pass
+    return _build_slice(pres, *top) if top else RadicalSlice(weight, [], [])
 
 
 # ---------------------------------------------------------------------------
@@ -1006,6 +1048,16 @@ def _json_typed(value, kind: type, what: str):
     return value
 
 
+def _preset_keys(doc: dict, name: str, keys: Tuple[str, ...]):
+    """Raise SchemaError at the first key of a preset document that is
+    neither "preset" nor one of the preset's own keys."""
+    for key in doc:
+        if key != "preset" and key not in keys:
+            raise SchemaError(
+                f"preset {name!r} takes no key {key!r} (its keys: {', '.join(keys)})"
+            )
+
+
 def _check_jacobi(pres: Presentation):
     """Raise JacobiViolation unless the table satisfies
 
@@ -1045,8 +1097,11 @@ def load_presentation(doc) -> Presentation:
     or the explicit form
     {"generators": [{"name", "weight"}], "central": {...},
      "relations": [{"a", "b", "n", "result": [{"coeff", "word", "tail"}]}]}.
-    All rationals are strings like "p/q".  An explicit document may state
-    "connectivity" only as 0, and its table must pass _check_jacobi.
+    A preset document takes only its preset's keys (virasoro: preset, c;
+    heisenberg: preset, rank, form); any other key is a SchemaError that
+    names it.  All rationals are strings like "p/q".  An explicit document
+    may state "connectivity" only as 0, and its table must pass
+    _check_jacobi.
     """
     if isinstance(doc, str):
         try:
@@ -1058,8 +1113,10 @@ def load_presentation(doc) -> Presentation:
     if "preset" in doc:
         name = doc["preset"]
         if name == "virasoro":
+            _preset_keys(doc, name, ("c",))
             return preset_virasoro(_rational(doc.get("c", 1), "c"))
         if name == "heisenberg":
+            _preset_keys(doc, name, ("rank", "form"))
             rank = _integer(doc.get("rank", 1), "rank")
             return preset_heisenberg(rank, doc.get("form"))
         raise SchemaError(f"unknown preset {name!r}")

@@ -238,6 +238,19 @@ _UNBOUNDED_OPE = (("ope", "--file", "PRES", "--a", "a", "--b", "a"), {
     "relations": [{"a": "a", "b": "a", "n": 65, "result": [{"coeff": "1", "word": []}]}],
 })
 _BAD_INPUTS.append(_UNBOUNDED_OPE)
+# a key or flag that the preset does not take is rejected, not dropped
+_BAD_INPUTS += [
+    (("radical", "--preset", "virasoro", "--rank", "2", "--weight", "2"), None),
+    (("dims", "--preset", "heisenberg", "--c", "1", "--max-weight", "2"), None),
+    (("dims", "--file", "PRES", "--max-weight", "2"), {"preset": "virasoro", "rank": 2}),
+    (("dims", "--file", "PRES", "--max-weight", "2"), {"preset": "heisenberg", "c": "1"}),
+    (("dims", "--file", "PRES", "--preset", "virasoro", "--max-weight", "2"),
+     {"preset": "virasoro", "c": "1/2"}),
+    (("dims", "--file", "PRES", "--c", "1", "--max-weight", "2"),
+     {"preset": "virasoro", "c": "1/2"}),
+    (("dims", "--file", "PRES", "--rank", "2", "--max-weight", "2"),
+     {"preset": "heisenberg", "rank": 1}),
+]
 
 
 @pytest.mark.parametrize(

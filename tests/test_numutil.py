@@ -181,3 +181,15 @@ def test_rref_matches_dense_fraction_rref(rows):
         assert max(vec) == f and vec[f] == scale
         for row in rows:
             assert sum(v * vec.get(c, 0) for c, v in row.items()) == 0
+
+
+def test_echelon_never_keeps_a_callers_row():
+    # rows that meet no earlier pivot skip the cross reduction, and an
+    # all-int row skips the lcm pass; each still becomes a new dict
+    rows = [{0: 1, 2: 3}, {1: 2}, {3: Fraction(4)}, {0: 2, 2: 6}]
+    copies = [dict(row) for row in rows]
+    ech = _echelon(rows)
+    assert ech == {0: {0: 1, 2: 3}, 1: {1: 1}, 3: {3: 1}}
+    assert all(type(v) is int for row in ech.values() for v in row.values())
+    assert not any(pivot is row for pivot in ech.values() for row in rows)
+    assert rows == copies

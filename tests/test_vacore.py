@@ -344,6 +344,15 @@ def test_schema_rejections():
     for doc in bad_docs:
         with pytest.raises(SchemaError):
             load_presentation(doc)
+    # a key that the preset does not take is named, not dropped
+    for doc, key in [
+        ({"preset": "virasoro", "rank": 2}, "rank"),
+        ({"preset": "virasoro", "c": "1", "form": [[1]]}, "form"),
+        ({"preset": "heisenberg", "c": "1"}, "c"),
+        ({"preset": "heisenberg", "rank": 1, "label": "x"}, "label"),
+    ]:
+        with pytest.raises(SchemaError, match=f"takes no key '{key}'"):
+            load_presentation(doc)
     # integer strings are integers
     assert load_presentation({"preset": "heisenberg", "rank": "2"}).label == "heisenberg(rank=2)"
 
@@ -452,6 +461,25 @@ def test_bubble_catches_a_table_mode_mutant():
 
     wrong = [w for w in words if disagree(mutant, w)]
     assert wrong and not any(disagree(shipped, w) for w in wrong)
+
+
+@pytest.mark.parametrize("doc, w_max", [
+    (_doc("efh", _SL2_FORWARD), 3),
+    (_doc("efh", _SL2_REVERSED), 3),
+    ({"preset": "virasoro", "c": "-22/5"}, 5),
+    ({"preset": "heisenberg", "rank": 2, "form": [[0, 1], [1, 0]]}, 3),
+], ids=["sl2-forward", "sl2-reversed", "lee-yang", "heisenberg-off-diagonal"])
+def test_one_mode_on_spanning_words_vs_bubble(doc, w_max):
+    # g(n) b for every generator g, every n in -3..wt(g)+1 and every normal
+    # word b up to weight w_max: one straightening step over every generator
+    # pair, where h(m) goes back in front of the words of g(n) b'
+    pres = load_presentation(doc)
+    for w in range(w_max + 1):
+        for b in spanning_basis(pres, w):
+            for g in range(len(pres.gens)):
+                for n in range(-3, pres.wt(g) + 2):
+                    el = pres.element({((g, n),) + b: 1})
+                    assert pres.normal_form(el) == _bubble_nf(pres, el), (g, n, b)
 
 
 # ---------------------------------------------------------------------------
@@ -718,13 +746,20 @@ def test_prepend_mode_is_the_word_level_rewrite_step(make, arg):
         assert value == fresh._prepend(*key), key
 
 
-def test_radical_slice_is_the_top_of_radical_slices():
-    ly = preset_virasoro(Fraction(-22, 5))
-    top = radical_slice(ly, 8)
-    last = radical_slices(ly, 8)[-1]
+@pytest.mark.parametrize("doc, weight", [
+    ({"preset": "virasoro", "c": "-22/5"}, 8),
+    ({"preset": "heisenberg", "rank": 2, "form": [[0, 0], [0, 1]]}, 4),
+    (_doc("efh", _SL2_FORWARD), 4),
+], ids=["lee-yang", "degenerate-heisenberg", "affine-sl2-level-1"])
+def test_radical_slice_is_the_top_of_radical_slices(doc, weight):
+    # radical_slice builds elements for its own weight only; the two
+    # Heisenberg-type cases have a nonzero radical below the top weight
+    pres = load_presentation(doc)
+    top = radical_slice(pres, weight)
+    last = radical_slices(pres, weight)[-1]
     assert (top.weight, top.basis, top.kernel) == (last.weight, last.basis, last.kernel)
-    assert radical_slices(ly, -1) == []
-    assert radical_slice(ly, -1).dimension == 0
+    assert radical_slices(pres, -1) == []
+    assert radical_slice(pres, -1).dimension == 0
 
 
 def test_under_generating_set_changes_checked_dims(monkeypatch):
