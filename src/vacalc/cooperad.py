@@ -18,11 +18,14 @@ one expansion engine, expands a single basis monomial in place for a whole
 window of outer gradings in one enumeration, so every block and every
 subset expands where it stands; _cluster_components turns its terms into
 integer (outer monomial, inner monomial) coefficients.  The public
-insertions are sums of those over the input's terms.  The cluster
-filtration reads the same engine: the level of S is the top inner grading
-of the insertion that splits S off.  The general many-block co-composition
-is iterated insertion, last block first; it is well defined because
-insertions into disjoint blocks commute.
+insertions are sums of those over the input's terms.  A TensorElement
+holds that expanded sum {(outer monomial, inner monomial): coeff}, which
+equality and hashing compare, and regroups it into (outer, inner, coeff)
+triples only to print it (str and to_obj).  The cluster filtration reads
+the same engine: the level of S is the top inner grading of the insertion
+that splits S off.  The general many-block co-composition is iterated
+insertion, last block first; it is well defined because insertions into
+disjoint blocks commute.
 
 Gradings follow localfn: the grading of an outer/inner factor is minus its
 scaling degree, and outer + inner grading equals the input grading in every
@@ -33,7 +36,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations, product as _iproduct
+from itertools import combinations
 from typing import Dict, List, Sequence, Tuple
 
 from .errors import BadPartition, BadSplit, BadSubset, SchemaError
@@ -53,7 +56,7 @@ from .localfn import (
     _collision_level,
     _reduce,
 )
-from .numutil import _exact, _kernel, gbinom
+from .numutil import SparseSum, _exact, _kernel, gbinom
 
 
 # ---------------------------------------------------------------------------
@@ -77,86 +80,63 @@ def _regroup(expanded, arities):
     return tuple(out)
 
 
-def _norm_terms(terms):
-    """Reduce an iterable of (f_0, ..., f_r, coeff) to a canonical tuple.
-
+class TensorElement(SparseSum):
+    """One bidegree component of a co-composition: sum of outer (x) inner,
+    held as the expanded sum {(outer monomial, inner monomial): coeff}.
     Bilinearity makes groupings like A (x) B + A (x) C versus A (x) (B + C)
-    the same element, so the sum is first expanded down to tuples of basis
-    monomials and then regrouped deterministically (_regroup).
-    """
-    expanded: Dict[tuple, int | Fraction] = {}
-    arities = None
-    for *factors, coeff in terms:
-        if coeff == 0 or any(f.is_zero() for f in factors):
-            continue
-        arities = tuple(f.arity for f in factors)
-        for combo in _iproduct(*(f.terms.items() for f in factors)):
-            key = tuple(m for m, _ in combo)
-            val = coeff
-            for _, c in combo:
-                val *= c
-            expanded[key] = expanded.get(key, 0) + val
-    return _regroup(expanded, arities)
+    the same element, and the expanded sum is the same for all of them;
+    grouped() gives the canonical grouping that str and to_obj print."""
 
+    __slots__ = ("outer_arity", "inner_arity")
+    _space_name = "arities"
+    _sort_key = staticmethod(lambda pair: (mono_sort_key(pair[0]), mono_sort_key(pair[1])))
 
-class TensorElement:
-    """One bidegree component of a co-composition: sum of outer (x) inner."""
-
-    __slots__ = ("outer_arity", "inner_arity", "terms")
-
-    def __init__(self, outer_arity: int, inner_arity: int, terms=()):
+    def __init__(self, outer_arity: int, inner_arity: int, terms: Dict[tuple, int | Fraction]):
         self.outer_arity = outer_arity
         self.inner_arity = inner_arity
-        self.terms = _norm_terms(terms)
+        self.terms = {pair: c for pair, c in terms.items() if c}
 
-    @classmethod
-    def _from_expanded(cls, outer_arity: int, inner_arity: int, expanded) -> "TensorElement":
-        """The element with the expanded terms {(outer monomial, inner
-        monomial): coeff}, regrouped as the constructor's terms are."""
-        te = cls.__new__(cls)
-        te.outer_arity = outer_arity
-        te.inner_arity = inner_arity
-        te.terms = _regroup(expanded, (outer_arity, inner_arity))
-        return te
+    @property
+    def _space(self):
+        return (self.outer_arity, self.inner_arity)
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    def _like(self, terms: dict) -> "TensorElement":
+        return TensorElement(self.outer_arity, self.inner_arity, terms)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, TensorElement)
-            and self.outer_arity == other.outer_arity
-            and self.inner_arity == other.inner_arity
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.outer_arity, self.inner_arity, self.terms))
+    def grouped(self) -> tuple:
+        """The canonical tuple of (outer LocalFn, inner LocalFn, coeff): one
+        entry per outer monomial, in monomial order, with a monic inner
+        factor."""
+        return _regroup(self.terms, (self.outer_arity, self.inner_arity))
 
     def map_factors(self, outer_map=None, inner_map=None) -> "TensorElement":
-        out = []
-        for outer, inner, c in self.terms:
-            out.append(
-                (
-                    outer_map(outer) if outer_map else outer,
-                    inner_map(inner) if inner_map else inner,
-                    c,
-                )
-            )
-        oa = out[0][0].arity if out else self.outer_arity
-        ia = out[0][1].arity if out else self.inner_arity
-        return TensorElement(oa, ia, out)
+        """The element with the linear maps outer_map and inner_map (LocalFn
+        to LocalFn; None is the identity) applied to its two sides."""
+        by_outer: Dict[Monomial, Dict[Monomial, int | Fraction]] = {}
+        for (mo, mi), c in self.terms.items():
+            by_outer.setdefault(mo, {})[mi] = c
+        oa, ia = self.outer_arity, self.inner_arity
+        expanded: Dict[tuple, int | Fraction] = {}
+        for mo, inner_terms in by_outer.items():
+            outer = LocalFn.from_monomial(self.outer_arity, mo)
+            inner = LocalFn(self.inner_arity, inner_terms)
+            if outer_map:
+                outer = outer_map(outer)
+            if inner_map:
+                inner = inner_map(inner)
+            oa, ia = outer.arity, inner.arity
+            for no, co in outer.terms.items():
+                for ni, ci in inner.terms.items():
+                    pair = (no, ni)
+                    expanded[pair] = expanded.get(pair, 0) + co * ci
+        return TensorElement(oa, ia, expanded)
 
     def __str__(self):
-        if not self.terms:
-            return "0"
         bits = []
-        for outer, inner, c in self.terms:
-            lhs = outer.format("z")
-            rhs = inner.format("t")
+        for outer, inner, c in self.grouped():
             prefix = "" if c == 1 else f"{c} * "
-            bits.append(f"{prefix}[{lhs}] (x) [{rhs}]")
-        return " + ".join(bits)
+            bits.append(f"{prefix}[{outer.format('z')}] (x) [{inner.format('t')}]")
+        return " + ".join(bits) or "0"
 
     def to_obj(self):
         return {
@@ -164,7 +144,7 @@ class TensorElement:
             "inner_arity": self.inner_arity,
             "terms": [
                 {"coeff": str(c), "outer": o.to_obj(), "inner": i.to_obj()}
-                for o, i, c in self.terms
+                for o, i, c in self.grouped()
             ],
         }
 
@@ -220,7 +200,7 @@ def _insert(f: LocalFn, pos: int, size: int, p_lo: int, p_hi: int) -> Dict[int, 
             for pair, c in comp.items():
                 acc[pair] = acc.get(pair, 0) + coeff * c
     oa = f.arity - size + 1
-    return {p: TensorElement._from_expanded(oa, size, e) for p, e in expanded.items()}
+    return {p: TensorElement(oa, size, e) for p, e in expanded.items()}
 
 
 def insert_component(f: LocalFn, m: int, p: int) -> TensorElement:
@@ -278,17 +258,25 @@ def cocompose_general(
         raise BadPartition("need one outer degree plus one degree per block")
     if sum(multidegree) != g:
         raise BadPartition(f"multidegree sums to {sum(multidegree)}, grading is {g}")
-    partial = [(f, (), 1)]
-    pos, p = n + 1, g
+    # partial: (outer LocalFn, {inner monomials of the blocks inserted so
+    # far: coeff}) pairs, one per distinct outer monomial after the first
+    # insertion, so that each outer monomial is inserted into once
+    partial = [(f, {(): 1})]
+    arity, pos, p = n, n + 1, g
     for size, ell in zip(reversed(blocks), reversed(multidegree[1:])):
         pos -= size
         p -= ell
-        partial = [
-            (outer, (inner, *inners), c1 * c2)
-            for h, inners, c1 in partial
-            for outer, inner, c2 in insert_block(h, pos, size, p).terms
-        ]
-    return list(_norm_terms((outer, *inners, c) for outer, inners, c in partial))
+        arity -= size - 1
+        by_outer: Dict[Monomial, Dict[tuple, int | Fraction]] = {}
+        for h, inners in partial:
+            for (mo, mi), c2 in insert_block(h, pos, size, p).terms.items():
+                acc = by_outer.setdefault(mo, {})
+                for key, c1 in inners.items():
+                    key = (mi, *key)
+                    acc[key] = acc.get(key, 0) + c1 * c2
+        partial = [(LocalFn.from_monomial(arity, mo), acc) for mo, acc in by_outer.items()]
+    expanded = {(mo, *key): c for mo, acc in by_outer.items() for key, c in acc.items()}
+    return list(_regroup(expanded, (k, *blocks)))
 
 
 # ---------------------------------------------------------------------------
@@ -496,14 +484,9 @@ def insertion_closure_failures(f: LocalFn, k: int, sig: SortSignature, m: int, w
             continue
         by_outer: Dict[Monomial, Dict[Monomial, int | Fraction]] = {}
         by_inner: Dict[Monomial, Dict[Monomial, int | Fraction]] = {}
-        for outer, inner, c in te.terms:
-            for mo, co in outer.terms.items():
-                for mi, ci in inner.terms.items():
-                    coeff = c * co * ci
-                    d = by_outer.setdefault(mo, {})
-                    d[mi] = d.get(mi, 0) + coeff
-                    d = by_inner.setdefault(mi, {})
-                    d[mo] = d.get(mo, 0) + coeff
+        for (mo, mi), c in te.terms.items():
+            by_outer.setdefault(mo, {})[mi] = c
+            by_inner.setdefault(mi, {})[mo] = c
         for mo, inner_terms in by_outer.items():
             if not in_connective(LocalFn(te.inner_arity, inner_terms), k, inner_sig):
                 fails.append(f"p={p}: inner coefficient fails with sorts {inner_sig.sorts}")

@@ -40,8 +40,8 @@ def gbinom(m: int, j: int) -> int:
 def add_into(acc: dict, terms: dict, c=1) -> dict:
     """acc += c * terms for sparse {key: number} dicts, in place; returns acc.
 
-    A key whose sum reaches zero is deleted, so acc never stores a zero.
-    A no-op when c == 0.
+    A key whose sum reaches zero is deleted, so acc never stores a zero,
+    and an integral value is stored as an int.  A no-op when c == 0.
     """
     if not c:
         return acc
@@ -54,7 +54,7 @@ def add_into(acc: dict, terms: dict, c=1) -> dict:
         if old is not None:
             v = old + v
         if v:
-            acc[k] = v
+            acc[k] = v if type(v) is int or v.denominator != 1 else v.numerator
         elif old is not None:
             del acc[k]
     return acc
@@ -64,11 +64,11 @@ class SparseSum:
     """Exact linear combination {key: coefficient} in one space, with no zero
     coefficients stored.
 
-    A subclass is built as Cls(space, terms), with a constructor that drops
-    zero coefficients; it exposes the space as the property _space, names it
-    in _space_name for errors, and orders its keys for printing with the
-    static _sort_key.  Instances are immutable by convention; all operations
-    return new values.
+    A subclass is built as Cls(space, terms), or overrides _like, with a
+    constructor that drops zero coefficients; it exposes the space as the
+    property _space, names it in _space_name for errors, and orders its keys
+    for printing with the static _sort_key.  Instances are immutable by
+    convention; all operations return new values.
     """
 
     __slots__ = ("terms",)

@@ -1,9 +1,12 @@
 """Exact sparse multivariate polynomials over the rationals.
 
 A polynomial in ``width`` variables is a dict mapping exponent tuples to
-Fraction coefficients, with zero coefficients never stored:
+exact coefficients, with zero coefficients never stored:
 
-    Poly = dict[tuple[int, ...], Fraction]       # {} is the zero polynomial
+    Poly = dict[tuple[int, ...], int | Fraction]     # {} is the zero polynomial
+
+A coefficient that numutil.add_into sums or scales is an int where it is
+integral, a Fraction otherwise.
 
 Only the handful of operations needed for pole bookkeeping live here:
 building linear forms, ring arithmetic, integer powers, and the minimum
@@ -19,7 +22,7 @@ from typing import Dict, Tuple
 from .numutil import add_into
 
 Exponent = Tuple[int, ...]
-Poly = Dict[Exponent, Fraction]
+Poly = Dict[Exponent, int | Fraction]
 
 _ONE = Fraction(1)
 

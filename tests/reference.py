@@ -7,14 +7,21 @@ by another method, and shares no code with it: only the input is common.
   canonical form (the check of localfn's canonicalization);
 * nf_word_bubble straightens a mode word by swapping the leftmost
   offending pair, and reads each table entry's modes with its own formula
-  (the check of Presentation.normal_form, which straightens suffix first).
+  (the check of Presentation.normal_form, which straightens suffix first);
+* expand_tensor multiplies out a sum of tensor products of LocalFns term
+  by term (the check of cocompose_general, which inserts block by block
+  on expanded monomial pairs).  regroup_tensor then puts the expansion in
+  the canonical grouped form that both sides print, with cooperad's
+  _regroup: that is the shared output format, not a route.
 
 The module name has no test_ prefix, so pytest collects nothing from it.
 """
 
 from fractions import Fraction
+from itertools import product
 from math import factorial, prod
 
+from vacalc.cooperad import _regroup
 from vacalc.errors import ArityMismatch, CoincidentPoints, VacalcError
 
 
@@ -146,3 +153,23 @@ def nf_word_bubble(pres, word, bound: int = 10**6):
                 middle = [] if g is None else [(g, n)]
                 stack.append((coeff * cmj * c, head + middle + tail))
     return out
+
+
+def expand_tensor(terms):
+    """{(m_0, ..., m_r): coeff} of the sum of the tensor products
+    coeff * f_0 (x) ... (x) f_r given as (f_0, ..., f_r, coeff) tuples of
+    LocalFns, one product of basis monomials at a time."""
+    out = {}
+    for *factors, coeff in terms:
+        for combo in product(*(f.terms.items() for f in factors)):
+            key = tuple(m for m, _ in combo)
+            out[key] = out.get(key, 0) + coeff * prod(c for _, c in combo)
+    return out
+
+
+def regroup_tensor(terms):
+    """The canonical tuple of expand_tensor(terms), as cocompose_general
+    lists its result."""
+    terms = list(terms)
+    arities = tuple(f.arity for f in terms[0][:-1]) if terms else ()
+    return _regroup(expand_tensor(terms), arities)

@@ -37,6 +37,7 @@ from vacalc.localfn import (
     parse,
 )
 
+from reference import expand_tensor, regroup_tensor
 from test_vacore import _rank
 
 
@@ -45,7 +46,7 @@ def lf(text, arity):
 
 
 def te(outer_arity, inner_arity, *terms):
-    return TensorElement(outer_arity, inner_arity, terms)
+    return TensorElement(outer_arity, inner_arity, expand_tensor(terms))
 
 
 # ---------------------------------------------------------------------------
@@ -75,7 +76,7 @@ def test_insert_component_bidegrees_are_homogeneous_and_additive():
     seen_any = False
     for p in range(-4, 7):
         comp = insert_component(f, 1, p)
-        for outer, inner, _ in comp.terms:
+        for outer, inner, _ in comp.grouped():
             seen_any = True
             assert outer.grading() == p
             assert inner.grading() == g - p
@@ -94,8 +95,8 @@ def test_insert_representation_independence():
 
 def test_insert_finiteness_is_structural():
     comp = insert_component(lf("(z2-z1)^-3", 2), 1, 6)
-    assert len(comp.terms) < 10
-    for outer, inner, _ in comp.terms:
+    assert len(comp.grouped()) < 10
+    for outer, inner, _ in comp.grouped():
         assert len(outer.terms) < 50 and len(inner.terms) < 50
 
 
@@ -138,8 +139,6 @@ def test_cocompose_matches_iterated_insertion():
     # cocompose_general inserts the last block first; the reference inserts
     # the first block first, so agreement is commutativity of insertions
     # into disjoint blocks
-    from vacalc.cooperad import _norm_terms
-
     rng = random.Random(12)
     nonzero = {False: 0, True: 0}
     for trial in range(12):
@@ -155,15 +154,15 @@ def test_cocompose_matches_iterated_insertion():
         n2 = n - n1
         for l0 in range(-2, 3):
             one_block = tuple(cocompose_general(f, (n,), (l0, g - l0)))
-            assert one_block == insert_component(f, 0, l0).terms
+            assert one_block == insert_component(f, 0, l0).grouped()
             for l1 in range(-2, 3):
                 l2 = g - l0 - l1
                 got = tuple(cocompose_general(f, (n1, n2), (l0, l1, l2)))
                 acc = []
-                for h, inner1, c1 in insert_block(f, 1, n1, g - l1).terms:
-                    for outer, inner2, c2 in insert_block(h, 2, n2, l0).terms:
+                for h, inner1, c1 in insert_block(f, 1, n1, g - l1).grouped():
+                    for outer, inner2, c2 in insert_block(h, 2, n2, l0).grouped():
                         acc.append((outer, inner1, inner2, c1 * c2))
-                assert got == _norm_terms(acc)
+                assert got == regroup_tensor(acc)
                 nonzero[multi] += bool(got)
     assert nonzero[False] and nonzero[True]
 
@@ -314,7 +313,7 @@ def _cleared_piece_dim(n, subset, N, cands):
             num = polyq.mul(num, polyq.power(diff, rem, width))
         rows.append({e: c for e, c in num.items() if e[e_ix] < d_in - N})
     keys = sorted({e for row in rows for e in row})
-    return len(cands) - _rank([[row.get(e, Fraction(0)) for e in keys] for row in rows])
+    return len(cands) - _rank([[Fraction(row.get(e, 0)) for e in keys] for row in rows])
 
 
 @st.composite
@@ -506,8 +505,6 @@ def test_verify_axioms_unit_is_trivial():
 
 
 def test_cocompose_three_blocks_matches_iterated_insertion():
-    from vacalc.cooperad import _norm_terms
-
     rng = random.Random(21)
     nonzero = {False: 0, True: 0}
     for trial in range(6):
@@ -523,17 +520,17 @@ def test_cocompose_three_blocks_matches_iterated_insertion():
         n1, n2, n3 = sizes
         for l0 in range(-1, 3):
             one_block = tuple(cocompose_general(f, (n,), (l0, g - l0)))
-            assert one_block == insert_component(f, 0, l0).terms
+            assert one_block == insert_component(f, 0, l0).grouped()
             for l1 in range(-1, 2):
                 for l2 in range(-1, 2):
                     l3 = g - l0 - l1 - l2
                     got = tuple(cocompose_general(f, (n1, n2, n3), (l0, l1, l2, l3)))
                     acc = []
-                    for h, in1, c1 in insert_block(f, 1, n1, g - l1).terms:
-                        for h2, in2, c2 in insert_block(h, 2, n2, g - l1 - l2).terms:
-                            for outer, in3, c3 in insert_block(h2, 3, n3, l0).terms:
+                    for h, in1, c1 in insert_block(f, 1, n1, g - l1).grouped():
+                        for h2, in2, c2 in insert_block(h, 2, n2, g - l1 - l2).grouped():
+                            for outer, in3, c3 in insert_block(h2, 3, n3, l0).grouped():
                                 acc.append((outer, in1, in2, in3, c1 * c2 * c3))
-                    assert got == _norm_terms(acc), (f, sizes, (l0, l1, l2, l3))
+                    assert got == regroup_tensor(acc), (f, sizes, (l0, l1, l2, l3))
                     nonzero[multi] += bool(got)
     assert nonzero[False] and nonzero[True]
 
@@ -660,3 +657,42 @@ def test_insert_block_matches_conjugation():
                             assert json.dumps(got.to_obj()) == json.dumps(want.to_obj())
                             nonzero += not got.is_zero()
     assert nonzero
+
+
+def test_tensor_element_format_is_invisible():
+    # equality and hashing read the expanded sum, printing reads grouped():
+    # they must agree, whatever order the sum was built in
+    rng = random.Random(32)
+    elems = []
+    for n, g in ((2, 1), (3, 0), (3, 2), (4, 1)):
+        monos = basis_monomials(n, g, max(0, g) + 1)
+        for multi in (False, True):
+            f = _random_homogeneous(rng, n, monos, multi)
+            for m in range(n):
+                for lo, hi in ((-2, 2), (1, 4)):
+                    elems += insert_components(f, m, lo, hi).values()
+            for size in range(1, n + 1):
+                pos = rng.randint(1, n - size + 1)
+                for p in range(-1, 3):
+                    elems.append(_insert_block_by_conjugation(f, pos, size, p))
+    elems += [a + a for a in elems[::7]] + [a.scale(2) for a in elems[::7]]
+    assert sum(not a.is_zero() for a in elems) > 100
+    pairs = [pair for a in elems for pair in a.terms]
+    for a in elems:
+        items = list(a.terms.items())
+        rng.shuffle(items)
+        absent = next(pair for pair in pairs if pair not in a.terms)
+        items.insert(rng.randint(0, len(items)), (absent, 0))
+        b = TensorElement(a.outer_arity, a.inner_arity, dict(items))
+        assert b.terms == a.terms and 0 not in b.terms.values()
+        assert b == a and hash(b) == hash(a)
+        assert str(b) == str(a)
+        assert json.dumps(b.to_obj()) == json.dumps(a.to_obj())
+    shown = [(a.outer_arity, a.inner_arity, a.grouped()) for a in elems]
+    equal_pairs = 0
+    for (a, sa), (b, sb) in combinations(zip(elems, shown), 2):
+        assert (a == b) == (sa == sb)
+        if a == b:
+            assert hash(a) == hash(b)
+            equal_pairs += not a.is_zero()
+    assert equal_pairs

@@ -694,7 +694,7 @@ def test_integer_inputs_keep_int_coefficients():
     fractions = 0
     for m in range(4):
         for te in insert_components(f, m, -4, 4).values():
-            for outer, inner, c in te.terms:
+            for outer, inner, c in te.grouped():
                 assert type(c) is int and _all_ints(outer)
                 for x in inner.terms.values():
                     assert type(x) is int or (type(x) is Fraction and x.denominator > 1)

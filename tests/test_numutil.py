@@ -43,6 +43,8 @@ def test_add_into_matches_naive_sum(acc, terms, c):
         assert got == before
     if all(isinstance(v, int) for v in [c, *before.values(), *terms.values()]):
         assert all(isinstance(v, int) for v in got.values())
+    # every value add_into writes is an int where it is integral
+    assert all(type(got[k]) is int or got[k].denominator > 1 for k in terms if k in got and c)
     assert add_into(dict(before), terms) == _naive(before, terms, 1)
 
 

@@ -746,6 +746,16 @@ def test_prepend_mode_is_the_word_level_rewrite_step(make, arg):
         assert value == fresh._prepend(*key), key
 
 
+def test_rewrite_cache_stores_integral_values_as_ints():
+    # sums such as 1/2 + 1/2 in the rewrite cache come out as int 1, not as
+    # Fraction(1, 1); the c = 1 weight-11 radical makes ten of them
+    pres = preset_virasoro(1)
+    radical_slice(pres, 11)
+    values = [v for entry in pres._prepend_cache.values() for v in entry.values()]
+    assert any(type(v) is Fraction for v in values)
+    assert all(type(v) is int or v.denominator > 1 for v in values)
+
+
 @pytest.mark.parametrize("doc, weight", [
     ({"preset": "virasoro", "c": "-22/5"}, 8),
     ({"preset": "heisenberg", "rank": 2, "form": [[0, 0], [0, 1]]}, 4),
