@@ -191,7 +191,7 @@ def _parsers():
     p = cmd("oracle-dims", "certification series coefficients")
     p.add_argument("--kind", required=True,
                    choices=["partitions", "partitions_min_part_2", "theta_over_eta"])
-    p.add_argument("--norm", type=int, default=2)
+    p.add_argument("--norm", type=int, help="lattice norm of theta_over_eta (default 2)")
     p.add_argument("--max-weight", type=int, required=True)
     return ap, sp.choices
 
@@ -365,9 +365,9 @@ def run(argv):
         _nonnegative(args.max_weight, "--max-weight")
         kind = args.kind
         if kind == "theta_over_eta":
-            if args.norm <= 0 or args.norm % 2:
-                raise SchemaError("--norm must be a positive even integer")
-            kind = ("theta_over_eta", args.norm)
+            kind = (kind, 2 if args.norm is None else args.norm)
+        elif args.norm is not None:
+            raise SchemaError(f"--kind {kind} takes no --norm")
         dims = fockoracle.series_dims(kind, args.max_weight)
         _emit(args, lambda: " ".join(map(str, dims)), lambda: {"dims": dims})
 

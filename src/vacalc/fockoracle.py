@@ -29,7 +29,7 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Dict, List, Tuple
 
-from .errors import TruncationTooSmall
+from .errors import SchemaError, TruncationTooSmall
 
 State = Tuple[Tuple[int, ...], int]
 FockVec = Dict[State, Fraction]
@@ -152,7 +152,7 @@ def lattice_vertex_act(
     conventions give isomorphic algebras.
     """
     if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
+        raise SchemaError("sign must be +1 or -1")
     if cutoff < 0:
         raise TruncationTooSmall("cutoff must be >= 0")
     for state in v:
@@ -224,7 +224,7 @@ def series_dims(kind, w_max: int) -> List[int]:
     with norm a positive even integer.
     """
     if w_max < 0:
-        raise ValueError("w_max must be >= 0")
+        raise SchemaError("w_max must be >= 0")
     if kind == "partitions":
         return _partition_counts(w_max, min_part=1)
     if kind == "partitions_min_part_2":
@@ -232,7 +232,7 @@ def series_dims(kind, w_max: int) -> List[int]:
     if isinstance(kind, tuple) and kind[0] == "theta_over_eta":
         norm = kind[1]
         if norm <= 0 or norm % 2:
-            raise ValueError("norm must be a positive even integer")
+            raise SchemaError("norm must be a positive even integer")
         eta_inv = _partition_counts(w_max, min_part=1)
         theta = [0] * (w_max + 1)
         m = 0
@@ -243,7 +243,7 @@ def series_dims(kind, w_max: int) -> List[int]:
             sum(theta[j] * eta_inv[w - j] for j in range(w + 1))
             for w in range(w_max + 1)
         ]
-    raise ValueError(f"unknown series kind {kind!r}")
+    raise SchemaError(f"unknown series kind {kind!r}")
 
 
 def _partition_counts(w_max: int, min_part: int) -> List[int]:

@@ -4,8 +4,8 @@ Values are exact: an int where the value is integral, a Fraction otherwise.
 Elimination is fraction-free: rows are cleared to integers and reduced by
 cross-multiplication with gcd content division (in the style of Bareiss,
 Math. Comp. 22, 1968).  _kernel returns the kernel as an integer echelon
-with one common scale, and _solve forms a Fraction only for an entry it
-returns.
+with one common scale; a linear system is solved through the kernel of its
+augmented rows.
 """
 
 from __future__ import annotations
@@ -215,17 +215,3 @@ def _kernel(rows, ncols: int) -> Tuple[int, Dict[int, Dict[int, int]]]:
                 kernel[f][p] = -v * step
     return scale, kernel
 
-
-def _solve(rows, ncols: int):
-    """Solve sparse rows over columns 0..ncols-1 whose right-hand side sits
-    at column ncols.
-
-    Returns the unique solution as a list, None when underdetermined, or the
-    string "inconsistent".
-    """
-    pivots = _echelon(rows)
-    if ncols in pivots:
-        return "inconsistent"
-    if len(pivots) < ncols:
-        return None
-    return [Fraction(pivots[c].get(ncols, 0), pivots[c][c]) for c in range(ncols)]

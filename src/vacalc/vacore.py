@@ -48,7 +48,6 @@ from .numutil import (
     _echelon,
     _exact,
     _kernel,
-    _solve,
     add_into,
     gbinom,
 )
@@ -873,35 +872,40 @@ def npoint_vacuum(pres: Presentation, gen_names: Sequence[str], pole_bound: int)
     (_vacuum_series_support) or some candidate's expansion
     (_mono_series_support) is nonzero: its entries are the candidates'
     coefficients there and its right-hand side the series value.  Any other
-    tuple of the window would only add an all-zero row.
+    tuple of the window would only add an all-zero row.  The kernel of the
+    augmented rows decides the solve: the right-hand side column is a pivot
+    when the system is inconsistent, and when it is the only free column,
+    its kernel vector v with scale L gives the solution -v_j / L.
     """
     gidx, sorts = _insertions(pres, gen_names, pole_bound)
     r = len(gidx)
     g_total = sum(sorts)
     candidates = basis_monomials(r, g_total, pole_bound)
+    rhs = len(candidates)
     start = pole_bound + abs(g_total) + 1
     for radius in range(start, start + 7, 2):
         row_of = {
-            e: {len(candidates): v}
+            e: {rhs: v}
             for e, v in _vacuum_series_support(pres, gidx, radius, -g_total).items()
         }
         for j, m in enumerate(candidates):
             for e, c in _mono_series_support(m, radius).items():
                 row_of.setdefault(e, {})[j] = c
-        solution = _solve(row_of.values(), len(candidates))
-        if solution == "inconsistent":
+        scale, kernel = _kernel(row_of.values(), rhs + 1)
+        if rhs not in kernel:
             raise NoLocalMatch(
                 f"series of {list(gen_names)} has no local match within pole bound {pole_bound}",
                 radius=radius,
-                candidates=len(candidates),
+                candidates=rhs,
             )
-        if solution is not None:
-            result = LocalFn(r, {m: c for m, c in zip(candidates, solution) if c})
+        if len(kernel) == 1:
+            result = LocalFn(r, {candidates[j]: _exact(Fraction(-v, scale))
+                                 for j, v in kernel[rhs].items() if j != rhs})
             return _certify(pres, gen_names, gidx, sorts, result, pole_bound, radius)
     raise NoLocalMatch(
         "ansatz underdetermined; increase the pole bound window",
         radius=radius,
-        candidates=len(candidates),
+        candidates=rhs,
     )
 
 

@@ -4,15 +4,21 @@ exit codes, and byte determinism."""
 import hashlib
 import json
 import os
+import pathlib
+import re
 import subprocess
 import sys
+from math import comb
 
 import pytest
 
 import vacalc
 from vacalc import cli
 from vacalc.cli import main, run
+from vacalc.errors import SchemaError
 from vacalc.localfn import LocalFn
+
+from test_vacore import _SL2_FORWARD, _doc, _rel
 
 
 def invoke(capsys, *argv):
@@ -114,6 +120,13 @@ def test_verify_and_lattice_and_oracle(capsys):
     assert (code, out) == (0, "1 1 2 3 5 7 11 15 22 30 42\n")
 
 
+def test_norm_is_a_flag_of_theta_over_eta_alone(capsys):
+    argv = ("oracle-dims", "--kind", "theta_over_eta", "--max-weight", "6")
+    assert invoke(capsys, *argv) == invoke(capsys, *argv, "--norm", "2")
+    with pytest.raises(SchemaError, match="--kind partitions takes no --norm"):
+        run(["oracle-dims", "--kind", "partitions", "--norm", "2", "--max-weight", "4"])
+
+
 def test_ope_json_schema(capsys):
     code, out = invoke(capsys, "ope", "--preset", "virasoro", "--c", "1/2",
                        "--a", "L", "--b", "L", "--json")
@@ -124,12 +137,7 @@ def test_ope_json_schema(capsys):
 
 
 def test_presentation_file(tmp_path, capsys):
-    doc = {
-        "generators": [{"name": "b", "weight": 1}],
-        "relations": [
-            {"a": "b", "b": "b", "n": 1, "result": [{"coeff": "2", "word": []}]}
-        ],
-    }
+    doc = _doc("b", [_rel("b", "b", 1, ("2", []))])
     path = tmp_path / "pres.json"
     path.write_text(json.dumps(doc))
     code, out = invoke(capsys, "dims", "--file", str(path), "--max-weight", "4")
@@ -144,11 +152,29 @@ def test_domain_error_exit_code(monkeypatch, capsys):
     assert "IllegalPole" in capsys.readouterr().err
 
 
-def _vacalc_process(*argv, stdout=subprocess.PIPE):
+def _vacalc_process(*argv, stdout=subprocess.PIPE, timeout=None):
     src = os.path.dirname(os.path.dirname(os.path.abspath(vacalc.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     return subprocess.run([sys.executable, "-m", "vacalc", *argv], stdout=stdout,
-                          stderr=subprocess.PIPE, text=True, env=env)
+                          stderr=subprocess.PIPE, text=True, env=env, timeout=timeout)
+
+
+# affine sl2 at level 1, and two tables that fail the Jacobi identity
+_SL2_DOC = _doc("efh", _SL2_FORWARD)
+_SL2_STRUCTURE_DOC = _doc("efh", [*_SL2_FORWARD[:2], _rel("e", "h", 0, ("-3", [["e", -1]])),
+                                  *_SL2_FORWARD[3:]])  # [e,h]_0 = -3e
+_SL2_CENTRAL_DOC = _doc("efh", [*_SL2_FORWARD[:4], _rel("h", "h", 1, ("3", []))])  # [h,h]_1 = 3
+# a Heisenberg preset with a degenerate, fractional form
+_HEISENBERG_FORM_DOC = {"preset": "heisenberg", "rank": 2, "form": [["1/2", "1"], ["1", "2"]]}
+# a relation declared in reverse generator order, completed by skew symmetry
+_REVERSED_DOC = _doc("ab", [_rel("b", "a", 1, ("1", []))])
+# a diagonal row that breaks skew symmetry with itself
+_DIAGONAL_DOC = _doc("a", [_rel("a", "a", 0, ("1", [["a", -1]])), _rel("a", "a", 1, ("1", []))])
+# only connectivity 0 is accepted
+_CONNECTIVITY1_DOC = {**_doc("a", [_rel("a", "a", 1, ("1", []))]), "connectivity": 1}
+# a file name in an argv of the output tables below names its document
+_DOCS = {"sl2.json": _SL2_DOC, "heisenberg_form.json": _HEISENBERG_FORM_DOC,
+         "reversed.json": _REVERSED_DOC}
 
 
 # Each case is (argv, document).  PRES in argv names a file holding the
@@ -159,12 +185,8 @@ _BAD_INPUTS = [
     (("oracle-dims", "--kind", "theta_over_eta", "--norm", "3", "--max-weight", "4"), None),
     (("oracle-dims", "--kind", "partitions", "--max-weight", "-1"), None),
     # a relation result that uses an unknown generator
-    (("dims", "--file", "PRES", "--max-weight", "2"), {
-        "generators": [{"name": "b", "weight": 1}],
-        "relations": [
-            {"a": "b", "b": "b", "n": 0, "result": [{"coeff": "1", "word": [["q", -2]]}]}
-        ],
-    }),
+    (("dims", "--file", "PRES", "--max-weight", "2"),
+     _doc("b", [_rel("b", "b", 0, ("1", [["q", -2]]))])),
     # integer fields are not truncated or parsed loosely
     (("dims", "--file", "PRES", "--max-weight", "3"), {"preset": "heisenberg", "rank": 1.5}),
     (("dims", "--file", "PRES", "--max-weight", "3"), {"preset": "lattice_rank1", "norm": "two"}),
@@ -199,38 +221,17 @@ _BAD_INPUTS = [
     (("npoint", "--preset", "heisenberg", "--gens", "a,a", "--pole-bound", "-1"), None),
     (("filtration", "--basis", "--arity", "2", "--subset", "1,2", "--level", "1",
       "--grading", "2", "--pole-budget", "-1"), None),
-    # a diagonal row that breaks skew symmetry with itself
-    (("dims", "--file", "PRES", "--max-weight", "2"), {
-        "generators": [{"name": "a", "weight": 1}],
-        "relations": [
-            {"a": "a", "b": "a", "n": 0, "result": [{"coeff": "1", "word": [["a", -1]]}]},
-            {"a": "a", "b": "a", "n": 1, "result": [{"coeff": "1", "word": []}]},
-        ],
-    }),
+    (("dims", "--file", "PRES", "--max-weight", "2"), _DIAGONAL_DOC),
     # an explicit zero that skew symmetry contradicts
-    (("ope", "--file", "PRES", "--a", "a", "--b", "b"), {
-        "generators": [{"name": "a", "weight": 1}, {"name": "b", "weight": 1}],
-        "relations": [
-            {"a": "a", "b": "b", "n": 1, "result": []},
-            {"a": "b", "b": "a", "n": 1, "result": [{"coeff": "1", "word": []}]},
-        ],
-    }),
+    (("ope", "--file", "PRES", "--a", "a", "--b", "b"),
+     _doc("ab", [_rel("a", "b", 1), _rel("b", "a", 1, ("1", []))])),
     # empty items in comma-separated lists
     (("npoint", "--preset", "heisenberg", "--gens", "a,,a"), None),
     (("npoint", "--preset", "heisenberg", "--gens", "a,a,"), None),
     (("filtration", "--arity", "2", "--subset", "1,,2", "(z2-z1)^-1"), None),
     (("connective", "--arity", "2", "--sorts", "0,,1", "(z2-z1)^-1"), None),
-    # only connectivity 0 is accepted
-    (("radical", "--file", "PRES", "--weight", "3"), {
-        "generators": [{"name": "a", "weight": 1}],
-        "relations": [{"a": "a", "b": "a", "n": 1, "result": [{"coeff": "1", "word": []}]}],
-        "connectivity": 1,
-    }),
-    (("radical", "--file", "PRES", "--weight", "3"), {
-        "generators": [{"name": "a", "weight": 1}],
-        "relations": [{"a": "a", "b": "a", "n": 1, "result": [{"coeff": "1", "word": []}]}],
-        "connectivity": -1,
-    }),
+    (("radical", "--file", "PRES", "--weight", "3"), _CONNECTIVITY1_DOC),
+    (("radical", "--file", "PRES", "--weight", "3"), {**_CONNECTIVITY1_DOC, "connectivity": -1}),
 ]
 # a singular product beyond the supported bound, the one case with its own class
 _UNBOUNDED_OPE = (("ope", "--file", "PRES", "--a", "a", "--b", "a"), {
@@ -250,6 +251,13 @@ _BAD_INPUTS += [
      {"preset": "virasoro", "c": "1/2"}),
     (("dims", "--file", "PRES", "--rank", "2", "--max-weight", "2"),
      {"preset": "heisenberg", "rank": 1}),
+]
+# --norm belongs to theta_over_eta alone, and its norm is positive and even
+_BAD_INPUTS += [
+    (("oracle-dims", "--kind", "partitions", "--norm", "-8", "--max-weight", "4"), None),
+    (("oracle-dims", "--kind", "partitions_min_part_2", "--norm", "2", "--max-weight", "4"),
+     None),
+    (("oracle-dims", "--kind", "theta_over_eta", "--norm", "-2", "--max-weight", "4"), None),
 ]
 
 
@@ -415,57 +423,221 @@ def test_json_error_carries_payload():
     assert set(json.loads(proc.stderr.splitlines()[1])) == {"error", "message"}
 
 
-def test_npoint_virasoro_four_point_output_is_pinned():
-    proc = _vacalc_process("npoint", "--preset", "virasoro", "--c", "1", "--gens", "L,L,L,L",
-                           "--json")
-    assert proc.returncode == 0
-    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (
-        "dc4892ce656f2f557fecac77215512c4cd3c2c312a08f5925c80de4be4e9c50d"
-    )
-
-
-# affine sl2 at level 1, the document of the CI console-script step
-_SL2_DOC = {
-    "generators": [{"name": g, "weight": 1} for g in "efh"],
-    "relations": [
-        {"a": "e", "b": "f", "n": 0, "result": [{"coeff": "1", "word": [["h", -1]]}]},
-        {"a": "e", "b": "f", "n": 1, "result": [{"coeff": "1", "word": []}]},
-        {"a": "e", "b": "h", "n": 0, "result": [{"coeff": "-2", "word": [["e", -1]]}]},
-        {"a": "f", "b": "h", "n": 0, "result": [{"coeff": "2", "word": [["f", -1]]}]},
-        {"a": "h", "b": "h", "n": 1, "result": [{"coeff": "2", "word": []}]},
-    ],
-}
-
-
-@pytest.mark.parametrize("relation, coeff, modes", [
-    (2, "-3", [0, 0]),  # [e,h]_0 = -3e
-    (4, "3", [0, 1]),  # [h,h]_1 = 3
+@pytest.mark.parametrize("doc, modes", [
+    (_SL2_STRUCTURE_DOC, [0, 0]),
+    (_SL2_CENTRAL_DOC, [0, 1]),
 ], ids=["structure-constant", "central-term"])
-def test_jacobi_violation_is_a_one_line_error(tmp_path, relation, coeff, modes):
-    doc = json.loads(json.dumps(_SL2_DOC))
-    doc["relations"][relation]["result"][0]["coeff"] = coeff
+def test_jacobi_violation_is_a_one_line_error(tmp_path, doc, modes):
     path = tmp_path / "mutant.json"
     path.write_text(json.dumps(doc))
-    proc = _vacalc_process("radical", "--file", str(path), "--weight", "3", "--json")
-    assert proc.returncode == 1
-    assert proc.stdout == "" and "Traceback" not in proc.stderr
+    argv = ("radical", "--file", str(path), "--weight", "3")
+    plain = _vacalc_process(*argv)
+    proc = _vacalc_process(*argv, "--json")
+    assert proc.returncode == plain.returncode == 1
+    assert proc.stdout == plain.stdout == ""
+    assert "Traceback" not in proc.stderr
     line, obj = proc.stderr.splitlines()
     assert line.startswith("error: JacobiViolation: ")
+    assert plain.stderr == line + "\n"
     obj = json.loads(obj)
     assert (obj["generators"], obj["modes"]) == (["e", "f", "h"], modes)
 
 
-def test_radical_affine_sl2_output_is_pinned(tmp_path):
-    # a radical over a non-abelian table, byte for byte: 192 kernel vectors
-    # with integer and fractional coefficients
-    path = tmp_path / "sl2.json"
-    path.write_text(json.dumps(_SL2_DOC))
-    proc = _vacalc_process("radical", "--file", str(path), "--weight", "6", "--json")
+def _invoke_with_docs(capsys, tmp_path, argv):
+    """invoke argv with each file name of _DOCS in it written out first."""
+    for name in _DOCS.keys() & set(argv):
+        (tmp_path / name).write_text(json.dumps(_DOCS[name]))
+    return invoke(capsys, *(str(tmp_path / a) if a in _DOCS else a for a in argv))
+
+
+# (id, argv, sha256 of stdout): the command-line outputs pinned byte for
+# byte.  A new pin goes here.
+_PINNED_OUTPUTS = [
+    # the Virasoro four-point function by the Ward recursion
+    ("npoint-virasoro-LLLL",
+     ("npoint", "--preset", "virasoro", "--c", "1", "--gens", "L,L,L,L", "--json"),
+     "dc4892ce656f2f557fecac77215512c4cd3c2c312a08f5925c80de4be4e9c50d"),
+    # a vanishing four-point correlator (an odd number of a1): the
+    # certificate compares two empty sums
+    ("npoint-heisenberg-vanishing",
+     ("npoint", "--preset", "heisenberg", "--rank", "2", "--gens", "a2,a1,a2,a2", "--json"),
+     "560a69a5894e2af7c489b16d3155a569c008b2e98cf33bfc391b90d0c6a797e1"),
+    ("npoint-heisenberg-form",
+     ("npoint", "--file", "heisenberg_form.json", "--gens", "a1,a2,a1,a2", "--json"),
+     "e0d20d9f9f023b47e703855d0dc957f75409fcf0ec53b18b5312156e6de00247"),
+    ("radical-heisenberg-form",
+     ("radical", "--file", "heisenberg_form.json", "--weight", "4", "--json"),
+     "08e90f6f077675d8efc7d827c07b79637b53b84990d775766d0708820505ac49"),
+    # one co-operation component with a multi-term inner factor
+    ("insert-multi-term-inner",
+     ("insert", "--arity", "4", "--m", "1", "--p", "2",
+      "z1*(z3-z1)^-2*(z4-z2)^-1*(z4-z3)^-1", "--json"),
+     "4a925a7ad4dc96becfaa457564ae6daf4a348adbe5442d7d35075c7ea1313ccd"),
+    # a three-point function over the non-abelian table
+    ("npoint-sl2-efh", ("npoint", "--file", "sl2.json", "--gens", "e,f,h", "--json"),
+     "40315c07e841aa64ad0e2cd28d56ca196befe33434eab5101aa9e036e278da4e"),
+    # a radical over the non-abelian table: 192 kernel vectors with integer
+    # and fractional coefficients
+    ("radical-sl2-w6", ("radical", "--file", "sl2.json", "--weight", "6", "--json"),
+     "0e88a93e8ba543754a235be4ad752f300f99d0dd977c15cf8f19ebee41080c50"),
+    # the heaviest Virasoro and Heisenberg radicals of the benchmark catalog
+    ("radical-virasoro-w12",
+     ("radical", "--preset", "virasoro", "--c", "-68/7", "--weight", "12", "--json"),
+     "f6e6b3bd4f428528aad73c7429cc306ad9b408619533596e83d6fe5a7eff1b2e"),
+    ("radical-heisenberg3-w5",
+     ("radical", "--preset", "heisenberg", "--rank", "3", "--weight", "5", "--json"),
+     "de6c18ea69c96a84c3515882c9c4fa1fe34d3c189e9d3ccb0e03c4677fca00c9"),
+    # the level-<=2 piece on the non-contiguous subset {1,2,4}
+    ("filtration-basis-124",
+     ("filtration", "--basis", "--arity", "4", "--subset", "1,2,4", "--level", "2",
+      "--grading", "4", "--pole-budget", "4", "--json"),
+     "5417d34376439ef2ecd936752abc54cd7862a96453995e3b9c4b61a6f99df138"),
+    # the README's co-operad check, and the checks at arity cap 5 with each
+    # sample drawn by counting
+    ("verify-cooperad-readme",
+     ("verify-cooperad", "--arity-max", "4", "--samples", "50", "--order", "4", "--json"),
+     "091f6ee0c422193b0640115c5d0b05cc284ef491ff4fde6074d256505edf8284"),
+    ("verify-cooperad-arity5",
+     ("verify-cooperad", "--arity-max", "5", "--samples", "20", "--order", "3", "--seed", "5",
+      "--json"),
+     "c709a2574cc62ba271d1d170afa890c69bd50930d8ec90f88e6e0685604a0a12"),
+    # the lattice check and the two closed-form kernel tables
+    ("lattice-check", ("lattice-check", "--json"),
+     "156d9a9a9f233492a83654f408d21efeb82a57af044bcd70a6b3d85d66afb822"),
+    ("kernels-symmetric", ("kernels", "--kind", "symmetric", "--json"),
+     "904ddf0e2822386b38b77d39ba106d5582e5317ca352296751e4d9ba013e09c3"),
+    ("kernels-associative", ("kernels", "--kind", "associative", "--json"),
+     "1b37d477a4108d7bbb6dc0619aa16da8d481dd94d6e4d9cbe400a2b41a2566e4"),
+    # two deep poles of one variable: closed-form partial fractions
+    ("canon-deep-poles", ("canon", "--arity", "3", "(z3-z1)^-12*(z3-z2)^-12", "--json"),
+     "475e055b9491e26b176f4f54d07462358ccfbc99d9fe46e28dc4a11d5359ea6f"),
+]
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("argv, digest", [pin[1:] for pin in _PINNED_OUTPUTS],
+                         ids=[pin[0] for pin in _PINNED_OUTPUTS])
+def test_output_is_pinned(capsys, tmp_path, argv, digest):
+    code, out = _invoke_with_docs(capsys, tmp_path, argv)
+    assert code == 0
+    assert _sha256(out) == digest
+
+
+def test_deep_poles_finish_within_ten_seconds():
+    # a reduction by one rewrite step per path takes about 30 s and fails the bound
+    _, argv, digest = next(pin for pin in _PINNED_OUTPUTS if pin[0] == "canon-deep-poles")
+    proc = _vacalc_process(*argv, timeout=10)
     assert proc.returncode == 0
-    assert json.loads(proc.stdout)["dimension"] == 192
-    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (
-        "0e88a93e8ba543754a235be4ad752f300f99d0dd977c15cf8f19ebee41080c50"
-    )
+    assert _sha256(proc.stdout) == digest
+
+
+def _power_of_sum(n):
+    """The text of canon --arity 2 "(z1+z2)^n": every coefficient binomial."""
+    def power(var, e):
+        return "" if e == 0 else var if e == 1 else f"{var}^{e}"
+
+    terms = [[str(comb(n, k)) if 0 < k < n else "", power("z1", n - k), power("z2", k)]
+             for k in range(n + 1)]
+    return " + ".join(" * ".join(f for f in t if f) for t in terms) + "\n"
+
+
+# (id, argv, stdout): short outputs, compared as text
+_EXACT_OUTPUTS = [
+    ("canon-quotient", ("canon", "--arity", "2", "(z2-z1)^-1*z2"), "z1 * (z2-z1)^-1 + 1\n"),
+    ("canon-power-of-sum", ("canon", "--arity", "2", "(z1+z2)^40"), _power_of_sum(40)),
+    # the text of the pinned co-operation component
+    ("insert-multi-term-inner",
+     ("insert", "--arity", "4", "--m", "1", "--p", "2", "z1*(z3-z1)^-2*(z4-z2)^-1*(z4-z3)^-1"),
+     "2 * [z1 * (z2-z1)^-3] (x) [t1 * (t2-t1)^-1 * (t3-t1)^-1 + (t3-t1)^-1"
+     " + -1 * t1 * (t2-t1)^-1 * (t3-t2)^-1 + -1 * (t3-t2)^-1]\n"),
+    ("npoint-virasoro-LLL", ("npoint", "--preset", "virasoro", "--c", "1/2", "--gens", "L,L,L"),
+     "1/2 * (z2-z1)^-4 * (z3-z1)^-2 + (z2-z1)^-5 * (z3-z1)^-1"
+     " + 1/2 * (z2-z1)^-4 * (z3-z2)^-2 + -1 * (z2-z1)^-5 * (z3-z2)^-1\n"),
+    # multi-generator Heisenberg correlators: one Wick pairing, and none
+    ("npoint-heisenberg-one-pairing",
+     ("npoint", "--preset", "heisenberg", "--rank", "3", "--gens", "a1,a2,a1,a2"),
+     "(z3-z1)^-2 * (z4-z2)^-2\n"),
+    ("npoint-heisenberg-no-pairing",
+     ("npoint", "--preset", "heisenberg", "--rank", "3", "--gens", "a2,a1,a3,a1"), "0\n"),
+    ("ope-reversed", ("ope", "--file", "reversed.json", "--a", "a", "--b", "b"), "n=1: 1\n"),
+    ("radical-reversed", ("radical", "--file", "reversed.json", "--weight", "1"),
+     "dimension 0\n"),
+    # the lowest radical weight of affine sl2 at level k = 1 is k + 1, of
+    # dimension 2k + 3
+    ("radical-sl2-w2", ("radical", "--file", "sl2.json", "--weight", "2"),
+     "dimension 5\n"
+     "kernel: e(-1)e(-1)1\n"
+     "kernel: f(-1)f(-1)1\n"
+     "kernel: -1 * e(-2)1 + h(-1)e(-1)1\n"
+     "kernel: f(-2)1 + h(-1)f(-1)1\n"
+     "kernel: -2 * f(-1)e(-1)1 + -1 * h(-2)1 + h(-1)h(-1)1\n"),
+    # e and f flip sign together under a symmetry of the table, so a
+    # correlator with one of them is 0 by the selection rule
+    ("npoint-sl2-selection-rule", ("npoint", "--file", "sl2.json", "--gens", "e,h"), "0\n"),
+    # the level-<=2 piece on {1,2} at grading 6 has dimension 9
+    ("filtration-basis-12",
+     ("filtration", "--basis", "--arity", "3", "--subset", "1,2", "--level", "2",
+      "--grading", "6", "--pole-budget", "6"),
+     "(z3-z1)^-6\n"
+     "(z2-z1)^-1 * (z3-z1)^-5\n"
+     "(z2-z1)^-2 * (z3-z1)^-4\n"
+     "(z2-z1)^-3 * (z3-z1)^-3 + -1 * (z2-z1)^-3 * (z3-z2)^-3\n"
+     "(z2-z1)^-4 * (z3-z1)^-2 + 2 * (z2-z1)^-3 * (z3-z2)^-3 + -1 * (z2-z1)^-4 * (z3-z2)^-2\n"
+     "(z2-z1)^-5 * (z3-z1)^-1 + -1 * (z2-z1)^-3 * (z3-z2)^-3 + (z2-z1)^-4 * (z3-z2)^-2"
+     " + -1 * (z2-z1)^-5 * (z3-z2)^-1\n"
+     "(z3-z2)^-6\n"
+     "(z2-z1)^-1 * (z3-z2)^-5\n"
+     "(z2-z1)^-2 * (z3-z2)^-4\n"),
+    # the co-operad axiom checks at a fixed seed
+    ("verify-cooperad-seed1",
+     ("verify-cooperad", "--arity-max", "4", "--samples", "6", "--order", "3", "--seed", "1"),
+     "checks 217 failures 0\n"),
+]
+
+
+@pytest.mark.parametrize("argv, want", [case[1:] for case in _EXACT_OUTPUTS],
+                         ids=[case[0] for case in _EXACT_OUTPUTS])
+def test_exact_output(capsys, tmp_path, argv, want):
+    assert _invoke_with_docs(capsys, tmp_path, argv) == (0, want)
+
+
+def test_leftover_token_is_reported_by_vacalc():
+    proc = _vacalc_process("canon", "--arity", "2", "z1", "extra")
+    assert proc.returncode == 2
+    assert proc.stdout == "" and "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines()[-1] == "vacalc: error: unrecognized arguments: extra"
+
+
+def test_deep_nesting_is_a_one_line_error():
+    proc = _vacalc_process("canon", "--arity", "1", "(" * 1000 + "z1" + ")" * 1000)
+    assert proc.returncode == 1
+    assert proc.stderr == "error: ParseError: parentheses nested deeper than 100\n"
+    assert proc.stdout == ""
+
+
+# names of code that was removed, or moved into the tests as an independent
+# checker: argv reaches argparse unchanged, the exact kernel returns its own
+# scale, a TensorElement is built from its expanded sum only, and a linear
+# system is solved through _kernel
+_REMOVED_NAMES = re.compile(
+    r"_nf_word_bubble|eval_raw|_entry_mode|NonTerminating|_merge_negative_values"
+    r"|_option_strings|_scaled_echelon|_norm_terms|_from_expanded|_solve\b"
+)
+
+
+def test_removed_names_stay_removed():
+    package = pathlib.Path(vacalc.__file__).parent
+    lines = {str(p.relative_to(package)): p.read_text().splitlines()
+             for p in package.rglob("*.py")}
+    assert [(name, line) for name, text in lines.items() for line in text
+            if _REMOVED_NAMES.search(line)] == []
+    # vacore does not import the oracle that certifies it; its docstring
+    # names fockoracle, so only import lines count
+    assert [line for line in lines["vacore.py"]
+            if re.match(r"\s*(from|import)\b.*fockoracle", line)] == []
 
 
 @pytest.mark.parametrize("argv", [

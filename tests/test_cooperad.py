@@ -313,7 +313,7 @@ def _cleared_piece_dim(n, subset, N, cands):
             num = polyq.mul(num, polyq.power(diff, rem, width))
         rows.append({e: c for e, c in num.items() if e[e_ix] < d_in - N})
     keys = sorted({e for row in rows for e in row})
-    return len(cands) - _rank([[Fraction(row.get(e, 0)) for e in keys] for row in rows])
+    return len(cands) - _rank([[row.get(e, 0) for e in keys] for row in rows])
 
 
 @st.composite

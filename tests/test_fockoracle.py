@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from vacalc.errors import TruncationTooSmall
+from vacalc.errors import SchemaError, TruncationTooSmall
 from vacalc.fockoracle import (
     alpha_act,
     lattice_graded_dims,
@@ -120,6 +120,18 @@ def test_series_dims_examples():
     assert series_dims("partitions", 6) == [1, 1, 2, 3, 5, 7, 11]
     assert series_dims("partitions_min_part_2", 6) == [1, 0, 1, 1, 2, 2, 4]
     assert series_dims(("theta_over_eta", 2), 3) == [1, 3, 4, 7]
+
+
+@pytest.mark.parametrize("call", [
+    lambda: series_dims("partitions", -1),
+    lambda: series_dims(("theta_over_eta", 3), 4),
+    lambda: series_dims(("theta_over_eta", 0), 4),
+    lambda: series_dims("theta", 4),
+    lambda: lattice_vertex_act(2, 0, vec(), 4),
+], ids=["negative-weight", "odd-norm", "zero-norm", "unknown-kind", "sign"])
+def test_bad_arguments_are_schema_errors(call):
+    with pytest.raises(SchemaError):
+        call()
 
 
 def test_lattice_realization_dims_match_series():

@@ -25,7 +25,7 @@ from vacalc.errors import (
     WeightMismatch,
 )
 from vacalc.localfn import LocalFn, basis_monomials
-from vacalc.numutil import _kernel, _solve, add_into, gbinom
+from vacalc.numutil import _kernel, add_into, gbinom
 from vacalc import cli, vacore
 from vacalc.vacore import (
     VACUUM_WORD,
@@ -533,7 +533,7 @@ def test_virasoro_words_independent_at_c_one(vir1):
 
 
 def _rank(rows):
-    mat = [list(r) for r in rows]
+    mat = [[Fraction(x) for x in r] for r in rows]
     rank = 0
     cols = len(mat[0]) if mat else 0
     r = 0
@@ -551,6 +551,11 @@ def _rank(rows):
         r += 1
         rank += 1
     return rank
+
+
+def test_rank_is_exact():
+    # eliminated in floats, 10**17 + 1 - 10**17 would read 0
+    assert _rank([[1, 10**17], [1, 10**17 + 1]]) == 2
 
 
 def _mono_series_coeff(mono, exps) -> Fraction:
@@ -868,8 +873,10 @@ def test_npoint_errors(hei):
 def test_npoint_verification_mismatch_reports_exponents(hei, monkeypatch):
     # a solve that returns the zero function disagrees with the series of
     # a(-e2-1) a(-e1-1) 1, which is e1 + 1 for e1 >= 0; the first such tuple
-    # of the radius-7 verification window is (0, -2)
-    monkeypatch.setattr(vacore, "_solve", lambda rows, n: [Fraction(0)] * n)
+    # of the radius-7 verification window is (0, -2).  The kernel below has
+    # the right-hand side column as its only free column, and no candidate
+    # entry, so the solve reads every coefficient as 0
+    monkeypatch.setattr(vacore, "_kernel", lambda rows, n: (1, {n - 1: {n - 1: 1}}))
     with pytest.raises(NoLocalMatch) as err:
         npoint_vacuum(hei, ["a", "a"], 2)
     assert err.value.exponents == (0, -2)
@@ -1230,13 +1237,15 @@ def test_elimination_against_independent_rank(system):
         for row in mat:
             assert sum(a * x for a, x in zip(row, vec)) == 0
 
-    sol = _solve([dict(enumerate(row)) for row in aug], ncols)
+    # the solve of npoint_vacuum: the kernel of the augmented rows
+    scale, kernel = _kernel([dict(enumerate(row)) for row in aug], ncols + 1)
     if _rank(aug) > rank:
-        assert sol == "inconsistent"
+        assert ncols not in kernel
     elif rank < ncols:
-        assert sol is None
+        assert ncols in kernel and len(kernel) > 1
     else:
-        assert len(sol) == ncols
+        assert list(kernel) == [ncols]
+        sol = [Fraction(-kernel[ncols].get(c, 0), scale) for c in range(ncols)]
         for row in aug:
             assert sum(a * x for a, x in zip(row, sol)) == row[ncols]
 
