@@ -20,8 +20,9 @@ subset expands where it stands; _cluster_components turns its terms into
 integer (outer monomial, inner monomial) coefficients.  The public
 insertions are sums of those over the input's terms.  A TensorElement
 holds that expanded sum {(outer monomial, inner monomial): coeff}, which
-equality and hashing compare, and regroups it into (outer, inner, coeff)
-triples only to print it (str and to_obj).  The cluster filtration reads
+equality and hashing compare.  Only to print it (str and to_obj) does it
+regroup the sum into (outer, inner, coeff) triples, in one pass over the
+monomials (_groups) that builds no LocalFn.  The cluster filtration reads
 the same engine: the level of S is the top inner grading of the insertion
 that splits S off.  The general many-block co-composition is iterated
 insertion, last block first; it is well defined because insertions into
@@ -54,7 +55,10 @@ from .localfn import (
     _cluster_setup,
     _cluster_terms,
     _collision_level,
+    _divided,
+    _fn_obj,
     _reduce,
+    _terms_text,
 )
 from .numutil import SparseSum, _exact, _kernel, gbinom
 
@@ -63,29 +67,48 @@ from .numutil import SparseSum, _exact, _kernel, gbinom
 # Tensor containers
 # ---------------------------------------------------------------------------
 
-def _regroup(expanded, arities):
-    """Canonical tuple of the expanded sum {(m_0, ..., m_r): coeff}: every
-    factor but the last becomes a single monic monomial, the last factor
-    collects the sum, and its leading coefficient is split off into the
-    stored coefficient.  Zero coefficients are skipped."""
+def _groups(expanded) -> list:
+    """The canonical grouping of the expanded sum {(m_0, ..., m_r): coeff}:
+    (prefix, lead, items) triples in the order of their prefixes (m_0, ...,
+    m_(r-1)), one per prefix, whose monomials become monic factors.  items
+    lists the last factor's (monomial, coeff) pairs in print order, divided
+    by the leading coefficient lead as LocalFn.primitive divides.  Zero
+    coefficients are skipped.  The distinct last monomials are ranked once
+    per call, and every group sorts by that rank."""
     groups: Dict[tuple, Dict[Monomial, int | Fraction]] = {}
     for key, v in expanded.items():
         if v:
             groups.setdefault(key[:-1], {})[key[-1]] = v
+    lasts = sorted({m for terms in groups.values() for m in terms}, key=mono_sort_key)
+    rank = {m: i for i, m in enumerate(lasts)}
     out = []
     for prefix in sorted(groups, key=lambda p: tuple(mono_sort_key(m) for m in p)):
-        lead, prim = LocalFn(arities[-1], groups[prefix]).primitive()
-        fs = [LocalFn.from_monomial(arities[i], prefix[i]) for i in range(len(prefix))]
-        out.append((*fs, prim, lead))
-    return tuple(out)
+        terms = groups[prefix]
+        items = [(m, terms[m]) for m in sorted(terms, key=rank.__getitem__)]
+        lead = items[0][1]
+        out.append((prefix, lead, _divided(items, lead)))
+    return out
+
+
+def _regroup(expanded, arities):
+    """Canonical tuple of the expanded sum {(m_0, ..., m_r): coeff}, with
+    factor arities given by arities: _groups as (monic LocalFn per prefix
+    monomial, ..., LocalFn of the last factor, lead) tuples."""
+    return tuple(
+        (*(LocalFn(a, {m: 1}) for a, m in zip(arities, prefix)),
+         LocalFn(arities[-1], dict(items)), lead)
+        for prefix, lead, items in _groups(expanded)
+    )
 
 
 class TensorElement(SparseSum):
     """One bidegree component of a co-composition: sum of outer (x) inner,
     held as the expanded sum {(outer monomial, inner monomial): coeff}.
     Bilinearity makes groupings like A (x) B + A (x) C versus A (x) (B + C)
-    the same element, and the expanded sum is the same for all of them;
-    grouped() gives the canonical grouping that str and to_obj print."""
+    the same element, and the expanded sum is the same for all of them.
+    str and to_obj print its canonical grouping, one entry per outer
+    monomial with a monic inner factor, straight from the monomials of
+    _groups; grouped() gives the same grouping as LocalFn tuples."""
 
     __slots__ = ("outer_arity", "inner_arity")
     _space_name = "arities"
@@ -133,18 +156,21 @@ class TensorElement(SparseSum):
 
     def __str__(self):
         bits = []
-        for outer, inner, c in self.grouped():
+        for (mo,), c, inner in _groups(self.terms):
             prefix = "" if c == 1 else f"{c} * "
-            bits.append(f"{prefix}[{outer.format('z')}] (x) [{inner.format('t')}]")
+            bits.append(f"{prefix}[{_terms_text([(mo, 1)], 'z')}] (x) [{_terms_text(inner, 't')}]")
         return " + ".join(bits) or "0"
 
     def to_obj(self):
+        oa, ia = self.outer_arity, self.inner_arity
+        shared: dict = {}
         return {
-            "outer_arity": self.outer_arity,
-            "inner_arity": self.inner_arity,
+            "outer_arity": oa,
+            "inner_arity": ia,
             "terms": [
-                {"coeff": str(c), "outer": o.to_obj(), "inner": i.to_obj()}
-                for o, i, c in self.grouped()
+                {"coeff": str(c), "outer": _fn_obj(oa, [(mo, 1)], shared),
+                 "inner": _fn_obj(ia, inner, shared)}
+                for (mo,), c, inner in _groups(self.terms)
             ],
         }
 

@@ -455,12 +455,10 @@ def mono_level_in_subset(mono: Monomial, subset) -> int:
     return total
 
 
-def _factor_key(f: Factor):
-    return (0, f[1], f[2]) if f[0] == "d" else (1, f[1])
-
-
 def mono_sort_key(mono: Monomial):
-    return tuple(_factor_key(f) for f in reversed(mono))
+    """Print order of monomials: variables from the last, a difference
+    factor before a pure power, then by base and exponent."""
+    return tuple([(0, f[1], f[2]) if f[0] == "d" else (1, f[1]) for f in reversed(mono)])
 
 
 def _mono_str(mono: Monomial, prefix: str) -> str:
@@ -474,6 +472,54 @@ def _mono_str(mono: Monomial, prefix: str) -> str:
         else:
             parts.append(f"({prefix}{m}-{prefix}{f[1]})^{f[2]}")
     return " * ".join(parts)
+
+
+def _terms_text(items, prefix: str) -> str:
+    """Text of (monomial, coeff) pairs given in print order, as
+    LocalFn.format prints them."""
+    chunks = []
+    for mono, coeff in items:
+        body = _mono_str(mono, prefix)
+        if not body:
+            chunks.append(str(coeff))
+        elif coeff == 1:
+            chunks.append(body)
+        else:
+            chunks.append(f"{coeff} * {body}")
+    return " + ".join(chunks) or "0"
+
+
+def _fn_obj(arity: int, items, shared: dict) -> dict:
+    """JSON object of a function of the given arity with the (monomial,
+    coeff) pairs items, in print order, as LocalFn.to_obj writes it.  Equal
+    factors get the one dict that shared keeps for them."""
+    terms = []
+    for mono, coeff in items:
+        factors = []
+        for f in mono:
+            obj = shared.get(f)
+            if obj is None:
+                if f[0] == "p":
+                    obj = shared[f] = {"kind": "pure", "exp": f[1]}
+                else:
+                    obj = shared[f] = {"kind": "diff", "base": f[1], "exp": f[2]}
+            factors.append(obj)
+        terms.append({"coeff": str(coeff), "factors": factors})
+    return {"arity": arity, "terms": terms}
+
+
+def _divided(items, lead):
+    """The (monomial, coeff / lead) pairs of items.  A Fraction is formed
+    only for a quotient that is not integral."""
+    if lead == 1:
+        return items
+    if lead == -1:
+        return [(m, -c) for m, c in items]
+    out = []
+    for m, c in items:
+        q, r = divmod(c, lead)
+        out.append((m, Fraction(c, lead) if r else q))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -526,19 +572,7 @@ class LocalFn(SparseSum):
         return f"LocalFn({self.format()!r})"
 
     def format(self, prefix: str = "z") -> str:
-        if not self.terms:
-            return "0"
-        chunks = []
-        for mono, coeff in self.sorted_terms():
-            body = _mono_str(mono, prefix)
-            if not body:
-                piece = str(coeff)
-            elif coeff == 1:
-                piece = body
-            else:
-                piece = f"{coeff} * {body}"
-            chunks.append(piece)
-        return " + ".join(chunks)
+        return _terms_text(self.sorted_terms(), prefix)
 
     def __str__(self):
         return self.format()
@@ -563,14 +597,7 @@ class LocalFn(SparseSum):
         lead = self.terms[min(self.terms, key=mono_sort_key)]
         if lead == 1:
             return lead, self
-        if lead == -1:
-            return lead, -self
-        terms = {}
-        for m, c in self.terms.items():
-            q, r = divmod(c, lead)
-            # a Fraction is formed only for a quotient that is not integral
-            terms[m] = Fraction(c, lead) if r else q
-        return lead, LocalFn(self.arity, terms)
+        return lead, LocalFn(self.arity, dict(_divided(self.terms.items(), lead)))
 
     # -- queries ---------------------------------------------------------------
 
@@ -629,16 +656,7 @@ class LocalFn(SparseSum):
     # -- serialization -----------------------------------------------------------
 
     def to_obj(self):
-        terms = []
-        for mono, coeff in self.sorted_terms():
-            factors = []
-            for f in mono:
-                if f[0] == "p":
-                    factors.append({"kind": "pure", "exp": f[1]})
-                else:
-                    factors.append({"kind": "diff", "base": f[1], "exp": f[2]})
-            terms.append({"coeff": str(coeff), "factors": factors})
-        return {"arity": self.arity, "terms": terms}
+        return _fn_obj(self.arity, self.sorted_terms(), {})
 
     @classmethod
     def from_obj(cls, obj) -> "LocalFn":
@@ -916,7 +934,7 @@ class MonomialBasis:
     none of them.
 
     The monomials are the leaves of a search that runs from the last
-    variable down and tries each variable's factors in _factor_key order
+    variable down and tries each variable's factors in mono_sort_key order
     (_choices), so depth-first order is mono_sort_key order.  Which
     branches of a node lead to a leaf, and how many leaves each holds,
     depends only on the node's variable and on the pole depth and pure
@@ -936,7 +954,7 @@ class MonomialBasis:
         self._memo: Dict[Tuple[int, int, int], tuple] = {}
 
     def _choices(self, m: int, pole: int, pure: int):
-        """Each factor variable m can take, in _factor_key order, once the
+        """Each factor variable m can take, in mono_sort_key order, once the
         variables above it used pole depth `pole` and pure degree `pure`,
         with the pole depth and pure degree used after taking it."""
         if m == 1:

@@ -605,6 +605,9 @@ def _lowering_generators(pres: Presentation, top: int) -> List[Tuple[int, int]]:
         for a, d1 in out:
             p = pres.wt(a) + d1 - 1
             for b in range(ngen):
+                # vacuum words give only identity terms, and no bracket here has one
+                if not any(w for entry in pres.ope.get((a, b), {}).values() for w in entry):
+                    continue
                 q = pres.wt(b) + d - d1 - 1
                 modes, _ = pres._mode_bracket(a, p, b, q)
                 rows.append({ngen - 1 - g: c for (g, _), c in modes.items()})

@@ -10,9 +10,15 @@ by another method, and shares no code with it: only the input is common.
   (the check of Presentation.normal_form, which straightens suffix first);
 * expand_tensor multiplies out a sum of tensor products of LocalFns term
   by term (the check of cocompose_general, which inserts block by block
-  on expanded monomial pairs).  regroup_tensor then puts the expansion in
-  the canonical grouped form that both sides print, with cooperad's
-  _regroup: that is the shared output format, not a route.
+  on expanded monomial pairs), and regroup_tensor puts the expansion in
+  the canonical grouped form;
+* regroup, tensor_str and tensor_obj group an expanded sum into one
+  LocalFn per group and split off its lead with LocalFn.primitive, then
+  print through LocalFn.format and LocalFn.to_obj (the check of cooperad's
+  _groups, which groups, orders and divides plain monomials, and of
+  TensorElement's str and to_obj, which print from it).  LocalFn's term
+  printing and division rule are common to both sides; the output pins
+  check those.
 
 The module name has no test_ prefix, so pytest collects nothing from it.
 """
@@ -21,8 +27,8 @@ from fractions import Fraction
 from itertools import product
 from math import factorial, prod
 
-from vacalc.cooperad import _regroup
 from vacalc.errors import ArityMismatch, CoincidentPoints, VacalcError
+from vacalc.localfn import LocalFn, mono_sort_key
 
 
 def eval_raw(expr, points) -> Fraction:
@@ -172,4 +178,47 @@ def regroup_tensor(terms):
     lists its result."""
     terms = list(terms)
     arities = tuple(f.arity for f in terms[0][:-1]) if terms else ()
-    return _regroup(expand_tensor(terms), arities)
+    return regroup(expand_tensor(terms), arities)
+
+
+def regroup(expanded, arities):
+    """The canonical tuple of the expanded sum {(m_0, ..., m_r): coeff},
+    with factor arities given by arities: one (monic LocalFn per prefix
+    monomial, ..., LocalFn.primitive of the last factor's LocalFn, lead)
+    tuple per prefix (m_0, ..., m_(r-1)), in the order of the prefixes'
+    sort keys.  Zero coefficients are skipped."""
+    groups = {}
+    for key, v in expanded.items():
+        if v:
+            groups.setdefault(key[:-1], {})[key[-1]] = v
+    out = []
+    for prefix in sorted(groups, key=lambda p: tuple(mono_sort_key(m) for m in p)):
+        lead, prim = LocalFn(arities[-1], groups[prefix]).primitive()
+        fs = [LocalFn.from_monomial(a, m) for a, m in zip(arities, prefix)]
+        out.append((*fs, prim, lead))
+    return tuple(out)
+
+
+def _grouped(te):
+    return regroup(te.terms, (te.outer_arity, te.inner_arity))
+
+
+def tensor_str(te) -> str:
+    """The text of a TensorElement, from regroup."""
+    bits = []
+    for outer, inner, c in _grouped(te):
+        prefix = "" if c == 1 else f"{c} * "
+        bits.append(f"{prefix}[{outer.format('z')}] (x) [{inner.format('t')}]")
+    return " + ".join(bits) or "0"
+
+
+def tensor_obj(te) -> dict:
+    """The JSON object of a TensorElement, from regroup."""
+    return {
+        "outer_arity": te.outer_arity,
+        "inner_arity": te.inner_arity,
+        "terms": [
+            {"coeff": str(c), "outer": o.to_obj(), "inner": i.to_obj()}
+            for o, i, c in _grouped(te)
+        ],
+    }

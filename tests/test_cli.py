@@ -473,6 +473,16 @@ _PINNED_OUTPUTS = [
      ("insert", "--arity", "4", "--m", "1", "--p", "2",
       "z1*(z3-z1)^-2*(z4-z2)^-1*(z4-z3)^-1", "--json"),
      "4a925a7ad4dc96becfaa457564ae6daf4a348adbe5442d7d35075c7ea1313ccd"),
+    # the heaviest insert of the benchmark catalog: 567 pairs in 42 groups,
+    # as JSON and as text
+    ("insert-heaviest",
+     ("insert", "--arity", "5", "--m", "2", "--p", "7",
+      "z2^2*(z3-z1)^-2*(z4-z2)^-1*(z5-z2)^-1*(z5-z3)^-2", "--json"),
+     "b69f5b9deab34bf57f48bed1738e0ce04bc2616837465d30a6291fb001cdbf75"),
+    ("insert-heaviest-text",
+     ("insert", "--arity", "5", "--m", "2", "--p", "7",
+      "z2^2*(z3-z1)^-2*(z4-z2)^-1*(z5-z2)^-1*(z5-z3)^-2"),
+     "746e1f66633d0c8b0ec7340438a56248b851998f665cdc688ad4821067f779bb"),
     # a three-point function over the non-abelian table
     ("npoint-sl2-efh", ("npoint", "--file", "sl2.json", "--gens", "e,f,h", "--json"),
      "40315c07e841aa64ad0e2cd28d56ca196befe33434eab5101aa9e036e278da4e"),
@@ -524,6 +534,18 @@ def test_output_is_pinned(capsys, tmp_path, argv, digest):
     code, out = _invoke_with_docs(capsys, tmp_path, argv)
     assert code == 0
     assert _sha256(out) == digest
+
+
+def test_catalog_insert_outputs_are_unchanged(capsys):
+    # every insert op of the benchmark catalog prints the bytes whose digest
+    # the catalog recorded when it was built
+    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "catalog.json"
+    ops = [op for wl in json.loads(path.read_text()).values() for op in wl
+           if op["argv"][0] == "insert"]
+    assert len(ops) == 160
+    for op in ops:
+        code, out = invoke(capsys, *op["argv"])
+        assert code == 0 and _sha256(out)[:16] == op["digest"], op["argv"]
 
 
 def test_deep_poles_finish_within_ten_seconds():

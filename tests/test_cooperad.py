@@ -37,7 +37,7 @@ from vacalc.localfn import (
     parse,
 )
 
-from reference import expand_tensor, regroup_tensor
+from reference import expand_tensor, regroup, regroup_tensor, tensor_obj, tensor_str
 from test_vacore import _rank
 
 
@@ -659,9 +659,21 @@ def test_insert_block_matches_conjugation():
     assert nonzero
 
 
-def test_tensor_element_format_is_invisible():
-    # equality and hashing read the expanded sum, printing reads grouped():
-    # they must agree, whatever order the sum was built in
+def _typed(grouped):
+    """A grouping with the arity of every factor and the type of every
+    coefficient beside it."""
+    return [([(f.arity, {m: (c, type(c)) for m, c in f.terms.items()}) for f in g[:-1]],
+             g[-1], type(g[-1])) for g in grouped]
+
+
+def _no_localfn(*args):
+    raise AssertionError("a LocalFn was built")
+
+
+def test_tensor_element_format_is_invisible(monkeypatch):
+    # equality and hashing read the expanded sum, printing reads the
+    # canonical grouping: they must agree, whatever order the sum was built
+    # in, and the grouping and both printed forms must be the reference's
     rng = random.Random(32)
     elems = []
     for n, g in ((2, 1), (3, 0), (3, 2), (4, 1)):
@@ -676,6 +688,7 @@ def test_tensor_element_format_is_invisible():
                 for p in range(-1, 3):
                     elems.append(_insert_block_by_conjugation(f, pos, size, p))
     elems += [a + a for a in elems[::7]] + [a.scale(2) for a in elems[::7]]
+    elems += [a.scale(c) for c in (Fraction(-2, 3), 3, -1) for a in elems[::9]]
     assert sum(not a.is_zero() for a in elems) > 100
     pairs = [pair for a in elems for pair in a.terms]
     for a in elems:
@@ -696,3 +709,22 @@ def test_tensor_element_format_is_invisible():
             assert hash(a) == hash(b)
             equal_pairs += not a.is_zero()
     assert equal_pairs
+    for a, (oa, ia, grouped) in zip(elems, shown):
+        assert _typed(grouped) == _typed(regroup(a.terms, (oa, ia)))
+    # the corpus holds leads of -1 and Fraction leads, and quotients that
+    # are not integral under an int lead
+    leads = [c for _, _, grouped in shown for _, _, c in grouped]
+    assert -1 in leads and any(type(c) is Fraction for c in leads)
+    assert any(type(c) is Fraction and type(lead) is int
+               for _, _, grouped in shown for _, inner, lead in grouped
+               for c in inner.terms.values())
+    # a three-factor grouping, as cocompose_general returns it: 6 groups
+    # with 3-term last factors
+    got = cocompose_general(lf("z2^2*(z3-z1)^-2*(z4-z2)^-1*(z4-z3)^-1", 4), (2, 2), (5, -2, -1))
+    assert len(got) == 6
+    assert _typed(got) == _typed(regroup(expand_tensor(got), (2, 2, 2)))
+    # str and to_obj print from the monomials, building no LocalFn
+    monkeypatch.setattr(cooperad, "LocalFn", _no_localfn)
+    for a in elems:
+        assert str(a) == tensor_str(a)
+        assert json.dumps(a.to_obj()) == json.dumps(tensor_obj(a))

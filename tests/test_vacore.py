@@ -703,8 +703,8 @@ def test_lowering_generators_virasoro(c):
 
 @pytest.mark.parametrize("pres", [
     preset_heisenberg(1), preset_heisenberg(2), preset_heisenberg(3),
-    preset_heisenberg(2, [[1, 1], [1, 1]]),
-], ids=["rank-1", "rank-2", "rank-3", "degenerate"])
+    preset_heisenberg(2, [[1, 1], [1, 1]]), preset_heisenberg(2, [[0, 1], [1, 0]]),
+], ids=["rank-1", "rank-2", "rank-3", "degenerate", "off-diagonal"])
 def test_lowering_generators_heisenberg(pres):
     # every bracket of two lowering modes is central and would need a drop
     # of zero, so no mode is a bracket and every one is imposed
