@@ -89,6 +89,8 @@ def _tokenize(text: str) -> List[str]:
     while pos < len(text):
         m = _TOKEN.match(text, pos)
         if not m:
+            if text[pos:].isspace():
+                break  # trailing whitespace, as leading whitespace, is no token
             raise ParseError(f"unexpected character at position {pos}: {text[pos:]!r}")
         tok = m.group(1)
         tokens.append("^" if tok == "**" else tok)
@@ -333,18 +335,22 @@ def _reduce(gterms: Iterable[tuple], n: int) -> Dict[Monomial, int | Fraction]:
         coeff, zp, dp = stack.pop()
         if coeff == 0:
             continue
+        # group the poles by owner, and find the highest owner with a pure
+        # power and a pole, or two poles, in the same pass
         owners: Dict[int, List[int]] = {}
-        for hi, lo in dp:
-            owners.setdefault(hi, []).append(lo)
         v = 0
-        for m in sorted(owners, reverse=True):
-            vbases = owners[m]
-            if zp[m - 1] > 0 or len(vbases) >= 2:
-                v = m
-                vbases.sort()
-                break
+        for hi, lo in dp:
+            bases = owners.get(hi)
+            if bases is None:
+                owners[hi] = [lo]
+                if hi > v and zp[hi - 1] > 0:
+                    v = hi
+            else:
+                bases.append(lo)
+                if hi > v:
+                    v = hi
         if v:
-            _eliminate(coeff, zp, dp, v, vbases, stack)
+            _eliminate(coeff, zp, dp, v, sorted(owners[v]), stack)
             continue
         # every variable now owns at most one base
         factors = []

@@ -153,7 +153,7 @@ def _cross_reduce(row: dict, pivots: Dict[int, Dict[int, int]], scale: int) -> d
     return out
 
 
-def _echelon(rows) -> Dict[int, Dict[int, int]]:
+def _echelon(rows, ncols: int | None = None) -> Dict[int, Dict[int, int]]:
     """Fraction-free reduced echelon form of sparse rows {column: value} with
     int or Fraction values, as {pivot column: integer row}.
 
@@ -166,7 +166,9 @@ def _echelon(rows) -> Dict[int, Dict[int, int]]:
     cleared the same way from the earlier pivot rows.  Every pivot row is
     primitive, starts at its pivot with a positive lead and is zero at the
     other pivots, so dividing each by its lead gives the unique reduced
-    echelon form of the row space.  No Fraction is formed.
+    echelon form of the row space.  No Fraction is formed.  Given the
+    number of columns, it stops once every column is a pivot: every pivot
+    row is then {p: 1}, and no further row can change them.
     """
     pivots: Dict[int, Dict[int, int]] = {}
     for row in rows:
@@ -187,6 +189,8 @@ def _echelon(rows) -> Dict[int, Dict[int, int]]:
                 add_into(out, row, -(a // g))
                 pivots[q] = _primitive(out)
         pivots[p] = row
+        if len(pivots) == ncols:
+            break
     return pivots
 
 
@@ -205,7 +209,7 @@ def _kernel(rows, ncols: int) -> Tuple[int, Dict[int, Dict[int, int]]]:
     _cross_reduce with scale L.  As every R_p is primitive, L is the lcm of
     the denominators of the kernel vectors that are 1 at their free column.
     """
-    pivots = _echelon(rows)
+    pivots = _echelon(rows, ncols)
     scale = lcm(*(row[p] for p, row in pivots.items() if len(row) > 1))
     kernel = {f: {f: scale} for f in range(ncols) if f not in pivots}
     for p, row in pivots.items():

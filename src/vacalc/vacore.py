@@ -128,14 +128,24 @@ class VAElement(SparseSum):
 
 
 class Presentation:
-    """Generators with weights, a completed singular-product table and
-    central parameters.  Table coefficients are ints where integral and
-    Fractions otherwise."""
+    """Generators with weights, a complete singular-product table and
+    central parameters.
+
+    The constructor stores its arguments and checks nothing.  The table
+    `ope` maps each ordered generator pair (a, b) with a nonzero singular
+    product to its row {n: [a, b]_n}, with [a, b]_n = {word: coeff}.  Every
+    row ascends in n and holds no zero entry, coefficients are ints where
+    integral and Fractions otherwise, and the table is closed under skew
+    symmetry: a pair's reverse row is present and agrees with it.
+    load_presentation builds such a table from an explicit document and
+    checks it; the presets write theirs complete, and the tests check each
+    one against its explicit document.
+    """
 
     def __init__(
         self,
         generators: Sequence[Tuple[str, int]],
-        relations: Dict[Tuple[int, int, int], Dict[Word, int | Fraction]],
+        ope: Dict[Tuple[int, int], Dict[int, Dict[Word, int | Fraction]]],
         central: Dict[str, Fraction],
         step_bound: int = 10**6,
         label: str = "custom",
@@ -143,34 +153,11 @@ class Presentation:
         self.gens = list(generators)
         self.names = [name for name, _ in self.gens]
         self.weights = [w for _, w in self.gens]
-        if len(set(self.names)) != len(self.names):
-            raise SchemaError("generator names must be unique")
-        for name, w in self.gens:
-            if w < 0:
-                raise WeightMismatch(f"generator {name} has weight {w} below connectivity 0")
         self.name2idx = {name: i for i, name in enumerate(self.names)}
         self.central = dict(central)
         self.step_bound = step_bound
         self.label = label
-        # (a, b) -> n -> [a, b]_n, each row ascending in n, zero entries omitted
-        self.ope: Dict[Tuple[int, int], Dict[int, Dict[Word, int | Fraction]]] = {}
-        zeros = []
-        for (a, b, n), entry in sorted(relations.items()):
-            entry = {w: _exact(c) for w, c in entry.items() if c != 0}
-            if entry:
-                self.ope.setdefault((a, b), {})[n] = entry
-            else:
-                zeros.append((a, b, n))
-        self._validate_table()
-        self._complete_by_skew()
-        # an explicit zero is checked at its own n only, so a redundant zero
-        # beside a complete reverse row stays legal
-        for a, b, n in zeros:
-            if n in self.ope.get((a, b), {}):
-                raise SchemaError(
-                    f"declared [{self.gen_name(a)},{self.gen_name(b)}]_{n} = 0 "
-                    "conflicts with skew symmetry"
-                )
+        self.ope = ope
         self._prepend_cache: Dict[tuple, Dict[Word, int | Fraction]] = {}
         self._table_mode_cache: Dict[tuple, tuple] = {}
 
@@ -212,74 +199,6 @@ class Presentation:
     def gen_element(self, name: str) -> VAElement:
         g = self.gen_index(name)
         return VAElement(self, {((g, -1),): 1})
-
-    def _validate_table(self):
-        for (a, b), row in self.ope.items():
-            for n, entry in row.items():
-                if n < 0:
-                    raise SchemaError("table entries are singular products only (n >= 0)")
-                if n > _MAX_SINGULAR:
-                    raise UnboundedOPE(f"singular product at n={n} beyond bound {_MAX_SINGULAR}")
-                want = self.wt(a) + self.wt(b) - n - 1
-                for word in entry:
-                    if len(word) > 1:
-                        raise SchemaError(
-                            "table entries must be combinations of derivatives of "
-                            "generators and the vacuum"
-                        )
-                    if word and word[0][1] > -1:
-                        raise SchemaError("table entry words must use negative modes")
-                    got = self.word_weight(word)
-                    if got != want:
-                        raise WeightMismatch(
-                            f"[{self.gen_name(a)},{self.gen_name(b)}]_{n} has a word of "
-                            f"weight {got}, expected {want}"
-                        )
-
-    def _complete_by_skew(self):
-        """Give every declared pair (a, b) its reverse row by skew symmetry,
-
-            [b, a]_m = (-1)^(m+1) sum_j ((-1)^j / j!) T^j [a, b]_(m+j),
-
-        filling (b, a) when it was not declared and otherwise (a == b
-        included) requiring the declared row to equal the computed one.
-        The word g(-1-s)1 is (1/s!) T^s g, so (1/j!) T^j takes it to
-        C(s + j, j) g(-1-s-j)1 and every factor but the table coefficient
-        is an integer.
-        """
-        declared = dict(self.ope)
-        for (a, b), row in declared.items():
-            top = max(row, default=-1)
-            skew: Dict[int, Dict[Word, int | Fraction]] = {}
-            for m in range(0, top + 1):
-                entry: Dict[Word, int | Fraction] = {}
-                for j in range(0, top - m + 1):
-                    src = row.get(m + j)
-                    if not src:
-                        continue
-                    sign = -1 if (m + 1 + j) % 2 else 1
-                    for word, c in src.items():
-                        if not word:
-                            if j:
-                                continue  # T kills the vacuum
-                            w2 = VACUUM_WORD
-                        else:
-                            g, mode = word[0]
-                            c = c * comb(-1 - mode + j, j)
-                            w2 = ((g, mode - j),)
-                        entry[w2] = entry.get(w2, 0) + sign * c
-                entry = {w: _exact(c) for w, c in entry.items() if c}
-                if entry:
-                    skew[m] = entry
-            have = declared.get((b, a))
-            if have is None:
-                self.ope[(b, a)] = skew
-            elif have != skew:
-                m = min(n for n in {*have, *skew} if have.get(n) != skew.get(n))
-                raise SchemaError(
-                    f"declared [{self.gen_name(b)},{self.gen_name(a)}]_{m} "
-                    "conflicts with skew symmetry"
-                )
 
     # -- the sign-symmetry selection rule -----------------------------------
 
@@ -636,7 +555,7 @@ def _radical_kernels(pres: Presentation, w_max: int):
     int row when y is, and its entry at each non-pivot column gives one
     linear condition; scaling every image by the same L does not change
     the kernel.  Where Rad_(u-d) is empty every column is a condition, and
-    the image is taken as it is.
+    each image is written straight into the condition rows.
     """
     _require_positive_weights(pres, "the radical slice")
     imposed = _lowering_generators(pres, w_max)
@@ -652,11 +571,14 @@ def _radical_kernels(pres: Presentation, w_max: int):
             m = pres.wt(g) + d - 1
             conditions = {c: {} for c in range(len(cols)) if c not in rad}
             for j, b in enumerate(basis):
-                image = {cols[w]: c for w, c in pres.prepend_mode(g, m, b).items()}
+                image = pres.prepend_mode(g, m, b)
                 if rad:
-                    image = _cross_reduce(image, rad, scale)
-                for c, v in image.items():
-                    conditions[c][j] = v
+                    image = _cross_reduce({cols[w]: c for w, c in image.items()}, rad, scale)
+                    for c, v in image.items():
+                        conditions[c][j] = v
+                else:
+                    for w, v in image.items():
+                        conditions[cols[w]][j] = v
             rows.extend(conditions.values())
         scale, kernel = _kernel(rows, len(basis))
         if u < w_max:
@@ -992,12 +914,13 @@ def npoint_ward(pres: Presentation, gen_names: Sequence[str], pole_bound: int) -
 
 def preset_heisenberg(rank: int = 1, form=None) -> Presentation:
     """Abelian current algebra: rank generators of weight 1 with
-    [a_i, a_j]_1 = <a_i, a_j> 1 and vanishing mode-0 bracket."""
+    [a_i, a_j]_1 = <a_i, a_j> 1 and vanishing mode-0 bracket.  The form is
+    symmetric, so the table is complete with a row for each orientation of
+    every nonzero entry."""
     if rank < 1:
         raise SchemaError("rank must be >= 1")
     if form is None:
-        # the identity form, built from its diagonal alone
-        rel = {(i, i, 1): {VACUUM_WORD: 1} for i in range(rank)}
+        table = {(i, i): {1: {VACUUM_WORD: 1}} for i in range(rank)}
     else:
         try:
             form = [[_rational(x, "a form entry") for x in row] for row in form]
@@ -1007,24 +930,23 @@ def preset_heisenberg(rank: int = 1, form=None) -> Presentation:
             raise SchemaError("form must be rank x rank")
         if any(form[i][j] != form[j][i] for i in range(rank) for j in range(rank)):
             raise SchemaError("form must be symmetric")
-        rel = {
-            (i, j, 1): {VACUUM_WORD: form[i][j]}
-            for i in range(rank) for j in range(i, rank) if form[i][j]
+        table = {
+            (i, j): {1: {VACUUM_WORD: _exact(form[i][j])}}
+            for i in range(rank) for j in range(rank) if form[i][j]
         }
     names = ["a"] if rank == 1 else [f"a{i+1}" for i in range(rank)]
     gens = [(name, 1) for name in names]
-    return Presentation(gens, rel, {}, label=f"heisenberg(rank={rank})")
+    return Presentation(gens, table, {}, label=f"heisenberg(rank={rank})")
 
 
 def preset_virasoro(c) -> Presentation:
-    """One generator of weight 2 with the stress-tensor singular products."""
+    """One generator of weight 2 with the stress-tensor singular products;
+    at c = 0 the table has no [L, L]_3 row."""
     c = Fraction(c)
-    rel = {
-        (0, 0, 0): {((0, -2),): 1},
-        (0, 0, 1): {((0, -1),): 2},
-        (0, 0, 3): {VACUUM_WORD: c / 2},
-    }
-    return Presentation([("L", 2)], rel, {"c": c}, label=f"virasoro(c={c})")
+    row = {0: {((0, -2),): 1}, 1: {((0, -1),): 2}}
+    if c:
+        row[3] = {VACUUM_WORD: _exact(c / 2)}
+    return Presentation([("L", 2)], {(0, 0): row}, {"c": c}, label=f"virasoro(c={c})")
 
 
 def _rational(value, what: str) -> Fraction:
@@ -1062,6 +984,77 @@ def _preset_keys(doc: dict, name: str, keys: Tuple[str, ...]):
         if key != "preset" and key not in keys:
             raise SchemaError(
                 f"preset {name!r} takes no key {key!r} (its keys: {', '.join(keys)})"
+            )
+
+
+def _validate_table(gens: Sequence[Tuple[str, int]], table):
+    """Raise at the first entry of a document's table that is not a
+    combination of derivatives of generators and the vacuum of the
+    product's weight, or that lies beyond _MAX_SINGULAR."""
+    for (a, b), row in table.items():
+        for n, entry in row.items():
+            if n > _MAX_SINGULAR:
+                raise UnboundedOPE(f"singular product at n={n} beyond bound {_MAX_SINGULAR}")
+            want = gens[a][1] + gens[b][1] - n - 1
+            for word in entry:
+                if len(word) > 1:
+                    raise SchemaError(
+                        "table entries must be combinations of derivatives of "
+                        "generators and the vacuum"
+                    )
+                if word and word[0][1] > -1:
+                    raise SchemaError("table entry words must use negative modes")
+                got = gens[word[0][0]][1] - word[0][1] - 1 if word else 0
+                if got != want:
+                    raise WeightMismatch(
+                        f"[{gens[a][0]},{gens[b][0]}]_{n} has a word of "
+                        f"weight {got}, expected {want}"
+                    )
+
+
+def _complete_by_skew(gens: Sequence[Tuple[str, int]], table):
+    """Give every declared pair (a, b) of a document's table its reverse
+    row by skew symmetry,
+
+        [b, a]_m = (-1)^(m+1) sum_j ((-1)^j / j!) T^j [a, b]_(m+j),
+
+    filling (b, a) when it was not declared and otherwise (a == b
+    included) requiring the declared row to equal the computed one.
+    The word g(-1-s)1 is (1/s!) T^s g, so (1/j!) T^j takes it to
+    C(s + j, j) g(-1-s-j)1 and every factor but the table coefficient
+    is an integer.
+    """
+    declared = dict(table)
+    for (a, b), row in declared.items():
+        top = max(row, default=-1)
+        skew: Dict[int, Dict[Word, int | Fraction]] = {}
+        for m in range(0, top + 1):
+            entry: Dict[Word, int | Fraction] = {}
+            for j in range(0, top - m + 1):
+                src = row.get(m + j)
+                if not src:
+                    continue
+                sign = -1 if (m + 1 + j) % 2 else 1
+                for word, c in src.items():
+                    if not word:
+                        if j:
+                            continue  # T kills the vacuum
+                        w2 = VACUUM_WORD
+                    else:
+                        g, mode = word[0]
+                        c = c * comb(-1 - mode + j, j)
+                        w2 = ((g, mode - j),)
+                    entry[w2] = entry.get(w2, 0) + sign * c
+            entry = {w: _exact(c) for w, c in entry.items() if c}
+            if entry:
+                skew[m] = entry
+        have = declared.get((b, a))
+        if have is None:
+            table[(b, a)] = skew
+        elif have != skew:
+            m = min(n for n in {*have, *skew} if have.get(n) != skew.get(n))
+            raise SchemaError(
+                f"declared [{gens[b][0]},{gens[a][0]}]_{m} conflicts with skew symmetry"
             )
 
 
@@ -1107,8 +1100,11 @@ def load_presentation(doc) -> Presentation:
     A preset document takes only its preset's keys (virasoro: preset, c;
     heisenberg: preset, rank, form); any other key is a SchemaError that
     names it.  All rationals are strings like "p/q".  An explicit document
-    may state "connectivity" only as 0, and its table must pass
-    _check_jacobi.
+    may state "connectivity" only as 0.  Its relations are checked and
+    completed here into the table that Presentation stores: unique names,
+    weights >= 0, _validate_table, _complete_by_skew, explicit zeros, and
+    then _check_jacobi on the built presentation.  A preset is built
+    complete by its constructor, which checks only its parameters.
     """
     if isinstance(doc, str):
         try:
@@ -1174,7 +1170,29 @@ def load_presentation(doc) -> Presentation:
         relations[(a, b, n)] = entry
     if _integer(doc.get("connectivity", 0), "connectivity") != 0:
         raise SchemaError("only connectivity 0 is supported")
-    pres = Presentation(gens, relations, central, label="document")
+    if len(name2idx) != len(gens):
+        raise SchemaError("generator names must be unique")
+    for name, w in gens:
+        if w < 0:
+            raise WeightMismatch(f"generator {name} has weight {w} below connectivity 0")
+    table: Dict[Tuple[int, int], Dict[int, Dict[Word, int | Fraction]]] = {}
+    zeros = []
+    for (a, b, n), entry in sorted(relations.items()):
+        entry = {w: _exact(c) for w, c in entry.items() if c != 0}
+        if entry:
+            table.setdefault((a, b), {})[n] = entry
+        else:
+            zeros.append((a, b, n))
+    _validate_table(gens, table)
+    _complete_by_skew(gens, table)
+    # an explicit zero is checked at its own n only, so a redundant zero
+    # beside a complete reverse row stays legal
+    for a, b, n in zeros:
+        if n in table.get((a, b), {}):
+            raise SchemaError(
+                f"declared [{gens[a][0]},{gens[b][0]}]_{n} = 0 conflicts with skew symmetry"
+            )
+    pres = Presentation(gens, table, central, label="document")
     _check_jacobi(pres)
     return pres
 

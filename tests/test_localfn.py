@@ -96,6 +96,17 @@ def test_parse_bad_index_and_syntax():
         parse("1/0", 1)
 
 
+def test_parse_ignores_trailing_whitespace():
+    # whitespace is skipped at either end, and inside an error it stays
+    for text in ("z1 ", "z1\t", " z1\n", "(z2 - z1)^-1 \t "):
+        assert lf(text, 2) == lf(text.strip(), 2)
+    with pytest.raises(ParseError) as exc:
+        parse("z1 $ ", 1)
+    assert str(exc.value) == "unexpected character at position 2: ' $ '"
+    with pytest.raises(ParseError, match="unexpected end of input"):
+        parse(" \t", 1)
+
+
 def test_parse_nesting_is_capped():
     deepest = "(" * _MAX_NESTING + "z1" + ")" * _MAX_NESTING
     assert lf(deepest, 1) == lf("z1", 1)

@@ -195,3 +195,14 @@ def test_echelon_never_keeps_a_callers_row():
     assert all(type(v) is int for row in ech.values() for v in row.values())
     assert not any(pivot is row for pivot in ech.values() for row in rows)
     assert rows == copies
+
+
+def test_kernel_stops_reading_rows_at_full_rank():
+    # once every column is a pivot the kernel is empty, whatever rows follow
+    def rows():
+        yield {0: 2, 1: 4}
+        yield {1: Fraction(3, 2)}
+        raise AssertionError("read a row past full rank")
+
+    assert _kernel(rows(), 2) == (1, {})
+    assert _echelon(rows(), 2) == {0: {0: 1}, 1: {1: 1}}

@@ -188,9 +188,12 @@ def test_jacobi_violation_at_load(mutant, payload):
     assert exc.value.payload() == payload
 
 
+_MINIMAL_MODEL_C = [1 - Fraction(6 * (q - p) ** 2, p * q)
+                    for p, q in ((2, 5), (3, 4), (2, 7), (4, 5))]
+
+
 @pytest.mark.parametrize("pres", [
-    *(preset_virasoro(1 - Fraction(6 * (q - p) ** 2, p * q))
-      for p, q in ((2, 5), (3, 4), (2, 7), (4, 5))),
+    *(preset_virasoro(c) for c in _MINIMAL_MODEL_C),
     preset_virasoro(1),
     preset_heisenberg(1),
     preset_heisenberg(2),
@@ -202,6 +205,48 @@ def test_jacobi_violation_at_load(mutant, payload):
 def test_presets_pass_the_jacobi_check(pres):
     # presets skip the check at load; it must hold for every one of them
     _check_jacobi(pres)
+
+
+def _virasoro_document(c):
+    """The Virasoro algebra at central charge c as an explicit document."""
+    return {
+        "generators": [{"name": "L", "weight": 2}],
+        "central": {"c": str(c)},
+        "relations": [_rel("L", "L", 0, ("1", [["L", -2]])),
+                      _rel("L", "L", 1, ("2", [["L", -1]])),
+                      _rel("L", "L", 3, (str(Fraction(c) / 2), []))],
+    }
+
+
+def _heisenberg_document(rank, form=None):
+    """The Heisenberg algebra of a symmetric form (the identity by default)
+    as an explicit document that declares each pair once, in generator
+    order, so the load completes every reverse row."""
+    names = ["a"] if rank == 1 else [f"a{i + 1}" for i in range(rank)]
+    form = form or [[int(i == j) for j in range(rank)] for i in range(rank)]
+    return _doc(names, [_rel(names[i], names[j], 1, (str(form[i][j]), []))
+                        for i in range(rank) for j in range(i, rank) if form[i][j]])
+
+
+_FORMS = ([[1, 1], [1, 1]], [[0, 0], [0, 1]], [[0, 1], [1, 0]])
+
+
+@pytest.mark.parametrize("preset, doc", [
+    *((preset_virasoro(c), _virasoro_document(c)) for c in (*_MINIMAL_MODEL_C, 1, 0)),
+    *((preset_heisenberg(rank), _heisenberg_document(rank)) for rank in (1, 2, 3)),
+    *((preset_heisenberg(2, form), _heisenberg_document(2, form)) for form in _FORMS),
+], ids=["lee-yang", "ising", "c=-68/7", "tricritical", "c=1", "c=0", "rank-1", "rank-2",
+        "rank-3", "form-11-11", "form-00-01", "off-diagonal"])
+def test_presets_equal_their_documents(preset, doc):
+    # a preset writes its complete table directly; the document route
+    # validates the same algebra's relations and completes them by skew
+    # symmetry, so a missing or wrong row in a preset shows here
+    loaded = load_presentation(doc)
+    assert preset.ope == loaded.ope
+    assert _typed_table(preset) == _typed_table(loaded)
+    assert all(list(row) == sorted(row) for row in preset.ope.values())
+    assert (preset.names, preset.weights) == (loaded.names, loaded.weights)
+    assert preset.central == loaded.central
 
 
 def test_reversed_affine_sl2_matches_forward():
@@ -1363,11 +1408,7 @@ def test_step_bound_raises_non_terminating():
     # the bound counts the bubble strategy's rewrite steps
     tiny = Presentation(
         [("L", 2)],
-        {
-            (0, 0, 0): {((0, -2),): Fraction(1)},
-            (0, 0, 1): {((0, -1),): Fraction(2)},
-            (0, 0, 3): {VACUUM_WORD: Fraction(1, 2)},
-        },
+        {(0, 0): {0: {((0, -2),): 1}, 1: {((0, -1),): 2}, 3: {VACUUM_WORD: Fraction(1, 2)}}},
         {"c": Fraction(1)},
     )
     deep = tiny.element({tuple([(0, -6 + i) for i in range(6)]): Fraction(1)})
@@ -1380,11 +1421,7 @@ def test_rewrite_cache_bound_raises_resource_limit(vir):
     word = {tuple((0, -6 + i) for i in range(6)): Fraction(1)}
     small = Presentation(
         [("L", 2)],
-        {
-            (0, 0, 0): {((0, -2),): Fraction(1)},
-            (0, 0, 1): {((0, -1),): Fraction(2)},
-            (0, 0, 3): {VACUUM_WORD: vir.central["c"] / 2},
-        },
+        {(0, 0): {0: {((0, -2),): 1}, 1: {((0, -1),): 2}, 3: {VACUUM_WORD: vir.central["c"] / 2}}},
         vir.central,
         step_bound=5,
     )
