@@ -26,6 +26,7 @@ Conventions, fixed once and used consistently:
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from math import comb, factorial
 from typing import Dict, List, Tuple
 
@@ -148,6 +149,14 @@ def lattice_vertex_act(
     """Mode n of the exponential vertex operator for the lattice vector
     sign * lambda (sign in {+1, -1}), truncated to states of weight <= cutoff.
 
+    The operator is e^(sign lambda) z^(sign lambda(0)) E-(z) E+(z).  On a
+    state of label l, z^(sign lambda(0)) gives z^(sign l norm).  E+ removes
+    d of the c parts k with coefficient C(c, d) (-sign norm)^d and the power
+    z^(-k d), for each part size independently.  E- then creates the
+    partitions of the remaining degree with the exponential-series
+    coefficients (_creation_terms), so mode n, the coefficient of z^(-n-1),
+    creates degree -n - 1 - sign l norm + sum k d.
+
     The cocycle is trivial, legitimate for an even lattice; other sign
     conventions give isomorphic algebras.
     """
@@ -164,53 +173,38 @@ def lattice_vertex_act(
     for (parts, label), coeff in v.items():
         base_power = sign * label * norm
         new_label = label + sign
+        label_weight = Fraction(norm * new_label * new_label, 2)
         counts: Dict[int, int] = {}
         for p in parts:
             counts[p] = counts.get(p, 0) + 1
-        # enumerate removal multisets D
         removables = sorted(counts)
-
-        def removals(idx, rem_parts, rem_coeff, rem_power):
-            if idx == len(removables):
-                target = -n - 1 - base_power - rem_power
-                if target < 0:
-                    return
-                base_state_weight = (
-                    sum(rem_parts) + Fraction(norm * new_label * new_label, 2)
-                )
-                if base_state_weight + target > cutoff:
-                    return
-                for add_parts, add_coeff in _creation_terms(target):
-                    state = (
-                        tuple(sorted(rem_parts + list(add_parts), reverse=True)),
-                        new_label,
-                    )
-                    _acc(out, state, coeff * rem_coeff * add_coeff)
-                return
-            k = removables[idx]
-            ck = counts[k]
-            for d in range(0, ck + 1):
-                removals(
-                    idx + 1,
-                    [p for p in rem_parts if p != k] + [k] * (ck - d)
-                    if d
-                    else rem_parts,
-                    rem_coeff * comb(ck, d) * Fraction(-sign * norm) ** d,
-                    rem_power + k * d,
-                )
-
-        def _creation_terms(total: int):
-            """Yield (parts, coeff) over the partitions of total, with the
-            exponential-series coefficient prod (sign/k)^a_k / a_k!."""
-            for add_parts in _partitions_of(total):
-                c = Fraction(1)
-                for p in set(add_parts):
-                    a = add_parts.count(p)
-                    c *= Fraction(sign, p) ** a / factorial(a)
-                yield add_parts, c
-
-        removals(0, list(parts), Fraction(1), 0)
+        # one removal multiset per choice of d_k in 0..c_k for every part k
+        for ds in product(*(range(counts[k] + 1) for k in removables)):
+            rem_parts: List[int] = []
+            rem_coeff = Fraction(1)
+            rem_power = 0
+            for k, d in zip(removables, ds):
+                rem_parts += [k] * (counts[k] - d)
+                rem_coeff *= comb(counts[k], d) * Fraction(-sign * norm) ** d
+                rem_power += k * d
+            target = -n - 1 - base_power + rem_power
+            if target < 0 or sum(rem_parts) + label_weight + target > cutoff:
+                continue
+            for add_parts, add_coeff in _creation_terms(target, sign):
+                state = (tuple(sorted(rem_parts + list(add_parts), reverse=True)), new_label)
+                _acc(out, state, coeff * rem_coeff * add_coeff)
     return out
+
+
+def _creation_terms(total: int, sign: int):
+    """Yield (parts, coeff) over the partitions of total, with the
+    exponential-series coefficient prod (sign/k)^a_k / a_k!."""
+    for add_parts in _partitions_of(total):
+        c = Fraction(1)
+        for p in set(add_parts):
+            a = add_parts.count(p)
+            c *= Fraction(sign, p) ** a / factorial(a)
+        yield add_parts, c
 
 
 # ---------------------------------------------------------------------------
@@ -272,18 +266,20 @@ def lattice_graded_dims(w_max: int, norm: int = 2) -> List[int]:
 
 def _partitions_of(total: int) -> List[Tuple[int, ...]]:
     out: List[Tuple[int, ...]] = []
-
-    def rec(remaining, max_part, acc):
-        if remaining == 0:
-            out.append(tuple(acc))
-            return
-        for p in range(min(remaining, max_part), 0, -1):
-            acc.append(p)
-            rec(remaining - p, p, acc)
-            acc.pop()
-
-    rec(total, total if total else 1, [])
+    _partitions_rec(total, total if total else 1, [], out)
     return out
+
+
+def _partitions_rec(remaining: int, max_part: int, acc: List[int], out) -> None:
+    """Append to out every partition of remaining into parts <= max_part,
+    each after the parts acc, in descending lexicographic order."""
+    if remaining == 0:
+        out.append(tuple(acc))
+        return
+    for p in range(min(remaining, max_part), 0, -1):
+        acc.append(p)
+        _partitions_rec(remaining - p, p, acc, out)
+        acc.pop()
 
 
 def vec_to_obj(v: FockVec):

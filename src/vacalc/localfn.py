@@ -271,54 +271,51 @@ def _expand(expr: RawExpr) -> List[tuple]:
 
     Chains are walked by _chain, so a long sum or product does not
     recurse, and a power expands its base once."""
-    n = expr.arity
+    return _expand_node(expr.tree, expr.arity)
 
-    def const(c):
-        return [(_exact(c), [0] * n, {})]
 
-    def go(node):
-        tag = node[0]
-        if tag == "rat":
-            return const(node[1])
-        if tag == "var":
-            z = [0] * n
-            z[node[1] - 1] = 1
-            return [(1, z, {})]
-        if tag == "neg":
-            return [(-c, z, d) for (c, z, d) in go(node[1])]
-        if tag == "pow":
-            k = node[2]
-            if k < 0:
-                diff = _as_difference(node[1])
-                if diff is None:
-                    raise IllegalPole(
-                        "negative power allowed only on a difference z_i - z_j"
-                    )
-                i, j = diff
-                hi, lo = (i, j) if i > j else (j, i)
-                sign = -1 if i < j and k & 1 else 1
-                return [(sign, [0] * n, {(hi, lo): k})]
-            if k == 0:
-                return const(1)
-            out = base = go(node[1])
-            for _ in range(k - 1):
-                out = _gterm_list_mul(out, base)
-            return out
-        if tag not in ("add", "sub", "mul"):
-            raise AssertionError(node)
-        first, rest = _chain(node)
-        out = go(first)
-        for op, rhs in rest:
-            rhs = go(rhs)
-            if op == "mul":
-                out = _gterm_list_mul(out, rhs)
-            elif op == "add":
-                out.extend(rhs)
-            else:
-                out.extend((-c, z, d) for (c, z, d) in rhs)
+def _expand_node(node, n: int) -> List[tuple]:
+    """The GTerms of one node of a RawExpr tree over n variables."""
+    tag = node[0]
+    if tag == "rat":
+        return [(_exact(node[1]), [0] * n, {})]
+    if tag == "var":
+        z = [0] * n
+        z[node[1] - 1] = 1
+        return [(1, z, {})]
+    if tag == "neg":
+        return [(-c, z, d) for (c, z, d) in _expand_node(node[1], n)]
+    if tag == "pow":
+        k = node[2]
+        if k < 0:
+            diff = _as_difference(node[1])
+            if diff is None:
+                raise IllegalPole(
+                    "negative power allowed only on a difference z_i - z_j"
+                )
+            i, j = diff
+            hi, lo = (i, j) if i > j else (j, i)
+            sign = -1 if i < j and k & 1 else 1
+            return [(sign, [0] * n, {(hi, lo): k})]
+        if k == 0:
+            return [(1, [0] * n, {})]
+        out = base = _expand_node(node[1], n)
+        for _ in range(k - 1):
+            out = _gterm_list_mul(out, base)
         return out
-
-    return go(expr.tree)
+    if tag not in ("add", "sub", "mul"):
+        raise AssertionError(node)
+    first, rest = _chain(node)
+    out = _expand_node(first, n)
+    for op, rhs in rest:
+        rhs = _expand_node(rhs, n)
+        if op == "mul":
+            out = _gterm_list_mul(out, rhs)
+        elif op == "add":
+            out.extend(rhs)
+        else:
+            out.extend((-c, z, d) for (c, z, d) in rhs)
+    return out
 
 
 def _reduce(gterms: Iterable[tuple], n: int) -> Dict[Monomial, int | Fraction]:
@@ -1023,16 +1020,18 @@ def basis_monomials(n: int, grading: int, pole_budget: int) -> List[Monomial]:
     MonomialBasis's search, depth first."""
     basis = MonomialBasis(n, grading, pole_budget)
     out: List[Monomial] = []
-
-    def rec(m, pole, pure, acc):
-        if m == 0:
-            out.append(tuple(reversed(acc)))
-            return
-        for f, p, q, _ in basis._branches(m, pole, pure)[1]:
-            acc.append(f)
-            rec(m - 1, p, q, acc)
-            acc.pop()
-
     if len(basis):
-        rec(n, 0, 0, [])
+        _basis_leaves(basis, n, 0, 0, [], out)
     return out
+
+
+def _basis_leaves(basis: MonomialBasis, m: int, pole: int, pure: int, acc, out) -> None:
+    """Append to out every leaf of basis's search below the state (m, pole,
+    pure), with the factors acc chosen above it."""
+    if m == 0:
+        out.append(tuple(reversed(acc)))
+        return
+    for f, p, q, _ in basis._branches(m, pole, pure)[1]:
+        acc.append(f)
+        _basis_leaves(basis, m - 1, p, q, acc, out)
+        acc.pop()

@@ -41,7 +41,16 @@ from .errors import (
     UnboundedOPE,
     WeightMismatch,
 )
-from .localfn import LocalFn, MonomialBasis, basis_monomials, mono_grading, mono_pole_total
+from .localfn import (
+    LocalFn,
+    MonomialBasis,
+    _gterm_mul,
+    _mono_to_gterm,
+    _reduce,
+    basis_monomials,
+    mono_grading,
+    mono_pole_total,
+)
 from .numutil import (
     SparseSum,
     _cross_reduce,
@@ -446,26 +455,40 @@ def spanning_basis(pres: Presentation, weight: int) -> List[Word]:
     """
     _require_positive_weights(pres, "spanning enumeration")
     out: List[Word] = []
-    weights = pres.weights
-
-    def walk(remaining, prev_g, prev_n, acc):
-        if remaining == 0:
-            out.append(tuple(acc))
-            return
-        for g, w in enumerate(weights):
-            for n in range(w - 1 - remaining, min(w - 2, prev_n - (g > prev_g)) + 1):
-                acc.append((g, n))
-                walk(remaining - (w - n - 1), g, n, acc)
-                acc.pop()
-
-    walk(weight, len(weights) - 1, -1, [])
+    _spanning_walk(pres.weights, weight, len(pres.weights) - 1, -1, [], out)
     return out
+
+
+def _spanning_walk(weights, remaining, prev_g, prev_n, acc, out):
+    """Append to out every completion of the word prefix acc that spends
+    the remaining weight, in spanning_basis's order."""
+    if remaining == 0:
+        out.append(tuple(acc))
+        return
+    for g, w in enumerate(weights):
+        for n in range(w - 1 - remaining, min(w - 2, prev_n - (g > prev_g)) + 1):
+            acc.append((g, n))
+            _spanning_walk(weights, remaining - (w - n - 1), g, n, acc, out)
+            acc.pop()
 
 
 def graded_dims(pres: Presentation, w_max: int) -> List[int]:
     """Spanning-set cardinalities per weight (equal to true dimensions where
-    an oracle realization certifies independence)."""
-    return [len(spanning_basis(pres, w)) for w in range(w_max + 1)]
+    an oracle realization certifies independence), counted without listing
+    a word.
+
+    A normal-form word is a multiset of letters g(n), n <= -1, and each
+    letter adds d = wt(g) - n - 1 >= wt(g) to the weight, one letter per
+    (g, d).  So dim_w is the coefficient of q^w in
+    prod_g prod_(d >= wt(g)) (1 - q^d)^(-1), one coin-change pass per
+    letter."""
+    _require_positive_weights(pres, "spanning enumeration")
+    dims = [1] + [0] * w_max if w_max >= 0 else []
+    for w in pres.weights:
+        for d in range(w, w_max + 1):
+            for total in range(d, w_max + 1):
+                dims[total] += dims[total - d]
+    return dims
 
 
 def ope_singular(pres: Presentation, a: str, b: str):
@@ -630,35 +653,35 @@ def _mono_series_support(mono, radius: int) -> Dict[Tuple[int, ...], int]:
     k - s for (z_m - z_i)^k) plus the orders s that higher owners sent down
     to it.  Basis monomials have k < 0, so C(k, s) never vanishes.
     """
-    r = len(mono)
-    exps = [0] * r
-    inflow = [0] * r
     out: Dict[Tuple[int, ...], int] = {}
-
-    def walk(m, coeff):
-        if m == 0:
-            out[tuple(exps)] = coeff
-            return
-        fac = mono[m - 1]
-        if fac[0] == "p":
-            exps[m - 1] = fac[1] + inflow[m - 1]
-            if exps[m - 1] <= radius:
-                walk(m - 1, coeff)
-            return
-        i, k = fac[1], fac[2]
-        top = k + inflow[m - 1]  # exponent of z_m at s = 0
-        s_max = top + radius
-        target = mono[i - 1]
-        if target[0] == "p":
-            s_max = min(s_max, radius - target[1] - inflow[i - 1])
-        for s in range(max(0, top - radius), s_max + 1):
-            exps[m - 1] = top - s
-            inflow[i - 1] += s
-            walk(m - 1, coeff * gbinom(k, s) * (-1) ** (s % 2))
-            inflow[i - 1] -= s
-
-    walk(r, 1)
+    _mono_walk(mono, radius, [0] * len(mono), [0] * len(mono), out, len(mono), 1)
     return out
+
+
+def _mono_walk(mono, radius, exps, inflow, out, m, coeff):
+    """_mono_series_support's walk from variable m down: exps holds the
+    exponents chosen above m, inflow the orders sent down so far."""
+    if m == 0:
+        out[tuple(exps)] = coeff
+        return
+    fac = mono[m - 1]
+    if fac[0] == "p":
+        exps[m - 1] = fac[1] + inflow[m - 1]
+        if exps[m - 1] <= radius:
+            _mono_walk(mono, radius, exps, inflow, out, m - 1, coeff)
+        return
+    i, k = fac[1], fac[2]
+    top = k + inflow[m - 1]  # exponent of z_m at s = 0
+    s_max = top + radius
+    target = mono[i - 1]
+    if target[0] == "p":
+        s_max = min(s_max, radius - target[1] - inflow[i - 1])
+    for s in range(max(0, top - radius), s_max + 1):
+        exps[m - 1] = top - s
+        inflow[i - 1] += s
+        _mono_walk(mono, radius, exps, inflow, out, m - 1,
+                   coeff * gbinom(k, s) * (-1) ** (s % 2))
+        inflow[i - 1] -= s
 
 
 def _vacuum_series_support(
@@ -682,33 +705,35 @@ def _vacuum_series_support(
     """
     if pres._parity_forbids(gidx):
         return {}
-    r = len(gidx)
-    acc: List[int] = []
     out: Dict[Tuple[int, ...], int | Fraction] = {}
-
-    def walk(i, state, left):
-        if i == r - 1:
-            if -radius <= left <= radius:
-                g, n = gidx[i], -left - 1
-                value = 0
-                for word, c in state.items():
-                    v = pres._prepend(g, n, word).get(VACUUM_WORD)
-                    if v:
-                        value += c * v
-                if value:
-                    out[tuple(acc) + (left,)] = value
-            return
-        g = gidx[i]
-        reach = radius * (r - 1 - i)
-        for e in range(max(-radius, left - reach), min(radius, left + reach) + 1):
-            nxt = pres._act(g, -e - 1, state)
-            if nxt:
-                acc.append(e)
-                walk(i + 1, nxt, left - e)
-                acc.pop()
-
-    walk(0, {VACUUM_WORD: 1}, total)
+    _series_walk(pres, gidx, radius, [], out, 0, {VACUUM_WORD: 1}, total)
     return out
+
+
+def _series_walk(pres, gidx, radius, acc, out, i, state, left):
+    """_vacuum_series_support's walk from insertion i on: acc holds the
+    exponents of the insertions before i, state their straightened word
+    and left the exponent total still to place."""
+    r = len(gidx)
+    if i == r - 1:
+        if -radius <= left <= radius:
+            g, n = gidx[i], -left - 1
+            value = 0
+            for word, c in state.items():
+                v = pres._prepend(g, n, word).get(VACUUM_WORD)
+                if v:
+                    value += c * v
+            if value:
+                out[tuple(acc) + (left,)] = value
+        return
+    g = gidx[i]
+    reach = radius * (r - 1 - i)
+    for e in range(max(-radius, left - reach), min(radius, left + reach) + 1):
+        nxt = pres._act(g, -e - 1, state)
+        if nxt:
+            acc.append(e)
+            _series_walk(pres, gidx, radius, acc, out, i + 1, nxt, left - e)
+            acc.pop()
 
 
 def _insertions(pres: Presentation, gen_names: Sequence[str], pole_bound: int):
@@ -859,41 +884,52 @@ def ward_correlator(pres: Presentation, gen_names: Sequence[str]) -> LocalFn:
     with no residue at infinity because every generator has weight >= 1.
     Each step lowers the total weight by m + 1, and the state with the vacuum
     at every point is 1.  States are memoized on their tuple of words within
-    one call.  Any number of insertions is accepted; the result is exact and
-    canonical, and npoint_ward certifies it against the series.
+    one call (_ward_state).  Any number of insertions is accepted; the result
+    is exact and canonical, and npoint_ward certifies it against the series.
     """
     _require_positive_weights(pres, "the Ward recursion")
-    r = len(gen_names)
-    memo: Dict[Tuple[Word, ...], LocalFn] = {}
+    words = tuple(((pres.gen_index(name), -1),) for name in gen_names)
+    return _ward_state(pres, len(words), words, {})
 
-    def corr(words: Tuple[Word, ...]) -> LocalFn:
-        got = memo.get(words)
-        if got is not None:
-            return got
-        p = next((i for i, v in enumerate(words) if v), None)
-        if p is None:
-            out = LocalFn.one(r)
-        else:
-            (a, mode), rest = words[p][0], words[p][1:]
-            out = LocalFn.zero(r)
-            state = list(words)
-            state[p] = rest
-            # the points before p hold the vacuum, and a(m)1 = 0 for m >= 0
-            for i in range(p + 1, r):
-                v = words[i]
-                # a(m)v vanishes once m >= wt(a) + wt(v)
-                for m in range(pres.wt(a) + pres.word_weight(v)):
-                    inner = {}
-                    for w2, c in pres._prepend(a, m, v).items():
-                        state[i] = w2
-                        add_into(inner, corr(tuple(state)).terms, c)
-                    state[i] = v
-                    if inner:
-                        out = out - _ward_kernel(r, i, p, mode, m) * LocalFn(r, inner)
-        memo[words] = out
-        return out
 
-    return corr(tuple(((pres.gen_index(name), -1),) for name in gen_names))
+def _ward_state(pres: Presentation, r: int, words: Tuple[Word, ...], memo) -> LocalFn:
+    """ward_correlator's correlator of the state `words`, memoized in memo.
+
+    Every (point i, mode m) term of the recursion is minus the kernel
+    _ward_kernel(r, i, p, mode, m) times the inner function, the sum of the
+    lower states it reaches.  Each kernel monomial times each inner monomial
+    is one GTerm, and all of the state's GTerms are canonicalized by one
+    _reduce.
+    """
+    got = memo.get(words)
+    if got is not None:
+        return got
+    p = next((i for i, v in enumerate(words) if v), None)
+    if p is None:
+        out = LocalFn.one(r)
+    else:
+        (a, mode), rest = words[p][0], words[p][1:]
+        state = list(words)
+        state[p] = rest
+        gterms = []
+        # the points before p hold the vacuum, and a(m)1 = 0 for m >= 0
+        for i in range(p + 1, r):
+            v = words[i]
+            # a(m)v vanishes once m >= wt(a) + wt(v)
+            for m in range(pres.wt(a) + pres.word_weight(v)):
+                inner = {}
+                for w2, c in pres._prepend(a, m, v).items():
+                    state[i] = w2
+                    add_into(inner, _ward_state(pres, r, tuple(state), memo).terms, c)
+                state[i] = v
+                if inner:
+                    for km, kc in _ward_kernel(r, i, p, mode, m).terms.items():
+                        kernel = _mono_to_gterm(km, -kc, r)
+                        for mono, c in inner.items():
+                            gterms.append(_gterm_mul(kernel, _mono_to_gterm(mono, c, r)))
+        out = LocalFn(r, _reduce(gterms, r))
+    memo[words] = out
+    return out
 
 
 def npoint_ward(pres: Presentation, gen_names: Sequence[str], pole_bound: int) -> LocalFn:

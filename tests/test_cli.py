@@ -1,6 +1,9 @@
 """Command-line interface tests: exact text output, JSON round trips,
 exit codes, and byte determinism."""
 
+import ast
+import contextlib
+import gc
 import hashlib
 import json
 import os
@@ -8,6 +11,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import time
 from math import comb
 
 import pytest
@@ -536,15 +540,76 @@ def test_output_is_pinned(capsys, tmp_path, argv, digest):
     assert _sha256(out) == digest
 
 
+@contextlib.contextmanager
+def _collector_off():
+    """Disable the cyclic collector for the body, with every object that
+    exists at its start frozen out of the collector's view, so that a
+    gc.collect() in the body counts only the unreachable cycles made since,
+    and traverses only the objects made since.  The shared parser is built
+    first: argparse leaves cyclic help formatters behind once per process,
+    when it builds a parser."""
+    cli.build_parser()
+    enabled = gc.isenabled()
+    gc.disable()
+    gc.collect()
+    gc.freeze()
+    try:
+        yield
+    finally:
+        gc.unfreeze()
+        if enabled:
+            gc.enable()
+
+
+def _invoke_counting_garbage(capsys, *argv):
+    """invoke argv inside _collector_off: (exit code, stdout, number of
+    objects that gc.collect() then finds unreachable)."""
+    code = run(list(argv))
+    garbage = gc.collect()
+    return code, capsys.readouterr().out, garbage
+
+
 def test_catalog_outputs_are_unchanged(capsys):
     # every op of the benchmark catalog, in all four workloads, prints the
-    # bytes whose digest the catalog recorded when it was built
+    # bytes whose digest the catalog recorded when it was built, and leaves
+    # no reference cycle behind: reference counting frees all it made
     path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "catalog.json"
     ops = [op for wl in json.loads(path.read_text()).values() for op in wl]
     assert len(ops) == 870
-    for op in ops:
-        code, out = invoke(capsys, *op["argv"])
-        assert code == 0 and _sha256(out)[:16] == op["digest"], op["argv"]
+    with _collector_off():
+        for op in ops:
+            code, out, garbage = _invoke_counting_garbage(capsys, *op["argv"])
+            assert code == 0 and _sha256(out)[:16] == op["digest"], op["argv"]
+            assert garbage == 0, op["argv"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("canon", "--arity", "2", "-z1*(z2-z1)^-1"),
+    ("kernels", "--kind", "symmetric", "--m-max", "3"),
+    ("dims", "--preset", "virasoro", "--c", "-22/5", "--max-weight", "6"),
+    ("ope", "--preset", "virasoro", "--c", "1/2", "--a", "L", "--b", "L", "--json"),
+    ("bracket", "--preset", "virasoro", "--c", "1", "--a", "L", "--b", "L", "--n", "1"),
+    ("filtration", "--basis", "--arity", "2", "--subset", "1,2", "--level", "1",
+     "--grading", "1", "--pole-budget", "1"),
+    ("lattice-check", "--json"),
+    ("oracle-dims", "--kind", "theta_over_eta", "--norm", "2", "--max-weight", "6"),
+], ids=["canon", "kernels", "dims", "ope", "bracket", "filtration-basis", "lattice-check",
+        "oracle-dims"])
+def test_commands_outside_the_catalog_leave_no_cyclic_garbage(capsys, argv):
+    with _collector_off():
+        code, _, garbage = _invoke_counting_garbage(capsys, *argv)
+    assert (code, garbage) == (0, 0)
+
+
+def test_dims_counts_without_listing_words(capsys):
+    # 481,225,800 spanning words at weight 40 alone: a listing would run out
+    # of time and memory, so it runs first in a process stopped after 10 s
+    argv = ("dims", "--preset", "heisenberg", "--rank", "3", "--max-weight", "40")
+    proc = _vacalc_process(*argv, timeout=10)
+    assert proc.returncode == 0 and proc.stdout.split()[-1] == "481225800"
+    start = time.perf_counter()
+    assert invoke(capsys, *argv) == (0, proc.stdout)
+    assert time.perf_counter() - start < 1
 
 
 def test_deep_poles_finish_within_ten_seconds():
@@ -661,6 +726,42 @@ def test_removed_names_stay_removed():
     # names fockoracle, so only import lines count
     assert [line for line in lines["vacore.py"]
             if re.match(r"\s*(from|import)\b.*fockoracle", line)] == []
+
+
+def _self_calling_nested_functions(source):
+    """(line, name) of every function defined inside another function whose
+    body calls it by its own name."""
+    found = []
+    stack = [(ast.parse(source), False)]
+    while stack:
+        node, nested = stack.pop()
+        for child in ast.iter_child_nodes(node):
+            is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            if is_def and nested and any(
+                isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                and n.func.id == child.name
+                for n in ast.walk(child)
+            ):
+                found.append((child.lineno, child.name))
+            stack.append((child, nested or is_def))
+    return sorted(found)
+
+
+def test_no_nested_function_calls_itself():
+    # a nested function that calls itself holds its own closure cell, a
+    # reference cycle that keeps everything it captured alive until the
+    # cyclic collector runs; a module-level helper with its state as
+    # arguments is freed by reference counting when the call returns
+    assert _self_calling_nested_functions(
+        "def f(n):\n    def g(k):\n        return g(k - 1) if k else 0\n    return g(n)\n"
+    ) == [(2, "g")]
+    package = pathlib.Path(vacalc.__file__).parent
+    found = [(p.name, *hit) for p in sorted(package.glob("*.py"))
+             for hit in _self_calling_nested_functions(p.read_text())]
+    assert found == []
+    # and the package leaves collection to the interpreter
+    assert [p.name for p in package.glob("*.py")
+            if re.search(r"^\s*(import gc|from gc import)", p.read_text(), re.M)] == []
 
 
 @pytest.mark.parametrize("argv", [

@@ -112,6 +112,30 @@ def test_lattice_label_shift_and_weight_cutoff():
         lattice_vertex_act(1, 0, vec(((3,), 1)), 2)
 
 
+def test_lattice_modes_on_an_oscillator_state():
+    # h = alpha(-1)|0>: e(0)h = -[h, e]_0 = -2e, f(0)h = 2f, and e(-2)h
+    # keeps only the part 2 once E- and E+ cancel on the parts (1, 1)
+    h = vec(((1,), 0))
+    assert lattice_vertex_act(1, 0, h, 4) == {((), 1): -2}
+    assert lattice_vertex_act(-1, 0, h, 4) == {((), -1): 2}
+    assert lattice_vertex_act(1, -2, h, 4) == {((2,), 1): -1}
+
+
+def test_lattice_modes_shift_the_weight_by_minus_n():
+    # e^(+-alpha) has weight 1 at norm 2, so its mode n maps weight w to w - n
+    states = [(parts, label) for parts in [(), (1,), (2,), (1, 1), (3,), (2, 1), (1, 1, 1)]
+              for label in (-1, 0, 1)]
+    nonzero = 0
+    for state in states:
+        for sign in (1, -1):
+            for n in range(-4, 4):
+                out = lattice_vertex_act(sign, n, vec(state), 12)
+                want = state_weight(state, 2) - n
+                assert all(state_weight(s, 2) == want for s in out), (state, sign, n)
+                nonzero += bool(out)
+    assert nonzero > 100
+
+
 # ---------------------------------------------------------------------------
 # series
 # ---------------------------------------------------------------------------

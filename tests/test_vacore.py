@@ -554,6 +554,52 @@ def test_graded_dims_match_series(hei, vir):
     assert graded_dims(vir, 8) == F.series_dims("partitions_min_part_2", 8)
 
 
+# Virasoro with a weight-3 primary W whose self-products vanish
+_LW_DOC = {
+    "generators": [{"name": "L", "weight": 2}, {"name": "W", "weight": 3}],
+    "central": {"c": "1"},
+    "relations": [
+        _rel("L", "L", 0, ("1", [["L", -2]])),
+        _rel("L", "L", 1, ("2", [["L", -1]])),
+        _rel("L", "L", 3, ("1/2", [])),
+        _rel("L", "W", 0, ("1", [["W", -2]])),
+        _rel("L", "W", 1, ("3", [["W", -1]])),
+    ],
+}
+
+
+@pytest.mark.parametrize("pres", [
+    lambda: preset_heisenberg(1),
+    lambda: preset_heisenberg(2),
+    lambda: preset_heisenberg(3),
+    lambda: preset_virasoro(Fraction(1, 2)),
+    lambda: load_presentation(_doc("efh", _SL2_FORWARD)),
+    lambda: load_presentation(_LW_DOC),
+], ids=["heisenberg1", "heisenberg2", "heisenberg3", "virasoro", "sl2", "LW"])
+def test_graded_dims_count_the_spanning_words(pres):
+    pres = pres()
+    assert graded_dims(pres, 12) == [len(spanning_basis(pres, w)) for w in range(13)]
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_graded_dims_of_heisenberg_are_powers_of_the_partition_series(rank):
+    # prod_n (1 - q^n)^(-rank), multiplied out one factor at a time
+    w_max = 30
+    want = [1] + [0] * w_max
+    for _ in range(rank):
+        for n in range(1, w_max + 1):
+            for w in range(n, w_max + 1):
+                want[w] += want[w - n]
+    assert graded_dims(preset_heisenberg(rank), w_max) == want
+
+
+def test_graded_dims_needs_positive_weights():
+    pres = load_presentation({"generators": [{"name": "x", "weight": 0}]})
+    with pytest.raises(SchemaError, match="weights >= 1"):
+        graded_dims(pres, 3)
+    assert graded_dims(preset_heisenberg(), -1) == []
+
+
 def test_heisenberg_words_are_independent_in_realization(hei):
     # normal words map to distinct oscillator states, certifying that the
     # spanning counts are true dimensions
