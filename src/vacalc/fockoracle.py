@@ -15,8 +15,9 @@ Conventions, fixed once and used consistently:
   norm=1 this gives [alpha(m), alpha(n)] = m delta_{m+n,0}.
 * ``virasoro_act(n, v)`` uses field modes: n corresponds to the classical
   operator indexed n-1, so the weight operator is virasoro_act(1) and the
-  translation operator is virasoro_act(0).  It is the normal-ordered
-  quadratic expression in the norm-1 oscillator, hence central charge 1.
+  translation operator is virasoro_act(0).  It is 1/2 :alpha alpha: built
+  from alpha_act in the norm-1 oscillator, hence central charge 1, and its
+  zero-mode terms read the label, so L_0 is state_weight.
 * ``lattice_vertex_act`` realizes the exponential vertex operators of the
   rank-1 even lattice (norm 2 by default) with the trivial two-cocycle,
   truncated to a weight cutoff, and ``lattice_check`` checks the lattice
@@ -43,14 +44,20 @@ def vec(state: State = VACUUM, coeff=1) -> FockVec:
     return {state: c} if c else {}
 
 
+def _acc(out: FockVec, state: State, coeff: Fraction):
+    if coeff == 0:
+        return
+    t = out.get(state, Fraction(0)) + coeff
+    if t:
+        out[state] = t
+    else:
+        del out[state]
+
+
 def v_add(a: FockVec, b: FockVec) -> FockVec:
     out = dict(a)
     for s, c in b.items():
-        t = out.get(s, Fraction(0)) + c
-        if t:
-            out[s] = t
-        else:
-            out.pop(s, None)
+        _acc(out, s, c)
     return out
 
 
@@ -64,16 +71,6 @@ def v_scale(a: FockVec, c) -> FockVec:
 def state_weight(state: State, norm: int = 1) -> Fraction:
     parts, label = state
     return Fraction(sum(parts)) + Fraction(norm * label * label, 2)
-
-
-def _acc(out: FockVec, state: State, coeff: Fraction):
-    if coeff == 0:
-        return
-    t = out.get(state, Fraction(0)) + coeff
-    if t:
-        out[state] = t
-    else:
-        del out[state]
 
 
 def _add_part(parts: Tuple[int, ...], k: int) -> Tuple[int, ...]:
@@ -102,44 +99,19 @@ def alpha_act(n: int, v: FockVec, norm: int = 1) -> FockVec:
 
 
 def virasoro_act(n: int, v: FockVec) -> FockVec:
-    """Quadratic (normal-ordered) realization at central charge 1; the
-    argument is the field mode, classical index n - 1."""
+    """The norm-1 free-field stress tensor L = 1/2 :alpha alpha: at central
+    charge 1, momentum term included; the argument is the field mode,
+    classical index m = n - 1.  L_m sums alpha(a) alpha(b) over a + b = m,
+    a <= b, with weight 1/2 at a == b: the larger mode acts first, which is
+    the normal order, and alpha(b) kills v once b exceeds every part."""
     m = n - 1
+    top = max((p for parts, _ in v for p in parts), default=0)
     out: FockVec = {}
-    for (parts, label), coeff in v.items():
-        counts: Dict[int, int] = {}
-        for p in parts:
-            counts[p] = counts.get(p, 0) + 1
-        if m == 0:
-            _acc(out, (parts, label), coeff * sum(parts))
-            continue
-        # two annihilators (m >= 2)
-        if m >= 2:
-            for j in range(1, m // 2 + 1):
-                k = m - j
-                if counts.get(k, 0) == 0:
-                    continue
-                half = Fraction(1, 2) if j == k else Fraction(1)
-                rest = _remove_one(parts, k)
-                cnt_j = rest.count(j)
-                if cnt_j == 0:
-                    continue
-                c = coeff * half * (k * counts[k]) * (j * cnt_j)
-                _acc(out, (_remove_one(rest, j), label), c)
-        # two creators (m <= -2)
-        if m <= -2:
-            j = m + 1
-            while j <= m // 2:
-                k = m - j
-                half = Fraction(1, 2) if j == k else Fraction(1)
-                _acc(out, (_add_part(_add_part(parts, -j), -k), label), coeff * half)
-                j += 1
-        # one of each: annihilate k > max(0, m), create k - m
-        for k in sorted(counts):
-            if k <= 0 or k <= m:
-                continue
-            c = coeff * (k * counts[k])
-            _acc(out, (_add_part(_remove_one(parts, k), k - m), label), c)
+    for b in range(-(-m // 2), top + 1):
+        a = m - b
+        half = Fraction(1, 2) if a == b else 1
+        for s, c in alpha_act(a, alpha_act(b, v)).items():
+            _acc(out, s, c * half)
     return out
 
 
@@ -225,8 +197,7 @@ def series_dims(kind, w_max: int) -> List[int]:
         return _partition_counts(w_max, min_part=2)
     if isinstance(kind, tuple) and kind[0] == "theta_over_eta":
         norm = kind[1]
-        if norm <= 0 or norm % 2:
-            raise SchemaError("norm must be a positive even integer")
+        _require_even_norm(norm)
         eta_inv = _partition_counts(w_max, min_part=1)
         theta = [0] * (w_max + 1)
         m = 0
@@ -240,6 +211,11 @@ def series_dims(kind, w_max: int) -> List[int]:
     raise SchemaError(f"unknown series kind {kind!r}")
 
 
+def _require_even_norm(norm: int):
+    if norm <= 0 or norm % 2:
+        raise SchemaError("norm must be a positive even integer")
+
+
 def _partition_counts(w_max: int, min_part: int) -> List[int]:
     dp = [0] * (w_max + 1)
     dp[0] = 1
@@ -251,6 +227,7 @@ def _partition_counts(w_max: int, min_part: int) -> List[int]:
 
 def lattice_graded_dims(w_max: int, norm: int = 2) -> List[int]:
     """Dimensions of the lattice realization by direct state enumeration."""
+    _require_even_norm(norm)
     dims = []
     for w in range(w_max + 1):
         count = 0
@@ -290,24 +267,24 @@ def vec_to_obj(v: FockVec):
     ]
 
 
-def heisenberg_word(modes, norm: int = 1) -> FockVec:
-    """Apply a chain of oscillator modes to the vacuum (rightmost first)."""
+def _apply_word(act, modes) -> FockVec:
+    """Apply a chain of modes to the vacuum (rightmost first)."""
     v = vec()
     for n in reversed(list(modes)):
-        v = alpha_act(n, v, norm)
+        v = act(n, v)
         if not v:
             break
     return v
+
+
+def heisenberg_word(modes, norm: int = 1) -> FockVec:
+    """Apply a chain of oscillator modes to the vacuum (rightmost first)."""
+    return _apply_word(lambda n, v: alpha_act(n, v, norm), modes)
 
 
 def virasoro_word(modes) -> FockVec:
     """Apply a chain of quadratic-realization field modes to the vacuum."""
-    v = vec()
-    for n in reversed(list(modes)):
-        v = virasoro_act(n, v)
-        if not v:
-            break
-    return v
+    return _apply_word(virasoro_act, modes)
 
 
 # ---------------------------------------------------------------------------

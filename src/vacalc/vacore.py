@@ -67,6 +67,10 @@ VACUUM_WORD: Word = ()
 
 _MAX_SINGULAR = 64
 
+# Entries the rewrite cache of one presentation may hold before _prepend
+# raises ResourceLimit; read at call time.
+_STEP_BOUND = 10**6
+
 
 def _gf2_reduce(v: int, echelon: Dict[int, int]) -> int:
     """The bitmask v reduced over GF(2) by an echelon {leading bit: row};
@@ -156,7 +160,6 @@ class Presentation:
         generators: Sequence[Tuple[str, int]],
         ope: Dict[Tuple[int, int], Dict[int, Dict[Word, int | Fraction]]],
         central: Dict[str, Fraction],
-        step_bound: int = 10**6,
         label: str = "custom",
     ):
         self.gens = list(generators)
@@ -164,7 +167,6 @@ class Presentation:
         self.weights = [w for _, w in self.gens]
         self.name2idx = {name: i for i, name in enumerate(self.names)}
         self.central = dict(central)
-        self.step_bound = step_bound
         self.label = label
         self.ope = ope
         self._prepend_cache: Dict[tuple, Dict[Word, int | Fraction]] = {}
@@ -283,7 +285,7 @@ class Presentation:
         word goes back in front of each word w of g(n) rest; where h(m)
         already stands in order before w its term is added in place, so such
         in-order prepends take no cache entry.  The cache raises
-        ResourceLimit once it holds more than step_bound entries.
+        ResourceLimit once it holds more than _STEP_BOUND entries.
         """
         key = (g, n, word)
         cached = self._prepend_cache.get(key)
@@ -327,10 +329,10 @@ class Presentation:
                         add_into(acc, self._prepend(g2, n2, rest), cnj * cc)
                 out = acc
         self._prepend_cache[key] = out
-        if len(self._prepend_cache) > self.step_bound:
+        if len(self._prepend_cache) > _STEP_BOUND:
             raise ResourceLimit(
-                f"rewrite cache grew past the step bound of {self.step_bound} entries",
-                bound=self.step_bound,
+                f"rewrite cache grew past the step bound of {_STEP_BOUND} entries",
+                bound=_STEP_BOUND,
                 cache_entries=len(self._prepend_cache),
             )
         return out
@@ -361,16 +363,14 @@ class Presentation:
         entry: read it, never change it."""
         return self._prepend(g, n, word)
 
-    def _nf_word_suffix(self, word: Word) -> Dict[Word, int | Fraction]:
-        el: Dict[Word, int | Fraction] = {VACUUM_WORD: 1}
-        for g, n in reversed(word):
-            el = self._act(g, n, el)
-        return el
-
     def normal_form(self, el: VAElement) -> VAElement:
+        """Straighten each word from the vacuum up, one letter at a time."""
         out: Dict[Word, int | Fraction] = {}
         for word, c in el.terms.items():
-            add_into(out, self._nf_word_suffix(word), c)
+            state: Dict[Word, int | Fraction] = {VACUUM_WORD: 1}
+            for g, n in reversed(word):
+                state = self._act(g, n, state)
+            add_into(out, state, c)
         return VAElement(self, out)
 
     def word_element(self, modes) -> VAElement:
@@ -415,14 +415,8 @@ class Presentation:
         return out
 
     def derivative(self, x: VAElement) -> VAElement:
-        """Translation operator: [T, g(n)] = -n g(n-1), T 1 = 0."""
-        x = self.normal_form(x)
-        out: Dict[Word, int | Fraction] = {}
-        for word, c in x.terms.items():
-            for i, (g, n) in enumerate(word):
-                shifted = word[:i] + ((g, n - 1),) + word[i + 1 :]
-                add_into(out, self._nf_word_suffix(shifted), c * (-n))
-        return VAElement(self, out)
+        """Translation operator: T x = x(-2)1."""
+        return self.bracket(x, self.vacuum(), -2)
 
     def bracket(self, a: VAElement, b: VAElement, n: int) -> VAElement:
         """a(n)b for arbitrary states a, b."""

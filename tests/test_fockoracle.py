@@ -65,14 +65,26 @@ def test_virasoro_weight_operator_and_translation():
     assert virasoro_act(-1, vec()) == v_scale(vec(((1, 1), 0)), Fraction(1, 2))
 
 
+def test_virasoro_weight_operator_reads_the_momentum():
+    # L_0 = 1/2 alpha(0)^2 + sum_k alpha(-k) alpha(k): weight label^2/2 + parts
+    assert virasoro_act(1, vec(((), 1))) == v_scale(vec(((), 1)), Fraction(1, 2))
+    rng = random.Random(2)
+    for _ in range(40):
+        s = rand_state(rng, label=rng.randint(-2, 2))
+        assert virasoro_act(1, vec(s)) == v_scale(vec(s), state_weight(s)), s
+
+
 def test_virasoro_commutator_matches_central_charge_one():
     rng = random.Random(1)
 
     def L(a, v):
         return virasoro_act(a + 1, v)  # classical index a
 
-    for _ in range(20):
-        s = vec(rand_state(rng))
+    states = [rand_state(rng) for _ in range(20)]
+    # Fock-momentum states: the zero-mode terms must keep the algebra
+    states += [rand_state(rng, label=rng.choice((-2, -1, 1, 2))) for _ in range(10)]
+    for state in states:
+        s = vec(state)
         for a in range(-4, 5):
             for b in range(-4, 5):
                 lhs = v_add(L(a, L(b, s)), v_scale(L(b, L(a, s)), -1))
@@ -152,7 +164,13 @@ def test_series_dims_examples():
     lambda: series_dims(("theta_over_eta", 0), 4),
     lambda: series_dims("theta", 4),
     lambda: lattice_vertex_act(2, 0, vec(), 4),
-], ids=["negative-weight", "odd-norm", "zero-norm", "unknown-kind", "sign"])
+    # a norm <= 0 never ends the label loop; an odd one floors half-integer weights
+    lambda: lattice_graded_dims(3, norm=0),
+    lambda: lattice_graded_dims(3, norm=-2),
+    lambda: lattice_graded_dims(3, norm=1),
+    lambda: lattice_graded_dims(3, norm=3),
+], ids=["negative-weight", "odd-norm", "zero-norm", "unknown-kind", "sign",
+        "lattice-norm-0", "lattice-norm-minus-2", "lattice-norm-1", "lattice-norm-3"])
 def test_bad_arguments_are_schema_errors(call):
     with pytest.raises(SchemaError):
         call()

@@ -416,14 +416,32 @@ def test_only_connectivity_0_loads():
 # derivative and brackets
 # ---------------------------------------------------------------------------
 
+def _letter_shift_derivative(pres, x):
+    """T(g_1(n_1)...g_k(n_k)1) = sum_i -n_i g_1(n_1)...g_i(n_i - 1)...g_k(n_k)1,
+    each shifted word straightened by word_element."""
+    out = pres.zero()
+    for word, c in x.terms.items():
+        for i, (g, n) in enumerate(word):
+            shifted = word[:i] + ((g, n - 1),) + word[i + 1 :]
+            out = out + pres.word_element(shifted).scale(c * -n)
+    return out
+
+
 def test_derivative_examples(hei, vir1):
     assert hei.derivative(hei.vacuum()).is_zero()
     a = hei.gen_element("a")
     assert str(hei.derivative(a)) == "a(-2)1"
     assert str(hei.derivative(hei.word_element([(0, -2)]))) == "2 * a(-3)1"
-    # T x = x(-2)1 on a sum of words whose shifts straighten into shared words
+    # derivative is x(-2)1; the letter-shift rule [T, g(n)] = -n g(n-1) is
+    # an independent route, on a sum of words whose shifts straighten into
+    # shared words and on every spanning word of weight <= 6
     x = vir1.word_element([(0, -2), (0, -2)]) + vir1.word_element([(0, -4)]).scale(3)
-    assert vir1.derivative(x) == vir1.bracket(x, vir1.vacuum(), -2)
+    assert vir1.derivative(x) == _letter_shift_derivative(vir1, x)
+    for pres in (vir1, preset_virasoro(Fraction(-22, 5)), preset_heisenberg(2)):
+        for w in range(7):
+            for word in spanning_basis(pres, w):
+                x = pres.element({word: 1})
+                assert pres.derivative(x) == _letter_shift_derivative(pres, x), word
 
 
 def test_bracket_table_values(vir):
@@ -1463,16 +1481,17 @@ def test_step_bound_raises_non_terminating():
     assert exc.value.payload() == {"bound": 5, "word": "L(-6)L(-5)L(-4)L(-3)L(-2)L(-1)1"}
 
 
-def test_rewrite_cache_bound_raises_resource_limit(vir):
+def test_rewrite_cache_bound_raises_resource_limit(vir, monkeypatch):
     word = {tuple((0, -6 + i) for i in range(6)): Fraction(1)}
     small = Presentation(
         [("L", 2)],
         {(0, 0): {0: {((0, -2),): 1}, 1: {((0, -1),): 2}, 3: {VACUUM_WORD: vir.central["c"] / 2}}},
         vir.central,
-        step_bound=5,
     )
-    with pytest.raises(ResourceLimit, match="step bound of 5 entries") as exc:
-        small.normal_form(small.element(word))
+    with monkeypatch.context() as patch:
+        patch.setattr(vacore, "_STEP_BOUND", 5)
+        with pytest.raises(ResourceLimit, match="step bound of 5 entries") as exc:
+            small.normal_form(small.element(word))
     assert exc.value.payload() == {"bound": 5, "cache_entries": 6}
     # under the default bound the same word straightens: too big, not endless
     assert not vir.normal_form(vir.element(word)).is_zero()
