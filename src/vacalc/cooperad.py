@@ -57,6 +57,7 @@ from .localfn import (
     _collision_level,
     _divided,
     _fn_obj,
+    _permute_gterm,
     _reduce,
     _terms_text,
 )
@@ -131,28 +132,6 @@ class TensorElement(SparseSum):
         entry per outer monomial, in monomial order, with a monic inner
         factor."""
         return _regroup(self.terms, (self.outer_arity, self.inner_arity))
-
-    def map_factors(self, outer_map=None, inner_map=None) -> "TensorElement":
-        """The element with the linear maps outer_map and inner_map (LocalFn
-        to LocalFn; None is the identity) applied to its two sides."""
-        by_outer: Dict[Monomial, Dict[Monomial, int | Fraction]] = {}
-        for (mo, mi), c in self.terms.items():
-            by_outer.setdefault(mo, {})[mi] = c
-        oa, ia = self.outer_arity, self.inner_arity
-        expanded: Dict[tuple, int | Fraction] = {}
-        for mo, inner_terms in by_outer.items():
-            outer = LocalFn.from_monomial(self.outer_arity, mo)
-            inner = LocalFn(self.inner_arity, inner_terms)
-            if outer_map:
-                outer = outer_map(outer)
-            if inner_map:
-                inner = inner_map(inner)
-            oa, ia = outer.arity, inner.arity
-            for no, co in outer.terms.items():
-                for ni, ci in inner.terms.items():
-                    pair = (no, ni)
-                    expanded[pair] = expanded.get(pair, 0) + co * ci
-        return TensorElement(oa, ia, expanded)
 
     def __str__(self):
         bits = []
@@ -606,6 +585,19 @@ def _show_expanded(arities):
     return lambda e: str(_regroup({k: Fraction(c) for k, c in e.items()}, arities))
 
 
+def _permuted(te: TensorElement, side: int, perm) -> TensorElement:
+    """te with perm applied, as LocalFn.permute applies it, to its outer
+    (side 0) or inner (side 1) factor: each pair's monomial on that side is
+    permuted and reduced."""
+    arity = te._space[side]
+    terms: Dict[tuple, int | Fraction] = {}
+    for pair, c in te.terms.items():
+        for mono, d in _reduce([_permute_gterm(pair[side], perm, c)], arity).items():
+            key = (mono, pair[1]) if side == 0 else (pair[0], mono)
+            terms[key] = terms.get(key, 0) + d
+    return te._like(terms)
+
+
 def _random_monomial(rng, arity_cap):
     """(n, f): a random arity n in 2..arity_cap and a basis monomial f of it,
     drawn from a MonomialBasis, which is counted and never listed."""
@@ -683,11 +675,11 @@ def verify_axioms(arity_cap: int = 4, samples: int = 20, truncation: int = 4, se
             lhs_in = insert_components(f.permute(sigma), m, -T, T)
             lhs_out = insert_components(f.permute(tau), m, -T, T) if m >= 2 else None
             for p in range(-T, T + 1):
-                rhs_in = base[p].map_factors(inner_map=lambda h: h.permute(omega))
+                rhs_in = _permuted(base[p], 1, omega)
                 record("equivariance-inner", text, {"m": m, "perm": omega}, p,
                        lhs_in[p] == rhs_in, lhs_in[p], rhs_in)
                 if m >= 2:
-                    rhs_out = base[p].map_factors(outer_map=lambda h: h.permute(rho))
+                    rhs_out = _permuted(base[p], 0, rho)
                     record("equivariance-outer", text, {"m": m, "perm": tau_head}, p,
                            lhs_out[p] == rhs_out, lhs_out[p], rhs_out)
         elif kind == "commutativity":

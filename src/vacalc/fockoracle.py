@@ -20,15 +20,15 @@ Conventions, fixed once and used consistently:
   zero-mode terms read the label, so L_0 is state_weight.
 * ``lattice_vertex_act`` realizes the exponential vertex operators of the
   rank-1 even lattice (norm 2 by default) with the trivial two-cocycle,
-  truncated to a weight cutoff, and ``lattice_check`` checks the lattice
-  relations in that realization.
+  truncated to a weight cutoff: its factors E+-(z) are exponentials of
+  alpha_act modes, so all three realizations act through that one
+  primitive.  ``lattice_check`` checks the lattice relations in that
+  realization.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
-from math import comb, factorial
 from typing import Dict, List, Tuple
 
 from .errors import SchemaError, TruncationTooSmall
@@ -45,13 +45,12 @@ def vec(state: State = VACUUM, coeff=1) -> FockVec:
 
 
 def _acc(out: FockVec, state: State, coeff: Fraction):
-    if coeff == 0:
-        return
-    t = out.get(state, Fraction(0)) + coeff
-    if t:
-        out[state] = t
+    if state in out:
+        coeff += out[state]
+    if coeff:
+        out[state] = coeff
     else:
-        del out[state]
+        out.pop(state, None)
 
 
 def v_add(a: FockVec, b: FockVec) -> FockVec:
@@ -115,23 +114,41 @@ def virasoro_act(n: int, v: FockVec) -> FockVec:
     return out
 
 
+def _exp_alpha(series: Dict[int, FockVec], c: int, m: int, cap: int, norm: int):
+    """exp(c alpha(m) z^(-m) / m) on a series {power of z: FockVec}: its
+    j-th term (c/m)^j / j! alpha(m)^j moves the power by -m j.  Powers above
+    cap are dropped."""
+    out: Dict[int, FockVec] = {}
+    for d, v in series.items():
+        j = 0
+        while v and d - m * j <= cap:
+            bucket = out.setdefault(d - m * j, {})
+            for state, coeff in v.items():
+                _acc(bucket, state, coeff)
+            j += 1
+            v = v_scale(alpha_act(m, v, norm), Fraction(c, m * j))
+    return out
+
+
 def lattice_vertex_act(
     sign: int, n: int, v: FockVec, cutoff: int, norm: int = 2
 ) -> FockVec:
     """Mode n of the exponential vertex operator for the lattice vector
     sign * lambda (sign in {+1, -1}), truncated to states of weight <= cutoff.
 
-    The operator is e^(sign lambda) z^(sign lambda(0)) E-(z) E+(z).  On a
-    state of label l, z^(sign lambda(0)) gives z^(sign l norm).  E+ removes
-    d of the c parts k with coefficient C(c, d) (-sign norm)^d and the power
-    z^(-k d), for each part size independently.  E- then creates the
-    partitions of the remaining degree with the exponential-series
-    coefficients (_creation_terms), so mode n, the coefficient of z^(-n-1),
-    creates degree -n - 1 - sign l norm + sum k d.
+    The operator is e^(sign lambda) z^(sign lambda(0)) E-(z) E+(z) with
+    E-(z) E+(z) = exp(-sign sum_(m != 0) alpha(m) z^(-m) / m), one
+    exponential of an alpha_act mode per m: E+ (m > 0) acts first and
+    lowers the power of z by the degree it removes, and E- (m < 0) raises
+    it by the degree it creates.  On a state of label l, z^(sign lambda(0))
+    gives z^(sign l norm), so mode n, the coefficient of z^(-n-1), reads
+    the power target = -n - 1 - sign l norm of E-(z) E+(z), and every state
+    it makes weighs target more than the input's parts at label l + sign.
 
-    The cocycle is trivial, legitimate for an even lattice; other sign
-    conventions give isomorphic algebras.
+    The cocycle is trivial, legitimate for an even lattice (norm positive
+    and even); other sign conventions give isomorphic algebras.
     """
+    _require_even_norm(norm)
     if sign not in (1, -1):
         raise SchemaError("sign must be +1 or -1")
     if cutoff < 0:
@@ -143,40 +160,20 @@ def lattice_vertex_act(
             )
     out: FockVec = {}
     for (parts, label), coeff in v.items():
-        base_power = sign * label * norm
         new_label = label + sign
-        label_weight = Fraction(norm * new_label * new_label, 2)
-        counts: Dict[int, int] = {}
-        for p in parts:
-            counts[p] = counts.get(p, 0) + 1
-        removables = sorted(counts)
-        # one removal multiset per choice of d_k in 0..c_k for every part k
-        for ds in product(*(range(counts[k] + 1) for k in removables)):
-            rem_parts: List[int] = []
-            rem_coeff = Fraction(1)
-            rem_power = 0
-            for k, d in zip(removables, ds):
-                rem_parts += [k] * (counts[k] - d)
-                rem_coeff *= comb(counts[k], d) * Fraction(-sign * norm) ** d
-                rem_power += k * d
-            target = -n - 1 - base_power + rem_power
-            if target < 0 or sum(rem_parts) + label_weight + target > cutoff:
-                continue
-            for add_parts, add_coeff in _creation_terms(target, sign):
-                state = (tuple(sorted(rem_parts + list(add_parts), reverse=True)), new_label)
-                _acc(out, state, coeff * rem_coeff * add_coeff)
+        target = -n - 1 - sign * label * norm
+        if state_weight((parts, new_label), norm) + target > cutoff:
+            continue
+        series = {0: {(parts, new_label): coeff}}
+        for k in set(parts):
+            series = _exp_alpha(series, -sign, k, 0, norm)
+        # E+ left no power below -sum(parts), so E- needs no part above
+        # target + sum(parts)
+        for k in range(target + sum(parts), 0, -1):
+            series = _exp_alpha(series, -sign, -k, target, norm)
+        for state, c in series.get(target, {}).items():
+            _acc(out, state, c)
     return out
-
-
-def _creation_terms(total: int, sign: int):
-    """Yield (parts, coeff) over the partitions of total, with the
-    exponential-series coefficient prod (sign/k)^a_k / a_k!."""
-    for add_parts in _partitions_of(total):
-        c = Fraction(1)
-        for p in set(add_parts):
-            a = add_parts.count(p)
-            c *= Fraction(sign, p) ** a / factorial(a)
-        yield add_parts, c
 
 
 # ---------------------------------------------------------------------------

@@ -386,6 +386,10 @@ class Presentation:
 
         (g(m)v)(K) = sum_i (-1)^i C(m,i) [ g(m-i) (v(K+i) x)
                                            - (-1)^m v(m+K-i) (g(i) x) ].
+
+        Every mode m of a normal word is <= -1 (bracket normal-forms u, and
+        the recursion passes a suffix of it), so C(m, i) is never 0 and the
+        sum over i runs up to the weight bounds alone.
         """
         if not uword:
             return {xword: 1} if K == -1 else {}
@@ -398,14 +402,9 @@ class Presentation:
         wt_x = self.word_weight(xword)
         bound1 = wt_v + wt_x - K - 1
         bound2 = self.wt(g) + wt_x - 1
-        imax = max(bound1, bound2)
-        if m >= 0:
-            imax = min(imax, m)
         sign_m = (-1) ** (m % 2)
-        for i in range(0, imax + 1):
+        for i in range(0, max(bound1, bound2) + 1):
             c = (-1) ** (i % 2) * gbinom(m, i)
-            if c == 0:
-                continue
             if i <= bound1:
                 add_into(out, self._act(g, m - i, self._word_mode(rest, K + i, xword)), c)
             if i <= bound2:

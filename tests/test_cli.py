@@ -713,7 +713,7 @@ def test_deep_nesting_is_a_one_line_error():
 _REMOVED_NAMES = re.compile(
     r"_nf_word_bubble|eval_raw|_entry_mode|NonTerminating|_merge_negative_values"
     r"|_option_strings|_scaled_echelon|_norm_terms|_from_expanded|_solve\b"
-    r"|_nf_word_suffix|step_bound"
+    r"|_nf_word_suffix|step_bound|map_factors|_creation_terms"
 )
 
 

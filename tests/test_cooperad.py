@@ -474,6 +474,24 @@ def test_verify_axioms_catches_a_broken_binomial(monkeypatch):
         assert "lhs" in c and "rhs" in c and c["lhs"] != c["rhs"]
 
 
+def test_verify_axioms_catches_an_unsigned_permutation(monkeypatch):
+    # the tensor side of each equivariance check permutes without the sign
+    # of a flipped difference factor, while LocalFn.permute, on the other
+    # side, keeps it: both equivariance kinds must fail
+    good = cooperad._permute_gterm
+
+    def unsigned(mono, sigma, coeff=1):
+        return (coeff,) + good(mono, sigma, coeff)[1:]
+
+    monkeypatch.setattr(cooperad, "_permute_gterm", unsigned)
+    for seed, kinds in ((0, ["equivariance-inner"]), (3, ["equivariance-outer"] * 2)):
+        rep = verify_axioms(arity_cap=4, samples=15, truncation=3, seed=seed)
+        failed = [c for c in rep["checks"] if c["status"] == "fail"]
+        assert rep["failures"] == len(failed)
+        assert [c["kind"] for c in failed] == kinds
+        assert all(c["lhs"] != c["rhs"] for c in failed)
+
+
 @pytest.mark.parametrize("seed, failures, digest", [
     pytest.param(0, 25, "d211ba75c7b494e25dd99893842108270f46f75d1a7ce5bab01381fddd427f1b", id="seed0"),
     pytest.param(1, 7, "54638ea0344daf018aa7e5305d7ae556ce96d5d3a1cd2a818ef6a0bff08c3e89", id="seed1"),
@@ -637,7 +655,11 @@ def _insert_block_by_conjugation(f, pos, size, p):
         sigma[v - 1] = m + offset
     rho = [j if j < pos else j + 1 for j in range(1, m + 1)] + [pos]
     comp = insert_component(f.permute(sigma), m, p)
-    return comp.map_factors(outer_map=lambda g: g.permute(rho))
+    terms = {}
+    for (mo, mi), c in comp.terms.items():
+        for no, d in LocalFn.from_monomial(m + 1, mo).permute(rho).terms.items():
+            terms[(no, mi)] = terms.get((no, mi), 0) + c * d
+    return TensorElement(m + 1, size, terms)
 
 
 def test_insert_block_matches_conjugation():

@@ -1,7 +1,11 @@
 """Tests for the oscillator realizations and the dimension series."""
 
 import random
+from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
+from itertools import product
+from math import comb, factorial
 
 import pytest
 
@@ -148,6 +152,71 @@ def test_lattice_modes_shift_the_weight_by_minus_n():
     assert nonzero > 100
 
 
+@lru_cache(maxsize=None)
+def _partitions(total, largest):
+    """The partitions of total into parts <= largest, as descending tuples."""
+    if total == 0:
+        return ((),)
+    return tuple((p,) + rest for p in range(min(total, largest), 0, -1)
+                 for rest in _partitions(total - p, p))
+
+
+@lru_cache(maxsize=None)
+def _created(total, sign):
+    """(partition, prod (sign/k)^(a_k) / a_k!) over the partitions of total
+    with a_k parts k."""
+    out = []
+    for created in _partitions(total, total):
+        c = Fraction(1)
+        for k, a in Counter(created).items():
+            c *= Fraction(sign, k) ** a / factorial(a)
+        out.append((created, c))
+    return out
+
+
+def _closed_form_lattice_act(sign, n, state, cutoff, norm=2):
+    """Mode n of e^(sign lambda) on one state from the coefficients of its
+    closed form: E+ removes d of the c parts k with C(c, d) (-sign norm)^d
+    and lowers the power of z by k d, and E- then creates each partition
+    with a_k parts k with prod (sign/k)^(a_k) / a_k!."""
+    parts, label = state
+    counts = Counter(parts)
+    sizes = sorted(counts)
+    new_label = label + sign
+    out = {}
+    for ds in product(*(range(counts[k] + 1) for k in sizes)):
+        coeff, rest, removed = Fraction(1), [], 0
+        for k, d in zip(sizes, ds):
+            coeff *= comb(counts[k], d) * (-sign * norm) ** d
+            rest += [k] * (counts[k] - d)
+            removed += k * d
+        target = -n - 1 - sign * label * norm + removed
+        if target < 0 or sum(rest) + Fraction(norm * new_label**2, 2) + target > cutoff:
+            continue
+        for created, c in _created(target, sign):
+            key = (tuple(sorted(rest + list(created), reverse=True)), new_label)
+            out[key] = out.get(key, 0) + coeff * c
+    return {key: c for key, c in out.items() if c}
+
+
+def test_lattice_modes_match_the_closed_form():
+    # every partition of weight <= 6 at labels -2..2, both signs, modes
+    # -6..4 and cutoffs 8 and 12: the operator built from exponentials of
+    # alpha_act modes gives the closed-form coefficients
+    cases = nonzero = 0
+    for label, weight, sign, n, cutoff in product(
+            range(-2, 3), range(7), (1, -1), range(-6, 5), (8, 12)):
+        for parts in _partitions(weight, weight):
+            state = (parts, label)
+            if state_weight(state, 2) > cutoff:
+                continue
+            got = lattice_vertex_act(sign, n, vec(state), cutoff)
+            assert got == _closed_form_lattice_act(sign, n, state, cutoff), (state, sign, n)
+            cases += 1
+            nonzero += bool(got)
+    assert (cases, nonzero) == (5808, 3686)
+
+
 # ---------------------------------------------------------------------------
 # series
 # ---------------------------------------------------------------------------
@@ -169,8 +238,15 @@ def test_series_dims_examples():
     lambda: lattice_graded_dims(3, norm=-2),
     lambda: lattice_graded_dims(3, norm=1),
     lambda: lattice_graded_dims(3, norm=3),
+    # the trivial cocycle is valid only on an even lattice
+    lambda: lattice_vertex_act(1, -1, vec(), 4, norm=0),
+    lambda: lattice_vertex_act(1, -1, vec(), 4, norm=-2),
+    lambda: lattice_vertex_act(1, -2, vec(((), 1)), 4, norm=1),
+    lambda: lattice_vertex_act(1, -1, vec(), 4, norm=3),
 ], ids=["negative-weight", "odd-norm", "zero-norm", "unknown-kind", "sign",
-        "lattice-norm-0", "lattice-norm-minus-2", "lattice-norm-1", "lattice-norm-3"])
+        "lattice-norm-0", "lattice-norm-minus-2", "lattice-norm-1", "lattice-norm-3",
+        "lattice-act-norm-0", "lattice-act-norm-minus-2", "lattice-act-norm-1",
+        "lattice-act-norm-3"])
 def test_bad_arguments_are_schema_errors(call):
     with pytest.raises(SchemaError):
         call()
