@@ -4,7 +4,10 @@ One subcommand per operation; output is human-readable text by default and
 JSON with --json.  Exit codes: 0 on success, 1 on a domain error (bad pole,
 weight mismatch, ...) or a closed stdout, 2 on usage errors.  Rationals are
 always printed as p/q, and term orders are the canonical ones, so identical
-invocations give byte-identical output.
+invocations give byte-identical output.  JSON output is always the text of
+json.dumps(obj, sort_keys=True): dict outputs go through _dumps, while
+functions, tensor components and the verify-cooperad report print the
+text their writers build, each repeated fragment formatted once.
 
 Each argv is parsed once, by the parser of the command it names; tokens
 that parser leaves over are reported by the top-level `vacalc` parser, as
@@ -28,9 +31,10 @@ from .cooperad import (
     SortSignature,
     symmetric_expansion,
     verify_axioms,
+    _report_json,
 )
 from .errors import SchemaError, VacalcError
-from .localfn import canonicalize, parse
+from .localfn import canonicalize, parse, _fn_json
 from .vacore import (
     _integer,
     check_uniform_bound,
@@ -67,14 +71,23 @@ def _pres_from_args(args):
     return load_presentation(doc)
 
 
-def _emit(args, human, obj):
-    """Print obj() as JSON with --json and human() otherwise; each output
-    is built only when it is printed."""
-    if args.json:
-        # every emitted object is freshly built and holds no cycle
-        print(json.dumps(obj(), sort_keys=True, check_circular=False))
-    else:
-        print(human())
+def _dumps(obj):
+    """The JSON text of an output object, keys sorted."""
+    # every emitted object is freshly built and holds no cycle
+    return json.dumps(obj, sort_keys=True, check_circular=False)
+
+
+def _fns_json(fns):
+    """The JSON text of a list of functions, each distinct factor written
+    once for the whole list."""
+    factors = {}
+    return "[" + ", ".join(_fn_json(f.arity, f.sorted_terms(), factors) for f in fns) + "]"
+
+
+def _emit(args, human, json_text):
+    """Print json_text() with --json and human() otherwise; each output is
+    built only when it is printed."""
+    print(json_text() if args.json else human())
 
 
 def _items(text, flag):
@@ -224,12 +237,12 @@ def run(argv):
 
     if args.command == "canon":
         f = canonicalize(parse(args.expr, args.arity))
-        _emit(args, f.format, f.to_obj)
+        _emit(args, f.format, f.to_json)
 
     elif args.command == "insert":
         f = canonicalize(parse(args.expr, args.arity))
         te = insert_component(f, args.m, args.p)
-        _emit(args, lambda: str(te), te.to_obj)
+        _emit(args, lambda: str(te), te.to_json)
 
     elif args.command == "kernels":
         _nonnegative(args.m_max, "--m-max")
@@ -254,11 +267,11 @@ def run(argv):
             lines.append(f"expansion orders agree: {'yes' if agree else 'NO'}")
             return "\n".join(lines)
 
-        _emit(args, human, lambda: {
+        _emit(args, human, lambda: _dumps({
             "kind": args.kind,
             "orders_agree": agree,
             "coefficients": {f"{m},{n}": str(c) for (m, n), c in sorted(coeffs.items())},
-        })
+        }))
         if not agree:
             return 1
 
@@ -277,11 +290,11 @@ def run(argv):
                 args.arity, subset, args.level, args.grading, args.pole_budget
             )
             _emit(args, lambda: "\n".join(f.format() for f in fns) or "(empty)",
-                  lambda: [f.to_obj() for f in fns])
+                  lambda: _fns_json(fns))
         else:
             f = canonicalize(parse(args.expr, args.arity))
             lvl = f.collision_level(subset)
-            _emit(args, lambda: f"level {lvl}", lambda: {"level": lvl})
+            _emit(args, lambda: f"level {lvl}", lambda: _dumps({"level": lvl}))
 
     elif args.command == "connective":
         sorts = _int_list(args.sorts, "--sorts")
@@ -289,7 +302,7 @@ def run(argv):
             ap.error("--sorts needs the output sort plus one sort per variable")
         f = canonicalize(parse(args.expr, args.arity))
         ans = in_connective(f, args.k, SortSignature(sorts[0], sorts[1:]))
-        _emit(args, lambda: "true" if ans else "false", lambda: {"in_connective": ans})
+        _emit(args, lambda: "true" if ans else "false", lambda: _dumps({"in_connective": ans}))
 
     elif args.command == "verify-cooperad":
         rep = verify_axioms(args.arity_max, args.samples, args.order, args.seed)
@@ -301,42 +314,42 @@ def run(argv):
                     lines.append(f"FAIL {c['kind']} input={c['input']} component={c['component']}")
             return "\n".join(lines)
 
-        _emit(args, human, lambda: rep)
+        _emit(args, human, lambda: _report_json(rep))
         if rep["failures"]:
             return 1
 
     elif args.command == "dims":
         pres = _pres_from_args(args)
         dims = graded_dims(pres, _nonnegative(args.max_weight, "--max-weight"))
-        _emit(args, lambda: " ".join(map(str, dims)), lambda: {"dims": dims})
+        _emit(args, lambda: " ".join(map(str, dims)), lambda: _dumps({"dims": dims}))
 
     elif args.command == "ope":
         pres = _pres_from_args(args)
         terms = ope_singular(pres, args.a, args.b)
         _emit(args, lambda: "\n".join(f"n={n}: {el}" for n, el in terms) or "(regular product)",
-              lambda: {
+              lambda: _dumps({
                   "bound": check_uniform_bound(pres, args.a, args.b),
                   "singular": [{"n": n, "result": el.to_obj()} for n, el in terms],
-              })
+              }))
 
     elif args.command == "bracket":
         pres = _pres_from_args(args)
         a = parse_element(pres, args.a)
         b = parse_element(pres, args.b)
         out = pres.bracket(a, b, args.n)
-        _emit(args, lambda: str(out), out.to_obj)
+        _emit(args, lambda: str(out), lambda: _dumps(out.to_obj()))
 
     elif args.command == "radical":
         pres = _pres_from_args(args)
         rs = radical_slice(pres, _nonnegative(args.weight, "--weight"))
         _emit(args, lambda: "\n".join([f"dimension {rs.dimension}"]
                                       + [f"kernel: {el}" for el in rs.kernel]),
-              lambda: {
+              lambda: _dumps({
                   "weight": rs.weight,
                   "dimension": rs.dimension,
                   "basis": [pres.word_str(w) for w in rs.basis],
                   "kernel": [el.to_obj() for el in rs.kernel],
-              })
+              }))
 
     elif args.command == "npoint":
         pres = _pres_from_args(args)
@@ -345,7 +358,7 @@ def run(argv):
         if bound is None:
             bound = sum(pres.wt(pres.gen_index(g)) for g in gens)
         f = npoint_ward(pres, gens, bound)
-        _emit(args, f.format, f.to_obj)
+        _emit(args, f.format, f.to_json)
 
     elif args.command == "lattice-check":
         rep = fockoracle.lattice_check(args.cutoff)
@@ -357,7 +370,7 @@ def run(argv):
                 lines.append(f"{mark} {c['kind']}: {c['detail']}")
             return "\n".join(lines)
 
-        _emit(args, human, lambda: rep)
+        _emit(args, human, lambda: _dumps(rep))
         if rep["failures"]:
             return 1
 
@@ -369,7 +382,7 @@ def run(argv):
         elif args.norm is not None:
             raise SchemaError(f"--kind {kind} takes no --norm")
         dims = fockoracle.series_dims(kind, args.max_weight)
-        _emit(args, lambda: " ".join(map(str, dims)), lambda: {"dims": dims})
+        _emit(args, lambda: " ".join(map(str, dims)), lambda: _dumps({"dims": dims}))
 
     return 0
 
@@ -383,7 +396,7 @@ def main():
         # run parsed these arguments before anything could raise
         if _parse(sys.argv[1:]).json:
             obj = {"error": type(exc).__name__, "message": str(exc), **exc.payload()}
-            print(json.dumps(obj, sort_keys=True, check_circular=False), file=sys.stderr)
+            print(_dumps(obj), file=sys.stderr)
         code = 1
     except BrokenPipeError:
         # the reader closed stdout; point it at devnull so the interpreter's

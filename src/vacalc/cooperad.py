@@ -20,9 +20,13 @@ subset expands where it stands; _cluster_components turns its terms into
 integer (outer monomial, inner monomial) coefficients.  The public
 insertions are sums of those over the input's terms.  A TensorElement
 holds that expanded sum {(outer monomial, inner monomial): coeff}, which
-equality and hashing compare.  Only to print it (str and to_obj) does it
+equality and hashing compare.  Only to print it (str and to_json) does it
 regroup the sum into (outer, inner, coeff) triples, in one pass over the
-monomials (_groups) that builds no LocalFn.  The cluster filtration reads
+monomials (_groups) that builds no LocalFn.  The JSON is written as text,
+each distinct factor and monic inner function formatted once per output,
+and so is the verify_axioms report (_report_json), each check adding only
+its own fields to the text it shares with its neighbours; both equal
+json.dumps with sorted keys, byte for byte.  The cluster filtration reads
 the same engine: the level of S is the top inner grading of the insertion
 that splits S off.  The general many-block co-composition is iterated
 insertion, last block first; it is well defined because insertions into
@@ -35,6 +39,7 @@ produced term.
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -56,7 +61,7 @@ from .localfn import (
     _cluster_terms,
     _collision_level,
     _divided,
-    _fn_obj,
+    _fn_json,
     _permute_gterm,
     _reduce,
     _terms_text,
@@ -107,9 +112,10 @@ class TensorElement(SparseSum):
     held as the expanded sum {(outer monomial, inner monomial): coeff}.
     Bilinearity makes groupings like A (x) B + A (x) C versus A (x) (B + C)
     the same element, and the expanded sum is the same for all of them.
-    str and to_obj print its canonical grouping, one entry per outer
+    str and to_json print its canonical grouping, one entry per outer
     monomial with a monic inner factor, straight from the monomials of
-    _groups; grouped() gives the same grouping as LocalFn tuples."""
+    _groups; to_obj reads the JSON text back, and grouped() gives the
+    same grouping as LocalFn tuples."""
 
     __slots__ = ("outer_arity", "inner_arity")
     _space_name = "arities"
@@ -140,18 +146,24 @@ class TensorElement(SparseSum):
             bits.append(f"{prefix}[{_terms_text([(mo, 1)], 'z')}] (x) [{_terms_text(inner, 't')}]")
         return " + ".join(bits) or "0"
 
-    def to_obj(self):
+    def to_json(self) -> str:
+        """The JSON text of to_obj(), with sorted keys.  Each distinct
+        factor and each distinct monic inner function is written once."""
         oa, ia = self.outer_arity, self.inner_arity
-        shared: dict = {}
-        return {
-            "outer_arity": oa,
-            "inner_arity": ia,
-            "terms": [
-                {"coeff": str(c), "outer": _fn_obj(oa, [(mo, 1)], shared),
-                 "inner": _fn_obj(ia, inner, shared)}
-                for (mo,), c, inner in _groups(self.terms)
-            ],
-        }
+        factors: dict = {}
+        inners: dict = {}
+        terms = []
+        for (mo,), c, items in _groups(self.terms):
+            key = tuple(items)
+            inner = inners.get(key)
+            if inner is None:
+                inner = inners[key] = _fn_json(ia, items, factors)
+            outer = _fn_json(oa, ((mo, 1),), factors)
+            terms.append(f'{{"coeff": "{c}", "inner": {inner}, "outer": {outer}}}')
+        return f'{{"inner_arity": {ia}, "outer_arity": {oa}, "terms": [{", ".join(terms)}]}}'
+
+    def to_obj(self):
+        return json.loads(self.to_json())
 
 
 # ---------------------------------------------------------------------------
@@ -702,3 +714,25 @@ def verify_axioms(arity_cap: int = 4, samples: int = 20, truncation: int = 4, se
                        _same_sum(one, two), one, two, show)
     failures = sum(1 for c in checks if c["status"] == "fail")
     return {"checks": checks, "failures": failures}
+
+
+def _report_json(rep) -> str:
+    """The JSON text of a verify_axioms report, equal to json.dumps(rep,
+    sort_keys=True) byte for byte.  The text of "input", "kind" and "slots"
+    is formatted once per run of consecutive checks that share them; each
+    check then adds its component, and both sides when it failed."""
+    records = []
+    shared = None
+    for c in rep["checks"]:
+        if shared != (c["kind"], c["input"], c["slots"]):
+            shared = (c["kind"], c["input"], c["slots"])
+            head = f', "input": {json.dumps(c["input"])}, "kind": {json.dumps(c["kind"])}'
+            slots = f', "slots": {json.dumps(c["slots"], sort_keys=True)}'
+            ok = f'{head}{slots}, "status": "ok"}}'
+        # a component is an int or a list of ints, whose str is its JSON text
+        if c["status"] == "ok":
+            records.append(f'{{"component": {c["component"]}{ok}')
+        else:
+            records.append(f'{{"component": {c["component"]}{head}, "lhs": {json.dumps(c["lhs"])}, '
+                           f'"rhs": {json.dumps(c["rhs"])}{slots}, "status": "fail"}}')
+    return f'{{"checks": [{", ".join(records)}], "failures": {rep["failures"]}}}'

@@ -114,19 +114,23 @@ def virasoro_act(n: int, v: FockVec) -> FockVec:
     return out
 
 
-def _exp_alpha(series: Dict[int, FockVec], c: int, m: int, cap: int, norm: int):
+def _exp_alpha(series: Dict[int, FockVec], c: int, m: int, cap: int, norm: int,
+               only_cap: bool = False):
     """exp(c alpha(m) z^(-m) / m) on a series {power of z: FockVec}: its
     j-th term (c/m)^j / j! alpha(m)^j moves the power by -m j.  Powers above
-    cap are dropped."""
+    cap are dropped, and with only_cap every power below cap as well; no
+    term is computed that would land above cap."""
     out: Dict[int, FockVec] = {}
     for d, v in series.items():
         j = 0
         while v and d - m * j <= cap:
-            bucket = out.setdefault(d - m * j, {})
-            for state, coeff in v.items():
-                _acc(bucket, state, coeff)
+            if not only_cap or d - m * j == cap:
+                bucket = out.setdefault(d - m * j, {})
+                for state, coeff in v.items():
+                    _acc(bucket, state, coeff)
             j += 1
-            v = v_scale(alpha_act(m, v, norm), Fraction(c, m * j))
+            if d - m * j <= cap:
+                v = v_scale(alpha_act(m, v, norm), Fraction(c, m * j))
     return out
 
 
@@ -168,9 +172,9 @@ def lattice_vertex_act(
         for k in set(parts):
             series = _exp_alpha(series, -sign, k, 0, norm)
         # E+ left no power below -sum(parts), so E- needs no part above
-        # target + sum(parts)
+        # target + sum(parts); its last step, k = 1, keeps power target only
         for k in range(target + sum(parts), 0, -1):
-            series = _exp_alpha(series, -sign, -k, target, norm)
+            series = _exp_alpha(series, -sign, -k, target, norm, k == 1)
         for state, c in series.get(target, {}).items():
             _acc(out, state, c)
     return out

@@ -15,6 +15,9 @@ Representation
     LocalFn   = arity + {Monomial: coefficient}   (no zero coefficients)
 
 A coefficient is an int where it is integral and a Fraction otherwise.
+The JSON of a function (to_json) is written as text by _fn_json, equal to
+json.dumps of its object with sorted keys, each distinct factor formatted
+once per output; to_obj reads that text back.
 
 The grading used throughout is the negative of the scaling degree, so
 (z_2 - z_1)^-2 is homogeneous of grading 2 and z_1 of grading -1.
@@ -41,6 +44,7 @@ monomials, survive one _reduce.
 
 from __future__ import annotations
 
+import json
 import re
 from fractions import Fraction
 from math import comb
@@ -492,23 +496,24 @@ def _terms_text(items, prefix: str) -> str:
     return " + ".join(chunks) or "0"
 
 
-def _fn_obj(arity: int, items, shared: dict) -> dict:
-    """JSON object of a function of the given arity with the (monomial,
-    coeff) pairs items, in print order, as LocalFn.to_obj writes it.  Equal
-    factors get the one dict that shared keeps for them."""
+def _fn_json(arity: int, items, factors: dict) -> str:
+    """JSON text of a function of the given arity with the (monomial,
+    coeff) pairs items, in print order: json.dumps of its object with
+    sorted keys, byte for byte.  factors maps each factor already written
+    in this output to its text, so each distinct factor is formatted once."""
     terms = []
     for mono, coeff in items:
-        factors = []
+        parts = []
         for f in mono:
-            obj = shared.get(f)
-            if obj is None:
+            text = factors.get(f)
+            if text is None:
                 if f[0] == "p":
-                    obj = shared[f] = {"kind": "pure", "exp": f[1]}
+                    text = factors[f] = f'{{"exp": {f[1]}, "kind": "pure"}}'
                 else:
-                    obj = shared[f] = {"kind": "diff", "base": f[1], "exp": f[2]}
-            factors.append(obj)
-        terms.append({"coeff": str(coeff), "factors": factors})
-    return {"arity": arity, "terms": terms}
+                    text = factors[f] = f'{{"base": {f[1]}, "exp": {f[2]}, "kind": "diff"}}'
+            parts.append(text)
+        terms.append(f'{{"coeff": "{coeff}", "factors": [{", ".join(parts)}]}}')
+    return f'{{"arity": {arity}, "terms": [{", ".join(terms)}]}}'
 
 
 def _divided(items, lead):
@@ -658,8 +663,12 @@ class LocalFn(SparseSum):
 
     # -- serialization -----------------------------------------------------------
 
+    def to_json(self) -> str:
+        """The JSON text of to_obj(), with sorted keys."""
+        return _fn_json(self.arity, self.sorted_terms(), {})
+
     def to_obj(self):
-        return _fn_obj(self.arity, self.sorted_terms(), {})
+        return json.loads(self.to_json())
 
     @classmethod
     def from_obj(cls, obj) -> "LocalFn":

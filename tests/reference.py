@@ -14,11 +14,15 @@ by another method, and shares no code with it: only the input is common.
   the canonical grouped form;
 * regroup, tensor_str and tensor_obj group an expanded sum into one
   LocalFn per group and split off its lead with LocalFn.primitive, then
-  print through LocalFn.format and LocalFn.to_obj (the check of cooperad's
+  print through LocalFn.format and fn_obj (the check of cooperad's
   _groups, which groups, orders and divides plain monomials, and of
-  TensorElement's str and to_obj, which print from it).  LocalFn's term
+  TensorElement's str and to_json, which print from it).  LocalFn's term
   printing and division rule are common to both sides; the output pins
-  check those.
+  check those;
+* fn_obj builds the JSON object of a LocalFn as a tree of dicts, one dict
+  per factor occurrence (the check of LocalFn.to_json and
+  TensorElement.to_json, which write the text of each distinct factor and
+  inner function once and join it).
 
 The module name has no test_ prefix, so pytest collects nothing from it.
 """
@@ -212,13 +216,24 @@ def tensor_str(te) -> str:
     return " + ".join(bits) or "0"
 
 
+def fn_obj(f) -> dict:
+    """The JSON object of a LocalFn: its terms in print order, each
+    coefficient as text and each factor as its own dict."""
+    terms = []
+    for mono, coeff in sorted(f.terms.items(), key=lambda t: mono_sort_key(t[0])):
+        factors = [{"kind": "pure", "exp": fac[1]} if fac[0] == "p"
+                   else {"kind": "diff", "base": fac[1], "exp": fac[2]} for fac in mono]
+        terms.append({"coeff": str(coeff), "factors": factors})
+    return {"arity": f.arity, "terms": terms}
+
+
 def tensor_obj(te) -> dict:
     """The JSON object of a TensorElement, from regroup."""
     return {
         "outer_arity": te.outer_arity,
         "inner_arity": te.inner_arity,
         "terms": [
-            {"coeff": str(c), "outer": o.to_obj(), "inner": i.to_obj()}
+            {"coeff": str(c), "outer": fn_obj(o), "inner": fn_obj(i)}
             for o, i, c in _grouped(te)
         ],
     }

@@ -79,23 +79,38 @@ def test_insert_and_kernels(capsys):
     assert out.strip().endswith("expansion orders agree: yes")
 
 
-@pytest.mark.parametrize("cls, argv", [
-    ("cooperad.TensorElement", ("insert", "--arity", "2", "--m", "1", "--p", "2", "(z2-z1)^-1")),
-    ("vacore.VAElement", ("radical", "--preset", "virasoro", "--c", "-22/5", "--weight", "4")),
-])
-def test_each_output_mode_builds_only_its_own_text(monkeypatch, capsys, cls, argv):
-    module, name = cls.split(".")
-    cls = getattr(getattr(vacalc, module), name)
+_OUTPUT_BUILDERS = [
+    ("cooperad.TensorElement", "__str__", "to_json",
+     ("insert", "--arity", "2", "--m", "1", "--p", "2", "(z2-z1)^-1")),
+    ("vacore.VAElement", "__str__", "to_obj",
+     ("radical", "--preset", "virasoro", "--c", "-22/5", "--weight", "4")),
+    ("localfn.LocalFn", "format", "to_json", ("canon", "--arity", "2", "-z1*(z2-z1)^-1")),
+    ("localfn.LocalFn", "format", "to_json",
+     ("npoint", "--preset", "heisenberg", "--gens", "a,a,a,a")),
+    # the human report is a closure of the command, so only the JSON writer
+    # can be caught being built for the other mode
+    ("cli", None, "_report_json", ("verify-cooperad", "--samples", "4", "--order", "2")),
+]
 
-    def unused(self):
+
+@pytest.mark.parametrize("owner, text_builder, json_builder, argv", _OUTPUT_BUILDERS,
+                         ids=[f"{case[0]}-argv{i}" for i, case in enumerate(_OUTPUT_BUILDERS)])
+def test_each_output_mode_builds_only_its_own_text(monkeypatch, capsys, owner, text_builder,
+                                                   json_builder, argv):
+    target = vacalc
+    for part in owner.split("."):
+        target = getattr(target, part)
+
+    def unused(*args):
         raise AssertionError("built for the other output mode")
 
     want = invoke(capsys, *argv)
     want_json = invoke(capsys, *argv, "--json")
-    with monkeypatch.context() as m:
-        m.setattr(cls, "__str__", unused)
-        assert invoke(capsys, *argv, "--json") == want_json
-    monkeypatch.setattr(cls, "to_obj", unused)
+    if text_builder is not None:
+        with monkeypatch.context() as m:
+            m.setattr(target, text_builder, unused)
+            assert invoke(capsys, *argv, "--json") == want_json
+    monkeypatch.setattr(target, json_builder, unused)
     assert invoke(capsys, *argv) == want
 
 
@@ -581,6 +596,10 @@ def test_catalog_outputs_are_unchanged(capsys):
             code, out, garbage = _invoke_counting_garbage(capsys, *op["argv"])
             assert code == 0 and _sha256(out)[:16] == op["digest"], op["argv"]
             assert garbage == 0, op["argv"]
+            # every catalog op prints JSON: text written by hand must be
+            # the canonical json.dumps text of what it encodes
+            assert "--json" in op["argv"]
+            assert out == json.dumps(json.loads(out), sort_keys=True) + "\n", op["argv"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -708,12 +727,13 @@ def test_deep_nesting_is_a_one_line_error():
 
 # names of code that was removed, or moved into the tests as an independent
 # checker: argv reaches argparse unchanged, the exact kernel returns its own
-# scale, a TensorElement is built from its expanded sum only, and a linear
-# system is solved through _kernel
+# scale, a TensorElement is built from its expanded sum only, a linear
+# system is solved through _kernel, and function JSON is written as text,
+# its dict-building route kept as the tests' reference
 _REMOVED_NAMES = re.compile(
     r"_nf_word_bubble|eval_raw|_entry_mode|NonTerminating|_merge_negative_values"
     r"|_option_strings|_scaled_echelon|_norm_terms|_from_expanded|_solve\b"
-    r"|_nf_word_suffix|step_bound|map_factors|_creation_terms"
+    r"|_nf_word_suffix|step_bound|map_factors|_creation_terms|_fn_obj"
 )
 
 

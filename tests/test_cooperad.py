@@ -37,7 +37,7 @@ from vacalc.localfn import (
     parse,
 )
 
-from reference import expand_tensor, regroup, regroup_tensor, tensor_obj, tensor_str
+from reference import expand_tensor, fn_obj, regroup, regroup_tensor, tensor_obj, tensor_str
 from test_vacore import _rank
 
 
@@ -507,6 +507,45 @@ def test_verify_axioms_failing_report_is_pinned(monkeypatch, seed, failures, dig
     assert hashlib.sha256(json.dumps(rep, sort_keys=True).encode()).hexdigest() == digest
 
 
+def test_json_text_matches_the_reference(monkeypatch):
+    # to_json writes each distinct factor and inner function once and joins
+    # the text; it must equal json.dumps of the reference's dict tree, and
+    # to_obj must read it back as that tree
+    fns = [
+        LocalFn.zero(3),
+        LocalFn.zero(0),
+        LocalFn.const(0, Fraction(-3, 4)),
+        lf("5", 0),
+        lf("-3/5*z1^2*(z2-z1)^-1 + 7/2*(z3-z2)^-2*z1 - z3*(z3-z1)^-1 + 2", 3),
+        lf("-(z2-z1)^-3 - 2*z2", 2),
+    ]
+    for f in fns:
+        assert f.to_json() == json.dumps(fn_obj(f), sort_keys=True), f
+        assert f.to_obj() == fn_obj(f)
+    inner = lf("z1 - 1/2*(z2-z1)^-1", 2)
+    repeated = te(2, 2, (lf("z1", 2), inner, 3), (lf("(z2-z1)^-1", 2), inner, Fraction(-2, 7)),
+                  (lf("z2", 2), inner.scale(-4), 1), (lf("z1*z2", 2), lf("z2", 2), -1))
+    # three of the four outer monomials carry the same monic inner function
+    inners = [t["inner"] for t in tensor_obj(repeated)["terms"]]
+    assert len(inners) == 4 and len({json.dumps(i) for i in inners}) == 2
+    f = lf("z1*(z3-z1)^-2*(z3-z2)^-1", 3)
+    tensors = [TensorElement(2, 1, {}), TensorElement(0, 2, {}), repeated,
+               repeated.scale(Fraction(-5, 3))]
+    tensors += [insert_component(f, m, p) for m in (0, 1, 2) for p in range(-1, 4)]
+    assert any(t.is_zero() for t in tensors) and sum(not t.is_zero() for t in tensors) > 8
+    for t in tensors:
+        assert t.to_json() == json.dumps(tensor_obj(t), sort_keys=True), t
+        assert t.to_obj() == tensor_obj(t)
+    # the report writer, on a clean report, an empty one and a failing one
+    # whose checks carry both sides
+    reports = [verify_axioms(4, 6, 2, seed=2), verify_axioms(samples=0)]
+    _break_binomial(monkeypatch)
+    reports.append(verify_axioms(arity_cap=4, samples=15, truncation=3, seed=0))
+    assert reports[-1]["failures"] == 25 and not reports[1]["checks"]
+    for rep in reports:
+        assert cooperad._report_json(rep) == json.dumps(rep, sort_keys=True)
+
+
 def test_verify_axioms_needs_two_variables():
     with pytest.raises(SchemaError):
         verify_axioms(arity_cap=1)
@@ -749,4 +788,4 @@ def test_tensor_element_format_is_invisible(monkeypatch):
     monkeypatch.setattr(cooperad, "LocalFn", _no_localfn)
     for a in elems:
         assert str(a) == tensor_str(a)
-        assert json.dumps(a.to_obj()) == json.dumps(tensor_obj(a))
+        assert json.dumps(a.to_obj(), sort_keys=True) == json.dumps(tensor_obj(a), sort_keys=True)
