@@ -103,10 +103,11 @@ class ResourceLimit(VacalcError):
     """A computation outgrew a configured size bound; it may well finish
     with a larger bound.
 
-    bound is the size bound and cache_entries the size that passed it.
+    bound is the size bound; cache_entries is the rewrite-cache size that
+    passed it, or predicted the spanning words a radical would list.
     """
 
-    fields = ("bound", "cache_entries")
+    fields = ("bound", "cache_entries", "predicted")
 
 
 class NoLocalMatch(VacalcError):

@@ -153,9 +153,11 @@ def _cross_reduce(row: dict, pivots: Dict[int, Dict[int, int]], scale: int) -> d
     return out
 
 
-def _echelon(rows, ncols: int | None = None) -> Dict[int, Dict[int, int]]:
+def _echelon(rows, ncols: int | None = None, pivots=None) -> Dict[int, Dict[int, int]]:
     """Fraction-free reduced echelon form of sparse rows {column: value} with
-    int or Fraction values, as {pivot column: integer row}.
+    int or Fraction values, as {pivot column: integer row}.  Given an
+    echelon it returned as pivots, it continues that echelon in place and
+    returns it: the result is the echelon of the earlier rows and these.
 
     Rows are taken one at a time and cleared to integers (one lcm of
     denominators per row).  A row with entries at the pivot columns found so
@@ -170,7 +172,8 @@ def _echelon(rows, ncols: int | None = None) -> Dict[int, Dict[int, int]]:
     number of columns, it stops once every column is a pivot: every pivot
     row is then {p: 1}, and no further row can change them.
     """
-    pivots: Dict[int, Dict[int, int]] = {}
+    if pivots is None:
+        pivots = {}
     for row in rows:
         row = _integral(row)
         leads = [pivots[p][p] for p in row if p in pivots]
@@ -194,10 +197,12 @@ def _echelon(rows, ncols: int | None = None) -> Dict[int, Dict[int, int]]:
     return pivots
 
 
-def _kernel(rows, ncols: int) -> Tuple[int, Dict[int, Dict[int, int]]]:
+def _kernel(rows, ncols: int, pivots=None) -> Tuple[int, Dict[int, Dict[int, int]]]:
     """Kernel basis of sparse rows whose columns are all below ncols, as an
     integer echelon with one scale: (L, {f: v_f}) with one vector per free
-    column f in increasing order.
+    column f in increasing order.  Given an echelon _echelon returned as
+    pivots, it continues it with rows (which may be empty), so the kernel
+    of rows fed in batches is read off with no second elimination.
 
     Read off _echelon in one pass: each pivot row R_p is zero at the other
     pivots, so every other entry of it sits at a free column f.  With L the
@@ -209,7 +214,7 @@ def _kernel(rows, ncols: int) -> Tuple[int, Dict[int, Dict[int, int]]]:
     _cross_reduce with scale L.  As every R_p is primitive, L is the lcm of
     the denominators of the kernel vectors that are 1 at their free column.
     """
-    pivots = _echelon(rows, ncols)
+    pivots = _echelon(rows, ncols, pivots)
     scale = lcm(*(row[p] for p, row in pivots.items() if len(row) > 1))
     kernel = {f: {f: scale} for f in range(ncols) if f not in pivots}
     for p, row in pivots.items():

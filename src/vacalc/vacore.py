@@ -71,6 +71,10 @@ _MAX_SINGULAR = 64
 # raises ResourceLimit; read at call time.
 _STEP_BOUND = 10**6
 
+# Spanning words one weight of a radical may have before _radical_kernels
+# raises ResourceLimit; read at call time.
+_RADICAL_WORD_BOUND = 2000
+
 
 def _gf2_reduce(v: int, echelon: Dict[int, int]) -> int:
     """The bitmask v reduced over GF(2) by an echelon {leading bit: row};
@@ -572,21 +576,43 @@ def _radical_kernels(pres: Presentation, w_max: int):
     linear condition; scaling every image by the same L does not change
     the kernel.  Where Rad_(u-d) is empty every column is a condition, and
     each image is written straight into the condition rows.
+
+    The generators are imposed one at a time, in _lowering_generators
+    order, each one's condition rows fed into one running echelon of the
+    weight (_echelon continues it).  A word j whose pivot row is {j: lead}
+    alone has coefficient 0 in every vector of the kernel so far, so g(m)
+    is not applied to it: its column would add a multiple of that pivot
+    row to each condition, which leaves the row space, hence the reduced
+    echelon and the kernel, as they are.  The weight stops once every
+    column is a pivot.  Before any word is listed, graded_dims predicts the
+    words of the largest slice (the top one, past weight 0), and more than
+    _RADICAL_WORD_BOUND of them raise ResourceLimit.
     """
     _require_positive_weights(pres, "the radical slice")
+    predicted = max(graded_dims(pres, w_max), default=0)
+    if predicted > _RADICAL_WORD_BOUND:
+        raise ResourceLimit(
+            f"the radical up to weight {w_max} would list {predicted} spanning words"
+            f" at one weight, past the bound of {_RADICAL_WORD_BOUND}",
+            bound=_RADICAL_WORD_BOUND,
+            predicted=predicted,
+        )
     imposed = _lowering_generators(pres, w_max)
     columns: List[Dict[Word, int]] = []  # per weight: word -> column
     rads: List[Tuple[int, Dict[int, Dict[int, int]]]] = []  # per weight: (L, rows)
     for u in range(w_max + 1):
         basis = spanning_basis(pres, u)
-        rows = [] if u else [{0: 1}]  # Rad_0 = 0
+        pivots = {} if u else {0: {0: 1}}  # Rad_0 = 0
         for g, d in imposed:
-            if d > u:
+            if d > u or len(pivots) == len(basis):
                 break
             cols, (scale, rad) = columns[u - d], rads[u - d]
             m = pres.wt(g) + d - 1
             conditions = {c: {} for c in range(len(cols)) if c not in rad}
             for j, b in enumerate(basis):
+                pivot = pivots.get(j)
+                if pivot is not None and len(pivot) == 1:
+                    continue
                 image = pres.prepend_mode(g, m, b)
                 if rad:
                     image = _cross_reduce({cols[w]: c for w, c in image.items()}, rad, scale)
@@ -595,8 +621,8 @@ def _radical_kernels(pres: Presentation, w_max: int):
                 else:
                     for w, v in image.items():
                         conditions[cols[w]][j] = v
-            rows.extend(conditions.values())
-        scale, kernel = _kernel(rows, len(basis))
+            _echelon(conditions.values(), len(basis), pivots)
+        scale, kernel = _kernel((), len(basis), pivots)
         if u < w_max:
             columns.append({b: j for j, b in enumerate(basis)})
             rads.append((scale, kernel))

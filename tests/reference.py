@@ -1,7 +1,8 @@
 """Independent reference routes for the tests.
 
 Each function here recomputes what a production route of vacalc computes,
-by another method, and shares no code with it: only the input is common.
+by another method, and shares no code with it unless its entry below says
+so: only the input is common.
 
 * eval_raw evaluates a parsed expression tree at points, with no
   canonical form (the check of localfn's canonicalization);
@@ -23,6 +24,12 @@ by another method, and shares no code with it: only the input is common.
   per factor occurrence (the check of LocalFn.to_json and
   TensorElement.to_json, which write the text of each distinct factor and
   inner function once and join it).
+* radical_stacked computes the radical by straightening every spanning
+  word under every generating lowering mode and eliminating once per
+  weight (the check of _radical_kernels, which imposes one generator at a
+  time and skips the words its running echelon already forces to 0).  It
+  shares the straightening, the generating modes and the elimination with
+  _radical_kernels, and checks only which words are straightened.
 
 The module name has no test_ prefix, so pytest collects nothing from it.
 """
@@ -33,6 +40,8 @@ from math import factorial, prod
 
 from vacalc.errors import ArityMismatch, CoincidentPoints, VacalcError
 from vacalc.localfn import LocalFn, mono_sort_key
+from vacalc.numutil import _cross_reduce, _kernel
+from vacalc.vacore import VAElement, _lowering_generators, spanning_basis
 
 
 def eval_raw(expr, points) -> Fraction:
@@ -162,6 +171,37 @@ def nf_word_bubble(pres, word, bound: int = 10**6):
             for g, n, c in _entry_modes(entry, m + k - j):
                 middle = [] if g is None else [(g, n)]
                 stack.append((coeff * cmj * c, head + middle + tail))
+    return out
+
+
+def radical_stacked(pres, w_max: int):
+    """(weight, basis, kernel elements) of Rad_u for u = 0..w_max.  Each
+    generating lowering mode g(m) of drop d is applied to every spanning
+    word of weight u, the image is reduced modulo Rad_(u-d), and its
+    entries at the non-pivot columns of Rad_(u-d) are conditions; all of
+    them are stacked and eliminated once."""
+    imposed = _lowering_generators(pres, w_max)
+    columns, rads, out = [], [], []
+    for u in range(w_max + 1):
+        basis = spanning_basis(pres, u)
+        rows = [] if u else [{0: 1}]  # Rad_0 = 0
+        for g, d in imposed:
+            if d > u:
+                break
+            cols, (scale, rad) = columns[u - d], rads[u - d]
+            m = pres.wt(g) + d - 1
+            conditions = {c: {} for c in range(len(cols)) if c not in rad}
+            for j, b in enumerate(basis):
+                image = {cols[w]: c for w, c in pres.prepend_mode(g, m, b).items()}
+                for c, v in _cross_reduce(image, rad, scale).items():
+                    conditions[c][j] = v
+            rows.extend(conditions.values())
+        scale, kernel = _kernel(rows, len(basis))
+        columns.append({b: j for j, b in enumerate(basis)})
+        rads.append((scale, kernel))
+        elements = [VAElement(pres, {basis[j]: Fraction(v, scale) for j, v in vec.items()})
+                    for vec in kernel.values()]
+        out.append((u, basis, elements))
     return out
 
 

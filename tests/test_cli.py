@@ -278,6 +278,9 @@ _BAD_INPUTS += [
      None),
     (("oracle-dims", "--kind", "theta_over_eta", "--norm", "-2", "--max-weight", "4"), None),
 ]
+# a radical whose top weight has more spanning words than the size bound
+_RADICAL_TOO_BIG = (("radical", "--preset", "heisenberg", "--rank", "3", "--weight", "40"), None)
+_BAD_INPUTS.append(_RADICAL_TOO_BIG)
 
 
 @pytest.mark.parametrize(
@@ -290,7 +293,8 @@ def test_bad_input_is_a_schema_error(tmp_path, argv, document):
     elif document is not None:
         path.write_text(document)
     proc = _vacalc_process(*(str(path) if a == "PRES" else a for a in argv))
-    error = "UnboundedOPE" if (argv, document) == _UNBOUNDED_OPE else "SchemaError"
+    error = ("UnboundedOPE" if (argv, document) == _UNBOUNDED_OPE
+             else "ResourceLimit" if (argv, document) == _RADICAL_TOO_BIG else "SchemaError")
     assert proc.returncode == 1
     assert proc.stderr.startswith(f"error: {error}: ")
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr

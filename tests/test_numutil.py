@@ -206,3 +206,30 @@ def test_kernel_stops_reading_rows_at_full_rank():
 
     assert _kernel(rows(), 2) == (1, {})
     assert _echelon(rows(), 2) == {0: {0: 1}, 1: {1: 1}}
+
+
+@given(rows=_row_lists(), cuts=st.lists(st.integers(0, 12), max_size=3))
+def test_echelon_continues_an_echelon_it_returned(rows, cuts):
+    # rows fed in batches, the pivots passed back each time, give the echelon
+    # of one batch, and the kernel read from it is the kernel of all rows
+    bounds = sorted(min(c, len(rows)) for c in cuts)
+    *head, last = [rows[a:b] for a, b in zip([0, *bounds], [*bounds, len(rows)])]
+    pivots = {}
+    for batch in head:
+        assert _echelon(batch, _NCOLS, pivots) is pivots
+    assert _kernel(last, _NCOLS, pivots) == _kernel(rows, _NCOLS)
+    assert pivots == _echelon(rows, _NCOLS)
+    assert _kernel((), _NCOLS, pivots) == _kernel(rows, _NCOLS)
+
+
+def test_echelon_continuation_edges():
+    # Fraction rows continue an int echelon; an empty batch leaves it alone
+    pivots = _echelon([{0: 2, 2: 4}], 3)
+    assert _echelon([], 3, pivots) == {0: {0: 1, 2: 2}}
+    assert _echelon([{1: Fraction(1, 3), 2: Fraction(1, 2)}], 3, pivots) == {
+        0: {0: 1, 2: 2}, 1: {1: 2, 2: 3}}
+    assert _kernel([], 3, pivots) == (2, {2: {2: 2, 0: -4, 1: -3}})
+    # a batch that arrives after every column is a pivot changes nothing
+    full = _echelon([{0: 1}, {1: Fraction(2, 3)}], 2)
+    assert _echelon([{0: 3, 1: -1}, {1: Fraction(1, 2)}], 2, full) == {0: {0: 1}, 1: {1: 1}}
+    assert _kernel([{0: 5}], 2, full) == (1, {})

@@ -50,7 +50,7 @@ from vacalc.vacore import (
     ward_correlator,
 )
 
-from reference import NonTerminating, nf_word_bubble
+from reference import NonTerminating, nf_word_bubble, radical_stacked
 
 
 @pytest.fixture(scope="module")
@@ -900,6 +900,54 @@ def test_under_generating_set_changes_checked_dims(monkeypatch):
     assert radical_slice(ly, 4).dimension != 1
 
 
+@pytest.mark.parametrize("doc, w_max", [
+    *(({"preset": "heisenberg", "rank": r}, w) for r, w in ((1, 8), (2, 6), (3, 5))),
+    *(({"preset": "heisenberg", "rank": 2, "form": f}, 6)
+      for f in ([[0, 0], [0, 1]], [[1, 1], [1, 1]], [[0, 1], [1, 0]])),
+    *(({"preset": "virasoro", "c": c}, 10) for c in ("1", "1/2", "-22/5", "-68/7", "0")),
+    (_LJ_DOC, 6),
+    (_doc("efh", _SL2_FORWARD), 5),
+], ids=["rank-1", "rank-2", "rank-3", "form-00-01", "form-11-11", "form-01-10",
+        "c=1", "c=1/2", "c=-22/5", "c=-68/7", "c=0", "virasoro-plus-current",
+        "affine-sl2-level-1"])
+def test_radical_matches_stacked_reference(doc, w_max):
+    # skipping the words that earlier generators force to 0 changes neither
+    # the basis, the dimension nor a kernel vector
+    pres = load_presentation(doc)
+    got = [(rs.weight, rs.basis, rs.kernel) for rs in radical_slices(pres, w_max)]
+    assert got == radical_stacked(pres, w_max)
+
+
+@pytest.mark.parametrize("pres, weight, calls", [
+    # 2,493 calls when every generator straightens every word
+    (preset_heisenberg(3), 5, 462),
+    # 82 calls when every generator straightens every word
+    (preset_virasoro(Fraction(-22, 5)), 10, 81),
+], ids=["heisenberg-rank-3", "lee-yang"])
+def test_radical_straightens_only_unforced_words(monkeypatch, pres, weight, calls):
+    # a word whose coefficient earlier generators force to 0 in every kernel
+    # vector is not straightened under the later ones
+    real = pres.prepend_mode
+    seen = []
+    monkeypatch.setattr(pres, "prepend_mode", lambda *key: seen.append(key) or real(*key))
+    radical_slice(pres, weight)
+    assert len(seen) == calls
+
+
+def test_radical_word_bound_raises_resource_limit(monkeypatch):
+    # the top weight's spanning words are counted before any is listed
+    hei = preset_heisenberg(3)
+    monkeypatch.setattr(vacore, "spanning_basis", lambda *a: pytest.fail("listed words"))
+    with pytest.raises(ResourceLimit, match="would list 7868 spanning words at one weight") as exc:
+        radical_slice(hei, 12)
+    assert exc.value.payload() == {"bound": vacore._RADICAL_WORD_BOUND,
+                                   "cache_entries": None, "predicted": 7868}
+    assert not hei._prepend_cache
+    monkeypatch.setattr(vacore, "_RADICAL_WORD_BOUND", 107)
+    with pytest.raises(ResourceLimit, match="bound of 107"):
+        radical_slices(hei, 5)
+
+
 # ---------------------------------------------------------------------------
 # correlators
 # ---------------------------------------------------------------------------
@@ -1492,7 +1540,7 @@ def test_rewrite_cache_bound_raises_resource_limit(vir, monkeypatch):
         patch.setattr(vacore, "_STEP_BOUND", 5)
         with pytest.raises(ResourceLimit, match="step bound of 5 entries") as exc:
             small.normal_form(small.element(word))
-    assert exc.value.payload() == {"bound": 5, "cache_entries": 6}
+    assert exc.value.payload() == {"bound": 5, "cache_entries": 6, "predicted": None}
     # under the default bound the same word straightens: too big, not endless
     assert not vir.normal_form(vir.element(word)).is_zero()
 
