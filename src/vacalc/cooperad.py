@@ -17,8 +17,11 @@ collected here in TensorElement values.  localfn's cluster expansion, the
 one expansion engine, expands a single basis monomial in place for a whole
 window of outer gradings in one enumeration, so every block and every
 subset expands where it stands; _cluster_components turns its terms into
-integer (outer monomial, inner monomial) coefficients.  The public
-insertions are sums of those over the input's terms.  A TensorElement
+integer (outer monomial, inner monomial) coefficients.  One composition
+step, _compose, sums those over the keys of an expanded sum {(m_0, ...,
+m_k): coeff}, putting one factor's outer and inner monomial in its place;
+the public insertions, the co-composition and both axiom grids are made
+of it.  A TensorElement
 holds that expanded sum {(outer monomial, inner monomial): coeff}, which
 equality and hashing compare.  Only to print it (str and to_json) does it
 regroup the sum into (outer, inner, coeff) triples, in one pass over the
@@ -29,7 +32,7 @@ its own fields to the text it shares with its neighbours; both equal
 json.dumps with sorted keys, byte for byte.  The cluster filtration reads
 the same engine: the level of S is the top inner grading of the insertion
 that splits S off.  The general many-block co-composition is iterated
-insertion, last block first; it is well defined because insertions into
+composition, last block first; it is well defined because insertions into
 disjoint blocks commute.
 
 Gradings follow localfn: the grading of an outer/inner factor is minus its
@@ -203,21 +206,45 @@ def _cluster_components(mono: Monomial, layout, p_lo: int, p_hi: int, reduced):
     return out
 
 
+def _compose(sums, factor: int, pos: int, size: int, p_lo: int, p_hi: int, memo, reduced):
+    """Insert into factor `factor` of every key of the expanded sum sums =
+    {(m_0, ..., m_k): coeff}: {p: expanded sum} for the p in p_lo..p_hi
+    that some term reaches (most grid cells are empty), in which m_factor
+    gives way to the outer then the inner monomial of the insertion
+    clustering its block [pos, pos+size), each coefficient times the key's.
+    memo holds _cluster_components per (monomial, pos, size, p_lo, p_hi),
+    so each is expanded once, and reduced the leaf reductions; the caller
+    decides how long both live.  Every monomial of one factor has the same
+    arity, so the layout is built at most once per call."""
+    out: Dict[int, Dict[tuple, int | Fraction]] = {}
+    layout = None
+    for key, c1 in sums.items():
+        mono = key[factor]
+        mkey = (mono, pos, size, p_lo, p_hi)
+        comps = memo.get(mkey)
+        if comps is None:
+            if layout is None:
+                layout = _cluster_layout(len(mono), list(range(pos, pos + size)))
+            comps = memo[mkey] = _cluster_components(mono, layout, p_lo, p_hi, reduced)
+        head, tail = key[:factor], key[factor + 1:]
+        for p, comp in comps.items():
+            if not comp:
+                continue
+            acc = out.setdefault(p, {})
+            for pair, c2 in comp.items():
+                k = head + pair + tail
+                acc[k] = acc.get(k, 0) + c1 * c2
+    return out
+
+
 def _insert(f: LocalFn, pos: int, size: int, p_lo: int, p_hi: int) -> Dict[int, TensorElement]:
     """{p: TensorElement} for p_lo..p_hi of the insertion clustering the block
-    [pos, pos+size) of f: each term's coefficient times _cluster_components,
-    with reductions shared within this call only."""
+    [pos, pos+size) of f: one _compose on f's terms as one-factor keys, with
+    expansions and reductions shared within this call only."""
     f.grading()  # raises NotHomogeneous when mixed
-    reduced = {}
-    layout = _cluster_layout(f.arity, list(range(pos, pos + size)))
-    expanded: Dict[int, Dict[tuple, int | Fraction]] = {p: {} for p in range(p_lo, p_hi + 1)}
-    for mono, coeff in f.terms.items():
-        for p, comp in _cluster_components(mono, layout, p_lo, p_hi, reduced).items():
-            acc = expanded[p]
-            for pair, c in comp.items():
-                acc[pair] = acc.get(pair, 0) + coeff * c
+    sums = _compose({(mono,): c for mono, c in f.terms.items()}, 0, pos, size, p_lo, p_hi, {}, {})
     oa = f.arity - size + 1
-    return {p: TensorElement(oa, size, e) for p, e in expanded.items()}
+    return {p: TensorElement(oa, size, sums.get(p, {})) for p in range(p_lo, p_hi + 1)}
 
 
 def insert_component(f: LocalFn, m: int, p: int) -> TensorElement:
@@ -261,10 +288,12 @@ def cocompose_general(
     blocks[b], coeff) whose gradings are exactly the requested multidegree
     (ell_0 for the outer factor, ell_b for block b).
 
-    This is iterated insert_block, last block first: block b (counted
-    from 1) goes in at position 1 + (sizes of blocks 1..b-1) with outer
-    grading g - ell_b - ... - ell_k, where g is the grading of f, so the
-    blocks still to be inserted never shift.
+    This is iterated insertion on expanded sums, last block first: block b
+    (counted from 1) goes into the outer factor at position 1 + (sizes of
+    blocks 1..b-1) with outer grading g - ell_b - ... - ell_k, where g is
+    the grading of f, so the blocks still to be inserted never shift.  Each
+    step is one _compose, whose memo expands each distinct outer monomial
+    once, and the sum is regrouped once at the end.
     """
     n = f.arity
     k = len(blocks)
@@ -275,24 +304,13 @@ def cocompose_general(
         raise BadPartition("need one outer degree plus one degree per block")
     if sum(multidegree) != g:
         raise BadPartition(f"multidegree sums to {sum(multidegree)}, grading is {g}")
-    # partial: (outer LocalFn, {inner monomials of the blocks inserted so
-    # far: coeff}) pairs, one per distinct outer monomial after the first
-    # insertion, so that each outer monomial is inserted into once
-    partial = [(f, {(): 1})]
-    arity, pos, p = n, n + 1, g
+    memo, reduced = {}, {}
+    expanded = {(mono,): c for mono, c in f.terms.items()}
+    pos, p = n + 1, g
     for size, ell in zip(reversed(blocks), reversed(multidegree[1:])):
         pos -= size
         p -= ell
-        arity -= size - 1
-        by_outer: Dict[Monomial, Dict[tuple, int | Fraction]] = {}
-        for h, inners in partial:
-            for (mo, mi), c2 in insert_block(h, pos, size, p).terms.items():
-                acc = by_outer.setdefault(mo, {})
-                for key, c1 in inners.items():
-                    key = (mi, *key)
-                    acc[key] = acc.get(key, 0) + c1 * c2
-        partial = [(LocalFn.from_monomial(arity, mo), acc) for mo, acc in by_outer.items()]
-    expanded = {(mo, *key): c for mo, acc in by_outer.items() for key, c in acc.items()}
+        expanded = _compose(expanded, 0, pos, size, p, p, memo, reduced).get(p, {})
     return list(_regroup(expanded, (k, *blocks)))
 
 
@@ -517,73 +535,55 @@ def insertion_closure_failures(f: LocalFn, k: int, sig: SortSignature, m: int, w
 # Axiom verification
 # ---------------------------------------------------------------------------
 
-def _commutativity_grid(comps, mono, T, posA, a, posB, b):
+def _commutativity_grid(mono, T, posA, a, posB, b, memo, reduced):
     """Insert disjoint blocks A then B and B then A into the basis monomial
     mono, for every inner grading pair (qA, qB) in -T..T at once: returns
     {(qA, qB): (one, two)}, the two expanded sums {(outer, innerA, innerB):
-    int} (the check passes when they agree).  comps(mono, pos, size, p_lo,
-    p_hi) gives _cluster_components on the block; every insertion asks for
-    the outer gradings of inner grading -T..T.  Each block expansion is
-    looked up once per outer grading and its terms go to every cell, in the
-    order a cell-by-cell walk would add them."""
+    int} (the check passes when they agree).  Each route is one _compose
+    into mono, then one into the outer factor per first outer grading,
+    asking for the outer gradings of inner grading -T..T; memo and reduced
+    are _compose's, shared by the caller.  The A-first route yields keys
+    (outer, innerB, innerA) and is reordered once per cell."""
     assert posA + a <= posB
     g = mono_grading(mono)
     grid = range(-T, T + 1)
-    cells = {(qA, qB): ({}, {}) for qA in grid for qB in grid}
+    one, two = {}, {}
     # B first: positions unchanged for A
-    first = comps(mono, posB, b, g - T, g + T)
-    for qB in grid:
-        gB = g - qB
-        for (h, innerB), c1 in first[gB].items():
-            second = comps(h, posA, a, gB - T, gB + T)
-            for qA in grid:
-                one = cells[qA, qB][0]
-                for (outer, innerA), c2 in second[gB - qA].items():
-                    key = (outer, innerA, innerB)
-                    one[key] = one.get(key, 0) + c1 * c2
+    first = _compose({(mono,): 1}, 0, posB, b, g - T, g + T, memo, reduced)
+    for gB, sums in first.items():
+        for p, cell in _compose(sums, 0, posA, a, gB - T, gB + T, memo, reduced).items():
+            one[gB - p, g - gB] = cell
     # A first: B shifts left by a-1
-    first = comps(mono, posA, a, g - T, g + T)
-    for qA in grid:
-        gA = g - qA
-        for (h, innerA), c1 in first[gA].items():
-            second = comps(h, posB - a + 1, b, gA - T, gA + T)
-            for qB in grid:
-                two = cells[qA, qB][1]
-                for (outer, innerB), c2 in second[gA - qB].items():
-                    key = (outer, innerA, innerB)
-                    two[key] = two.get(key, 0) + c1 * c2
-    return cells
+    first = _compose({(mono,): 1}, 0, posA, a, g - T, g + T, memo, reduced)
+    for gA, sums in first.items():
+        for p, cell in _compose(sums, 0, posB - a + 1, b, gA - T, gA + T, memo, reduced).items():
+            two[g - gA, gA - p] = {(o, iA, iB): c for (o, iB, iA), c in cell.items()}
+    return {(qA, qB): (one.get((qA, qB), {}), two.get((qA, qB), {})) for qA in grid for qB in grid}
 
 
-def _coassoc_grid(comps, mono, T, b, b_sub):
+def _coassoc_grid(mono, T, b, b_sub, memo, reduced):
     """Split the last b variables, then the last b_sub of the cluster,
     against doing the two splits in the other order, for every grading pair
     (p_out, p_mid) in -T..T at once: returns {(p_out, p_mid): (one, two)},
-    the two expanded sums {(outer, mid, inner): int}, built as
-    _commutativity_grid builds its cells.  The b_sub-first split takes its
-    outer grading p_out + p_mid from -2T..2T."""
+    the two expanded sums {(outer, mid, inner): int}, built through
+    _compose as _commutativity_grid builds its cells.  The b_sub-first split
+    takes its outer grading total = p_out + p_mid from -2T..2T, and its
+    second step asks only for the p_out the grid keeps, max(-T, total-T)..
+    min(T, total+T)."""
     n = len(mono)
     grid = range(-T, T + 1)
-    cells = {(p_out, p_mid): ({}, {}) for p_out in grid for p_mid in grid}
-    first = comps(mono, n - b + 1, b, -T, T)
-    for p_out in grid:
-        for (outer, inner1), c1 in first[p_out].items():
-            second = comps(inner1, b - b_sub + 1, b_sub, -T, T)
-            for p_mid in grid:
-                one = cells[p_out, p_mid][0]
-                for (mid, inner), c2 in second[p_mid].items():
-                    key = (outer, mid, inner)
-                    one[key] = one.get(key, 0) + c1 * c2
-    first = comps(mono, n - b_sub + 1, b_sub, -2 * T, 2 * T)
-    for total in range(-2 * T, 2 * T + 1):
-        for (big, inner), c1 in first[total].items():
-            second = comps(big, n - b + 1, b - b_sub + 1, -T, T)
-            for p_out in range(max(-T, total - T), min(T, total + T) + 1):
-                two = cells[p_out, total - p_out][1]
-                for (outer, mid), c2 in second[p_out].items():
-                    key = (outer, mid, inner)
-                    two[key] = two.get(key, 0) + c1 * c2
-    return cells
+    one, two = {}, {}
+    first = _compose({(mono,): 1}, 0, n - b + 1, b, -T, T, memo, reduced)
+    for p_out, sums in first.items():
+        for p_mid, cell in _compose(sums, 1, b - b_sub + 1, b_sub, -T, T, memo, reduced).items():
+            one[p_out, p_mid] = cell
+    first = _compose({(mono,): 1}, 0, n - b_sub + 1, b_sub, -2 * T, 2 * T, memo, reduced)
+    for total, sums in first.items():
+        lo, hi = max(-T, total - T), min(T, total + T)
+        second = _compose(sums, 0, n - b + 1, b - b_sub + 1, lo, hi, memo, reduced)
+        for p_out, cell in second.items():
+            two[p_out, total - p_out] = cell
+    return {(p, q): (one.get((p, q), {}), two.get((p, q), {})) for p in grid for q in grid}
 
 
 def _same_sum(one, two) -> bool:
@@ -655,19 +655,11 @@ def verify_axioms(arity_cap: int = 4, samples: int = 20, truncation: int = 4, se
         checks.append(entry)
 
     for _ in range(samples):
-        # one monomial can head several terms of a sample's sweep: expand each
-        # (monomial, block, window) once, and drop them all with the sample
+        # one monomial can head several terms of a sample's sweep: _compose
+        # expands each (monomial, block, window) once, and the sample drops
+        # its memo and reductions
         memo: Dict[tuple, dict] = {}
         reduced = {}
-
-        def comps(mono, pos, size, p_lo, p_hi):
-            key = (mono, pos, size, p_lo, p_hi)
-            got = memo.get(key)
-            if got is None:
-                layout = _cluster_layout(len(mono), list(range(pos, pos + size)))
-                got = memo[key] = _cluster_components(mono, layout, p_lo, p_hi, reduced)
-            return got
-
         kind = rng.choice(["equivariance", "commutativity", "coassociativity"])
         n, f = _random_monomial(rng, arity_cap)
         (mono,) = f.terms
@@ -700,7 +692,7 @@ def verify_axioms(arity_cap: int = 4, samples: int = 20, truncation: int = 4, se
             posA = rng.randint(1, n - a - b + 1)
             posB = rng.randint(posA + a, n - b + 1)
             show = _show_expanded((n - a - b + 2, a, b))
-            cells = _commutativity_grid(comps, mono, T, posA, a, posB, b)
+            cells = _commutativity_grid(mono, T, posA, a, posB, b, memo, reduced)
             for (qA, qB), (one, two) in cells.items():
                 record("commutativity", text, {"A": [posA, a], "B": [posB, b]}, [qA, qB],
                        _same_sum(one, two), one, two, show)
@@ -708,7 +700,7 @@ def verify_axioms(arity_cap: int = 4, samples: int = 20, truncation: int = 4, se
             b = rng.randint(2, n)
             b_sub = rng.randint(1, b - 1)
             show = _show_expanded((n - b + 1, b - b_sub + 1, b_sub))
-            cells = _coassoc_grid(comps, mono, T, b, b_sub)
+            cells = _coassoc_grid(mono, T, b, b_sub, memo, reduced)
             for (p_out, p_mid), (one, two) in cells.items():
                 record("coassociativity", text, {"block": b, "sub": b_sub}, [p_out, p_mid],
                        _same_sum(one, two), one, two, show)

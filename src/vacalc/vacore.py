@@ -286,10 +286,9 @@ class Presentation:
         Memoized per presentation.  The weight bound is tested only for
         n >= wt(g): below that g(n) does not lower the weight, and a normal
         word has weight >= 0.  In the commute branch, the head h(m) of the
-        word goes back in front of each word w of g(n) rest; where h(m)
-        already stands in order before w its term is added in place, so such
-        in-order prepends take no cache entry.  The cache raises
-        ResourceLimit once it holds more than _STEP_BOUND entries.
+        word goes back in front of each word of g(n) rest through _act, one
+        cached prepend per word, and the bracket terms follow.  The cache
+        raises ResourceLimit once it holds more than _STEP_BOUND entries.
         """
         key = (g, n, word)
         cached = self._prepend_cache.get(key)
@@ -307,20 +306,7 @@ class Presentation:
                 out = {((g, n),) + word: 1}
             else:
                 rest = word[1:]
-                # h(m) applied to g(n) rest, with the ordered branch's test
-                # inline.  Words of other w can reorder onto the same key,
-                # so every term is added, never assigned.
-                acc: Dict[Word, int | Fraction] = {}
-                for w, c in self._prepend(g, n, rest).items():
-                    if m <= -1 and (not w or m > w[0][1] or (m == w[0][1] and h >= w[0][0])):
-                        k = ((h, m),) + w
-                        v = acc.get(k, 0) + c
-                        if v:
-                            acc[k] = v
-                        else:
-                            del acc[k]
-                    else:
-                        add_into(acc, self._prepend(h, m, w), c)
+                acc = self._act(h, m, self._prepend(g, n, rest))
                 # own loop: memoized _mode_bracket is cold per Presentation (npoint wall_s +11%)
                 for j in self.ope.get((g, h), {}):
                     cnj = gbinom(n, j)
@@ -349,17 +335,17 @@ class Presentation:
         return out
 
     def _mode_bracket(self, a: int, p: int, b: int, q: int):
-        """[a(p), b(q)] = sum_j C(p, j) ([a, b]_j)(p + q - j), read off the
-        table: {(gen, mode): coeff} plus the identity coefficient."""
+        """[a(p), b(q)] = sum_j C(p, j) ([a, b]_j)(p + q - j) for p, q >= 0,
+        read off the table: {(gen, mode): coeff}.  Only mode -1 of a vacuum
+        word gives an identity term, and C(p, j) != 0 needs j <= p, so every
+        mode read here is p + q - j >= q >= 0 and none occurs."""
         modes: Dict[Tuple[int, int], int | Fraction] = {}
-        id_total = 0
         for j in self.ope.get((a, b), {}):
             cpj = gbinom(p, j)
             if cpj:
-                parts, id_coeff = self._table_mode(a, b, j, p + q - j)
-                id_total += cpj * id_coeff
+                parts, _ = self._table_mode(a, b, j, p + q - j)
                 add_into(modes, {(g, n): c for g, n, c in parts}, cpj)
-        return modes, id_total
+        return modes
 
     def prepend_mode(self, g: int, n: int, word: Word) -> Dict[Word, int | Fraction]:
         """Normal form of g(n) applied to the normal word `word`, as
@@ -521,10 +507,10 @@ def _lowering_generators(pres: Presentation, top: int) -> List[Tuple[int, int]]:
     Table entries are combinations of derivatives of generators and the
     vacuum, so the lowering modes g(m), m >= wt(g), span a Lie algebra L+
     graded by the drop d = m + 1 - wt(g), with the brackets of
-    Presentation._mode_bracket.  No identity term occurs: it would need
-    p + q - j = -1, that is j > p.  A set S of modes generates L+ exactly
-    when it spans L+ modulo [L+, L+] in every drop, and then [L+, L+] is
-    spanned by the brackets [s, x] with s in S.  So drop by drop,
+    Presentation._mode_bracket, which have no identity term.  A set S of
+    modes generates L+ exactly when it spans L+ modulo [L+, L+] in every
+    drop, and then [L+, L+] is spanned by the brackets [s, x] with s in S.
+    So drop by drop,
     D_d is the span of [s, x] for every kept s of drop d1 < d and every
     generator mode x of drop d - d1, and generator g is kept when its mode
     is not in D_d plus the modes of the generators before g, that is, when
@@ -548,7 +534,7 @@ def _lowering_generators(pres: Presentation, top: int) -> List[Tuple[int, int]]:
                 if not any(w for entry in pres.ope.get((a, b), {}).values() for w in entry):
                     continue
                 q = pres.wt(b) + d - d1 - 1
-                modes, _ = pres._mode_bracket(a, p, b, q)
+                modes = pres._mode_bracket(a, p, b, q)
                 rows.append({ngen - 1 - g: c for (g, _), c in modes.items()})
         pivots = _echelon(rows)
         out.extend((g, d) for g in range(ngen) if ngen - 1 - g not in pivots)
@@ -1131,7 +1117,7 @@ def _check_jacobi(pres: Presentation):
             for n in range(top - m + 1):
                 diff = pres._act(a, m, pres._act(b, n, state))
                 add_into(diff, pres._act(b, n, pres._act(a, m, state)), -1)
-                modes, _ = pres._mode_bracket(a, m, b, n)  # m >= 0: no identity term
+                modes = pres._mode_bracket(a, m, b, n)
                 for (g, k), coeff in modes.items():
                     add_into(diff, pres._act(g, k, state), -coeff)
                 if diff:

@@ -10,8 +10,9 @@ so: only the input is common.
   offending pair, and reads each table entry's modes with its own formula
   (the check of Presentation.normal_form, which straightens suffix first);
 * expand_tensor multiplies out a sum of tensor products of LocalFns term
-  by term (the check of cocompose_general, which inserts block by block
-  on expanded monomial pairs), and regroup_tensor puts the expansion in
+  by term (the check of cocompose_general, which composes block by block
+  on its expanded sum through cooperad's one insertion step, _compose),
+  and regroup_tensor puts the expansion in
   the canonical grouped form;
 * regroup, tensor_str and tensor_obj group an expanded sum into one
   LocalFn per group and split off its lead with LocalFn.primitive, then

@@ -753,6 +753,33 @@ def test_removed_names_stay_removed():
             if re.match(r"\s*(from|import)\b.*fockoracle", line)] == []
 
 
+def _unused_imports(source):
+    """Names bound by a module-level import that the module never reads and
+    whose __all__ does not list; __future__ imports are directives."""
+    tree = ast.parse(source)
+    bound = []
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound += [(alias.asname or alias.name).split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [alias.asname or alias.name for alias in node.names]
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            exported |= set(ast.literal_eval(node.value))
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return [name for name in bound if name not in read and name not in exported]
+
+
+def test_every_import_is_used():
+    package = pathlib.Path(vacalc.__file__).parent
+    found = {p.name: _unused_imports(p.read_text()) for p in sorted(package.glob("*.py"))}
+    assert {name: names for name, names in found.items() if names} == {}
+    # the scan sees an import left behind, and a name listed in __all__
+    assert _unused_imports("import json\nfrom .a import b, c\nc()\n") == ["json", "b"]
+    assert _unused_imports("from .a import b\n__all__ = ['b']\n") == []
+
+
 def _self_calling_nested_functions(source):
     """(line, name) of every function defined inside another function whose
     body calls it by its own name."""

@@ -561,6 +561,119 @@ def test_verify_axioms_unit_is_trivial():
             assert comp.is_zero()
 
 
+def _two_insertions(f, first, second_arity, second, key):
+    """Expanded sum of two single-grading insert_block calls: first =
+    (pos, size, p) on f, then second = (factor, pos, size, p) on the outer
+    (factor 0) or inner (factor 1) monomial of each term, the second factor
+    of arity second_arity; key(h_pair, pair) assembles each term's key."""
+    out = {}
+    factor, pos, size, p = second
+    for pair1, c1 in insert_block(f, *first).terms.items():
+        h = LocalFn.from_monomial(second_arity, pair1[factor])
+        for pair2, c2 in insert_block(h, pos, size, p).terms.items():
+            k = key(pair1, pair2)
+            out[k] = out.get(k, 0) + c1 * c2
+    return {k: c for k, c in out.items() if c}
+
+
+def _grid_monomials():
+    """A spread of arity-3 and arity-4 basis monomials: every seventh of
+    each piece of grading -1..2 and pole budget max(0, g) + 1."""
+    return [mono for n in (3, 4) for g in range(-1, 3)
+            for mono in basis_monomials(n, g, max(0, g) + 1)[::7]]
+
+
+def test_axiom_grids_match_cell_by_cell_insertions():
+    # every cell of both routes of both grids against two insert_block
+    # calls per cell, one memo and one set of reductions shared by every
+    # monomial and block, as an exhaustive check would share them
+    T = 2
+    order = [(p, q) for p in range(-T, T + 1) for q in range(-T, T + 1)]
+    memo, reduced = {}, {}
+    nonzero = 0
+    for mono in _grid_monomials():
+        n, g = len(mono), mono_grading(mono)
+        f = LocalFn.from_monomial(n, mono)
+        blocks = [(posA, a, posB, b) for a in range(1, n) for b in range(1, n - a + 1)
+                  for posA in range(1, n - a - b + 2) for posB in range(posA + a, n - b + 2)]
+        for posA, a, posB, b in blocks:
+            grid = cooperad._commutativity_grid(mono, T, posA, a, posB, b, memo, reduced)
+            assert list(grid) == order
+            for (qA, qB), (one, two) in grid.items():
+                want_one = _two_insertions(f, (posB, b, g - qB), n - b + 1,
+                                           (0, posA, a, g - qB - qA),
+                                           lambda hB, oA: (oA[0], oA[1], hB[1]))
+                want_two = _two_insertions(f, (posA, a, g - qA), n - a + 1,
+                                           (0, posB - a + 1, b, g - qA - qB),
+                                           lambda hA, oB: (oB[0], hA[1], oB[1]))
+                label = (mono, posA, a, posB, b, qA, qB)
+                assert {k: c for k, c in one.items() if c} == want_one, label
+                assert {k: c for k, c in two.items() if c} == want_two, label
+                nonzero += bool(want_one)
+        for b, b_sub in [(b, b_sub) for b in range(2, n + 1) for b_sub in range(1, b)]:
+            grid = cooperad._coassoc_grid(mono, T, b, b_sub, memo, reduced)
+            assert list(grid) == order
+            for (p_out, p_mid), (one, two) in grid.items():
+                want_one = _two_insertions(f, (n - b + 1, b, p_out), b,
+                                           (1, b - b_sub + 1, b_sub, p_mid),
+                                           lambda oi, mi: (oi[0], mi[0], mi[1]))
+                want_two = _two_insertions(f, (n - b_sub + 1, b_sub, p_out + p_mid),
+                                           n - b_sub + 1, (0, n - b + 1, b - b_sub + 1, p_out),
+                                           lambda bi, om: (om[0], om[1], bi[1]))
+                label = (mono, b, b_sub, p_out, p_mid)
+                assert {k: c for k, c in one.items() if c} == want_one, label
+                assert {k: c for k, c in two.items() if c} == want_two, label
+                nonzero += bool(want_one)
+    assert nonzero > 1000
+
+
+def _adjacent_equivariance_failures():
+    """(checks, failures) of equivariance under every adjacent transposition
+    of the block and of the outer prefix, for every basis monomial of arity
+    2-4, grading -1..2 and pole budget max(0, g) + 1, at every split m and
+    every outer grading -2..2: the tensor side permutes through
+    cooperad._permuted, the function side through LocalFn.permute."""
+    checks = failures = 0
+    for n in range(2, 5):
+        for g in range(-1, 3):
+            for mono in basis_monomials(n, g, max(0, g) + 1):
+                f = LocalFn.from_monomial(n, mono)
+                for m in range(n):
+                    base = insert_components(f, m, -2, 2)
+                    moves = []
+                    for j in range(1, n - m):  # inner: swap block slots j, j+1
+                        omega = list(range(1, n - m + 1))
+                        omega[j - 1], omega[j] = omega[j], omega[j - 1]
+                        moves.append((1, omega, list(range(1, m + 1)) + [m + w for w in omega]))
+                    for i in range(1, m):  # outer: swap prefix slots i, i+1
+                        head = list(range(1, m + 1))
+                        head[i - 1], head[i] = head[i], head[i - 1]
+                        moves.append((0, head + [m + 1], head + list(range(m + 1, n + 1))))
+                    for side, perm, sigma in moves:
+                        got = insert_components(f.permute(sigma), m, -2, 2)
+                        for p in range(-2, 3):
+                            checks += 1
+                            failures += cooperad._permuted(base[p], side, perm) != got[p]
+    return checks, failures
+
+
+def test_equivariance_holds_under_every_adjacent_transposition():
+    assert _adjacent_equivariance_failures() == (9495, 0)
+
+
+def test_adjacent_transpositions_catch_an_unsigned_permutation(monkeypatch):
+    # verify_axioms' sampled equivariance checks barely see a tensor-side
+    # permutation that drops the sign of a flipped difference factor; the
+    # exhaustive adjacent transpositions fail it hundreds of times
+    good = cooperad._permute_gterm
+
+    def unsigned(mono, sigma, coeff=1):
+        return (coeff,) + good(mono, sigma, coeff)[1:]
+
+    monkeypatch.setattr(cooperad, "_permute_gterm", unsigned)
+    assert _adjacent_equivariance_failures() == (9495, 697)
+
+
 def test_cocompose_three_blocks_matches_iterated_insertion():
     rng = random.Random(21)
     nonzero = {False: 0, True: 0}
