@@ -177,9 +177,9 @@ def _cluster_components(mono: Monomial, layout, p_lo: int, p_hi: int, reduced):
     """Outer gradings p_lo..p_hi of the insertion clustering a subset of the
     variables of one basis monomial with coefficient 1, from one enumeration
     of localfn's cluster expansion on the subset's layout: {p: {(outer
-    monomial, inner monomial): int}}, with every p of the window present
-    and zero sums possible.  reduced maps each outer and each inner leaf to
-    its canonical form; the caller decides how long it lives."""
+    monomial, inner monomial): int}}, with only the p of the window that
+    some expansion term reaches.  reduced maps each outer and each inner
+    leaf to its canonical form; the caller decides how long it lives."""
     expansion, term, inner = _cluster_setup(mono, layout)
     oa = layout[1]
     size = len(mono) + 1 - oa
@@ -189,6 +189,8 @@ def _cluster_components(mono: Monomial, layout, p_lo: int, p_hi: int, reduced):
     _cluster_terms(expansion, term, p_lo, p_hi, gbinom, leaves)
     out: Dict[int, Dict[tuple, int]] = {}
     for p, terms in zip(range(p_lo, p_hi + 1), leaves):
+        if not terms:
+            continue
         acc = out[p] = {}
         for c, zp, dp in terms:
             key = (tuple(zp[:oa]), tuple(sorted(dp.items())))
@@ -209,9 +211,10 @@ def _cluster_components(mono: Monomial, layout, p_lo: int, p_hi: int, reduced):
 def _compose(sums, factor: int, pos: int, size: int, p_lo: int, p_hi: int, memo, reduced):
     """Insert into factor `factor` of every key of the expanded sum sums =
     {(m_0, ..., m_k): coeff}: {p: expanded sum} for the p in p_lo..p_hi
-    that some term reaches (most grid cells are empty), in which m_factor
-    gives way to the outer then the inner monomial of the insertion
-    clustering its block [pos, pos+size), each coefficient times the key's.
+    that some term reaches, the only ones _cluster_components returns
+    (most grid cells are empty), in which m_factor gives way to the outer
+    then the inner monomial of the insertion clustering its block
+    [pos, pos+size), each coefficient times the key's.
     memo holds _cluster_components per (monomial, pos, size, p_lo, p_hi),
     so each is expanded once, and reduced the leaf reductions; the caller
     decides how long both live.  Every monomial of one factor has the same
@@ -228,8 +231,6 @@ def _compose(sums, factor: int, pos: int, size: int, p_lo: int, p_hi: int, memo,
             comps = memo[mkey] = _cluster_components(mono, layout, p_lo, p_hi, reduced)
         head, tail = key[:factor], key[factor + 1:]
         for p, comp in comps.items():
-            if not comp:
-                continue
             acc = out.setdefault(p, {})
             for pair, c2 in comp.items():
                 k = head + pair + tail

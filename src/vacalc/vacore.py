@@ -336,15 +336,22 @@ class Presentation:
 
     def _mode_bracket(self, a: int, p: int, b: int, q: int):
         """[a(p), b(q)] = sum_j C(p, j) ([a, b]_j)(p + q - j) for p, q >= 0,
-        read off the table: {(gen, mode): coeff}.  Only mode -1 of a vacuum
-        word gives an identity term, and C(p, j) != 0 needs j <= p, so every
-        mode read here is p + q - j >= q >= 0 and none occurs."""
+        read off the table words as _table_mode reads them: {(gen, mode):
+        coeff}.  Rows ascend in j and C(p, j) = 0 past j = p, so every mode
+        read is N = p + q - j >= q >= 0, and a vacuum word, whose only term
+        is the identity at N = -1, gives none."""
         modes: Dict[Tuple[int, int], int | Fraction] = {}
-        for j in self.ope.get((a, b), {}):
-            cpj = gbinom(p, j)
-            if cpj:
-                parts, _ = self._table_mode(a, b, j, p + q - j)
-                add_into(modes, {(g, n): c for g, n, c in parts}, cpj)
+        for j, entry in self.ope.get((a, b), {}).items():
+            if j > p:
+                break
+            N = p + q - j
+            terms = {}
+            for word, c in entry.items():
+                if word:
+                    g, n = word[0]
+                    s = -1 - n  # the word is (1/s!) T^s g
+                    terms[(g, N - s)] = c * (-1) ** s * comb(N, s)
+            add_into(modes, terms, comb(p, j))
         return modes
 
     def prepend_mode(self, g: int, n: int, word: Word) -> Dict[Word, int | Fraction]:
@@ -428,26 +435,35 @@ def _require_positive_weights(pres: Presentation, what: str):
 
 
 def spanning_basis(pres: Presentation, weight: int) -> List[Word]:
-    """All normal-form words of the given weight, in lexicographic order.
+    """All normal-form words of the given weight, in lexicographic order:
+    the top bucket of _spanning_words."""
+    return (_spanning_words(pres, weight) or [[]])[-1]
+
+
+def _spanning_words(pres: Presentation, w_max: int) -> List[List[Word]]:
+    """The normal-form words of every weight 0..w_max from one walk, as one
+    list per weight, each in lexicographic order.
 
     A normal-form word lists its letters (g, n) with (n, g) weakly
-    decreasing, each lowering the remaining weight by wt(g) - n - 1 >= 1.
-    The walk tries letters in increasing (generator, mode) order, each mode
-    in the closed range that the remaining weight and the previous letter
-    allow, so it emits the words in lexicographic order.
+    decreasing, each adding wt(g) - n - 1 >= 1 to the weight.  The walk
+    emits each word into its weight's list before its extensions, and tries
+    letters in increasing (generator, mode) order, each mode in the closed
+    range that the weight left below w_max and the previous letter allow.
+    A word of one weight is never a prefix of another of that weight, so
+    each list comes out in lexicographic order.
     """
     _require_positive_weights(pres, "spanning enumeration")
-    out: List[Word] = []
-    _spanning_walk(pres.weights, weight, len(pres.weights) - 1, -1, [], out)
+    out: List[List[Word]] = [[] for _ in range(w_max + 1)]
+    if out:
+        _spanning_walk(pres.weights, w_max, len(pres.weights) - 1, -1, [], out)
     return out
 
 
 def _spanning_walk(weights, remaining, prev_g, prev_n, acc, out):
-    """Append to out every completion of the word prefix acc that spends
-    the remaining weight, in spanning_basis's order."""
-    if remaining == 0:
-        out.append(tuple(acc))
-        return
+    """Emit the word prefix acc into out[len(out) - 1 - remaining], then
+    every extension of it that spends at most the remaining weight, in
+    _spanning_words's order."""
+    out[len(out) - 1 - remaining].append(tuple(acc))
     for g, w in enumerate(weights):
         for n in range(w - 1 - remaining, min(w - 2, prev_n - (g > prev_g)) + 1):
             acc.append((g, n))
@@ -522,21 +538,21 @@ def _lowering_generators(pres: Presentation, top: int) -> List[Tuple[int, int]]:
     check for every preset.  Virasoro keeps L(2) and L(3), that is L_1 and
     L_2; affine sl2 keeps its drop-1 modes and a Heisenberg algebra every
     mode.
+
+    The pairs with a non-vacuum table word are found once per call, and
+    _echelon draws each drop's brackets one at a time until every generator
+    column is a pivot, so the brackets after that are never computed.
     """
     ngen = len(pres.gens)
+    # vacuum words give only identity terms, and no bracket here has one
+    partners = [[b for b in range(ngen)
+                 if any(w for entry in pres.ope.get((a, b), {}).values() for w in entry)]
+                for a in range(ngen)]
     out: List[Tuple[int, int]] = []
     for d in range(1, top + 1):
-        rows = []
-        for a, d1 in out:
-            p = pres.wt(a) + d1 - 1
-            for b in range(ngen):
-                # vacuum words give only identity terms, and no bracket here has one
-                if not any(w for entry in pres.ope.get((a, b), {}).values() for w in entry):
-                    continue
-                q = pres.wt(b) + d - d1 - 1
-                modes = pres._mode_bracket(a, p, b, q)
-                rows.append({ngen - 1 - g: c for (g, _), c in modes.items()})
-        pivots = _echelon(rows)
+        brackets = (pres._mode_bracket(a, pres.wt(a) + d1 - 1, b, pres.wt(b) + d - d1 - 1)
+                    for a, d1 in out for b in partners[a])
+        pivots = _echelon(({ngen - 1 - g: c for (g, _), c in m.items()} for m in brackets), ngen)
         out.extend((g, d) for g in range(ngen) if ngen - 1 - g not in pivots)
     return out
 
@@ -570,7 +586,8 @@ def _radical_kernels(pres: Presentation, w_max: int):
     is not applied to it: its column would add a multiple of that pivot
     row to each condition, which leaves the row space, hence the reduced
     echelon and the kernel, as they are.  The weight stops once every
-    column is a pivot.  Before any word is listed, graded_dims predicts the
+    column is a pivot.  One walk (_spanning_words) lists the spanning words
+    of every weight.  Before any word is listed, graded_dims predicts the
     words of the largest slice (the top one, past weight 0), and more than
     _RADICAL_WORD_BOUND of them raise ResourceLimit.
     """
@@ -586,8 +603,7 @@ def _radical_kernels(pres: Presentation, w_max: int):
     imposed = _lowering_generators(pres, w_max)
     columns: List[Dict[Word, int]] = []  # per weight: word -> column
     rads: List[Tuple[int, Dict[int, Dict[int, int]]]] = []  # per weight: (L, rows)
-    for u in range(w_max + 1):
-        basis = spanning_basis(pres, u)
+    for u, basis in enumerate(_spanning_words(pres, w_max)):
         pivots = {} if u else {0: {0: 1}}  # Rad_0 = 0
         for g, d in imposed:
             if d > u or len(pivots) == len(basis):

@@ -25,12 +25,19 @@ so: only the input is common.
   per factor occurrence (the check of LocalFn.to_json and
   TensorElement.to_json, which write the text of each distinct factor and
   inner function once and join it).
+* lowering_generators brackets every kept lowering mode with every
+  generator through Presentation._table_mode and eliminates each drop's
+  brackets in full (the check of _lowering_generators, which brackets
+  only the pairs with a non-vacuum table word, through _mode_bracket, and
+  stops each drop at its first full echelon).  It shares _echelon with
+  production;
 * radical_stacked computes the radical by straightening every spanning
-  word under every generating lowering mode and eliminating once per
-  weight (the check of _radical_kernels, which imposes one generator at a
-  time and skips the words its running echelon already forces to 0).  It
-  shares the straightening, the generating modes and the elimination with
-  _radical_kernels, and checks only which words are straightened.
+  word under every generating lowering mode of lowering_generators and
+  eliminating once per weight (the check of _radical_kernels, which
+  imposes one generator at a time and skips the words its running echelon
+  already forces to 0).  It shares the straightening, the spanning words
+  and the elimination with _radical_kernels, and checks only which words
+  are straightened.
 
 The module name has no test_ prefix, so pytest collects nothing from it.
 """
@@ -41,8 +48,8 @@ from math import factorial, prod
 
 from vacalc.errors import ArityMismatch, CoincidentPoints, VacalcError
 from vacalc.localfn import LocalFn, mono_sort_key
-from vacalc.numutil import _cross_reduce, _kernel
-from vacalc.vacore import VAElement, _lowering_generators, spanning_basis
+from vacalc.numutil import _cross_reduce, _echelon, _kernel
+from vacalc.vacore import VAElement, spanning_basis
 
 
 def eval_raw(expr, points) -> Fraction:
@@ -175,13 +182,40 @@ def nf_word_bubble(pres, word, bound: int = 10**6):
     return out
 
 
+def lowering_generators(pres, top: int):
+    """The (generator, drop) pairs, d <= top, whose lowering modes generate
+    every lowering mode up to drop top, sorted by drop and then generator.
+    Drop by drop, every kept mode a(p) is bracketed with the drop d - d1
+    mode b(q) of every generator b, as sum_j C(p, j) ([a, b]_j)(p + q - j),
+    and g is kept when its column (numbered in reverse) is not a pivot of
+    the echelon of all those brackets."""
+    ngen = len(pres.gens)
+    out = []
+    for d in range(1, top + 1):
+        rows = []
+        for a, d1 in out:
+            p = pres.wt(a) + d1 - 1
+            for b in range(ngen):
+                q = pres.wt(b) + d - d1 - 1
+                row = {}
+                for j in pres.ope.get((a, b), {}):
+                    if _binom(p, j):
+                        parts, _ = pres._table_mode(a, b, j, p + q - j)
+                        for g, _, c in parts:
+                            row[ngen - 1 - g] = row.get(ngen - 1 - g, 0) + _binom(p, j) * c
+                rows.append(row)  # _echelon drops zero entries
+        pivots = _echelon(rows)
+        out.extend((g, d) for g in range(ngen) if ngen - 1 - g not in pivots)
+    return out
+
+
 def radical_stacked(pres, w_max: int):
     """(weight, basis, kernel elements) of Rad_u for u = 0..w_max.  Each
     generating lowering mode g(m) of drop d is applied to every spanning
     word of weight u, the image is reduced modulo Rad_(u-d), and its
     entries at the non-pivot columns of Rad_(u-d) are conditions; all of
     them are stacked and eliminated once."""
-    imposed = _lowering_generators(pres, w_max)
+    imposed = lowering_generators(pres, w_max)
     columns, rads, out = [], [], []
     for u in range(w_max + 1):
         basis = spanning_basis(pres, u)

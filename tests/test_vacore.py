@@ -34,6 +34,7 @@ from vacalc.vacore import (
     _check_jacobi,
     _lowering_generators,
     _mono_series_support,
+    _spanning_words,
     _vacuum_series_support,
     check_uniform_bound,
     graded_dims,
@@ -50,7 +51,7 @@ from vacalc.vacore import (
     ward_correlator,
 )
 
-from reference import NonTerminating, nf_word_bubble, radical_stacked
+from reference import NonTerminating, lowering_generators, nf_word_bubble, radical_stacked
 
 
 @pytest.fixture(scope="module")
@@ -837,6 +838,65 @@ def test_lowering_generators_virasoro_plus_current():
     assert _lowering_generators(lj, 8) == [(0, 1), (1, 1), (0, 2)]
 
 
+_GENERATING_GRID = {
+    **{f"c={c}": lambda c=c: preset_virasoro(Fraction(c))
+       for c in ("1", "1/2", "-22/5", "-68/7", "0")},
+    **{f"rank-{r}": lambda r=r: preset_heisenberg(r) for r in (1, 2, 3)},
+    "form-11-11": lambda: preset_heisenberg(2, [[1, 1], [1, 1]]),
+    "form-00-01": lambda: preset_heisenberg(2, [[0, 0], [0, 1]]),
+    "affine-sl2-level-1": lambda: load_presentation(_doc("efh", _SL2_FORWARD)),
+    "virasoro-plus-current": lambda: load_presentation(_LJ_DOC),
+}
+
+
+@pytest.mark.parametrize("make", _GENERATING_GRID.values(), ids=_GENERATING_GRID)
+def test_lowering_generators_match_reference(make):
+    # the reference brackets every kept mode with every generator through
+    # _table_mode and eliminates each drop in full
+    pres = make()
+    for top in range(13):
+        assert _lowering_generators(pres, top) == lowering_generators(pres, top), top
+
+
+@pytest.mark.parametrize("key, calls", [
+    # 21, 66, 53 and 0 calls when every drop brackets every kept mode with
+    # every partner and eliminates them all
+    ("c=1", 11),
+    ("affine-sl2-level-1", 44),
+    ("virasoro-plus-current", 23),
+    ("rank-3", 0),
+])
+def test_lowering_generators_stop_each_drop_at_its_first_full_echelon(
+        monkeypatch, key, calls):
+    # a drop is settled once every generator column is a pivot, and the
+    # brackets after that are never computed
+    pres = _GENERATING_GRID[key]()
+    real = pres._mode_bracket
+    seen = []
+    monkeypatch.setattr(pres, "_mode_bracket", lambda *key: seen.append(key) or real(*key))
+    _lowering_generators(pres, 12)
+    assert len(seen) == calls
+
+
+@pytest.mark.parametrize(
+    "key", ["c=-68/7", "form-00-01", "affine-sl2-level-1", "virasoro-plus-current"])
+def test_mode_bracket_matches_straightening(key):
+    # [a(p), b(q)] x = a(p)(b(q)x) - b(q)(a(p)x) on every spanning word x,
+    # both orders straightened through _act
+    pres = _GENERATING_GRID[key]()
+    words = [x for u in range(6) for x in spanning_basis(pres, u)]
+    for a, b in product(range(len(pres.gens)), repeat=2):
+        for p in range(5):
+            for q in range(5 - p):
+                modes = pres._mode_bracket(a, p, b, q)
+                for x in words:
+                    diff = pres._act(a, p, pres._act(b, q, {x: 1}))
+                    add_into(diff, pres._act(b, q, pres._act(a, p, {x: 1})), -1)
+                    for (g, k), c in modes.items():
+                        add_into(diff, pres._act(g, k, {x: 1}), -c)
+                    assert not diff, (a, p, b, q, x)
+
+
 @pytest.mark.parametrize("make, arg", [
     *((preset_virasoro, 1 - Fraction(6 * (q - p) ** 2, p * q))
       for p, q in ((2, 5), (3, 4), (2, 7), (4, 5))),
@@ -934,10 +994,28 @@ def test_radical_straightens_only_unforced_words(monkeypatch, pres, weight, call
     assert len(seen) == calls
 
 
+@pytest.mark.parametrize("make", _GENERATING_GRID.values(), ids=_GENERATING_GRID)
+def test_one_walk_lists_every_weight(make):
+    # each bucket is strictly increasing, holds only normal words of its
+    # weight and as many as graded_dims counts, so it is exactly the sorted
+    # normal words of that weight; spanning_basis is its top bucket
+    pres = make()
+    buckets = _spanning_words(pres, 8)
+    assert [len(words) for words in buckets] == graded_dims(pres, 8)
+    for u, words in enumerate(buckets):
+        assert all(x < y for x, y in zip(words, words[1:]))
+        for word in words:
+            assert pres.word_weight(word) == u
+            assert all(n <= -1 for _, n in word)
+            assert all((n1, g1) >= (n2, g2) for (g1, n1), (g2, n2) in zip(word, word[1:]))
+        assert spanning_basis(pres, u) == words
+    assert _spanning_words(pres, -1) == [] == spanning_basis(pres, -1)
+
+
 def test_radical_word_bound_raises_resource_limit(monkeypatch):
     # the top weight's spanning words are counted before any is listed
     hei = preset_heisenberg(3)
-    monkeypatch.setattr(vacore, "spanning_basis", lambda *a: pytest.fail("listed words"))
+    monkeypatch.setattr(vacore, "_spanning_words", lambda *a: pytest.fail("listed words"))
     with pytest.raises(ResourceLimit, match="would list 7868 spanning words at one weight") as exc:
         radical_slice(hei, 12)
     assert exc.value.payload() == {"bound": vacore._RADICAL_WORD_BOUND,
