@@ -87,6 +87,28 @@ def _gf2_reduce(v: int, echelon: Dict[int, int]) -> int:
     return v
 
 
+def _word_modes(entry, N: int):
+    """Mode N of a table entry {word: coeff}: list of (gen, mode, coeff)
+    plus the identity coefficient (from vacuum words, delta at N == -1).
+
+    The mode N of (1/s!) T^s g is (-1)^s C(N, s) g(N - s): the falling
+    factorial N (N-1) ... (N-s+1) over s! is the integer C(N, s), so an
+    int table coefficient gives an int coefficient."""
+    id_coeff = 0
+    parts = []
+    for word, c in entry.items():
+        if not word:
+            if N == -1:
+                id_coeff += c
+            continue
+        g, mode = word[0]
+        s = -1 - mode  # the word is (1/s!) T^s g
+        coeff = c * (-1) ** s * gbinom(N, s)
+        if coeff:
+            parts.append((g, N - s, coeff))
+    return parts, id_coeff
+
+
 class VAElement(SparseSum):
     """Rational combination of mode words, bound to one presentation.
 
@@ -254,30 +276,11 @@ class Presentation:
     # -- straightening -----------------------------------------------------
 
     def _table_mode(self, a: int, b: int, j: int, N: int):
-        """Mode N of the table entry [a, b]_j, memoized: list of (gen, mode,
-        coeff) plus the identity coefficient (from vacuum words, delta at
-        N == -1).
-
-        The mode N of (1/s!) T^s g is (-1)^s C(N, s) g(N - s): the falling
-        factorial N (N-1) ... (N-s+1) over s! is the integer C(N, s), so an
-        int table coefficient gives an int coefficient."""
+        """Mode N of the table entry [a, b]_j, memoized: _word_modes of it."""
         key = (a, b, j, N)
         got = self._table_mode_cache.get(key)
-        if got is not None:
-            return got
-        id_coeff = 0
-        parts = []
-        for word, c in self.ope[(a, b)][j].items():
-            if not word:
-                if N == -1:
-                    id_coeff += c
-                continue
-            g, mode = word[0]
-            s = -1 - mode  # the word is (1/s!) T^s g
-            coeff = c * (-1) ** s * gbinom(N, s)
-            if coeff:
-                parts.append((g, N - s, coeff))
-        got = self._table_mode_cache[key] = (parts, id_coeff)
+        if got is None:
+            got = self._table_mode_cache[key] = _word_modes(self.ope[(a, b)][j], N)
         return got
 
     def _prepend(self, g: int, n: int, word: Word) -> Dict[Word, int | Fraction]:
@@ -336,7 +339,7 @@ class Presentation:
 
     def _mode_bracket(self, a: int, p: int, b: int, q: int):
         """[a(p), b(q)] = sum_j C(p, j) ([a, b]_j)(p + q - j) for p, q >= 0,
-        read off the table words as _table_mode reads them: {(gen, mode):
+        read off the table words by _word_modes, uncached: {(gen, mode):
         coeff}.  Rows ascend in j and C(p, j) = 0 past j = p, so every mode
         read is N = p + q - j >= q >= 0, and a vacuum word, whose only term
         is the identity at N = -1, gives none."""
@@ -344,14 +347,8 @@ class Presentation:
         for j, entry in self.ope.get((a, b), {}).items():
             if j > p:
                 break
-            N = p + q - j
-            terms = {}
-            for word, c in entry.items():
-                if word:
-                    g, n = word[0]
-                    s = -1 - n  # the word is (1/s!) T^s g
-                    terms[(g, N - s)] = c * (-1) ** s * comb(N, s)
-            add_into(modes, terms, comb(p, j))
+            parts, _ = _word_modes(entry, p + q - j)
+            add_into(modes, {(g, n): c for g, n, c in parts}, comb(p, j))
         return modes
 
     def prepend_mode(self, g: int, n: int, word: Word) -> Dict[Word, int | Fraction]:

@@ -26,11 +26,11 @@ so: only the input is common.
   TensorElement.to_json, which write the text of each distinct factor and
   inner function once and join it).
 * lowering_generators brackets every kept lowering mode with every
-  generator through Presentation._table_mode and eliminates each drop's
-  brackets in full (the check of _lowering_generators, which brackets
-  only the pairs with a non-vacuum table word, through _mode_bracket, and
-  stops each drop at its first full echelon).  It shares _echelon with
-  production;
+  generator, reading the table modes with _entry_modes, and eliminates
+  each drop's brackets in full (the check of _lowering_generators, which
+  brackets only the pairs with a non-vacuum table word, through
+  _mode_bracket, and stops each drop at its first full echelon).  It
+  shares _echelon with production;
 * radical_stacked computes the radical by straightening every spanning
   word under every generating lowering mode of lowering_generators and
   eliminating once per weight (the check of _radical_kernels, which
@@ -200,9 +200,9 @@ def lowering_generators(pres, top: int):
                 row = {}
                 for j in pres.ope.get((a, b), {}):
                     if _binom(p, j):
-                        parts, _ = pres._table_mode(a, b, j, p + q - j)
-                        for g, _, c in parts:
-                            row[ngen - 1 - g] = row.get(ngen - 1 - g, 0) + _binom(p, j) * c
+                        for g, _, c in _entry_modes(pres.ope[(a, b)][j], p + q - j):
+                            if g is not None:  # the identity is at N = -1 only; here N >= q >= 0
+                                row[ngen - 1 - g] = row.get(ngen - 1 - g, 0) + _binom(p, j) * c
                 rows.append(row)  # _echelon drops zero entries
         pivots = _echelon(rows)
         out.extend((g, d) for g in range(ngen) if ngen - 1 - g not in pivots)
